@@ -10,7 +10,7 @@ from collections import Counter
 from collections.abc import Sequence
 
 from .indices import Index, binary_vectors, weak_compositions
-from .words import NCPolynomial, _raw, harmonic, shuffle, word_of_index
+from .words import NCPolynomial, _combine, _raw, harmonic, shuffle, word_of_index
 
 
 def insertion_words(x_runs: Sequence[int], extra: int) -> NCPolynomial:
@@ -60,12 +60,10 @@ def bumped_insertion_words(k: Sequence[int], extra: int, bumps: int) -> NCPolyno
     r = k.depth
     if bumps > r:
         return NCPolynomial.zero()
-    total = NCPolynomial.zero()
-    for lam in binary_vectors(r, bumps):
-        total = total + insertion_words(
-            tuple(kj - 1 + lj for kj, lj in zip(k, lam)), extra
-        )
-    return total
+    return _combine(
+        (1, insertion_words(tuple(kj - 1 + lj for kj, lj in zip(k, lam)), extra))
+        for lam in binary_vectors(r, bumps)
+    )
 
 
 def ones_expansion_sides(k: Sequence[int], n: int) -> tuple[NCPolynomial, NCPolynomial]:
@@ -80,14 +78,14 @@ def ones_expansion_sides(k: Sequence[int], n: int) -> tuple[NCPolynomial, NCPoly
     if n < 0:
         raise ValueError(f"shift must be >= 0, got {n}")
     r = k.depth
-    lhs = NCPolynomial.zero()
-    for i in range(min(n, r) + 1):
-        for m in range(n - i + 1):
-            l = n - i - m
-            term = shuffle(
-                NCPolynomial.from_word("y" * m), bumped_insertion_words(k, l, i)
-            )
-            lhs = lhs + (term if l % 2 == 0 else -term)
+    lhs = _combine(
+        (
+            (-1) ** (n - i - m),
+            shuffle(NCPolynomial.from_word("y" * m), bumped_insertion_words(k, n - i - m, i)),
+        )
+        for i in range(min(n, r) + 1)
+        for m in range(n - i + 1)
+    )
     rhs = harmonic(
         NCPolynomial.from_word("y" * n), NCPolynomial.from_word(word_of_index(k))
     )

@@ -69,9 +69,8 @@ def primes_in(lo: int, hi: int) -> list[int]:
     small = [q for q in range(2, root + 1) if base[q]]
     seg = bytearray([1]) * (hi - lo + 1)
     for q in small:
-        start = max(q * q, (lo + q - 1) // q * q)
-        for multiple in range(start, hi + 1, q):
-            seg[multiple - lo] = 0
+        start = max(q * q, (lo + q - 1) // q * q) - lo
+        seg[start::q] = bytes(len(range(start, len(seg), q)))
     return [lo + i for i, keep in enumerate(seg) if keep and lo + i >= 2]
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .words import NCPolynomial, check_word, concat, harmonic, shuffle
+from .words import NCPolynomial, _combine, check_word, concat, harmonic, shuffle
 
 
 @dataclass(frozen=True)
@@ -66,13 +66,12 @@ def one_series(order: int) -> USeries:
 
 def _convolve(a: USeries, b: USeries, product) -> USeries:
     n = min(a.order, b.order)
-    out = []
-    for d in range(n + 1):
-        acc = NCPolynomial.zero()
-        for i in range(d + 1):
-            acc = acc + product(a.coeffs[i], b.coeffs[d - i])
-        out.append(acc)
-    return USeries(tuple(out))
+    return USeries(
+        tuple(
+            _combine((1, product(a.coeffs[i], b.coeffs[d - i])) for i in range(d + 1))
+            for d in range(n + 1)
+        )
+    )
 
 
 def series_concat(a: USeries, b: USeries) -> USeries:

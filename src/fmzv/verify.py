@@ -34,6 +34,7 @@ from .modp import (
 from .series import const_series, geometric_yu, series_harmonic, series_shuffle, substitution_series
 from .words import (
     NCPolynomial,
+    _combine,
     concat,
     harmonic,
     in_h1,
@@ -414,13 +415,11 @@ def lemma_word_layers(k: Sequence[int], n: int) -> tuple[NCPolynomial, ...]:
     k = Index(k)
     layers = []
     for i in range(min(n, k.depth) + 1):
-        acc = NCPolynomial.zero()
-        for m in range(n - i + 1):
-            l = n - i - m
-            acc = acc + concat(
-                NCPolynomial.from_word("y" * m), bumped_insertion_words(k, l, i)
-            )
-        layers.append(acc)
+        terms = (
+            concat(NCPolynomial.from_word("y" * m), bumped_insertion_words(k, n - i - m, i))
+            for m in range(n - i + 1)
+        )
+        layers.append(_combine((1, t) for t in terms))
     return tuple(layers)
 
 

@@ -14,9 +14,8 @@ tuples (k_1, ..., k_r).
 
 from __future__ import annotations
 
-import functools
 from collections import Counter
-from collections.abc import Iterable, Mapping
+from collections.abc import Callable, Hashable, Iterable, Mapping
 
 _LETTERS = frozenset("xy")
 _SWAP = str.maketrans("xy", "yx")
@@ -35,14 +34,6 @@ def check_word(w: str) -> str:
 def in_h1(w: str) -> bool:
     """True if ``w`` is admissible for the harmonic product: empty or ending in y."""
     return w == "" or w.endswith("y")
-
-
-def word_weight(w: str) -> int:
-    return len(w)
-
-
-def word_depth(w: str) -> int:
-    return w.count("y")
 
 
 def tau(w: str) -> str:
@@ -136,13 +127,6 @@ class NCPolynomial:
     def in_h1(self) -> bool:
         return all(in_h1(w) for w in self.terms)
 
-    def weight_range(self) -> tuple[int, int]:
-        """(min, max) word length over the support; (0, 0) for the zero polynomial."""
-        if not self.terms:
-            return (0, 0)
-        lengths = [len(w) for w in self.terms]
-        return (min(lengths), max(lengths))
-
     def term_count(self) -> int:
         """Number of words counted with multiplicity (sum of |coefficients|)."""
         return sum(abs(c) for c in self.terms.values())
@@ -233,34 +217,83 @@ def concat(a: NCPolynomial, b: NCPolynomial) -> NCPolynomial:
     return _raw({w: c for w, c in acc.items() if c})
 
 
-def _split_leading_block(w: str) -> tuple[int, str]:
-    # w must end in y; returns (k, rest) with w = x^(k-1) y rest
-    i = w.index("y")
-    return i + 1, w[i + 1 :]
+def _quotient_trie(
+    poly: NCPolynomial, labels: Callable[[str], Iterable[Hashable]]
+) -> list[tuple[int, dict]]:
+    # Node u stands for the left quotient u^-1 poly, kept as (its constant
+    # term, {label: child node}).  Node 0 is the root and every child comes
+    # after its parent; inserting the words in sorted order makes the
+    # numbering a preorder, so a bottom-up walk holds few rows at once.
+    consts = [0]
+    children: list[dict] = [{}]
+    for w in sorted(poly.terms):
+        node = 0
+        for label in labels(w):
+            below = children[node]
+            node = below.get(label)
+            if node is None:
+                node = below[label] = len(consts)
+                consts.append(0)
+                children.append({})
+        consts[node] = poly.terms[w]
+    return list(zip(consts, children))
 
 
-@functools.lru_cache(maxsize=None)
-def _harmonic_words(w1: str, w2: str) -> NCPolynomial:
-    # no operand reordering: commutativity must emerge from the rules, so the
-    # algebra-law tests exercise it rather than bake it in
-    if not w1:
-        return NCPolynomial.from_word(w2)
-    if not w2:
-        return NCPolynomial.from_word(w1)
-    m, r1 = _split_leading_block(w1)
-    n, r2 = _split_leading_block(w2)
-    zm = "x" * (m - 1) + "y"
-    zn = "x" * (n - 1) + "y"
-    zmn = "x" * (m + n - 1) + "y"
-    acc: Counter[str] = Counter()
-    for prefix, rest in (
-        (zm, _harmonic_words(r1, w2)),
-        (zn, _harmonic_words(w1, r2)),
-        (zmn, _harmonic_words(r1, r2)),
-    ):
-        for w, c in rest.terms.items():
-            acc[prefix + w] += c
-    return _raw(dict(acc))
+def _by_quotients(
+    a: NCPolynomial,
+    b: NCPolynomial,
+    labels: Callable[[str], Iterable[Hashable]],
+    spell: Callable[[Hashable], str],
+    merge_heads: bool,
+) -> NCPolynomial:
+    """Evaluate a bilinear product from its rule on left quotients,
+
+        P * Q = P_e Q_e + sum_s s (s^-1 P * Q) + sum_t t (P * t^-1 Q)
+                [+ sum_{s,t} (s+t) (s^-1 P * t^-1 Q)   when merge_heads],
+
+    where P_e is the constant term, s and t run over the labels of the
+    leading letter or block of a word, and ``spell`` turns a label back into
+    its word.  Every pair (node of P, node of Q) is evaluated once,
+    bottom-up: children come after parents in both tries, so walking both
+    numberings backwards meets each pair after every pair it needs, and no
+    recursion limits the word length.  The row of results for a node of P
+    lives only until its parent's row is done; nothing outlives the call.
+    """
+    p_nodes = _quotient_trie(a, labels)
+    q_nodes = _quotient_trie(b, labels)
+    rows: dict[int, list[dict[str, int]]] = {}
+    for i in range(len(p_nodes) - 1, -1, -1):
+        cp, p_kids = p_nodes[i]
+        kid_rows = [(s, rows.pop(ci)) for s, ci in p_kids.items()]
+        row: list[dict[str, int]] = [{}] * len(q_nodes)
+        for j in range(len(q_nodes) - 1, -1, -1):
+            cq, q_kids = q_nodes[j]
+            groups: dict[Hashable, list[dict[str, int]]] = {}
+            for s, lower in kid_rows:
+                groups.setdefault(s, []).append(lower[j])
+            for t, cj in q_kids.items():
+                groups.setdefault(t, []).append(row[cj])
+            if merge_heads:
+                for s, lower in kid_rows:
+                    for t, cj in q_kids.items():
+                        groups.setdefault(s + t, []).append(lower[cj])
+            out = {"": cp * cq} if cp and cq else {}
+            for label, parts in groups.items():
+                # coefficients merge here, before the head is spelled out
+                merged = parts[0]
+                if len(parts) > 1:
+                    merged = dict(merged)
+                    for part in parts[1:]:
+                        for w, c in part.items():
+                            if w in merged:
+                                merged[w] += c
+                            else:
+                                merged[w] = c
+                head = spell(label)
+                out.update({head + w: c for w, c in merged.items() if c})
+            row[j] = out
+        rows[i] = row
+    return _raw(rows[0][0])
 
 
 def harmonic(a: NCPolynomial, b: NCPolynomial) -> NCPolynomial:
@@ -270,37 +303,17 @@ def harmonic(a: NCPolynomial, b: NCPolynomial) -> NCPolynomial:
         if not p.in_h1():
             bad = next(w for w in p.terms if not in_h1(w))
             raise ValueError(f"harmonic operand contains inadmissible word {bad!r}")
-    return _combine(
-        (c1 * c2, _harmonic_words(w1, w2))
-        for w1, c1 in a.terms.items()
-        for w2, c2 in b.terms.items()
+    # no operand reordering: commutativity must emerge from the rule, so the
+    # algebra-law tests exercise it rather than bake it in
+    return _by_quotients(
+        a,
+        b,
+        lambda w: index_of_word(w) if w else (),
+        lambda k: word_of_index((k,)),
+        merge_heads=True,
     )
-
-
-@functools.lru_cache(maxsize=None)
-def _shuffle_words(w1: str, w2: str) -> NCPolynomial:
-    if not w1:
-        return NCPolynomial.from_word(w2)
-    if not w2:
-        return NCPolynomial.from_word(w1)
-    acc: Counter[str] = Counter()
-    for w, c in _shuffle_words(w1[1:], w2).terms.items():
-        acc[w1[0] + w] += c
-    for w, c in _shuffle_words(w1, w2[1:]).terms.items():
-        acc[w2[0] + w] += c
-    return _raw(dict(acc))
 
 
 def shuffle(a: NCPolynomial, b: NCPolynomial) -> NCPolynomial:
     """Shuffle (interleaving) product, extended bilinearly."""
-    return _combine(
-        (c1 * c2, _shuffle_words(w1, w2))
-        for w1, c1 in a.terms.items()
-        for w2, c2 in b.terms.items()
-    )
-
-
-def clear_product_caches() -> None:
-    """Drop the memoized word-level product tables."""
-    _harmonic_words.cache_clear()
-    _shuffle_words.cache_clear()
+    return _by_quotients(a, b, iter, str, merge_heads=False)

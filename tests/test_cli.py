@@ -106,6 +106,19 @@ def test_check_symbolic(capsys):
     assert json.loads(out)["results"] == {"equal": True}
 
 
+def test_long_words_check_without_crashing(capsys):
+    # words longer than the interpreter's recursion limit
+    long = "y" * 1200
+    for command in ("duality", "stuffle"):
+        code, out, err = run_cli(
+            capsys,
+            "check", command, "--w", long, "--wp", "y", "--primes", "9:20", "--jobs", "1",
+        )
+        assert code == 0, err
+        assert "summary: PASS  checked=4" in out
+        assert "Traceback" not in err and "RecursionError" not in err
+
+
 def test_check_usage_error(capsys):
     code, _, err = run_cli(
         capsys, "check", "duality", "--w", "y", "--wp", "yx", "--primes", "5:20"

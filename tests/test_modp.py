@@ -50,6 +50,19 @@ def test_primes_in():
             primes_in(lo, hi)
 
 
+def test_primes_in_matches_trial_division():
+    windows = [
+        (2, 2), (2, 3), (2, 1000),            # lo = 2
+        (97, 97), (121, 121), (4, 4),         # lo = hi
+        (24, 30), (120, 130), (9999, 10010),  # lo just below a square
+        (114, 126), (1328, 1360),             # no primes at all
+        (99_000, 100_500),
+    ]
+    for lo, hi in windows:
+        expect = [n for n in range(lo, hi + 1) if _trial_division(n)]
+        assert primes_in(lo, hi) == expect, (lo, hi)
+
+
 def test_inv_and_pow():
     assert inv_mod(3, 7) == 5
     assert inv_mod(1, 97) == 1

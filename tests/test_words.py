@@ -1,4 +1,6 @@
+import gc
 import random
+import tracemalloc
 from collections import Counter
 from math import comb
 
@@ -107,6 +109,110 @@ def test_harmonic_matches_index_stuffle_oracle():
             expect = stuffle_by_indices(k1, k2)
             expect.pop((), None)
             assert got == +expect
+
+
+def bilinear_shuffle(a, b):
+    out = Counter()
+    for w1, c1 in a.terms.items():
+        for w2, c2 in b.terms.items():
+            for w, c in shuffle_by_positions(w1, w2).items():
+                out[w] += c1 * c2 * c
+    return NCPolynomial(out)
+
+
+def bilinear_harmonic(a, b):
+    out = Counter()
+    for w1, c1 in a.terms.items():
+        for w2, c2 in b.terms.items():
+            k1 = index_of_word(w1) if w1 else ()
+            k2 = index_of_word(w2) if w2 else ()
+            for k, c in stuffle_by_indices(k1, k2).items():
+                out[word_of_index(k)] += c1 * c2 * c
+    return NCPolynomial(out)
+
+
+def poly(*terms):
+    return NCPolynomial(dict(terms))
+
+
+# multi-term operands: shared prefixes, the empty word, negative coefficients
+H1_OPERANDS = [
+    poly(("xy", 2), ("xyy", 3), ("xyxy", -1), ("xxy", 1)),
+    poly(("", 3), ("y", -2), ("yy", 1), ("yxy", 4)),
+    poly(("y", 1), ("xy", -1)),
+    poly(("y", 1), ("xy", 1)),
+    poly(("", -1)),
+    NCPolynomial.zero(),
+]
+FREE_OPERANDS = H1_OPERANDS + [
+    poly(("x", 1), ("y", -1)),
+    poly(("x", 1), ("y", 1)),
+    poly(("", 1), ("yx", 2), ("yxx", -3), ("xyx", 1)),
+]
+
+
+def test_shuffle_of_polynomials_matches_bilinear_oracle():
+    for a in FREE_OPERANDS:
+        for b in FREE_OPERANDS:
+            got = shuffle(a, b)
+            assert got == bilinear_shuffle(a, b), (a, b)
+            assert all(got.terms.values())
+
+
+def test_harmonic_of_polynomials_matches_bilinear_oracle():
+    for a in H1_OPERANDS:
+        for b in H1_OPERANDS:
+            got = harmonic(a, b)
+            assert got == bilinear_harmonic(a, b), (a, b)
+            assert all(got.terms.values())
+
+
+def test_cancelling_coefficients_leave_no_zero_terms():
+    x_minus_y, x_plus_y = poly(("x", 1), ("y", -1)), poly(("x", 1), ("y", 1))
+    assert shuffle(x_minus_y, x_plus_y).terms == {"xx": 2, "yy": -2}
+    y_minus_xy, y_plus_xy = poly(("y", 1), ("xy", -1)), poly(("y", 1), ("xy", 1))
+    assert harmonic(y_minus_xy, y_plus_xy).terms == {
+        "yy": 2, "xy": 1, "xyxy": -2, "xxxy": -1,
+    }
+    p = poly(("", 2), ("yxy", 1), ("xy", -3))
+    assert shuffle(p, -p) == -shuffle(p, p)
+    assert harmonic(p, p - p) == NCPolynomial.zero()
+
+
+def test_polynomial_products_associate():
+    rng = random.Random(3307)
+    pool = [w for w in h1_words(6) if len(w) == 6]
+    for _ in range(2):
+        a, b, c = (
+            poly(*((w, rng.choice((-2, -1, 1, 3))) for w in rng.sample(pool, 2)))
+            for _ in range(3)
+        )
+        assert harmonic(harmonic(a, b), c) == harmonic(a, harmonic(b, c))
+        assert shuffle(shuffle(a, b), c) == shuffle(a, shuffle(b, c))
+
+
+def test_long_words_need_no_recursion():
+    long = P("y" * 1100)
+    assert shuffle(long, P("y")) == P("y" * 1101, 1101)
+    assert shuffle(P("x"), long).coeff("y" * 1100 + "x") == 1
+    ha = harmonic(P("y"), long)
+    assert ha.coeff("y" * 1101) == 1101 and ha.coeff("y" * 1099 + "xy") == 1
+
+
+def test_products_keep_no_state_between_calls():
+    a, b, c = P("xyxyxy"), P("xxyyxy"), P("yxyxxy")
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = shuffle(shuffle(a, b), c)
+        assert result.term_count() == comb(18, 6) * comb(12, 6)
+        del result
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 5_000_000
 
 
 def test_products_commute_and_associate():
