@@ -2,7 +2,10 @@
 
 Exit codes: 0 when everything requested passed (above the floor), 1 when at
 least one check failed above its floor, 2 for usage or parse errors (the
-offending token is reported on standard error).
+offending token is reported on standard error), 3 for an engine fault: the
+evaluator disagreed with its independent oracle or with itself, which is a
+bug in this package rather than a failed identity (reported on standard
+error).
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import os
 import sys
 
 from .indices import format_index, hoffman_dual, parse_index
-from .modp import bernoulli_mod_p, primes_in, zeta_mod_p
+from .modp import EngineFault, bernoulli_mod_p, primes_in, zeta_mod_p
 from .suite import run_battery
 from .verify import (
     CheckReport,
@@ -365,6 +368,9 @@ def main(argv=None) -> int:
     except (ValueError, ZeroDivisionError) as exc:
         print(f"fmzv: error: {exc}", file=sys.stderr)
         return 2
+    except EngineFault as exc:
+        print(f"fmzv: engine fault: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

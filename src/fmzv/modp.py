@@ -3,9 +3,16 @@ and Bernoulli numbers mod p.
 
 Moduli are restricted below 2^31 so that products of two residues always fit
 in native 64-bit intermediates; windows in day-to-day use stay far smaller.
-Per-prime tables (batch inverses, inverse-power rows, Bernoulli tables) are
-memoized, and the harmonic-sum evaluator is memoized per (index, prime), so
-large verification batteries share almost all of their arithmetic.
+
+The harmonic sum of an index of depth r at the prime p is evaluated as r
+prefix-sum passes over m = 1 .. p-1, innermost part first, so it costs
+O(p * r) multiplications.  Each pass, and each inverse-power row it reads, is
+built from C-level iterators (``map``, ``itertools.accumulate``) rather than
+an interpreted loop over m.  Bernoulli numbers B_n mod p come from the power
+sum 1^n + ... + (p-1)^n mod p^2 in O(p).  Per-prime tables (batch inverses,
+inverse-power rows, Bernoulli values) are memoized, and the harmonic-sum
+evaluator is memoized per (index, prime), so large verification batteries
+share almost all of their arithmetic.
 """
 
 from __future__ import annotations
@@ -15,10 +22,18 @@ import itertools
 import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from itertools import accumulate, repeat
+from operator import mod, mul
 
 from .words import NCPolynomial, in_h1, index_of_word
 
 MAX_MODULUS = 2**31
+
+
+class EngineFault(RuntimeError):
+    """The evaluator contradicted itself or an independent oracle: a bug in
+    this package, as opposed to an identity failing at a prime."""
+
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)  # deterministic below 3.3e24
 
@@ -103,18 +118,17 @@ def inverse_table(p: int) -> tuple[int, ...]:
 
 @functools.lru_cache(maxsize=None)
 def _inv_pow_row(p: int, e: int) -> tuple[int, ...]:
-    # row[m] = m^(-e) mod p for 1 <= m < p; e already reduced mod p-1
+    # row[m] = m^(-e) mod p for 1 <= m < p, row[0] = 0; e already reduced mod p-1
     if e == 0:
-        return tuple(1 if m else 0 for m in range(p))
-    if e == 1:
-        return inverse_table(p)
+        return (0,) + (1,) * (p - 1)
     inv = inverse_table(p)
+    if e == 1:
+        return inv
     if e > 32:
         # large exponents are rare; power directly instead of materializing
         # every intermediate row
-        return tuple(pow(a, e, p) for a in inv)
-    prev = _inv_pow_row(p, e - 1)
-    return tuple(a * b % p for a, b in zip(prev, inv))
+        return tuple(map(pow, inv, repeat(e), repeat(p)))
+    return tuple(map(mod, map(mul, _inv_pow_row(p, e - 1), inv), repeat(p)))
 
 
 def _reduced_exponents(k: Sequence[int], p: int) -> list[int]:
@@ -132,8 +146,11 @@ def zeta_mod_p(k: tuple[int, ...], p: int) -> int:
     """The truncated nested harmonic sum for the index ``k`` at the prime p:
     sum over p > m_1 > ... > m_r > 0 of prod m_j^(-k_j), reduced mod p.
 
-    Evaluated by a single left-to-right sweep over m with one running
-    partial sum per tail of the index, costing O(p * depth) multiplications.
+    Evaluated as r prefix-sum passes, innermost part first: after the pass
+    for part j, ``tail[m]`` is the sum over m > m_j > ... > m_r > 0, and the
+    next pass multiplies it by the row m^(-k_(j-1)) and takes prefix sums
+    again.  The outermost pass needs only the total.  Each pass is p - 1
+    multiplications run through C-level iterators, O(p * depth) in all.
     An index with depth >= p has an empty summation range and gives 0.
     """
     k = tuple(k)
@@ -144,13 +161,12 @@ def zeta_mod_p(k: tuple[int, ...], p: int) -> int:
     if r >= p:
         return 0
     rows = [_inv_pow_row(p, e) for e in _reduced_exponents(k, p)]
-    # g[j] holds the sum over upper > m_(j+1) > ... > m_r with the current
-    # upper bound; g[r] is the empty product 1.
-    g = [0] * r + [1]
-    for m in range(1, p):
-        for j in range(r):
-            g[j] = (g[j] + rows[j][m] * g[j + 1]) % p
-    return g[0]
+    # rows[j][0] is 0, so the m = 0 term of every pass vanishes; the
+    # innermost tail is the empty product 1.
+    tail = repeat(1)
+    for row in reversed(rows[1:]):
+        tail = list(map(mod, accumulate(map(mul, row, tail), initial=0), repeat(p)))
+    return sum(map(mul, rows[0], tail)) % p
 
 
 def zeta_mod_p_naive(k: tuple[int, ...], p: int) -> int:
@@ -198,30 +214,16 @@ def zeta_poly_mod_p(P: NCPolynomial, p: int, zeta=zeta_mod_p) -> int:
 
 
 @functools.lru_cache(maxsize=None)
-def _bernoulli_table(p: int) -> tuple[int, ...]:
-    # B_0 .. B_(p-2) mod p (B_1 = -1/2 convention) via the defining recurrence
-    # B_m = -(m+1)^(-1) * sum_{j<m} binom(m+1, j) B_j, all arithmetic mod p.
-    ensure_prime(p)
-    fact = [1] * p
-    for i in range(1, p):
-        fact[i] = fact[i - 1] * i % p
-    inv_fact = [1] * p
-    inv_fact[p - 1] = pow(fact[p - 1], p - 2, p)
-    for i in range(p - 1, 0, -1):
-        inv_fact[i - 1] = inv_fact[i] * i % p
-
-    def binom(a: int, b: int) -> int:
-        return fact[a] * inv_fact[b] % p * inv_fact[a - b] % p
-
-    table = [0] * max(p - 1, 1)
-    table[0] = 1 % p
-    for m in range(1, p - 1):
-        s = 0
-        for j in range(m):
-            if table[j]:
-                s = (s + binom(m + 1, j) * table[j]) % p
-        table[m] = -inv_mod(m + 1, p) * s % p
-    return tuple(table)
+def _bernoulli(n: int, p: int) -> int:
+    # B_n mod p for 2 <= n <= p-2.  B_n vanishes for odd n >= 3; for even n
+    # (then n <= p-3) the power-sum congruence 1^n + ... + (p-1)^n = p*B_n
+    # mod p^2 holds (Ireland-Rosen, ch. 15), so the sum divided by p is B_n.
+    if n % 2:
+        return 0
+    s = sum(map(pow, range(1, p), repeat(n), repeat(p * p)))
+    if s % p:
+        raise EngineFault(f"power sum of exponent {n} is not divisible by {p}")
+    return s // p % p
 
 
 def bernoulli_mod_p(k: int, p: int) -> int:
@@ -229,7 +231,7 @@ def bernoulli_mod_p(k: int, p: int) -> int:
     ensure_prime(p)
     if not 2 <= k <= p - 2:
         raise ValueError(f"need 2 <= k <= p-2, got k={k}, p={p}")
-    return _bernoulli_table(p)[p - k]
+    return _bernoulli(p - k, p)
 
 
 @dataclass(eq=False)
@@ -301,4 +303,4 @@ def clear_modp_caches() -> None:
     inverse_table.cache_clear()
     _inv_pow_row.cache_clear()
     zeta_mod_p.cache_clear()
-    _bernoulli_table.cache_clear()
+    _bernoulli.cache_clear()

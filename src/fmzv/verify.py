@@ -16,6 +16,7 @@ exceptional prime.
 from __future__ import annotations
 
 import math
+import os
 from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -24,6 +25,7 @@ from functools import partial
 from .generators import bumped_insertion_words, ones_expansion_sides
 from .indices import Index, add_componentwise, hoffman_dual, weak_compositions, binary_vectors
 from .modp import (
+    EngineFault,
     bernoulli_mod_p,
     inv_mod,
     primes_in,
@@ -127,9 +129,12 @@ def _window_primes(window: tuple[int, int], minimum: int = 2) -> list[int]:
 
 
 def _evaluate(pair_fn, primes: list[int], jobs: int) -> list[PrimeCheck]:
-    if jobs > 1 and len(primes) > 1:
-        chunk = max(1, len(primes) // (jobs * 4))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # More workers than primes or cores only adds start-up cost, and under
+    # the fork start method every requested worker is launched at once.
+    workers = min(jobs, len(primes), os.cpu_count() or 1)
+    if workers > 1:
+        chunk = max(1, len(primes) // (workers * 4))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             values = list(pool.map(pair_fn, primes, chunksize=chunk))
     else:
         values = [pair_fn(p) for p in primes]
@@ -144,7 +149,7 @@ def _confirm_failures(rows: list[PrimeCheck], floor: int, pair_fn) -> None:
         if row.p >= floor and not row.ok:
             l2, r2 = pair_fn(row.p, zeta=zeta_mod_p_naive)
             if (l2 % row.p, r2 % row.p) != (row.lhs, row.rhs):
-                raise RuntimeError(
+                raise EngineFault(
                     f"evaluator disagrees with brute-force oracle at p={row.p}: "
                     f"fast ({row.lhs}, {row.rhs}) vs oracle ({l2 % row.p}, {r2 % row.p})"
                 )
@@ -181,7 +186,7 @@ def _pair_key_lemma(index_layers, poly_layers, p, zeta=zeta_mod_p):
         s = sum(zeta(k, p) for k in idxs) % p
         bridge = zeta_poly_mod_p(poly, p, zeta=zeta)
         if s != bridge:
-            raise RuntimeError(
+            raise EngineFault(
                 f"term-level disagreement between the two lemma readings at "
                 f"p={p}, layer {i}: {s} vs {bridge}"
             )
@@ -217,7 +222,7 @@ def _pair_bernoulli_formula(lhs_idxs, coef, coef_alt, weight, p, zeta=zeta_mod_p
     rhs = coef % p * scale % p
     rhs_alt = coef_alt % p * scale % p
     if rhs != rhs_alt:
-        raise RuntimeError(
+        raise EngineFault(
             f"the two closed-form sign variants disagree at p={p}: {rhs} vs {rhs_alt}"
         )
     return lhs, rhs

@@ -3,8 +3,10 @@
 Everything here deliberately avoids the production code paths: duals are
 built by run-length bookkeeping instead of the word transform, shuffles by
 position enumeration instead of recursion, harmonic sums by direct nested
-summation with builtin modular inverses, and Bernoulli numbers by the
-Akiyama-Tanigawa scheme over exact rationals.
+summation with builtin modular inverses (or by a per-m running-sum loop at
+primes too large to enumerate), and Bernoulli numbers by the
+Akiyama-Tanigawa scheme over exact rationals or by their defining
+recurrence mod p.
 """
 
 import itertools
@@ -77,6 +79,23 @@ def zeta_brute(k, p):
     return total
 
 
+def zeta_by_loop(k, p):
+    """Nested harmonic sum by one left-to-right loop over m, O(p * depth).
+
+    g[j] holds the sum over upper > m_(j+1) > ... > m_r > 0 with the current
+    upper bound; g[r] is the empty product 1.  Powers come from builtin
+    modular exponentiation, so no exponent is reduced mod p-1.
+    """
+    r = len(k)
+    if r >= p:
+        return 0
+    g = [0] * r + [1]
+    for m in range(1, p):
+        for j in range(r):
+            g[j] = (g[j] + pow(m, -k[j], p) * g[j + 1]) % p
+    return g[0]
+
+
 def bernoulli_exact(n):
     """Exact rational Bernoulli number by Akiyama-Tanigawa.
 
@@ -93,3 +112,28 @@ def bernoulli_exact(n):
 def bernoulli_exact_mod(n, p):
     b = bernoulli_exact(n)
     return b.numerator * pow(b.denominator, -1, p) % p
+
+
+def bernoulli_table_by_recurrence(p):
+    """B_0 .. B_(p-2) mod p (B_1 = -1/2) by the defining recurrence
+    B_m = -(m+1)^(-1) * sum_{j<m} binom(m+1, j) B_j, all arithmetic mod p."""
+    fact = [1] * p
+    for i in range(1, p):
+        fact[i] = fact[i - 1] * i % p
+    inv_fact = [1] * p
+    inv_fact[p - 1] = pow(fact[p - 1], p - 2, p)
+    for i in range(p - 1, 0, -1):
+        inv_fact[i - 1] = inv_fact[i] * i % p
+
+    def binom(a, b):
+        return fact[a] * inv_fact[b] % p * inv_fact[a - b] % p
+
+    table = [0] * max(p - 1, 1)
+    table[0] = 1 % p
+    for m in range(1, p - 1):
+        s = 0
+        for j in range(m):
+            if table[j]:
+                s = (s + binom(m + 1, j) * table[j]) % p
+        table[m] = -pow(m + 1, -1, p) * s % p
+    return table

@@ -3,7 +3,9 @@ import os
 import subprocess
 import sys
 
+import fmzv.verify
 from fmzv.cli import main
+from fmzv.modp import zeta_mod_p
 
 
 def run_cli(capsys, *argv):
@@ -117,6 +119,20 @@ def test_long_words_check_without_crashing(capsys):
         assert code == 0, err
         assert "summary: PASS  checked=4" in out
         assert "Traceback" not in err and "RecursionError" not in err
+
+
+def test_engine_fault_exit_code(capsys, monkeypatch):
+    def disagrees_with_oracle(lhs_groups, rhs_groups, p, zeta=zeta_mod_p):
+        return (1, 0) if zeta is zeta_mod_p else (0, 0)
+
+    monkeypatch.setattr(fmzv.verify, "_pair_index_sums", disagrees_with_oracle)
+    code, out, err = run_cli(
+        capsys, "check", "ohno", "--index", "2,1", "--n", "1", "--primes", "11:13", "--jobs", "1"
+    )
+    assert code == 3
+    assert out == ""
+    assert err.startswith("fmzv: engine fault: evaluator disagrees with brute-force oracle at p=11")
+    assert "Traceback" not in err
 
 
 def test_check_usage_error(capsys):

@@ -9,7 +9,6 @@ from fmzv.modp import (
     AdeleSlice,
     adele_zeta,
     bernoulli_mod_p,
-    _bernoulli_table,
     inv_mod,
     inverse_table,
     is_prime,
@@ -22,7 +21,12 @@ from fmzv.modp import (
 from fmzv.suite import all_indices, h1_words
 from fmzv.words import NCPolynomial, harmonic
 
-from oracles import bernoulli_exact_mod, zeta_brute
+from oracles import (
+    bernoulli_exact_mod,
+    bernoulli_table_by_recurrence,
+    zeta_brute,
+    zeta_by_loop,
+)
 
 
 def _trial_division(n):
@@ -100,9 +104,24 @@ def test_zeta_large_exponent_reduction():
 
 
 def test_zeta_dp_matches_brute_force():
-    for p in primes_in(2, 23):
+    for p in primes_in(2, 31):
         for k in all_indices(6, max_depth=3):
             assert zeta_mod_p(k, p) == zeta_brute(k, p), (k, p)
+        # depth >= p: empty summation range
+        for r in (p, p + 1):
+            assert zeta_mod_p(Index((1,) * r), p) == 0, (r, p)
+
+
+def test_zeta_matches_loop_reference_at_large_primes():
+    for p in (10007, 65537):
+        indices = [
+            (1,), (3,), (2, 1), (1, 2, 1), (3, 1, 2, 1),
+            (p - 1,), (2, p - 1), (p - 1, 1, 2),        # exponent 0 rows
+            (34,), (1, 40), (2, 35, 1, 1),              # the e > 32 row path
+            (p - 1, 33, 2, p),                          # both, and p = exponent 1
+        ]
+        for k in indices:
+            assert zeta_mod_p(Index(k), p) == zeta_by_loop(k, p), (k, p)
 
 
 def test_zeta_naive_agrees_on_both_strategies():
@@ -168,10 +187,17 @@ def test_bernoulli_range_errors():
 
 def test_bernoulli_table_satisfies_recurrence():
     for p in (5, 13, 31):
-        table = _bernoulli_table(p)
+        table = bernoulli_table_by_recurrence(p)
         for m in range(1, p - 1):
             total = sum(comb(m + 1, j) * table[j] for j in range(m + 1)) % p
             assert total == 0, (p, m)
+
+
+def test_bernoulli_matches_recurrence_oracle():
+    for p in primes_in(5, 400):
+        table = bernoulli_table_by_recurrence(p)
+        for k in range(2, p - 1):
+            assert bernoulli_mod_p(k, p) == table[p - k], (k, p)
 
 
 def test_adele_slice_semantics():

@@ -1,5 +1,6 @@
 import pytest
 
+import fmzv.verify
 from fmzv.indices import Index
 from fmzv.modp import zeta_mod_p, zeta_poly_mod_p
 from fmzv.verify import (
@@ -246,6 +247,42 @@ def test_parallel_matches_serial():
     s = check_stuffle_hom("y", "xy", (5, 60), jobs=1)
     p = check_stuffle_hom("y", "xy", (5, 60), jobs=2)
     assert s.results == p.results
+
+
+def test_pool_never_exceeds_cores_or_primes(monkeypatch):
+    started = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(fmzv.verify, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(fmzv.verify.os, "cpu_count", lambda: 4)
+    serial = check_ohno(Index((2, 1)), 1, (5, 80), jobs=1).results
+    for jobs, window, expect in [
+        (5000, (5, 80), [4]),    # capped by the cores
+        (5000, (5, 12), [3]),    # capped by the primes 5, 7, 11
+        (5000, (11, 11), []),    # one prime: serial, no pool
+        (3, (5, 80), [3]),
+        (1, (5, 80), []),
+    ]:
+        started.clear()
+        rep = check_ohno(Index((2, 1)), 1, window, jobs=jobs)
+        assert started == expect, (jobs, window)
+        assert rep.results == [r for r in serial if window[0] <= r.p <= window[1]]
+    monkeypatch.setattr(fmzv.verify.os, "cpu_count", lambda: None)
+    started.clear()
+    check_ohno(Index((2, 1)), 1, (5, 80), jobs=5000)
+    assert started == []
 
 
 def test_confirm_failures_flags_engine_bugs():
