@@ -11,6 +11,7 @@ error).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -43,12 +44,16 @@ def _parse_window(text: str) -> tuple[int, int]:
     return int(lo), int(hi)
 
 
-def _window_from(args) -> tuple[int, int]:
+def _window_from(args, fallback: tuple[int, int] | None = None) -> tuple[int, int]:
+    # --primes, else the environment variable (read on every call), else the
+    # fallback when the command has one
     if args.primes:
         return _parse_window(args.primes)
     env = os.environ.get(PRIMES_ENV)
     if env:
         return _parse_window(env)
+    if fallback is not None:
+        return fallback
     raise ValueError(f"a prime window is required: pass --primes LO:HI or set {PRIMES_ENV}")
 
 
@@ -141,12 +146,16 @@ def _add_numeric_opts(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--floor", type=int, help="override the pass/fail floor")
     parser.add_argument(
         "--jobs", type=int, default=os.cpu_count() or 1,
-        help="parallel workers across primes (default: available cores)",
+        help="parallel workers across primes (default: available cores); checks "
+        "too light to pay for starting workers run serially",
     )
     _add_output_opts(parser)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    # Built on first use and reused by every later call of main in the
+    # process; parsing leaves the parser unchanged.
     parser = argparse.ArgumentParser(
         prog="fmzv",
         description="Word-algebra and mod-p checks for finite multiple zeta value identities.",
@@ -314,11 +323,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_suite(args) -> int:
-    if args.primes:
-        window = _parse_window(args.primes)
-    else:
-        env = os.environ.get(PRIMES_ENV)
-        window = _parse_window(env) if env else (2, 200)
+    window = _window_from(args, fallback=(2, 200))
     lines: list[str] = []
     steps = run_battery(
         max_weight=args.max_weight,

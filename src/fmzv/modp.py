@@ -9,10 +9,15 @@ prefix-sum passes over m = 1 .. p-1, innermost part first, so it costs
 O(p * r) multiplications.  Each pass, and each inverse-power row it reads, is
 built from C-level iterators (``map``, ``itertools.accumulate``) rather than
 an interpreted loop over m.  Bernoulli numbers B_n mod p come from the power
-sum 1^n + ... + (p-1)^n mod p^2 in O(p).  Per-prime tables (batch inverses,
-inverse-power rows, Bernoulli values) are memoized, and the harmonic-sum
-evaluator is memoized per (index, prime), so large verification batteries
-share almost all of their arithmetic.
+sum 1^n + ... + (p-1)^n mod p^2 in O(p).
+
+Inverse-power rows live in one per-prime row store capped at
+``TABLE_BUDGET`` residues: once it is over budget, the rows of the least
+recently used prime are dropped, never those of the prime being evaluated,
+so memory stays bounded however many large primes a process meets.  The
+harmonic-sum evaluator is memoized per (index, prime) and Bernoulli values
+per (n, prime); these hold one residue each, so large verification
+batteries share almost all of their arithmetic.
 """
 
 from __future__ import annotations
@@ -20,14 +25,16 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
+from collections.abc import Sequence
 from itertools import accumulate, repeat
 from operator import mod, mul
 
 from .words import NCPolynomial, in_h1, index_of_word
 
 MAX_MODULUS = 2**31
+# residues the inverse-power row store may hold beyond the current prime's
+# rows: about 40 MB of row entries, ten rows at p = 10^5
+TABLE_BUDGET = 2**20
 
 
 class EngineFault(RuntimeError):
@@ -89,13 +96,6 @@ def primes_in(lo: int, hi: int) -> list[int]:
     return [lo + i for i, keep in enumerate(seg) if keep and lo + i >= 2]
 
 
-def pow_mod(a: int, e: int, p: int) -> int:
-    """a^e mod p for e >= 0."""
-    if e < 0:
-        raise ValueError(f"exponent must be >= 0, got {e}")
-    return pow(a % p, e, p)
-
-
 def inv_mod(a: int, p: int) -> int:
     """Multiplicative inverse of a mod prime p; a must be nonzero mod p."""
     a %= p
@@ -104,7 +104,6 @@ def inv_mod(a: int, p: int) -> int:
     return pow(a, p - 2, p)
 
 
-@functools.lru_cache(maxsize=None)
 def inverse_table(p: int) -> tuple[int, ...]:
     """inv[m] = m^(-1) mod p for 1 <= m < p, via the standard O(p) recurrence."""
     ensure_prime(p)
@@ -116,19 +115,43 @@ def inverse_table(p: int) -> tuple[int, ...]:
     return tuple(inv)
 
 
-@functools.lru_cache(maxsize=None)
+# prime -> {exponent: row}; the dict's order runs from the least to the most
+# recently used prime
+_rows: dict[int, dict[int, tuple[int, ...]]] = {}
+_rows_size = 0  # residues held in _rows
+
+
+def _store_row(p: int, e: int, row: tuple[int, ...]) -> tuple[int, ...]:
+    # Keep the row, then drop whole primes, least recently used first, until
+    # the store fits TABLE_BUDGET or only p's rows are left.
+    global _rows_size
+    _rows[p][e] = row
+    _rows_size += len(row)
+    while _rows_size > TABLE_BUDGET:
+        oldest = next(iter(_rows))
+        if oldest == p:
+            break
+        _rows_size -= sum(map(len, _rows.pop(oldest).values()))
+    return row
+
+
 def _inv_pow_row(p: int, e: int) -> tuple[int, ...]:
     # row[m] = m^(-e) mod p for 1 <= m < p, row[0] = 0; e already reduced mod p-1
+    prime_rows = _rows[p] = _rows.pop(p, {})  # last: the most recently used
+    row = prime_rows.get(e)
+    if row is not None:
+        return row
     if e == 0:
-        return (0,) + (1,) * (p - 1)
-    inv = inverse_table(p)
+        return _store_row(p, e, (0,) + (1,) * (p - 1))
     if e == 1:
-        return inv
+        return _store_row(p, e, inverse_table(p))
+    inv = _inv_pow_row(p, 1)
     if e > 32:
         # large exponents are rare; power directly instead of materializing
         # every intermediate row
-        return tuple(map(pow, inv, repeat(e), repeat(p)))
-    return tuple(map(mod, map(mul, _inv_pow_row(p, e - 1), inv), repeat(p)))
+        return _store_row(p, e, tuple(map(pow, inv, repeat(e), repeat(p))))
+    prev = _inv_pow_row(p, e - 1)
+    return _store_row(p, e, tuple(map(mod, map(mul, prev, inv), repeat(p))))
 
 
 def _reduced_exponents(k: Sequence[int], p: int) -> list[int]:
@@ -232,75 +255,3 @@ def bernoulli_mod_p(k: int, p: int) -> int:
     if not 2 <= k <= p - 2:
         raise ValueError(f"need 2 <= k <= p-2, got k={k}, p={p}")
     return _bernoulli(p - k, p)
-
-
-@dataclass(eq=False)
-class AdeleSlice:
-    """One residue per prime over a finite window, with a disagreement floor.
-
-    Models a cofinite-equality element restricted to the window: two slices
-    over the same window are considered equal when their residues agree at
-    every prime at or above the larger of the two floors.
-    """
-
-    primes: tuple[int, ...]
-    residues: tuple[int, ...]
-    floor: int
-
-    __hash__ = None  # equality ignores sub-floor residues
-
-    def __post_init__(self):
-        self.primes = tuple(self.primes)
-        self.residues = tuple(self.residues)
-        if not self.primes:
-            raise ValueError("a slice needs at least one prime")
-        if len(self.primes) != len(self.residues):
-            raise ValueError("one residue per prime required")
-        if list(self.primes) != sorted(set(self.primes)):
-            raise ValueError("primes must be strictly increasing")
-        for p, a in zip(self.primes, self.residues):
-            ensure_prime(p)
-            if not 0 <= a < p:
-                raise ValueError(f"residue {a} out of range for prime {p}")
-
-    @classmethod
-    def zero(cls, primes: Iterable[int], floor: int) -> "AdeleSlice":
-        primes = tuple(primes)
-        return cls(primes, (0,) * len(primes), floor)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, AdeleSlice):
-            return NotImplemented
-        if self.primes != other.primes:
-            raise ValueError("slices over different prime windows are not comparable")
-        cut = max(self.floor, other.floor)
-        return all(
-            a == b
-            for p, a, b in zip(self.primes, self.residues, other.residues)
-            if p >= cut
-        )
-
-    def items(self) -> list[tuple[int, int]]:
-        return list(zip(self.primes, self.residues))
-
-
-def adele_zeta(
-    k: Sequence[int], window: tuple[int, int], floor: int | None = None
-) -> AdeleSlice:
-    """Evaluate the harmonic sum of ``k`` at every prime in the window."""
-    lo, hi = window
-    ps = primes_in(lo, hi)
-    if not ps:
-        raise ValueError(f"no primes in window [{lo}, {hi}]")
-    k = tuple(k)
-    if floor is None:
-        floor = sum(k) + 3
-    return AdeleSlice(tuple(ps), tuple(zeta_mod_p(k, p) for p in ps), floor)
-
-
-def clear_modp_caches() -> None:
-    """Drop all per-prime memoized tables."""
-    inverse_table.cache_clear()
-    _inv_pow_row.cache_clear()
-    zeta_mod_p.cache_clear()
-    _bernoulli.cache_clear()

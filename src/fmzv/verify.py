@@ -128,11 +128,30 @@ def _window_primes(window: tuple[int, int], minimum: int = 2) -> list[int]:
     return ps
 
 
-def _evaluate(pair_fn, primes: list[int], jobs: int) -> list[PrimeCheck]:
-    # More workers than primes or cores only adds start-up cost, and under
-    # the fork start method every requested worker is launched at once.
+# Cold-cache sweep work, in multiplications, below which a check runs
+# serially whatever ``jobs`` says: starting and tearing down a 2-worker pool
+# costs about 20 ms on a 2-vCPU host, so lighter checks finish sooner
+# in-process, where their residues also stay memoized for later checks.
+POOL_MIN_MULTS = 500_000
+
+
+def _sweep_work(indices, primes: list[int]) -> int:
+    # what evaluating every distinct index at every prime costs with cold
+    # caches: (p - 1) * depth multiplications per (index, prime)
+    return sum(map(len, set(indices))) * sum(p - 1 for p in primes)
+
+
+def _poly_indices(*polys: NCPolynomial):
+    # the index behind every nonempty word of the polynomials
+    return (index_of_word(w) for P in polys for w in P.terms if w)
+
+
+def _evaluate(pair_fn, primes: list[int], jobs: int, indices) -> list[PrimeCheck]:
+    # ``indices`` are the indices pair_fn evaluates at each prime.  More
+    # workers than primes or cores only adds start-up cost, and under the
+    # fork start method every requested worker is launched at once.
     workers = min(jobs, len(primes), os.cpu_count() or 1)
-    if workers > 1:
+    if workers > 1 and _sweep_work(indices, primes) >= POOL_MIN_MULTS:
         chunk = max(1, len(primes) // (workers * 4))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             values = list(pool.map(pair_fn, primes, chunksize=chunk))
@@ -253,7 +272,7 @@ def check_ohno(
     )
     primes = _window_primes(window)
     pair = partial(_pair_index_sums, ((1, lhs_idx),), ((1, rhs_idx),))
-    rows = _evaluate(pair, primes, jobs)
+    rows = _evaluate(pair, primes, jobs, lhs_idx + rhs_idx)
     _confirm_failures(rows, floor, pair)
     return CheckReport(
         identity="ohno",
@@ -288,7 +307,7 @@ def check_sum_formula(
     coef_alt = sign * (signk * math.comb(k - 1, i - 1) + signr * math.comb(k - 1, r - i))
     primes = _window_primes(window, minimum=k + 2)
     pair = partial(_pair_bernoulli_formula, lhs_idx, coef, coef_alt, k)
-    rows = _evaluate(pair, primes, jobs)
+    rows = _evaluate(pair, primes, jobs, lhs_idx)
     _confirm_failures(rows, floor, pair)
     return CheckReport(
         identity="sum-formula",
@@ -318,7 +337,7 @@ def check_height_one(
     coef = signb * math.comb(w, b + 1)
     primes = _window_primes(window, minimum=w + 2)
     pair = partial(_pair_bernoulli_formula, (idx,), coef, coef, w)
-    rows = _evaluate(pair, primes, jobs)
+    rows = _evaluate(pair, primes, jobs, (idx,))
     _confirm_failures(rows, floor, pair)
     return CheckReport(
         identity="height-one",
@@ -347,7 +366,7 @@ def check_stuffle_hom(
     k2 = Index(index_of_word(wp)) if wp else None
     primes = _window_primes(window)
     pair = partial(_pair_stuffle, harm, k1, k2)
-    rows = _evaluate(pair, primes, jobs)
+    rows = _evaluate(pair, primes, jobs, [*_poly_indices(harm), *filter(None, (k1, k2))])
     _confirm_failures(rows, floor, pair)
     return CheckReport(
         identity="stuffle",
@@ -377,7 +396,7 @@ def check_shuffle_duality(
     sign = -1 if len(w) % 2 else 1
     primes = _window_primes(window)
     pair = partial(_pair_duality, shuf, sign, ridx)
-    rows = _evaluate(pair, primes, jobs)
+    rows = _evaluate(pair, primes, jobs, [*_poly_indices(shuf), ridx])
     _confirm_failures(rows, floor, pair)
     return CheckReport(
         identity="duality",
@@ -403,7 +422,7 @@ def check_homogeneous_zero(
     idx = Index((a,) * r)
     primes = _window_primes(window)
     pair = partial(_pair_index_sums, ((1, (idx,)),), ())
-    rows = _evaluate(pair, primes, jobs)
+    rows = _evaluate(pair, primes, jobs, (idx,))
     _confirm_failures(rows, floor, pair)
     return CheckReport(
         identity="homogeneous",
@@ -462,13 +481,16 @@ def check_lemma2(
         floor = k.weight + n + 3
     params = {"index": list(k), "n": n, "primes": list(window)}
     polys = lemma_word_layers(k, n)
+    indices = list(_poly_indices(*polys))
     primes = _window_primes(window)
     if n == 0:
         params["note"] = "n=0 is outside the stated range; comparing the two readings"
-        pair = partial(_pair_bridge, lemma_index_layers(k, n), polys)
+        idx_layers = lemma_index_layers(k, n)
+        indices += [i for layer in idx_layers for i in layer]
+        pair = partial(_pair_bridge, idx_layers, polys)
     else:
         pair = partial(_pair_lemma_value, polys)
-    rows = _evaluate(pair, primes, jobs)
+    rows = _evaluate(pair, primes, jobs, indices)
     _confirm_failures(rows, floor, pair)
     return CheckReport(
         identity="lemma2",
@@ -502,7 +524,8 @@ def check_key_lemma(
         pair = partial(_pair_bridge, idx_layers, polys)
     else:
         pair = partial(_pair_key_lemma, idx_layers, polys)
-    rows = _evaluate(pair, primes, jobs)
+    indices = [*_poly_indices(*polys), *(i for layer in idx_layers for i in layer)]
+    rows = _evaluate(pair, primes, jobs, indices)
     _confirm_failures(rows, floor, pair)
     return CheckReport(
         identity="key-lemma",

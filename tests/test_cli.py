@@ -209,3 +209,31 @@ def test_module_entry_point():
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+def test_parser_built_once_env_read_per_call(capsys, monkeypatch):
+    from fmzv.cli import build_parser
+
+    assert build_parser() is build_parser()
+    args = build_parser().parse_args(["check", "ohno", "--index", "2", "--n", "1"])
+    assert args.jobs == (os.cpu_count() or 1)
+    for window, expect in [("5:5", "5,1\n"), ("7:7", "7,3\n")]:
+        monkeypatch.setenv("FMZV_DEFAULT_PRIMES", window)
+        code, out, _ = run_cli(capsys, "zeta", "--index", "2,1")
+        assert code == 0 and out == expect, window
+
+
+def test_suite_window_fallback(capsys, monkeypatch):
+    args = ("suite", "--max-weight", "0", "--max-n", "0", "--format", "json")
+    for env, window in [(None, [2, 200]), ("2:30", [2, 30])]:
+        if env is None:
+            monkeypatch.delenv("FMZV_DEFAULT_PRIMES", raising=False)
+        else:
+            monkeypatch.setenv("FMZV_DEFAULT_PRIMES", env)
+        code, out, _ = run_cli(capsys, *args)
+        doc = json.loads(out)
+        assert code == 0 and doc["suite"]["primes"] == window, env
+        # weight 0 leaves no word to draw for the algebra laws
+        laws = [s for s in doc["steps"] if s["step"] == "algebra-laws"]
+        assert laws == [{"step": "algebra-laws", "pass": True,
+                         "detail": "0 random triples, 0 failures"}]

@@ -6,13 +6,10 @@ import pytest
 from fmzv.indices import Index
 from fmzv.modp import (
     MAX_MODULUS,
-    AdeleSlice,
-    adele_zeta,
     bernoulli_mod_p,
     inv_mod,
     inverse_table,
     is_prime,
-    pow_mod,
     primes_in,
     zeta_mod_p,
     zeta_mod_p_naive,
@@ -70,14 +67,10 @@ def test_primes_in_matches_trial_division():
 def test_inv_and_pow():
     assert inv_mod(3, 7) == 5
     assert inv_mod(1, 97) == 1
-    assert pow_mod(2, 4, 5) == 1
-    assert pow_mod(10, 0, 7) == 1
     with pytest.raises(ZeroDivisionError):
         inv_mod(0, 7)
     with pytest.raises(ZeroDivisionError):
         inv_mod(14, 7)
-    with pytest.raises(ValueError):
-        pow_mod(2, -1, 7)
     table = inverse_table(13)
     assert all(m * table[m] % 13 == 1 for m in range(1, 13))
 
@@ -200,31 +193,22 @@ def test_bernoulli_matches_recurrence_oracle():
             assert bernoulli_mod_p(k, p) == table[p - k], (k, p)
 
 
-def test_adele_slice_semantics():
-    a = AdeleSlice((3, 5, 7), (1, 0, 0), floor=5)
-    b = AdeleSlice((3, 5, 7), (2, 0, 0), floor=5)
-    assert a == b  # disagreement at 3 is below the floor
-    c = AdeleSlice((3, 5, 7), (1, 1, 0), floor=5)
-    assert not (a == c)
-    with pytest.raises(ValueError):
-        a == AdeleSlice((3, 5), (1, 0), floor=5)
-    with pytest.raises(ValueError):
-        AdeleSlice((4,), (1,), floor=2)
-    with pytest.raises(ValueError):
-        AdeleSlice((5,), (5,), floor=2)
-    with pytest.raises(ValueError):
-        AdeleSlice((7, 5), (1, 1), floor=2)
+def test_row_store_stays_within_budget(monkeypatch):
+    import fmzv.modp as modp
 
-
-def test_adele_zeta():
-    s = adele_zeta((2, 1), (5, 5))
-    assert s.items() == [(5, 1)]
-    assert s.floor == 6
-    z = adele_zeta((1,), (2, 50))
-    assert z == AdeleSlice.zero(z.primes, floor=z.floor)
-    # constant indices vanish once the floor clears the weight
-    for a, r in [(1, 2), (2, 2), (3, 1)]:
-        s = adele_zeta((a,) * r, (2, 100), floor=a * r + 3)
-        assert s == AdeleSlice.zero(s.primes, floor=s.floor)
-    with pytest.raises(ValueError):
-        adele_zeta((2, 1), (14, 16))
+    monkeypatch.setattr(modp, "_rows", {})
+    monkeypatch.setattr(modp, "_rows_size", 0)
+    primes = primes_in(99_990, 100_100)[:5]
+    for p in primes:
+        zeta_mod_p(Index((3, 1, 2)), p)
+        held = [len(row) for rows in modp._rows.values() for row in rows.values()]
+        assert modp._rows_size == sum(held)
+        current = sum(map(len, modp._rows[p].values()))
+        assert modp._rows_size <= modp.TABLE_BUDGET + current, p
+    # three rows of about 10^5 residues per prime: the first primes are gone
+    assert primes[0] not in modp._rows
+    assert list(modp._rows)[-1] == primes[-1]
+    # rebuilt rows give the same sums as the loop oracle
+    for k in [(2, 3, 1), (1, 1, 3)]:
+        assert zeta_mod_p(Index(k), primes[0]) == zeta_by_loop(k, primes[0]), k
+    assert primes[0] in modp._rows

@@ -238,7 +238,9 @@ def test_determinism():
     assert a == b
 
 
-def test_parallel_matches_serial():
+def test_parallel_matches_serial(monkeypatch):
+    # checks this light run serially unless the pool is forced
+    monkeypatch.setattr(fmzv.verify, "POOL_MIN_MULTS", 0)
     serial = check_ohno(Index((2, 1)), 2, (5, 80), jobs=1)
     parallel = check_ohno(Index((2, 1)), 2, (5, 80), jobs=2)
     assert serial.results == parallel.results
@@ -249,7 +251,10 @@ def test_parallel_matches_serial():
     assert s.results == p.results
 
 
-def test_pool_never_exceeds_cores_or_primes(monkeypatch):
+@pytest.fixture
+def recorded_pools(monkeypatch):
+    """Replaces the process pool by an in-process fake on 4 fake cores and
+    returns the list of max_workers of the pools started."""
     started = []
 
     class RecordingPool:
@@ -267,6 +272,13 @@ def test_pool_never_exceeds_cores_or_primes(monkeypatch):
 
     monkeypatch.setattr(fmzv.verify, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(fmzv.verify.os, "cpu_count", lambda: 4)
+    return started
+
+
+def test_pool_never_exceeds_cores_or_primes(monkeypatch, recorded_pools):
+    started = recorded_pools
+    # every check is heavy enough for a pool here; only the caps apply
+    monkeypatch.setattr(fmzv.verify, "POOL_MIN_MULTS", 0)
     serial = check_ohno(Index((2, 1)), 1, (5, 80), jobs=1).results
     for jobs, window, expect in [
         (5000, (5, 80), [4]),    # capped by the cores
@@ -283,6 +295,29 @@ def test_pool_never_exceeds_cores_or_primes(monkeypatch):
     started.clear()
     check_ohno(Index((2, 1)), 1, (5, 80), jobs=5000)
     assert started == []
+
+
+def test_pool_only_for_heavy_checks(monkeypatch, recorded_pools):
+    started = recorded_pools
+    light, heavy = (5, 80), (5, 1000)
+    k = Index((2, 1))
+    # ohno (2,1) at n=1 sums over (3,1), (2,2) and the duals' shifts
+    indices = [(3, 1), (2, 2), (2, 1, 1), (1, 2, 1)]
+    assert fmzv.verify._sweep_work(indices, fmzv.verify.primes_in(*light)) < (
+        fmzv.verify.POOL_MIN_MULTS
+    ) <= fmzv.verify._sweep_work(indices, fmzv.verify.primes_in(*heavy))
+    for window, expect in [(light, []), (heavy, [4])]:
+        serial = check_ohno(k, 1, window, jobs=1).results
+        started.clear()
+        assert check_ohno(k, 1, window, jobs=5000).results == serial
+        assert started == expect, window
+    # the threshold itself: work equal to it pools, one less does not
+    work = fmzv.verify._sweep_work(indices, fmzv.verify.primes_in(*light))
+    for limit, expect in [(work, [4]), (work + 1, [])]:
+        monkeypatch.setattr(fmzv.verify, "POOL_MIN_MULTS", limit)
+        started.clear()
+        check_ohno(k, 1, light, jobs=5000)
+        assert started == expect, limit
 
 
 def test_confirm_failures_flags_engine_bugs():
