@@ -45,8 +45,6 @@ def _parse_window(text: str) -> tuple[int, int]:
 
 
 def _window_from(args, fallback: tuple[int, int] | None = None) -> tuple[int, int]:
-    # --primes, else the environment variable (read on every call), else the
-    # fallback when the command has one
     if args.primes:
         return _parse_window(args.primes)
     env = os.environ.get(PRIMES_ENV)

@@ -142,7 +142,6 @@ def _sweep_work(indices, primes: list[int]) -> int:
 
 
 def _poly_indices(*polys: NCPolynomial):
-    # the index behind every nonempty word of the polynomials
     return (index_of_word(w) for P in polys for w in P.terms if w)
 
 

@@ -1,0 +1,63 @@
+"""The benchmark tracer's fork-worker path, run through real pool workers.
+
+Light checks run in-process, so the pool is forced here: the tracer must
+reset itself in each fork-started worker, spool the worker's spans when it
+exits, and merge them into the parent's trace.
+"""
+
+import importlib.util
+import multiprocessing
+import os
+from pathlib import Path
+
+import pytest
+
+import fmzv.verify
+from fmzv.cli import main
+from fmzv.modp import primes_in, zeta_mod_p
+
+_spec = importlib.util.spec_from_file_location(
+    "perfbench_tracer", Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+)
+tracer = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(tracer)
+
+pytestmark = pytest.mark.skipif(
+    (os.cpu_count() or 1) < 2 or multiprocessing.get_start_method() != "fork",
+    reason="needs two cores and fork-started workers",
+)
+
+
+def test_worker_spans_reach_the_parent(monkeypatch, tmp_path):
+    monkeypatch.setattr(fmzv.verify, "POOL_MIN_MULTS", 0)
+    requests = [
+        ["check", "homogeneous", "--a", "3", "--r", "2", "--primes", "5:60"],
+        ["check", "stuffle", "--w", "y", "--wp", "xy", "--primes", "5:60"],
+    ]
+    serial = []
+    for i, argv in enumerate(requests):
+        out = tmp_path / f"serial{i}.json"
+        assert main(argv + ["--jobs", "1", "--format", "json", "--output", str(out)]) == 0
+        serial.append(out.read_bytes())
+
+    zeta_mod_p.cache_clear()
+    spool = tmp_path / "spool"
+    spool.mkdir()
+    active = tracer.Tracer(spool)
+    active.start()
+    try:
+        for i, argv in enumerate(requests):
+            out = tmp_path / f"pooled{i}.json"
+            assert main(argv + ["--jobs", "2", "--format", "json", "--output", str(out)]) == 0
+            assert out.read_bytes() == serial[i]
+    finally:
+        active.stop()
+    trace = active.collect()
+    metrics = tracer.layer_metrics(trace)
+
+    assert metrics["verify.pool_starts"] == 2
+    assert not list(spool.iterdir())
+    worker_sweeps = [s for s in trace["spans"] if s[0] == "modp.zeta_mod_p" and s[4] != os.getpid()]
+    assert worker_sweeps and len(worker_sweeps) == metrics["modp.zeta_mod_p.sweeps"]
+    # the homogeneous check's one index (3, 3) is swept at every prime in a worker
+    assert metrics["modp.sweep_mults"] >= 2 * sum(p - 1 for p in primes_in(5, 60))
