@@ -3,9 +3,9 @@
 Exit codes: 0 when everything requested passed (above the floor), 1 when at
 least one check failed above its floor, 2 for usage or parse errors (the
 offending token is reported on standard error), 3 for an engine fault: the
-evaluator disagreed with its independent oracle or with itself, which is a
-bug in this package rather than a failed identity (reported on standard
-error).
+evaluator disagreed with its independent oracle or with itself, or the two
+readings of the lemma differ, which is a bug in this package rather than a
+failed identity (reported on standard error).
 """
 
 from __future__ import annotations
@@ -150,6 +150,41 @@ def _add_numeric_opts(parser: argparse.ArgumentParser) -> None:
     _add_output_opts(parser)
 
 
+_INDEX = ("--index", parse_index)
+_N = ("--n", int)
+_W = ("--w", check_word)
+_WP = ("--wp", check_word)
+
+# check name -> (help, flags, checker, numeric).  Each flag is (option,
+# parser): int flags are converted by argparse, the others by their parser
+# when the check runs, so a bad token is reported like any other usage error.
+# The checker takes the flags' values in order, and a numeric one also the
+# window, floor and jobs.
+CHECKS = {
+    "ohno": ("shifted-sum relation", (_INDEX, _N), check_ohno, True),
+    "sum-formula": (
+        "fixed weight/depth sum vs closed form",
+        (("--k", int), ("--r", int), ("--i", int)),
+        check_sum_formula,
+        True,
+    ),
+    "height-one": (
+        "ones-padded double sum vs closed form", (("--a", int), ("--b", int)), check_height_one, True
+    ),
+    "stuffle": ("harmonic product vs product of values", (_W, _WP), check_stuffle_hom, True),
+    "duality": (
+        "shuffle product vs signed reversed concatenation", (_W, _WP), check_shuffle_duality, True
+    ),
+    "homogeneous": (
+        "vanishing of a constant-index sum", (("--a", int), ("--r", int)), check_homogeneous_zero, True
+    ),
+    "lemma2": ("word-side lemma value vs zero", (_INDEX, _N), check_lemma2, True),
+    "key-lemma": ("index-side lemma value vs zero", (_INDEX, _N), check_key_lemma, True),
+    "eq3": ("exact word identity (symbolic)", (_INDEX, _N), check_eq3, False),
+    "ikz": ("truncated series identity (symbolic)", (_W, ("--order", int)), check_ikz, False),
+}
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     # Built on first use and reused by every later call of main in the
@@ -162,72 +197,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_dual = sub.add_parser("dual", help="Hoffman dual of an index")
     p_dual.add_argument("index", help="comma-separated parts, e.g. 2,3,1,2")
+    p_dual.set_defaults(handler=_cmd_dual)
 
     p_zeta = sub.add_parser("zeta", help="harmonic-sum residues over a prime window")
     p_zeta.add_argument("--index", required=True)
-    p_zeta.add_argument("--primes", metavar="LO:HI")
-    p_zeta.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_zeta.add_argument("--output", metavar="PATH")
-
     p_bern = sub.add_parser("bernoulli", help="B_(p-k) mod p over a prime window")
     p_bern.add_argument("--k", type=int, required=True)
-    p_bern.add_argument("--primes", metavar="LO:HI")
-    p_bern.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_bern.add_argument("--output", metavar="PATH")
+    for p, handler in ((p_zeta, _cmd_zeta), (p_bern, _cmd_bernoulli)):
+        p.add_argument("--primes", metavar="LO:HI")
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        p.add_argument("--output", metavar="PATH")
+        p.set_defaults(handler=handler)
 
     p_check = sub.add_parser("check", help="run one identity checker")
+    p_check.set_defaults(handler=_cmd_check)
     csub = p_check.add_subparsers(dest="check_command", required=True)
-
-    p = csub.add_parser("ohno", help="shifted-sum relation")
-    p.add_argument("--index", required=True)
-    p.add_argument("--n", type=int, required=True)
-    _add_numeric_opts(p)
-
-    p = csub.add_parser("sum-formula", help="fixed weight/depth sum vs closed form")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--i", type=int, required=True)
-    _add_numeric_opts(p)
-
-    p = csub.add_parser("height-one", help="ones-padded double sum vs closed form")
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--b", type=int, required=True)
-    _add_numeric_opts(p)
-
-    p = csub.add_parser("stuffle", help="harmonic product vs product of values")
-    p.add_argument("--w", required=True)
-    p.add_argument("--wp", required=True)
-    _add_numeric_opts(p)
-
-    p = csub.add_parser("duality", help="shuffle product vs signed reversed concatenation")
-    p.add_argument("--w", required=True)
-    p.add_argument("--wp", required=True)
-    _add_numeric_opts(p)
-
-    p = csub.add_parser("homogeneous", help="vanishing of a constant-index sum")
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    _add_numeric_opts(p)
-
-    p = csub.add_parser("lemma2", help="word-side lemma value vs zero")
-    p.add_argument("--index", required=True)
-    p.add_argument("--n", type=int, required=True)
-    _add_numeric_opts(p)
-
-    p = csub.add_parser("key-lemma", help="index-side lemma value vs zero")
-    p.add_argument("--index", required=True)
-    p.add_argument("--n", type=int, required=True)
-    _add_numeric_opts(p)
-
-    p = csub.add_parser("eq3", help="exact word identity (symbolic)")
-    p.add_argument("--index", required=True)
-    p.add_argument("--n", type=int, required=True)
-    _add_output_opts(p)
-
-    p = csub.add_parser("ikz", help="truncated series identity (symbolic)")
-    p.add_argument("--w", required=True)
-    p.add_argument("--order", type=int, required=True)
-    _add_output_opts(p)
+    for name, (help_text, flags, _, numeric) in CHECKS.items():
+        p = csub.add_parser(name, help=help_text)
+        for option, parse in flags:
+            p.add_argument(option, required=True, type=int if parse is int else None)
+        (_add_numeric_opts if numeric else _add_output_opts)(p)
 
     p_suite = sub.add_parser("suite", help="run the full verification battery")
     p_suite.add_argument("--max-weight", type=int, default=7)
@@ -239,6 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_suite.add_argument("--format", choices=("table", "json"), default="table")
     p_suite.add_argument("--output", metavar="PATH")
+    p_suite.set_defaults(handler=_cmd_suite)
 
     return parser
 
@@ -249,23 +239,29 @@ def _cmd_dual(args) -> int:
     return 0
 
 
+def _value_table(identity: str, params: dict, primes: list[int], value, args) -> int:
+    # one "p,value" line per prime, or the same rows as a JSON document
+    rows = [(p, value(p)) for p in primes]
+    if args.format == "json":
+        doc = {
+            "identity": identity,
+            "params": params,
+            "results": [{"p": p, "value": v} for p, v in rows],
+        }
+        _emit(json.dumps(doc, indent=2) + "\n", args.output)
+    else:
+        _emit("".join(f"{p},{v}\n" for p, v in rows), args.output)
+    return 0
+
+
 def _cmd_zeta(args) -> int:
     k = parse_index(args.index)
     lo, hi = _window_from(args)
     ps = primes_in(lo, hi)
     if not ps:
         raise ValueError(f"no primes in window [{lo}, {hi}]")
-    values = [(p, zeta_mod_p(k, p)) for p in ps]
-    if args.format == "json":
-        doc = {
-            "identity": "zeta",
-            "params": {"index": list(k), "primes": [lo, hi]},
-            "results": [{"p": p, "value": v} for p, v in values],
-        }
-        _emit(json.dumps(doc, indent=2) + "\n", args.output)
-    else:
-        _emit("".join(f"{p},{v}\n" for p, v in values), args.output)
-    return 0
+    params = {"index": list(k), "primes": [lo, hi]}
+    return _value_table("zeta", params, ps, functools.partial(zeta_mod_p, k), args)
 
 
 def _cmd_bernoulli(args) -> int:
@@ -273,51 +269,22 @@ def _cmd_bernoulli(args) -> int:
     ps = [p for p in primes_in(lo, hi) if p >= args.k + 2]
     if not ps:
         raise ValueError(f"no primes p >= k+2 in window [{lo}, {hi}]")
-    values = [(p, bernoulli_mod_p(args.k, p)) for p in ps]
-    if args.format == "json":
-        doc = {
-            "identity": "bernoulli",
-            "params": {"k": args.k, "primes": [lo, hi]},
-            "results": [{"p": p, "value": v} for p, v in values],
-        }
-        _emit(json.dumps(doc, indent=2) + "\n", args.output)
-    else:
-        _emit("".join(f"{p},{v}\n" for p, v in values), args.output)
-    return 0
+    params = {"k": args.k, "primes": [lo, hi]}
+    return _value_table("bernoulli", params, ps, functools.partial(bernoulli_mod_p, args.k), args)
 
 
 def _cmd_check(args) -> int:
-    name = args.check_command
-    if name == "eq3":
-        return _finish_report(check_eq3(parse_index(args.index), args.n), args)
-    if name == "ikz":
-        return _finish_report(check_ikz(check_word(args.w), args.order), args)
-
-    window = _window_from(args)
-    if args.floor is not None and args.floor > window[1]:
-        raise ValueError(
-            f"floor {args.floor} lies above the top of the window {window[1]}"
-        )
-    kwargs = {"floor": args.floor, "jobs": args.jobs}
-    if name == "ohno":
-        report = check_ohno(parse_index(args.index), args.n, window, **kwargs)
-    elif name == "sum-formula":
-        report = check_sum_formula(args.k, args.r, args.i, window, **kwargs)
-    elif name == "height-one":
-        report = check_height_one(args.a, args.b, window, **kwargs)
-    elif name == "stuffle":
-        report = check_stuffle_hom(check_word(args.w), check_word(args.wp), window, **kwargs)
-    elif name == "duality":
-        report = check_shuffle_duality(check_word(args.w), check_word(args.wp), window, **kwargs)
-    elif name == "homogeneous":
-        report = check_homogeneous_zero(args.a, args.r, window, **kwargs)
-    elif name == "lemma2":
-        report = check_lemma2(parse_index(args.index), args.n, window, **kwargs)
-    elif name == "key-lemma":
-        report = check_key_lemma(parse_index(args.index), args.n, window, **kwargs)
-    else:  # pragma: no cover - argparse restricts the choices
-        raise ValueError(f"unknown check {name!r}")
-    return _finish_report(report, args)
+    _, flags, checker, numeric = CHECKS[args.check_command]
+    options = {}
+    if numeric:
+        window = _window_from(args)
+        if args.floor is not None and args.floor > window[1]:
+            raise ValueError(
+                f"floor {args.floor} lies above the top of the window {window[1]}"
+            )
+        options = {"window": window, "floor": args.floor, "jobs": args.jobs}
+    values = [parse(getattr(args, option[2:])) for option, parse in flags]
+    return _finish_report(checker(*values, **options), args)
 
 
 def _cmd_suite(args) -> int:
@@ -357,17 +324,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if args.command == "dual":
-            return _cmd_dual(args)
-        if args.command == "zeta":
-            return _cmd_zeta(args)
-        if args.command == "bernoulli":
-            return _cmd_bernoulli(args)
-        if args.command == "check":
-            return _cmd_check(args)
-        if args.command == "suite":
-            return _cmd_suite(args)
-        raise ValueError(f"unknown command {args.command!r}")  # pragma: no cover
+        return args.handler(args)
     except (ValueError, ZeroDivisionError) as exc:
         print(f"fmzv: error: {exc}", file=sys.stderr)
         return 2

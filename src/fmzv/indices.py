@@ -47,16 +47,6 @@ class Index(tuple):
         return f"Index({format_index(self)})"
 
 
-def weight(k: Iterable[int]) -> int:
-    """Sum of the parts."""
-    return sum(k)
-
-
-def depth(k: tuple[int, ...]) -> int:
-    """Number of parts."""
-    return len(k)
-
-
 def hoffman_dual(k: Iterable[int]) -> Index:
     """The comma/plus-swapping involution, computed through the word transform."""
     return Index(index_of_word(hoffman_dual_word(word_of_index(k))))
@@ -103,20 +93,6 @@ def binary_vectors(r: int, i: int) -> Iterator[tuple[int, ...]]:
         for pos in ones:
             v[pos] = 1
         yield tuple(v)
-
-
-def constrained_compositions(
-    n: int, r: int, support: Iterable[int]
-) -> Iterator[tuple[int, ...]]:
-    """Weak compositions of n into r slots with e_m >= 1 at every 1-based
-    position m in ``support``; empty when infeasible."""
-    positions = set(support)
-    if not positions.issubset(range(1, r + 1)):
-        bad = sorted(positions - set(range(1, r + 1)))
-        raise ValueError(f"support positions must lie in 1..{r}, got {bad}")
-    for e in weak_compositions(n, r):
-        if all(e[m - 1] >= 1 for m in positions):
-            yield e
 
 
 def parse_index(text: str) -> Index:

@@ -31,23 +31,6 @@ class USeries:
     def coeff(self, n: int) -> NCPolynomial:
         return self.coeffs[n]
 
-    def truncate(self, order: int) -> "USeries":
-        if order < 0:
-            raise ValueError(f"order must be >= 0, got {order}")
-        if order >= self.order:
-            return self
-        return USeries(self.coeffs[: order + 1])
-
-    def __add__(self, other: "USeries") -> "USeries":
-        n = min(self.order, other.order)
-        return USeries(tuple(self.coeffs[i] + other.coeffs[i] for i in range(n + 1)))
-
-    def __neg__(self) -> "USeries":
-        return USeries(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: "USeries") -> "USeries":
-        return self + (-other)
-
     def __str__(self) -> str:
         return " | ".join(f"u^{i}: {c}" for i, c in enumerate(self.coeffs))
 

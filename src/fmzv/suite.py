@@ -172,7 +172,8 @@ def run_battery(
                 fails += 1
     record("homogeneous", fails == 0, f"{count} instances, {fails} failures")
 
-    # 9. both lemma readings, which also cross-asserts their layer agreement
+    # 9. the lemma value at every prime; key-lemma first compares the index
+    # and word readings exactly, layer by layer
     fails = 0
     count = 0
     for k in all_indices(min(max_weight, 5)):

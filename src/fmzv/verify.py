@@ -1,29 +1,40 @@
 """Executable checkers for the identities this package verifies.
 
 Symbolic checkers compare exact word polynomials or truncated series.
-Numeric checkers evaluate both sides of a congruence at every prime of a
-window and compare residues; "equal in the cofinite-equality ring" is
-operationalized as "equal at every prime at or above the floor", with the
-floor defaulting to weight + shift + 3.  Sub-floor primes are still
-evaluated and reported, but they never fail a check.
+Numeric checkers compile their identity into a :class:`Plan` that does not
+depend on the prime: two sides, each a sum of integer multiples of products
+of harmonic sums, and at most one Bernoulli term on the right.  A word
+polynomial becomes such a sum once, word by word, when the plan is built.
+One evaluator, :func:`_pair`, computes a plan at a prime, and one runner
+evaluates it at every prime of a window and reports the residues.
 
-When a numeric comparison fails at or above the floor, the prime is
-re-evaluated with the independent brute-force harmonic-sum oracle before
+"Equal in the cofinite-equality ring" is operationalized as "equal at every
+prime at or above the floor", with the floor defaulting to weight + shift +
+3.  Sub-floor primes are still evaluated and reported, but they never fail
+a check.  When a numeric comparison fails at or above the floor, the prime
+is re-evaluated with the independent brute-force harmonic-sum oracle before
 the failure is reported, so an engine bug cannot masquerade as a genuine
 exceptional prime.
+
+The lemma has an index reading and a word reading.  ``key-lemma`` compares
+them exactly, layer by layer as multisets of indices, once per instance and
+before any prime is evaluated; a difference is an engine fault.  Both lemma
+checks then evaluate the word reading.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from collections.abc import Sequence
+from collections import Counter
+from collections.abc import Iterable, Sequence
+from itertools import zip_longest
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 
 from .generators import bumped_insertion_words, ones_expansion_sides
-from .indices import Index, add_componentwise, hoffman_dual, weak_compositions, binary_vectors
+from .indices import Index, add_componentwise, binary_vectors, hoffman_dual, weak_compositions
 from .modp import (
     EngineFault,
     bernoulli_mod_p,
@@ -31,7 +42,6 @@ from .modp import (
     primes_in,
     zeta_mod_p,
     zeta_mod_p_naive,
-    zeta_poly_mod_p,
 )
 from .series import const_series, geometric_yu, series_harmonic, series_shuffle, substitution_series
 from .words import (
@@ -120,42 +130,86 @@ class CheckReport:
         }
 
 
-def _window_primes(window: tuple[int, int], minimum: int = 2) -> list[int]:
-    lo, hi = window
-    ps = [p for p in primes_in(lo, hi) if p >= minimum]
-    if not ps:
-        raise ValueError(f"no usable primes in window [{lo}, {hi}]")
-    return ps
-
-
 # Cold-cache sweep work, in multiplications, below which a check runs
 # serially whatever ``jobs`` says: starting and tearing down a 2-worker pool
 # costs about 20 ms on a 2-vCPU host, so lighter checks finish sooner
 # in-process, where their residues also stay memoized for later checks.
 POOL_MIN_MULTS = 500_000
 
-
-def _sweep_work(indices, primes: list[int]) -> int:
-    # what evaluating every distinct index at every prime costs with cold
-    # caches: (p - 1) * depth multiplications per (index, prime)
-    return sum(map(len, set(indices))) * sum(p - 1 for p in primes)
+Window = tuple[int, int]
+# (c, indices): c times the product of the indices' harmonic sums
+Term = tuple[int, tuple[tuple[int, ...], ...]]
 
 
-def _poly_indices(*polys: NCPolynomial):
-    return (index_of_word(w) for P in polys for w in P.terms if w)
+@dataclass(frozen=True)
+class Plan:
+    """Both sides of one congruence, independent of the prime.
+
+    A side is a sum of terms (c, indices), each worth c times the product
+    of its indices' harmonic sums; an empty product is 1.  ``bernoulli =
+    (w, c, c_alt)`` adds c * B_(p-w) / w to the right side, which is defined
+    for p >= w + 2; c_alt is a sign variant of c that must give the same
+    residue.
+    """
+
+    lhs: tuple[Term, ...]
+    rhs: tuple[Term, ...] = ()
+    bernoulli: tuple[int, int, int] | None = None
+
+    def indices(self) -> list[tuple[int, ...]]:
+        """The distinct indices the plan evaluates, in order of first use."""
+        return list(dict.fromkeys(k for _, ks in self.lhs + self.rhs for k in ks))
+
+    def work(self, primes: list[int]) -> int:
+        """Multiplications the plan's sweeps cost with cold caches: (p - 1)
+        times the depth for every distinct index at every prime."""
+        return sum(map(len, self.indices())) * sum(p - 1 for p in primes)
 
 
-def _evaluate(pair_fn, primes: list[int], jobs: int, indices) -> list[PrimeCheck]:
-    # ``indices`` are the indices pair_fn evaluates at each prime.  More
-    # workers than primes or cores only adds start-up cost, and under the
-    # fork start method every requested worker is launched at once.
+def _index_terms(indices: Iterable[tuple[int, ...]], sign: int = 1) -> tuple[Term, ...]:
+    return tuple((sign, (k,)) for k in indices)
+
+
+def _word_terms(poly: NCPolynomial, sign: int = 1) -> tuple[Term, ...]:
+    # each word stands for its index's harmonic sum, the empty word for 1
+    return tuple((sign * c, (index_of_word(w),) if w else ()) for w, c in poly.terms.items())
+
+
+def _pair(plan: Plan, p: int, zeta=zeta_mod_p) -> tuple[int, int]:
+    """Residues of both sides of ``plan`` at p, harmonic sums from ``zeta``."""
+
+    def side(terms):
+        total = 0
+        for c, ks in terms:
+            for k in ks:
+                c *= zeta(k, p)
+            total += c
+        return total % p
+
+    lhs, rhs = side(plan.lhs), side(plan.rhs)
+    if plan.bernoulli:
+        w, c, c_alt = plan.bernoulli
+        scale = bernoulli_mod_p(w, p) * inv_mod(w, p) % p
+        closed, closed_alt = c * scale % p, c_alt * scale % p
+        if closed != closed_alt:
+            raise EngineFault(
+                f"the two closed-form sign variants disagree at p={p}: {closed} vs {closed_alt}"
+            )
+        rhs = (rhs + closed) % p
+    return lhs, rhs
+
+
+def _evaluate(plan: Plan, primes: list[int], jobs: int) -> list[PrimeCheck]:
+    # More workers than primes or cores only adds start-up cost, and under
+    # the fork start method every requested worker is launched at once.
+    pair = partial(_pair, plan)
     workers = min(jobs, len(primes), os.cpu_count() or 1)
-    if workers > 1 and _sweep_work(indices, primes) >= POOL_MIN_MULTS:
+    if workers > 1 and plan.work(primes) >= POOL_MIN_MULTS:
         chunk = max(1, len(primes) // (workers * 4))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            values = list(pool.map(pair_fn, primes, chunksize=chunk))
+            values = list(pool.map(pair, primes, chunksize=chunk))
     else:
-        values = [pair_fn(p) for p in primes]
+        values = [pair(p) for p in primes]
     return [PrimeCheck(p, l % p, r % p) for p, (l, r) in zip(primes, values)]
 
 
@@ -173,77 +227,28 @@ def _confirm_failures(rows: list[PrimeCheck], floor: int, pair_fn) -> None:
                 )
 
 
-# ---------------------------------------------------------------------------
-# per-prime pair evaluators (module-level so they survive pickling)
+def _run(
+    identity: str, params: dict, plan: Plan, window: Window, floor: int | None, weight: int, jobs: int
+) -> CheckReport:
+    """Evaluate ``plan`` at every usable prime of the window; the floor
+    defaults to weight + 3."""
+    if floor is None:
+        floor = weight + 3
+    lo, hi = window
+    minimum = plan.bernoulli[0] + 2 if plan.bernoulli else 2
+    primes = [p for p in primes_in(lo, hi) if p >= minimum]
+    if not primes:
+        raise ValueError(f"no usable primes in window [{lo}, {hi}]")
+    rows = _evaluate(plan, primes, jobs)
+    _confirm_failures(rows, floor, partial(_pair, plan))
+    return CheckReport(identity, params, "numeric", floor, rows)
 
 
-def _pair_index_sums(lhs_groups, rhs_groups, p, zeta=zeta_mod_p):
-    def side(groups):
-        total = 0
-        for sign, idxs in groups:
-            s = 0
-            for k in idxs:
-                s += zeta(k, p)
-            total += sign * s
-        return total % p
-
-    return side(lhs_groups), side(rhs_groups)
-
-
-def _pair_lemma_value(poly_layers, p, zeta=zeta_mod_p):
-    total = 0
-    for i, poly in enumerate(poly_layers):
-        v = zeta_poly_mod_p(poly, p, zeta=zeta)
-        total += v if i % 2 == 0 else -v
-    return total % p, 0
-
-
-def _pair_key_lemma(index_layers, poly_layers, p, zeta=zeta_mod_p):
-    total = 0
-    for i, (idxs, poly) in enumerate(zip(index_layers, poly_layers)):
-        s = sum(zeta(k, p) for k in idxs) % p
-        bridge = zeta_poly_mod_p(poly, p, zeta=zeta)
-        if s != bridge:
-            raise EngineFault(
-                f"term-level disagreement between the two lemma readings at "
-                f"p={p}, layer {i}: {s} vs {bridge}"
-            )
-        total += s if i % 2 == 0 else -s
-    return total % p, 0
-
-
-def _pair_bridge(index_layers, poly_layers, p, zeta=zeta_mod_p):
-    # n = 0 degenerate case: compare the two readings against each other.
-    lhs = _pair_lemma_value(poly_layers, p, zeta=zeta)[0]
-    rhs = 0
-    for i, idxs in enumerate(index_layers):
-        s = sum(zeta(k, p) for k in idxs) % p
-        rhs += s if i % 2 == 0 else -s
-    return lhs, rhs % p
-
-
-def _pair_stuffle(harm_poly, k1, k2, p, zeta=zeta_mod_p):
-    lhs = zeta_poly_mod_p(harm_poly, p, zeta=zeta)
-    v1 = 1 if k1 is None else zeta(k1, p)
-    v2 = 1 if k2 is None else zeta(k2, p)
-    return lhs, v1 * v2 % p
-
-
-def _pair_duality(shuf_poly, sign, ridx, p, zeta=zeta_mod_p):
-    lhs = zeta_poly_mod_p(shuf_poly, p, zeta=zeta)
-    return lhs, sign * zeta(ridx, p) % p
-
-
-def _pair_bernoulli_formula(lhs_idxs, coef, coef_alt, weight, p, zeta=zeta_mod_p):
-    lhs = sum(zeta(k, p) for k in lhs_idxs) % p
-    scale = bernoulli_mod_p(weight, p) * inv_mod(weight, p) % p
-    rhs = coef % p * scale % p
-    rhs_alt = coef_alt % p * scale % p
-    if rhs != rhs_alt:
-        raise EngineFault(
-            f"the two closed-form sign variants disagree at p={p}: {rhs} vs {rhs_alt}"
-        )
-    return lhs, rhs
+def _index_and_shift(k: Sequence[int], n: int) -> Index:
+    k = Index(k)
+    if n < 0:
+        raise ValueError(f"shift must be >= 0, got {n}")
+    return k
 
 
 # ---------------------------------------------------------------------------
@@ -251,185 +256,96 @@ def _pair_bernoulli_formula(lhs_idxs, coef, coef_alt, weight, p, zeta=zeta_mod_p
 
 
 def check_ohno(
-    k: Sequence[int],
-    n: int,
-    window: tuple[int, int],
-    floor: int | None = None,
-    jobs: int = 1,
+    k: Sequence[int], n: int, window: Window, floor: int | None = None, jobs: int = 1
 ) -> CheckReport:
     """Shifted-sum relation: the n-shifted sum over ``k`` against the
     dualized n-shifted sum over the dual of ``k``, prime by prime."""
-    k = Index(k)
-    if n < 0:
-        raise ValueError(f"shift must be >= 0, got {n}")
-    if floor is None:
-        floor = k.weight + n + 3
+    k = _index_and_shift(k, n)
     kd = hoffman_dual(k)
-    lhs_idx = tuple(add_componentwise(k, e) for e in weak_compositions(n, k.depth))
-    rhs_idx = tuple(
-        hoffman_dual(add_componentwise(kd, e)) for e in weak_compositions(n, kd.depth)
+    plan = Plan(
+        _index_terms(add_componentwise(k, e) for e in weak_compositions(n, k.depth)),
+        _index_terms(
+            hoffman_dual(add_componentwise(kd, e)) for e in weak_compositions(n, kd.depth)
+        ),
     )
-    primes = _window_primes(window)
-    pair = partial(_pair_index_sums, ((1, lhs_idx),), ((1, rhs_idx),))
-    rows = _evaluate(pair, primes, jobs, lhs_idx + rhs_idx)
-    _confirm_failures(rows, floor, pair)
-    return CheckReport(
-        identity="ohno",
-        params={"index": list(k), "n": n, "primes": list(window)},
-        mode="numeric",
-        floor=floor,
-        results=rows,
-    )
+    params = {"index": list(k), "n": n, "primes": list(window)}
+    return _run("ohno", params, plan, window, floor, k.weight + n, jobs)
 
 
 def check_sum_formula(
-    k: int,
-    r: int,
-    i: int,
-    window: tuple[int, int],
-    floor: int | None = None,
-    jobs: int = 1,
+    k: int, r: int, i: int, window: Window, floor: int | None = None, jobs: int = 1
 ) -> CheckReport:
     """Fixed weight/depth sum with one raised entry against its closed form
     in B_(p-k)/k.  Primes below k+2, where the closed form is undefined, are
     skipped."""
     if not 1 <= i <= r <= k - 1:
         raise ValueError(f"need 1 <= i <= r <= k-1, got k={k}, r={r}, i={i}")
-    if floor is None:
-        floor = k + 3
     base = Index([1] * (i - 1) + [2] + [1] * (r - i))
-    lhs_idx = tuple(add_componentwise(base, e) for e in weak_compositions(k - r - 1, r))
     sign = -1 if (i - 1) % 2 else 1
     signr = -1 if r % 2 else 1
     signk = -1 if (k + 1) % 2 else 1
     coef = sign * (math.comb(k - 1, i - 1) + signr * math.comb(k - 1, r - i))
     coef_alt = sign * (signk * math.comb(k - 1, i - 1) + signr * math.comb(k - 1, r - i))
-    primes = _window_primes(window, minimum=k + 2)
-    pair = partial(_pair_bernoulli_formula, lhs_idx, coef, coef_alt, k)
-    rows = _evaluate(pair, primes, jobs, lhs_idx)
-    _confirm_failures(rows, floor, pair)
-    return CheckReport(
-        identity="sum-formula",
-        params={"k": k, "r": r, "i": i, "primes": list(window)},
-        mode="numeric",
-        floor=floor,
-        results=rows,
+    plan = Plan(
+        _index_terms(add_componentwise(base, e) for e in weak_compositions(k - r - 1, r)),
+        bernoulli=(k, coef, coef_alt),
     )
+    params = {"k": k, "r": r, "i": i, "primes": list(window)}
+    return _run("sum-formula", params, plan, window, floor, k, jobs)
 
 
 def check_height_one(
-    a: int,
-    b: int,
-    window: tuple[int, int],
-    floor: int | None = None,
-    jobs: int = 1,
+    a: int, b: int, window: Window, floor: int | None = None, jobs: int = 1
 ) -> CheckReport:
     """Single harmonic sum over (1,...,1,2,1,...,1) with a leading and b
     trailing ones against its closed form in B_(p-w)/w, w = a+b+2."""
     if a < 0 or b < 0:
         raise ValueError(f"run lengths must be >= 0, got a={a}, b={b}")
     w = a + b + 2
-    if floor is None:
-        floor = w + 3
-    idx = Index([1] * a + [2] + [1] * b)
-    signb = -1 if (b + 1) % 2 else 1
-    coef = signb * math.comb(w, b + 1)
-    primes = _window_primes(window, minimum=w + 2)
-    pair = partial(_pair_bernoulli_formula, (idx,), coef, coef, w)
-    rows = _evaluate(pair, primes, jobs, (idx,))
-    _confirm_failures(rows, floor, pair)
-    return CheckReport(
-        identity="height-one",
-        params={"a": a, "b": b, "primes": list(window)},
-        mode="numeric",
-        floor=floor,
-        results=rows,
-    )
+    coef = (-1 if (b + 1) % 2 else 1) * math.comb(w, b + 1)
+    plan = Plan(_index_terms([Index([1] * a + [2] + [1] * b)]), bernoulli=(w, coef, coef))
+    params = {"a": a, "b": b, "primes": list(window)}
+    return _run("height-one", params, plan, window, floor, w, jobs)
 
 
 def check_stuffle_hom(
-    w: str,
-    wp: str,
-    window: tuple[int, int],
-    floor: int | None = None,
-    jobs: int = 1,
+    w: str, wp: str, window: Window, floor: int | None = None, jobs: int = 1
 ) -> CheckReport:
     """Harmonic product maps to the product of values, prime by prime."""
     for word in (w, wp):
         if not in_h1(word):
             raise ValueError(f"word {word!r} must be empty or end in 'y'")
-    if floor is None:
-        floor = len(w) + len(wp) + 3
     harm = harmonic(NCPolynomial.from_word(w), NCPolynomial.from_word(wp))
-    k1 = Index(index_of_word(w)) if w else None
-    k2 = Index(index_of_word(wp)) if wp else None
-    primes = _window_primes(window)
-    pair = partial(_pair_stuffle, harm, k1, k2)
-    rows = _evaluate(pair, primes, jobs, [*_poly_indices(harm), *filter(None, (k1, k2))])
-    _confirm_failures(rows, floor, pair)
-    return CheckReport(
-        identity="stuffle",
-        params={"w": w, "wp": wp, "primes": list(window)},
-        mode="numeric",
-        floor=floor,
-        results=rows,
-    )
+    values = tuple(index_of_word(word) for word in (w, wp) if word)
+    plan = Plan(_word_terms(harm), ((1, values),))
+    params = {"w": w, "wp": wp, "primes": list(window)}
+    return _run("stuffle", params, plan, window, floor, len(w) + len(wp), jobs)
 
 
 def check_shuffle_duality(
-    w: str,
-    wp: str,
-    window: tuple[int, int],
-    floor: int | None = None,
-    jobs: int = 1,
+    w: str, wp: str, window: Window, floor: int | None = None, jobs: int = 1
 ) -> CheckReport:
     """Shuffle product against the signed value of the block-reversed
     concatenation, prime by prime."""
     for word in (w, wp):
         if not word or not in_h1(word):
             raise ValueError(f"word {word!r} must be nonempty and end in 'y'")
-    if floor is None:
-        floor = len(w) + len(wp) + 3
     shuf = shuffle(NCPolynomial.from_word(w), NCPolynomial.from_word(wp))
-    ridx = Index(index_of_word(reverse_word(w) + wp))
     sign = -1 if len(w) % 2 else 1
-    primes = _window_primes(window)
-    pair = partial(_pair_duality, shuf, sign, ridx)
-    rows = _evaluate(pair, primes, jobs, [*_poly_indices(shuf), ridx])
-    _confirm_failures(rows, floor, pair)
-    return CheckReport(
-        identity="duality",
-        params={"w": w, "wp": wp, "primes": list(window)},
-        mode="numeric",
-        floor=floor,
-        results=rows,
-    )
+    plan = Plan(_word_terms(shuf), _index_terms([index_of_word(reverse_word(w) + wp)], sign))
+    params = {"w": w, "wp": wp, "primes": list(window)}
+    return _run("duality", params, plan, window, floor, len(w) + len(wp), jobs)
 
 
 def check_homogeneous_zero(
-    a: int,
-    r: int,
-    window: tuple[int, int],
-    floor: int | None = None,
-    jobs: int = 1,
+    a: int, r: int, window: Window, floor: int | None = None, jobs: int = 1
 ) -> CheckReport:
     """Vanishing of the harmonic sum over a constant index (a, ..., a)."""
     if a < 1 or r < 1:
         raise ValueError(f"need a >= 1 and r >= 1, got a={a}, r={r}")
-    if floor is None:
-        floor = a * r + 3
-    idx = Index((a,) * r)
-    primes = _window_primes(window)
-    pair = partial(_pair_index_sums, ((1, (idx,)),), ())
-    rows = _evaluate(pair, primes, jobs, (idx,))
-    _confirm_failures(rows, floor, pair)
-    return CheckReport(
-        identity="homogeneous",
-        params={"a": a, "r": r, "primes": list(window)},
-        mode="numeric",
-        floor=floor,
-        results=rows,
-    )
+    plan = Plan(_index_terms([Index((a,) * r)]))
+    params = {"a": a, "r": r, "primes": list(window)}
+    return _run("homogeneous", params, plan, window, floor, a * r, jobs)
 
 
 def lemma_word_layers(k: Sequence[int], n: int) -> tuple[NCPolynomial, ...]:
@@ -461,78 +377,54 @@ def lemma_index_layers(k: Sequence[int], n: int) -> tuple[tuple[Index, ...], ...
     return tuple(layers)
 
 
+def _check_lemma(
+    identity: str, k: Sequence[int], n: int, window: Window, floor: int | None, jobs: int, compare: bool
+) -> CheckReport:
+    # The signed word reading against zero; with ``compare``, the index
+    # reading must first equal it exactly, layer by layer.  At n = 0 the
+    # value is not zero, so the two readings are compared at every prime.
+    k = _index_and_shift(k, n)
+    params = {"index": list(k), "n": n, "primes": list(window)}
+    polys = lemma_word_layers(k, n)
+    word_side = tuple(t for i, P in enumerate(polys) for t in _word_terms(P, (-1) ** i))
+    if compare or n == 0:
+        idx_layers = lemma_index_layers(k, n)
+    if compare:
+        by_words = [Counter({index_of_word(w): c for w, c in P.terms.items()}) for P in polys]
+        by_indices = [Counter(layer) for layer in idx_layers]
+        for i, (a, b) in enumerate(zip_longest(by_words, by_indices)):
+            if a != b:
+                raise EngineFault(
+                    f"the two lemma readings differ at layer {i} for k={list(k)}, n={n}"
+                )
+    index_side = ()
+    if n == 0:
+        params["note"] = "n=0 is outside the stated range; comparing the two readings"
+        index_side = tuple(t for i, L in enumerate(idx_layers) for t in _index_terms(L, (-1) ** i))
+    return _run(identity, params, Plan(word_side, index_side), window, floor, k.weight + n, jobs)
+
+
 def check_lemma2(
-    k: Sequence[int],
-    n: int,
-    window: tuple[int, int],
-    floor: int | None = None,
-    jobs: int = 1,
+    k: Sequence[int], n: int, window: Window, floor: int | None = None, jobs: int = 1
 ) -> CheckReport:
     """Signed word-side lemma value against zero, prime by prime.
 
     The stated identity needs n >= 1; n = 0 is accepted but degenerates, and
     is then checked against the index-side reading instead of zero.
     """
-    k = Index(k)
-    if n < 0:
-        raise ValueError(f"shift must be >= 0, got {n}")
-    if floor is None:
-        floor = k.weight + n + 3
-    params = {"index": list(k), "n": n, "primes": list(window)}
-    polys = lemma_word_layers(k, n)
-    indices = list(_poly_indices(*polys))
-    primes = _window_primes(window)
-    if n == 0:
-        params["note"] = "n=0 is outside the stated range; comparing the two readings"
-        idx_layers = lemma_index_layers(k, n)
-        indices += [i for layer in idx_layers for i in layer]
-        pair = partial(_pair_bridge, idx_layers, polys)
-    else:
-        pair = partial(_pair_lemma_value, polys)
-    rows = _evaluate(pair, primes, jobs, indices)
-    _confirm_failures(rows, floor, pair)
-    return CheckReport(
-        identity="lemma2",
-        params=params,
-        mode="numeric",
-        floor=floor,
-        results=rows,
-    )
+    return _check_lemma("lemma2", k, n, window, floor, jobs, compare=False)
 
 
 def check_key_lemma(
-    k: Sequence[int],
-    n: int,
-    window: tuple[int, int],
-    floor: int | None = None,
-    jobs: int = 1,
+    k: Sequence[int], n: int, window: Window, floor: int | None = None, jobs: int = 1
 ) -> CheckReport:
-    """Signed index-side lemma value against zero, prime by prime, asserting
-    along the way that every layer agrees with the word-side reading."""
-    k = Index(k)
-    if n < 0:
-        raise ValueError(f"shift must be >= 0, got {n}")
-    if floor is None:
-        floor = k.weight + n + 3
-    params = {"index": list(k), "n": n, "primes": list(window)}
-    idx_layers = lemma_index_layers(k, n)
-    polys = lemma_word_layers(k, n)
-    primes = _window_primes(window)
-    if n == 0:
-        params["note"] = "n=0 is outside the stated range; comparing the two readings"
-        pair = partial(_pair_bridge, idx_layers, polys)
-    else:
-        pair = partial(_pair_key_lemma, idx_layers, polys)
-    indices = [*_poly_indices(*polys), *(i for layer in idx_layers for i in layer)]
-    rows = _evaluate(pair, primes, jobs, indices)
-    _confirm_failures(rows, floor, pair)
-    return CheckReport(
-        identity="key-lemma",
-        params=params,
-        mode="numeric",
-        floor=floor,
-        results=rows,
-    )
+    """Signed index-side lemma value against zero, prime by prime.
+
+    The index reading is first compared exactly with the word reading, layer
+    by layer as multisets of indices; since they are equal, the value is
+    then evaluated from the word reading, as in :func:`check_lemma2`.
+    """
+    return _check_lemma("key-lemma", k, n, window, floor, jobs, compare=True)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -122,10 +123,10 @@ def test_long_words_check_without_crashing(capsys):
 
 
 def test_engine_fault_exit_code(capsys, monkeypatch):
-    def disagrees_with_oracle(lhs_groups, rhs_groups, p, zeta=zeta_mod_p):
+    def disagrees_with_oracle(plan, p, zeta=zeta_mod_p):
         return (1, 0) if zeta is zeta_mod_p else (0, 0)
 
-    monkeypatch.setattr(fmzv.verify, "_pair_index_sums", disagrees_with_oracle)
+    monkeypatch.setattr(fmzv.verify, "_pair", disagrees_with_oracle)
     code, out, err = run_cli(
         capsys, "check", "ohno", "--index", "2,1", "--n", "1", "--primes", "11:13", "--jobs", "1"
     )
@@ -133,6 +134,65 @@ def test_engine_fault_exit_code(capsys, monkeypatch):
     assert out == ""
     assert err.startswith("fmzv: engine fault: evaluator disagrees with brute-force oracle at p=11")
     assert "Traceback" not in err
+
+
+def test_lemma_readings_that_differ_are_an_engine_fault(capsys, monkeypatch):
+    index_layers = fmzv.verify.lemma_index_layers
+
+    def one_index_dropped(k, n):
+        first, *rest = index_layers(k, n)
+        return (first[1:], *rest)
+
+    evaluated = []
+    monkeypatch.setattr(fmzv.verify, "lemma_index_layers", one_index_dropped)
+    monkeypatch.setattr(fmzv.verify, "_evaluate", lambda *args: evaluated.append(args))
+    code, out, err = run_cli(
+        capsys, "check", "key-lemma", "--index", "2,1", "--n", "2", "--primes", "11:60"
+    )
+    assert code == 3 and out == "" and evaluated == []
+    assert err.startswith("fmzv: engine fault: the two lemma readings differ at layer 0")
+
+
+# exit code and SHA-256 of the JSON report of every check subcommand, n = 0
+# of both lemma checks and a failing report included: the report bytes are
+# part of the interface, whatever the checkers compute them through
+REPORT_HASHES = [
+    (("ohno", "--index", "2,1,3", "--n", "2", "--primes", "2:150"), 0,
+     "50cbff94ae9a41cc43082af8013e43c8b3b4e44fe0acb81788d79b61d13dd8e2"),
+    (("sum-formula", "--k", "7", "--r", "3", "--i", "2", "--primes", "2:150"), 0,
+     "2d96f11ffdb7440393e511e2c6ae5d9a885d448781c3c7e3ea79e84c8760d638"),
+    (("height-one", "--a", "2", "--b", "1", "--primes", "2:150"), 0,
+     "caa49b0082fc1188b0978d07fa5374337f4b1a2a68ec2f813a90812a0a073934"),
+    (("stuffle", "--w", "xyy", "--wp", "xxy", "--primes", "2:150"), 0,
+     "eccb9fdf56e394d1ef1613d592754c5203dbc80cec08a189acd3c6db50dd1d24"),
+    (("duality", "--w", "xyy", "--wp", "xy", "--primes", "2:150"), 0,
+     "b21ba3a4d32462bd3f4d08d76e26e4f1311198c7e332148828dbf58a4569d339"),
+    (("homogeneous", "--a", "2", "--r", "3", "--primes", "2:150"), 0,
+     "60085b6c062fc5fb58aba3308e59afe4f491bd2c94fa8ac4d0d29ec50327b404"),
+    (("homogeneous", "--a", "1", "--r", "1", "--primes", "2:30", "--floor", "2"), 1,
+     "244b29a2d9a676a7a55722394c1c667b89f5e25c8673ce1bad4724c6079aea19"),
+    (("lemma2", "--index", "1,2", "--n", "2", "--primes", "2:150"), 0,
+     "a47b0639f2529e69aaff4d06c3daa8cd4f736a8c7da2217ff07483cc3b9c4456"),
+    (("key-lemma", "--index", "1,2", "--n", "2", "--primes", "2:150"), 0,
+     "197948985329d026fff7981254139e99e92c3ef784b7567af56cc89a76d3b656"),
+    (("lemma2", "--index", "2,1", "--n", "0", "--primes", "2:150"), 0,
+     "9776bf591b585d67f64da122873df9680f38dac2db74fd1c90aaa175d07c3fcd"),
+    (("key-lemma", "--index", "2,1", "--n", "0", "--primes", "2:150"), 0,
+     "f1cec28234a8db10f009fbfd02c374ece9f5090c9354db5817805e5fa8d8abd3"),
+    (("eq3", "--index", "2,1", "--n", "2"), 0,
+     "2c0c745d0494f9fe63708cd29bb5116b28c928d7dadc4970f0c09e9789b5d425"),
+    (("ikz", "--w", "xyy", "--order", "3"), 0,
+     "b471bf72daffe72faab9f02753aecf55f13a165c4de5b47fcb7d1f719cceb9b4"),
+]
+
+
+def test_every_check_keeps_its_report_bytes(capsys):
+    from fmzv.cli import CHECKS
+
+    assert {argv[0] for argv, _, _ in REPORT_HASHES} == set(CHECKS)
+    for argv, expect_code, digest in REPORT_HASHES:
+        code, out, _ = run_cli(capsys, "check", *argv, "--format", "json")
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == (expect_code, digest), argv
 
 
 def test_check_usage_error(capsys):

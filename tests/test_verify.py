@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 import fmzv.verify
@@ -20,6 +22,8 @@ from fmzv.verify import (
     lemma_index_layers,
     lemma_word_layers,
 )
+from fmzv.suite import all_indices
+from fmzv.words import index_of_word
 
 from oracles import zeta_brute
 
@@ -128,15 +132,20 @@ def test_lemma_checks_match_and_vanish():
 
 
 def test_lemma_layers_agree_per_prime():
-    k, n = Index((2, 1)), 2
-    polys = lemma_word_layers(k, n)
-    idxs = lemma_index_layers(k, n)
-    assert len(polys) == len(idxs) == min(n, k.depth) + 1
-    for p in (11, 13, 17):
-        for poly, layer in zip(polys, idxs):
-            word_side = zeta_poly_mod_p(poly, p)
-            index_side = sum(zeta_mod_p(kk, p) for kk in layer) % p
-            assert word_side == index_side
+    # the two readings agree exactly, layer by layer as multisets of indices,
+    # so they agree at every prime
+    layers = 0
+    for k in all_indices(6):
+        for n in range(4):
+            polys = lemma_word_layers(k, n)
+            idxs = lemma_index_layers(k, n)
+            assert len(polys) == len(idxs) == min(n, k.depth) + 1
+            for poly, layer in zip(polys, idxs):
+                assert all(c > 0 for c in poly.terms.values())
+                words = Counter({index_of_word(w): c for w, c in poly.terms.items()})
+                assert words == Counter(layer), (k, n)
+                layers += 1
+    assert layers == 597
 
 
 def test_lemma_first_layer_is_hand_expansion():
@@ -301,19 +310,27 @@ def test_pool_only_for_heavy_checks(monkeypatch, recorded_pools):
     started = recorded_pools
     light, heavy = (5, 80), (5, 1000)
     k = Index((2, 1))
+    plans = []
+    evaluate = fmzv.verify._evaluate
+    monkeypatch.setattr(
+        fmzv.verify, "_evaluate", lambda plan, *rest: plans.append(plan) or evaluate(plan, *rest)
+    )
+    check_ohno(k, 1, light, jobs=1)
+    (plan,) = plans
     # ohno (2,1) at n=1 sums over (3,1), (2,2) and the duals' shifts
-    indices = [(3, 1), (2, 2), (2, 1, 1), (1, 2, 1)]
-    assert fmzv.verify._sweep_work(indices, fmzv.verify.primes_in(*light)) < (
-        fmzv.verify.POOL_MIN_MULTS
-    ) <= fmzv.verify._sweep_work(indices, fmzv.verify.primes_in(*heavy))
+    assert sorted(plan.indices()) == [(1, 2, 1), (2, 1, 1), (2, 2), (3, 1)]
+
+    def work(window):
+        return plan.work(fmzv.verify.primes_in(*window))
+
+    assert work(light) < fmzv.verify.POOL_MIN_MULTS <= work(heavy)
     for window, expect in [(light, []), (heavy, [4])]:
         serial = check_ohno(k, 1, window, jobs=1).results
         started.clear()
         assert check_ohno(k, 1, window, jobs=5000).results == serial
         assert started == expect, window
     # the threshold itself: work equal to it pools, one less does not
-    work = fmzv.verify._sweep_work(indices, fmzv.verify.primes_in(*light))
-    for limit, expect in [(work, [4]), (work + 1, [])]:
+    for limit, expect in [(work(light), [4]), (work(light) + 1, [])]:
         monkeypatch.setattr(fmzv.verify, "POOL_MIN_MULTS", limit)
         started.clear()
         check_ohno(k, 1, light, jobs=5000)
