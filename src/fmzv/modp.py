@@ -4,20 +4,26 @@ and Bernoulli numbers mod p.
 Moduli are restricted below 2^31 so that products of two residues always fit
 in native 64-bit intermediates; windows in day-to-day use stay far smaller.
 
-The harmonic sum of an index of depth r at the prime p is evaluated as r
-prefix-sum passes over m = 1 .. p-1, innermost part first, so it costs
-O(p * r) multiplications.  Each pass, and each inverse-power row it reads, is
-built from C-level iterators (``map``, ``itertools.accumulate``) rather than
-an interpreted loop over m.  Bernoulli numbers B_n mod p come from the power
-sum 1^n + ... + (p-1)^n mod p^2 in O(p).
+Harmonic sums are evaluated over a :class:`SuffixTrie`, built once from a
+set of indices and reused at every prime.  Its nodes are the proper suffixes
+(k_j, ..., k_r) of the indices; at the prime p a node's tail is the prefix
+sum over m = 1 .. p-1 of the row m^(-k_j) times its parent's tail, so each
+distinct suffix costs one O(p) pass and each index one more dot product.
+The walk runs in preorder and keeps one tail per depth, so at most depth
+tails of length p are alive at once, however many indices share the trie.
+Each pass, and each inverse-power row it reads, is built from C-level
+iterators (``map``, ``itertools.accumulate``) rather than an interpreted
+loop over m.  Bernoulli numbers B_n mod p come from the power sum
+1^n + ... + (p-1)^n mod p^2 in O(p).
 
 Inverse-power rows live in one per-prime row store capped at
 ``TABLE_BUDGET`` residues: once it is over budget, the rows of the least
 recently used prime are dropped, never those of the prime being evaluated,
-so memory stays bounded however many large primes a process meets.  The
-harmonic-sum evaluator is memoized per (index, prime) and Bernoulli values
-per (n, prime); these hold one residue each, so large verification
-batteries share almost all of their arithmetic.
+so memory stays bounded however many large primes a process meets.  Swept
+residues are memoized per (index, prime), and the trie is walked only for
+the indices missing there; Bernoulli values are memoized per (n, prime).
+These hold one residue each, so large verification batteries share almost
+all of their arithmetic.
 """
 
 from __future__ import annotations
@@ -25,11 +31,10 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from collections.abc import Sequence
-from itertools import accumulate, repeat
+from collections.abc import Iterable, Mapping, Sequence
+from itertools import accumulate, filterfalse, repeat
 from operator import mod, mul
 
-from .words import NCPolynomial, in_h1, index_of_word
 
 MAX_MODULUS = 2**31
 # residues the inverse-power row store may hold beyond the current prime's
@@ -164,41 +169,129 @@ def _reduced_exponents(k: Sequence[int], p: int) -> list[int]:
     return out
 
 
-@functools.lru_cache(maxsize=None)
+class SuffixTrie:
+    """The proper suffixes of a set of indices, in the order one walk
+    evaluates them; it does not depend on the prime.
+
+    A node (k_j, ..., k_r) holds, at the prime p, the tail
+    ``tail[m]`` = sum over m > m_j > ... > m_r > 0 of prod m_i^(-k_i): the
+    prefix sums of the row m^(-k_j) times its parent (k_(j+1), ..., k_r)'s
+    tail, the root () being the empty product 1.  An index (k_1, ..., k_r)
+    is then the dot product of the row m^(-k_1) with the tail of k[1:].
+    """
+
+    def __init__(self, indices: Iterable[Sequence[int]]):
+        self.indices = list(dict.fromkeys(map(tuple, indices)))
+        self._ops: list | None = None  # built on the first sweep
+
+    def _build(self) -> None:
+        # Node 0 is the root (); a node is named by (its first part, its
+        # parent's number), so no suffix is ever spelled out.  In the walk,
+        # (d, part, None) builds the tail of a depth-d node from its
+        # parent's at depth d - 1, and (d, part, k) evaluates k against the
+        # depth-d tail of k[1:]; preorder keeps the parent's tail in place
+        # while its subtree is walked.
+        number: dict[tuple[int, int], int] = {}
+        first, depth, children, ending = [0], [0], [[]], [[]]
+        for k in self.indices:
+            node = 0
+            for part in reversed(k[1:]):
+                child = number.get((part, node))
+                if child is None:
+                    child = number[part, node] = len(first)
+                    first.append(part)
+                    depth.append(depth[node] + 1)
+                    children.append([])
+                    ending.append([])
+                    children[node].append(child)
+                node = child
+            ending[node].append(k)
+        ops = []
+        stack = [0]
+        while stack:
+            node = stack.pop()
+            d = depth[node]
+            if node:
+                ops.append((d, first[node], None))
+            ops.extend((d, k[0], k) for k in ending[node])
+            stack.extend(reversed(children[node]))
+        self._ops = ops
+        self._parts = sorted({op[1] for op in ops})
+        self._depth = max(depth)
+
+    def sweep(self, p: int) -> dict[tuple[int, ...], int]:
+        """Every index's harmonic sum at the prime p (not checked here).
+
+        The passes need no special case for an index of depth >= p: its sum
+        has an empty range, and its tails vanish to match.
+        """
+        if self._ops is None:
+            self._build()
+        parts = self._parts
+        rows = dict(zip(parts, (_inv_pow_row(p, e) for e in _reduced_exponents(parts, p))))
+        # every row starts with row[0] = 0, so the m = 0 term of every pass
+        # vanishes; one tail slot per depth, the root's being the empty product
+        tails: list = [repeat(1)] + [None] * self._depth
+        ps = repeat(p)
+        out = {}
+        for d, part, k in self._ops:
+            if k is None:
+                tails[d] = list(map(mod, accumulate(map(mul, rows[part], tails[d - 1]), initial=0), ps))
+            else:
+                out[k] = sum(map(mul, rows[part], tails[d])) % p
+        return out
+
+
+# prime -> {index: residue} of every sweep so far
+_residues: dict[int, dict[tuple[int, ...], int]] = {}
+
+
+def harmonic_sums(trie: SuffixTrie, p: int) -> Mapping[tuple[int, ...], int]:
+    """The residues at the prime p, which the caller takes from the sieve,
+    of (at least) the trie's indices.  Memoized residues are read first,
+    and an index of depth >= p is 0; the rest are swept in one walk, of
+    ``trie`` itself when it holds no other index.  The mapping returned is
+    the memo of p itself, for reading only."""
+    memo = _residues.setdefault(p, {})
+    missing = list(filterfalse(memo.__contains__, trie.indices))
+    if missing:
+        # an index of depth >= p has an empty summation range
+        live = [k for k in missing if len(k) < p]
+        for k in missing:
+            if len(k) >= p:
+                memo[k] = 0
+        if live:
+            memo.update((trie if len(live) == len(trie.indices) else SuffixTrie(live)).sweep(p))
+    return memo
+
+
 def zeta_mod_p(k: tuple[int, ...], p: int) -> int:
     """The truncated nested harmonic sum for the index ``k`` at the prime p:
     sum over p > m_1 > ... > m_r > 0 of prod m_j^(-k_j), reduced mod p.
 
-    Evaluated as r prefix-sum passes, innermost part first: after the pass
-    for part j, ``tail[m]`` is the sum over m > m_j > ... > m_r > 0, and the
-    next pass multiplies it by the row m^(-k_(j-1)) and takes prefix sums
-    again.  The outermost pass needs only the total.  Each pass is p - 1
-    multiplications run through C-level iterators, O(p * depth) in all.
-    An index with depth >= p has an empty summation range and gives 0.
+    A one-index sweep of a :class:`SuffixTrie`: r prefix-sum passes,
+    innermost part first, each p - 1 multiplications run through C-level
+    iterators, O(p * depth) in all.  An index with depth >= p has an empty
+    summation range and gives 0.
     """
     k = tuple(k)
+    hit = _residues.get(p, {}).get(k)
+    if hit is not None:
+        return hit
     ensure_prime(p)
     if not k or any(kj < 1 for kj in k):
         raise ValueError(f"index parts must be >= 1, got {k}")
-    r = len(k)
-    if r >= p:
-        return 0
-    rows = [_inv_pow_row(p, e) for e in _reduced_exponents(k, p)]
-    # rows[j][0] is 0, so the m = 0 term of every pass vanishes; the
-    # innermost tail is the empty product 1.
-    tail = repeat(1)
-    for row in reversed(rows[1:]):
-        tail = list(map(mod, accumulate(map(mul, row, tail), initial=0), repeat(p)))
-    return sum(map(mul, rows[0], tail)) % p
+    return harmonic_sums(SuffixTrie([k]), p)[k]
 
 
 def zeta_mod_p_naive(k: tuple[int, ...], p: int) -> int:
-    """Independent brute-force evaluation of the same nested sum.
+    """Independent evaluation of the same nested sum, sharing no code and no
+    rows with :class:`SuffixTrie`.
 
     Enumerates the decreasing tuples directly (via combinations) when that
-    is affordable, falling back to a top-down memoized recursion otherwise;
-    both paths use only builtin modular exponentiation and share nothing
-    with the sweep in :func:`zeta_mod_p`.
+    is affordable, and otherwise runs one interpreted loop over m that keeps
+    the running inner sums, O(p * depth).  Both use only builtin modular
+    exponentiation, with no exponent reduced mod p - 1.
     """
     k = tuple(k)
     ensure_prime(p)
@@ -214,26 +307,13 @@ def zeta_mod_p_naive(k: tuple[int, ...], p: int) -> int:
                 t = t * pow(m, -e, p) % p
             total = (total + t) % p
         return total
-
-    @functools.lru_cache(maxsize=None)
-    def tail(j: int, upper: int) -> int:
-        if j == r:
-            return 1
-        return sum(pow(m, -k[j], p) * tail(j + 1, m) for m in range(1, upper)) % p
-
-    return tail(0, p)
-
-
-def zeta_poly_mod_p(P: NCPolynomial, p: int, zeta=zeta_mod_p) -> int:
-    """Linear extension over a word polynomial: each word contributes its
-    index's harmonic sum, the empty word contributes 1."""
-    total = 0
-    for w, c in P.terms.items():
-        if not in_h1(w):
-            raise ValueError(f"word {w!r} does not encode an index (must end in 'y')")
-        value = 1 if w == "" else zeta(index_of_word(w), p)
-        total = (total + c * value) % p
-    return total
+    # g[j] is the sum over m > m_(j+1) > ... > m_r > 0 for the current m,
+    # g[r] the empty product 1; raising m by one adds its term to each level
+    g = [0] * r + [1]
+    for m in range(1, p):
+        for j in range(r):
+            g[j] = (g[j] + pow(m, -k[j], p) * g[j + 1]) % p
+    return g[0]
 
 
 @functools.lru_cache(maxsize=None)

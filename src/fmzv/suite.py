@@ -15,16 +15,16 @@ from math import comb
 from .indices import Index, hoffman_dual, weak_compositions
 from .modp import bernoulli_mod_p, primes_in, zeta_mod_p, zeta_mod_p_naive
 from .verify import (
+    _run,
     check_eq3,
-    check_height_one,
-    check_homogeneous_zero,
     check_ikz,
-    check_key_lemma,
-    check_lemma2,
-    check_ohno,
-    check_shuffle_duality,
-    check_stuffle_hom,
-    check_sum_formula,
+    duality_instance,
+    height_one_instance,
+    homogeneous_instance,
+    lemma_instance,
+    ohno_instance,
+    stuffle_instance,
+    sum_formula_instance,
 )
 from .words import NCPolynomial, harmonic, shuffle
 
@@ -107,83 +107,66 @@ def run_battery(
             fails += 1
     record("ikz-truncated", fails == 0, f"{count} words through u^4, {fails} failures")
 
+    # Steps 4-9 each build every instance first and run them as one batch.
+    def failures(reports) -> int:
+        return sum(1 for rep in reports if not rep.passed)
+
     # 4. shifted-sum relation over the window
-    fails = 0
-    count = 0
-    for k in all_indices(max_weight):
-        for n in range(max_n + 1):
-            count += 1
-            if not check_ohno(k, n, window, jobs=jobs).passed:
-                fails += 1
-    record("ohno", fails == 0, f"{count} instances, {fails} failures")
+    batch = [ohno_instance(k, n, window) for k in all_indices(max_weight) for n in range(max_n + 1)]
+    fails = failures(_run(batch, window, jobs))
+    record("ohno", fails == 0, f"{len(batch)} instances, {fails} failures")
 
     # 5. sum formula, including forced vanishing for even weights
+    batch = [
+        sum_formula_instance(k, r, i, window)
+        for k in range(3, 10)
+        if k + 2 <= hi
+        for r in range(1, k)
+        for i in range(1, r + 1)
+    ]
     fails = 0
-    count = 0
-    for k in range(3, 10):
-        if k + 2 > hi:
-            continue
-        for r in range(1, k):
-            for i in range(1, r + 1):
-                count += 1
-                rep = check_sum_formula(k, r, i, (lo, hi), jobs=jobs)
-                ok = rep.passed
-                if k % 2 == 0:
-                    ok = ok and all(
-                        row.rhs == 0 for row in rep.results if row.p >= k + 3
-                    )
-                if not ok:
-                    fails += 1
-    record("sum-formula", fails == 0, f"{count} instances, {fails} failures")
+    for inst, rep in zip(batch, _run(batch, window, jobs)):
+        k = inst.weight
+        ok = rep.passed
+        if k % 2 == 0:
+            ok = ok and all(row.rhs == 0 for row in rep.results if row.p >= k + 3)
+        if not ok:
+            fails += 1
+    record("sum-formula", fails == 0, f"{len(batch)} instances, {fails} failures")
 
     # 6. height-one closed form
-    fails = 0
-    count = 0
-    for a in range(0, 6):
-        for b in range(0, 6 - a):
-            count += 1
-            if not check_height_one(a, b, (lo, hi), jobs=jobs).passed:
-                fails += 1
-    record("height-one", fails == 0, f"{count} instances, {fails} failures")
+    batch = [height_one_instance(a, b, window) for a in range(0, 6) for b in range(0, 6 - a)]
+    fails = failures(_run(batch, window, jobs))
+    record("height-one", fails == 0, f"{len(batch)} instances, {fails} failures")
 
     # 7. product-to-value homomorphism and shuffle duality
     pair_window = (max(lo, 9), hi)
-    fails = 0
-    count = 0
     words = [w for w in h1_words(5) if w]
-    for w in words:
-        for wp in words:
-            if len(w) + len(wp) > 6:
-                continue
-            count += 2
-            if not check_stuffle_hom(w, wp, pair_window, jobs=jobs).passed:
-                fails += 1
-            if not check_shuffle_duality(w, wp, pair_window, jobs=jobs).passed:
-                fails += 1
-    record("stuffle-duality", fails == 0, f"{count} checks, {fails} failures")
+    batch = [
+        make(w, wp, pair_window)
+        for w in words
+        for wp in words
+        if len(w) + len(wp) <= 6
+        for make in (stuffle_instance, duality_instance)
+    ]
+    fails = failures(_run(batch, pair_window, jobs))
+    record("stuffle-duality", fails == 0, f"{len(batch)} checks, {fails} failures")
 
     # 8. homogeneous vanishing
-    fails = 0
-    count = 0
-    for a in range(1, 4):
-        for r in range(1, 5):
-            count += 1
-            if not check_homogeneous_zero(a, r, window, jobs=jobs).passed:
-                fails += 1
-    record("homogeneous", fails == 0, f"{count} instances, {fails} failures")
+    batch = [homogeneous_instance(a, r, window) for a in range(1, 4) for r in range(1, 5)]
+    fails = failures(_run(batch, window, jobs))
+    record("homogeneous", fails == 0, f"{len(batch)} instances, {fails} failures")
 
     # 9. the lemma value at every prime; key-lemma first compares the index
     # and word readings exactly, layer by layer
-    fails = 0
-    count = 0
-    for k in all_indices(min(max_weight, 5)):
-        for n in range(1, max_n + 1):
-            count += 2
-            if not check_lemma2(k, n, window, jobs=jobs).passed:
-                fails += 1
-            if not check_key_lemma(k, n, window, jobs=jobs).passed:
-                fails += 1
-    record("lemma-checks", fails == 0, f"{count} checks, {fails} failures")
+    batch = [
+        lemma_instance(identity, k, n, window)
+        for k in all_indices(min(max_weight, 5))
+        for n in range(1, max_n + 1)
+        for identity in ("lemma2", "key-lemma")
+    ]
+    fails = failures(_run(batch, window, jobs))
+    record("lemma-checks", fails == 0, f"{len(batch)} checks, {fails} failures")
 
     # 10. fast evaluator against the brute-force oracle
     fails = 0

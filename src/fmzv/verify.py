@@ -5,8 +5,16 @@ Numeric checkers compile their identity into a :class:`Plan` that does not
 depend on the prime: two sides, each a sum of integer multiples of products
 of harmonic sums, and at most one Bernoulli term on the right.  A word
 polynomial becomes such a sum once, word by word, when the plan is built.
-One evaluator, :func:`_pair`, computes a plan at a prime, and one runner
-evaluates it at every prime of a window and reports the residues.
+One evaluator, :func:`_pair`, computes a plan at a prime.
+
+Each checker builds an :class:`Instance` (identity, params, plan, floor)
+and runs it through one runner, :func:`_run`, which takes a batch of
+instances over one window; the battery passes each step's instances as one
+batch.  The plans that share a minimum prime are evaluated together: at
+each prime one walk of a :class:`~fmzv.modp.SuffixTrie`, built once over
+the union of their indices and backed by the residue memo of
+:mod:`fmzv.modp`, gives every residue they need, and then each plan is
+evaluated from those residues.  Each instance is reported on its own.
 
 "Equal in the cofinite-equality ring" is operationalized as "equal at every
 prime at or above the floor", with the floor defaulting to weight + shift +
@@ -27,20 +35,22 @@ from __future__ import annotations
 import math
 import os
 from collections import Counter
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from itertools import zip_longest
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
+from typing import NamedTuple
 
 from .generators import bumped_insertion_words, ones_expansion_sides
 from .indices import Index, add_componentwise, binary_vectors, hoffman_dual, weak_compositions
 from .modp import (
     EngineFault,
+    SuffixTrie,
     bernoulli_mod_p,
+    harmonic_sums,
     inv_mod,
     primes_in,
-    zeta_mod_p,
     zeta_mod_p_naive,
 )
 from .series import const_series, geometric_yu, series_harmonic, series_shuffle, substitution_series
@@ -130,9 +140,9 @@ class CheckReport:
         }
 
 
-# Cold-cache sweep work, in multiplications, below which a check runs
+# Cold-cache sweep work, in multiplications, below which a batch runs
 # serially whatever ``jobs`` says: starting and tearing down a 2-worker pool
-# costs about 20 ms on a 2-vCPU host, so lighter checks finish sooner
+# costs about 20 ms on a 2-vCPU host, so lighter batches finish sooner
 # in-process, where their residues also stay memoized for later checks.
 POOL_MIN_MULTS = 500_000
 
@@ -160,10 +170,27 @@ class Plan:
         """The distinct indices the plan evaluates, in order of first use."""
         return list(dict.fromkeys(k for _, ks in self.lhs + self.rhs for k in ks))
 
+    @property
+    def minimum(self) -> int:
+        """The least prime the plan is evaluated at."""
+        return self.bernoulli[0] + 2 if self.bernoulli else 2
+
     def work(self, primes: list[int]) -> int:
         """Multiplications the plan's sweeps cost with cold caches: (p - 1)
         times the depth for every distinct index at every prime."""
         return sum(map(len, self.indices())) * sum(p - 1 for p in primes)
+
+
+class Instance(NamedTuple):
+    """One numeric identity instance, ready for :func:`_run`: its report's
+    identity and params, its plan, its floor (None for weight + 3) and its
+    weight."""
+
+    identity: str
+    params: dict
+    plan: Plan
+    floor: int | None
+    weight: int
 
 
 def _index_terms(indices: Iterable[tuple[int, ...]], sign: int = 1) -> tuple[Term, ...]:
@@ -175,14 +202,15 @@ def _word_terms(poly: NCPolynomial, sign: int = 1) -> tuple[Term, ...]:
     return tuple((sign * c, (index_of_word(w),) if w else ()) for w, c in poly.terms.items())
 
 
-def _pair(plan: Plan, p: int, zeta=zeta_mod_p) -> tuple[int, int]:
-    """Residues of both sides of ``plan`` at p, harmonic sums from ``zeta``."""
+def _pair(plan: Plan, p: int, values: Mapping[tuple[int, ...], int]) -> tuple[int, int]:
+    """Residues of both sides of ``plan`` at p, given the residue of each of
+    its indices."""
 
     def side(terms):
         total = 0
         for c, ks in terms:
             for k in ks:
-                c *= zeta(k, p)
+                c *= values[k]
             total += c
         return total % p
 
@@ -199,18 +227,34 @@ def _pair(plan: Plan, p: int, zeta=zeta_mod_p) -> tuple[int, int]:
     return lhs, rhs
 
 
-def _evaluate(plan: Plan, primes: list[int], jobs: int) -> list[PrimeCheck]:
-    # More workers than primes or cores only adds start-up cost, and under
-    # the fork start method every requested worker is launched at once.
-    pair = partial(_pair, plan)
+def _pairs_at(plans: list[Plan], trie: SuffixTrie, p: int) -> list[tuple[int, int]]:
+    # both sides of every plan at p; ``trie`` holds the union of the plans'
+    # indices, so one sweep serves them all
+    values = harmonic_sums(trie, p)
+    return [_pair(plan, p, values) for plan in plans]
+
+
+def _evaluate(plans: list[Plan], primes: list[int], jobs: int) -> list[list[PrimeCheck]]:
+    # One row list per plan.  More workers than primes or cores only adds
+    # start-up cost, and under the fork start method every requested worker
+    # is launched at once.
+    at = partial(_pairs_at, plans, SuffixTrie(k for plan in plans for k in plan.indices()))
     workers = min(jobs, len(primes), os.cpu_count() or 1)
-    if workers > 1 and plan.work(primes) >= POOL_MIN_MULTS:
+    if workers > 1 and sum(plan.work(primes) for plan in plans) >= POOL_MIN_MULTS:
         chunk = max(1, len(primes) // (workers * 4))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            values = list(pool.map(pair, primes, chunksize=chunk))
+            values = list(pool.map(at, primes, chunksize=chunk))
     else:
-        values = [pair(p) for p in primes]
-    return [PrimeCheck(p, l % p, r % p) for p, (l, r) in zip(primes, values)]
+        values = [at(p) for p in primes]
+    return [
+        [PrimeCheck(p, l % p, r % p) for p, (l, r) in zip(primes, column)]
+        for column in zip(*values)
+    ]
+
+
+def _pair_with(plan: Plan, p: int, zeta) -> tuple[int, int]:
+    # both sides of ``plan`` at p, every harmonic sum from ``zeta(k, p)``
+    return _pair(plan, p, {k: zeta(k, p) for k in plan.indices()})
 
 
 def _confirm_failures(rows: list[PrimeCheck], floor: int, pair_fn) -> None:
@@ -227,21 +271,32 @@ def _confirm_failures(rows: list[PrimeCheck], floor: int, pair_fn) -> None:
                 )
 
 
-def _run(
-    identity: str, params: dict, plan: Plan, window: Window, floor: int | None, weight: int, jobs: int
-) -> CheckReport:
-    """Evaluate ``plan`` at every usable prime of the window; the floor
-    defaults to weight + 3."""
-    if floor is None:
-        floor = weight + 3
+def _run(instances: list[Instance], window: Window, jobs: int) -> list[CheckReport]:
+    """Evaluate every instance's plan at each usable prime of one window and
+    report each instance on its own.  Plans that share their minimum prime
+    are evaluated as one batch."""
     lo, hi = window
-    minimum = plan.bernoulli[0] + 2 if plan.bernoulli else 2
-    primes = [p for p in primes_in(lo, hi) if p >= minimum]
-    if not primes:
+    batches: dict[int, list[int]] = {}  # minimum prime -> positions
+    for i, inst in enumerate(instances):
+        batches.setdefault(inst.plan.minimum, []).append(i)
+    if not batches:
+        return []
+    window_primes = primes_in(lo, hi)
+    if not window_primes or window_primes[-1] < max(batches):
         raise ValueError(f"no usable primes in window [{lo}, {hi}]")
-    rows = _evaluate(plan, primes, jobs)
-    _confirm_failures(rows, floor, partial(_pair, plan))
-    return CheckReport(identity, params, "numeric", floor, rows)
+    rows_of: list[list[PrimeCheck]] = [[] for _ in instances]
+    for minimum, members in batches.items():
+        plans = [instances[i].plan for i in members]
+        primes = [p for p in window_primes if p >= minimum]
+        for i, rows in zip(members, _evaluate(plans, primes, jobs)):
+            rows_of[i] = rows
+    reports = []
+    for (identity, params, plan, floor, weight), rows in zip(instances, rows_of):
+        if floor is None:
+            floor = weight + 3
+        _confirm_failures(rows, floor, partial(_pair_with, plan))
+        reports.append(CheckReport(identity, params, "numeric", floor, rows))
+    return reports
 
 
 def _index_and_shift(k: Sequence[int], n: int) -> Index:
@@ -252,14 +307,10 @@ def _index_and_shift(k: Sequence[int], n: int) -> Index:
 
 
 # ---------------------------------------------------------------------------
-# numeric checkers
+# numeric checkers: each builds an instance and runs it as a batch of one
 
 
-def check_ohno(
-    k: Sequence[int], n: int, window: Window, floor: int | None = None, jobs: int = 1
-) -> CheckReport:
-    """Shifted-sum relation: the n-shifted sum over ``k`` against the
-    dualized n-shifted sum over the dual of ``k``, prime by prime."""
+def ohno_instance(k: Sequence[int], n: int, window: Window, floor: int | None = None) -> Instance:
     k = _index_and_shift(k, n)
     kd = hoffman_dual(k)
     plan = Plan(
@@ -269,15 +320,20 @@ def check_ohno(
         ),
     )
     params = {"index": list(k), "n": n, "primes": list(window)}
-    return _run("ohno", params, plan, window, floor, k.weight + n, jobs)
+    return Instance("ohno", params, plan, floor, k.weight + n)
 
 
-def check_sum_formula(
-    k: int, r: int, i: int, window: Window, floor: int | None = None, jobs: int = 1
+def check_ohno(
+    k: Sequence[int], n: int, window: Window, floor: int | None = None, jobs: int = 1
 ) -> CheckReport:
-    """Fixed weight/depth sum with one raised entry against its closed form
-    in B_(p-k)/k.  Primes below k+2, where the closed form is undefined, are
-    skipped."""
+    """Shifted-sum relation: the n-shifted sum over ``k`` against the
+    dualized n-shifted sum over the dual of ``k``, prime by prime."""
+    return _run([ohno_instance(k, n, window, floor)], window, jobs)[0]
+
+
+def sum_formula_instance(
+    k: int, r: int, i: int, window: Window, floor: int | None = None
+) -> Instance:
     if not 1 <= i <= r <= k - 1:
         raise ValueError(f"need 1 <= i <= r <= k-1, got k={k}, r={r}, i={i}")
     base = Index([1] * (i - 1) + [2] + [1] * (r - i))
@@ -291,7 +347,26 @@ def check_sum_formula(
         bernoulli=(k, coef, coef_alt),
     )
     params = {"k": k, "r": r, "i": i, "primes": list(window)}
-    return _run("sum-formula", params, plan, window, floor, k, jobs)
+    return Instance("sum-formula", params, plan, floor, k)
+
+
+def check_sum_formula(
+    k: int, r: int, i: int, window: Window, floor: int | None = None, jobs: int = 1
+) -> CheckReport:
+    """Fixed weight/depth sum with one raised entry against its closed form
+    in B_(p-k)/k.  Primes below k+2, where the closed form is undefined, are
+    skipped."""
+    return _run([sum_formula_instance(k, r, i, window, floor)], window, jobs)[0]
+
+
+def height_one_instance(a: int, b: int, window: Window, floor: int | None = None) -> Instance:
+    if a < 0 or b < 0:
+        raise ValueError(f"run lengths must be >= 0, got a={a}, b={b}")
+    w = a + b + 2
+    coef = (-1 if (b + 1) % 2 else 1) * math.comb(w, b + 1)
+    plan = Plan(_index_terms([Index([1] * a + [2] + [1] * b)]), bernoulli=(w, coef, coef))
+    params = {"a": a, "b": b, "primes": list(window)}
+    return Instance("height-one", params, plan, floor, w)
 
 
 def check_height_one(
@@ -299,19 +374,10 @@ def check_height_one(
 ) -> CheckReport:
     """Single harmonic sum over (1,...,1,2,1,...,1) with a leading and b
     trailing ones against its closed form in B_(p-w)/w, w = a+b+2."""
-    if a < 0 or b < 0:
-        raise ValueError(f"run lengths must be >= 0, got a={a}, b={b}")
-    w = a + b + 2
-    coef = (-1 if (b + 1) % 2 else 1) * math.comb(w, b + 1)
-    plan = Plan(_index_terms([Index([1] * a + [2] + [1] * b)]), bernoulli=(w, coef, coef))
-    params = {"a": a, "b": b, "primes": list(window)}
-    return _run("height-one", params, plan, window, floor, w, jobs)
+    return _run([height_one_instance(a, b, window, floor)], window, jobs)[0]
 
 
-def check_stuffle_hom(
-    w: str, wp: str, window: Window, floor: int | None = None, jobs: int = 1
-) -> CheckReport:
-    """Harmonic product maps to the product of values, prime by prime."""
+def stuffle_instance(w: str, wp: str, window: Window, floor: int | None = None) -> Instance:
     for word in (w, wp):
         if not in_h1(word):
             raise ValueError(f"word {word!r} must be empty or end in 'y'")
@@ -319,14 +385,17 @@ def check_stuffle_hom(
     values = tuple(index_of_word(word) for word in (w, wp) if word)
     plan = Plan(_word_terms(harm), ((1, values),))
     params = {"w": w, "wp": wp, "primes": list(window)}
-    return _run("stuffle", params, plan, window, floor, len(w) + len(wp), jobs)
+    return Instance("stuffle", params, plan, floor, len(w) + len(wp))
 
 
-def check_shuffle_duality(
+def check_stuffle_hom(
     w: str, wp: str, window: Window, floor: int | None = None, jobs: int = 1
 ) -> CheckReport:
-    """Shuffle product against the signed value of the block-reversed
-    concatenation, prime by prime."""
+    """Harmonic product maps to the product of values, prime by prime."""
+    return _run([stuffle_instance(w, wp, window, floor)], window, jobs)[0]
+
+
+def duality_instance(w: str, wp: str, window: Window, floor: int | None = None) -> Instance:
     for word in (w, wp):
         if not word or not in_h1(word):
             raise ValueError(f"word {word!r} must be nonempty and end in 'y'")
@@ -334,18 +403,30 @@ def check_shuffle_duality(
     sign = -1 if len(w) % 2 else 1
     plan = Plan(_word_terms(shuf), _index_terms([index_of_word(reverse_word(w) + wp)], sign))
     params = {"w": w, "wp": wp, "primes": list(window)}
-    return _run("duality", params, plan, window, floor, len(w) + len(wp), jobs)
+    return Instance("duality", params, plan, floor, len(w) + len(wp))
+
+
+def check_shuffle_duality(
+    w: str, wp: str, window: Window, floor: int | None = None, jobs: int = 1
+) -> CheckReport:
+    """Shuffle product against the signed value of the block-reversed
+    concatenation, prime by prime."""
+    return _run([duality_instance(w, wp, window, floor)], window, jobs)[0]
+
+
+def homogeneous_instance(a: int, r: int, window: Window, floor: int | None = None) -> Instance:
+    if a < 1 or r < 1:
+        raise ValueError(f"need a >= 1 and r >= 1, got a={a}, r={r}")
+    plan = Plan(_index_terms([Index((a,) * r)]))
+    params = {"a": a, "r": r, "primes": list(window)}
+    return Instance("homogeneous", params, plan, floor, a * r)
 
 
 def check_homogeneous_zero(
     a: int, r: int, window: Window, floor: int | None = None, jobs: int = 1
 ) -> CheckReport:
     """Vanishing of the harmonic sum over a constant index (a, ..., a)."""
-    if a < 1 or r < 1:
-        raise ValueError(f"need a >= 1 and r >= 1, got a={a}, r={r}")
-    plan = Plan(_index_terms([Index((a,) * r)]))
-    params = {"a": a, "r": r, "primes": list(window)}
-    return _run("homogeneous", params, plan, window, floor, a * r, jobs)
+    return _run([homogeneous_instance(a, r, window, floor)], window, jobs)[0]
 
 
 def lemma_word_layers(k: Sequence[int], n: int) -> tuple[NCPolynomial, ...]:
@@ -377,13 +458,15 @@ def lemma_index_layers(k: Sequence[int], n: int) -> tuple[tuple[Index, ...], ...
     return tuple(layers)
 
 
-def _check_lemma(
-    identity: str, k: Sequence[int], n: int, window: Window, floor: int | None, jobs: int, compare: bool
-) -> CheckReport:
-    # The signed word reading against zero; with ``compare``, the index
-    # reading must first equal it exactly, layer by layer.  At n = 0 the
-    # value is not zero, so the two readings are compared at every prime.
+def lemma_instance(
+    identity: str, k: Sequence[int], n: int, window: Window, floor: int | None = None
+) -> Instance:
+    """The signed word reading of the lemma value against zero, for
+    ``lemma2`` or ``key-lemma``; for key-lemma the index reading must first
+    equal it exactly, layer by layer.  At n = 0 the value is not zero, so
+    the two readings are compared at every prime."""
     k = _index_and_shift(k, n)
+    compare = identity == "key-lemma"
     params = {"index": list(k), "n": n, "primes": list(window)}
     polys = lemma_word_layers(k, n)
     word_side = tuple(t for i, P in enumerate(polys) for t in _word_terms(P, (-1) ** i))
@@ -401,7 +484,7 @@ def _check_lemma(
     if n == 0:
         params["note"] = "n=0 is outside the stated range; comparing the two readings"
         index_side = tuple(t for i, L in enumerate(idx_layers) for t in _index_terms(L, (-1) ** i))
-    return _run(identity, params, Plan(word_side, index_side), window, floor, k.weight + n, jobs)
+    return Instance(identity, params, Plan(word_side, index_side), floor, k.weight + n)
 
 
 def check_lemma2(
@@ -412,7 +495,7 @@ def check_lemma2(
     The stated identity needs n >= 1; n = 0 is accepted but degenerates, and
     is then checked against the index-side reading instead of zero.
     """
-    return _check_lemma("lemma2", k, n, window, floor, jobs, compare=False)
+    return _run([lemma_instance("lemma2", k, n, window, floor)], window, jobs)[0]
 
 
 def check_key_lemma(
@@ -424,7 +507,7 @@ def check_key_lemma(
     by layer as multisets of indices; since they are equal, the value is
     then evaluated from the word reading, as in :func:`check_lemma2`.
     """
-    return _check_lemma("key-lemma", k, n, window, floor, jobs, compare=True)
+    return _run([lemma_instance("key-lemma", k, n, window, floor)], window, jobs)[0]
 
 
 # ---------------------------------------------------------------------------

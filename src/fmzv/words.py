@@ -36,11 +36,6 @@ def in_h1(w: str) -> bool:
     return w == "" or w.endswith("y")
 
 
-def tau(w: str) -> str:
-    """Letterwise swap x <-> y."""
-    return check_word(w).translate(_SWAP)
-
-
 def hoffman_dual_word(w: str) -> str:
     """Dual of a word ending in y: swap letters of everything before the final y.
 

@@ -6,12 +6,18 @@ position enumeration instead of recursion, harmonic sums by direct nested
 summation with builtin modular inverses (or by a per-m running-sum loop at
 primes too large to enumerate), and Bernoulli numbers by the
 Akiyama-Tanigawa scheme over exact rationals or by their defining
-recurrence mod p.
+recurrence mod p.  The one exception is :func:`zeta_poly_mod_p`, the linear
+extension of a harmonic-sum function over a word polynomial, which the
+tests use as the word-side reference and which defaults to the package's
+own ``zeta_mod_p``.
 """
 
 import itertools
 from collections import Counter
 from fractions import Fraction
+
+from fmzv.modp import zeta_mod_p
+from fmzv.words import in_h1, index_of_word
 
 
 def dual_by_runs(k):
@@ -137,3 +143,15 @@ def bernoulli_table_by_recurrence(p):
                 s = (s + binom(m + 1, j) * table[j]) % p
         table[m] = -pow(m + 1, -1, p) * s % p
     return table
+
+
+def zeta_poly_mod_p(P, p, zeta=zeta_mod_p):
+    """Linear extension over a word polynomial: each word contributes its
+    index's harmonic sum, the empty word contributes 1."""
+    total = 0
+    for w, c in P.terms.items():
+        if not in_h1(w):
+            raise ValueError(f"word {w!r} does not encode an index (must end in 'y')")
+        value = 1 if w == "" else zeta(index_of_word(w), p)
+        total = (total + c * value) % p
+    return total

@@ -15,7 +15,6 @@ from fmzv.modp import (
     primes_in,
     zeta_mod_p,
     zeta_mod_p_naive,
-    zeta_poly_mod_p,
 )
 from fmzv.suite import all_indices, h1_words, run_battery
 from fmzv.verify import (
@@ -33,7 +32,7 @@ from fmzv.verify import (
 )
 from fmzv.words import NCPolynomial, harmonic, shuffle
 
-from oracles import bernoulli_exact_mod, dual_by_runs, zeta_brute
+from oracles import bernoulli_exact_mod, dual_by_runs, zeta_brute, zeta_poly_mod_p
 
 
 def report(num, ok, detail):

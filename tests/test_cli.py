@@ -3,10 +3,10 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import fmzv.verify
 from fmzv.cli import main
-from fmzv.modp import zeta_mod_p
 
 
 def run_cli(capsys, *argv):
@@ -99,6 +99,20 @@ def test_check_failure_exit_code(capsys):
     assert "summary: FAIL" in out
 
 
+def test_failure_at_a_large_prime_is_confirmed_quickly(capsys):
+    # (10006, 10006) reduces to exponent 0 at p = 10007, where its sum is
+    # C(p-1, 2) = 1; re-checking that failure enumerates no tuples
+    start = time.perf_counter()
+    code, out, _ = run_cli(
+        capsys,
+        "check", "homogeneous", "--a", "10006", "--r", "2",
+        "--primes", "10007:10007", "--floor", "2", "--format", "json",
+    )
+    assert time.perf_counter() - start < 10
+    assert code == 1
+    assert json.loads(out)["results"] == [{"p": 10007, "lhs": 1, "rhs": 0, "pass": False}]
+
+
 def test_check_symbolic(capsys):
     code, out, _ = run_cli(capsys, "check", "eq3", "--index", "2,1", "--n", "2")
     assert code == 0 and "result: EQUAL" in out
@@ -123,10 +137,12 @@ def test_long_words_check_without_crashing(capsys):
 
 
 def test_engine_fault_exit_code(capsys, monkeypatch):
-    def disagrees_with_oracle(plan, p, zeta=zeta_mod_p):
-        return (1, 0) if zeta is zeta_mod_p else (0, 0)
+    # a fast path that gives every index its depth: ohno (2,1) at n=1 then
+    # reads 4 against 6, which the oracle does not reproduce
+    def wrong_sums(trie, p):
+        return {k: len(k) for k in trie.indices}
 
-    monkeypatch.setattr(fmzv.verify, "_pair", disagrees_with_oracle)
+    monkeypatch.setattr(fmzv.verify, "harmonic_sums", wrong_sums)
     code, out, err = run_cli(
         capsys, "check", "ohno", "--index", "2,1", "--n", "1", "--primes", "11:13", "--jobs", "1"
     )

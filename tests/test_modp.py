@@ -1,19 +1,23 @@
 import random
+import tracemalloc
+from itertools import accumulate, repeat
 from math import comb
+from operator import mod, mul
 
 import pytest
 
 from fmzv.indices import Index
 from fmzv.modp import (
     MAX_MODULUS,
+    SuffixTrie,
     bernoulli_mod_p,
+    harmonic_sums,
     inv_mod,
     inverse_table,
     is_prime,
     primes_in,
     zeta_mod_p,
     zeta_mod_p_naive,
-    zeta_poly_mod_p,
 )
 from fmzv.suite import all_indices, h1_words
 from fmzv.words import NCPolynomial, harmonic
@@ -23,6 +27,7 @@ from oracles import (
     bernoulli_table_by_recurrence,
     zeta_brute,
     zeta_by_loop,
+    zeta_poly_mod_p,
 )
 
 
@@ -122,7 +127,7 @@ def test_zeta_naive_agrees_on_both_strategies():
         for k in [(1, 2), (2, 1, 1), (3,)]:
             assert zeta_mod_p_naive(k, p) == zeta_brute(k, p)
     # a depth-10 index at p=199 overflows the enumeration budget and takes
-    # the top-down recursive path instead
+    # the per-m loop instead
     deep = Index((1,) * 9 + (2,))
     assert zeta_mod_p_naive(deep, 199) == zeta_mod_p(deep, 199)
 
@@ -212,3 +217,88 @@ def test_row_store_stays_within_budget(monkeypatch):
     for k in [(2, 3, 1), (1, 1, 3)]:
         assert zeta_mod_p(Index(k), primes[0]) == zeta_by_loop(k, primes[0]), k
     assert primes[0] in modp._rows
+
+
+def _shared_suffix_indices(rng, p, count, max_depth):
+    # each new index puts one to three parts in front of an earlier index
+    # (or of nothing), so the set shares suffixes at every depth; parts
+    # above 32, and at or near multiples of p - 1, take every row path
+    parts = [1, 2, 3, 33, 40, p - 1, p, 2 * (p - 1), 2 * (p - 1) + 3]
+    indices = [()]
+    while len(indices) <= count:
+        base = rng.choice(indices)
+        head = tuple(rng.choice(parts) for _ in range(rng.randint(1, 3)))
+        if len(head + base) <= max_depth:
+            indices.append(head + base)
+    indices = indices[1:]
+    return indices + rng.sample(indices, 5)  # duplicates
+
+
+def test_trie_matches_loop_oracle():
+    rng = random.Random(6)
+    for p, count, max_depth in [(2, 40, 6), (3, 40, 7), (5, 60, 9), (10007, 12, 4)]:
+        indices = _shared_suffix_indices(rng, p, count, max_depth)
+        if p < 10:
+            indices += [(1,) * p, (2,) * (p + 2)]  # depth >= p
+        trie = SuffixTrie(indices)
+        assert len(trie.indices) < len(indices)
+        swept = trie.sweep(p)
+        assert sorted(swept) == sorted(set(indices))
+        for k in trie.indices:
+            assert swept[k] == zeta_by_loop(k, p), (k, p)
+        values = harmonic_sums(trie, p)
+        assert {k: values[k] for k in trie.indices} == swept
+
+
+def test_memoized_indices_are_not_swept(monkeypatch):
+    import fmzv.modp as modp
+
+    monkeypatch.setattr(modp, "_residues", {})
+    swept = []
+    sweep = SuffixTrie.sweep
+    monkeypatch.setattr(SuffixTrie, "sweep", lambda self, p: swept.append(self.indices) or sweep(self, p))
+    harmonic_sums(SuffixTrie([(2, 1), (3,)]), 11)
+    values = harmonic_sums(SuffixTrie([(3,), (2, 1)]), 11)
+    assert (values[3,], values[2, 1]) == (0, zeta_brute((2, 1), 11))
+    harmonic_sums(SuffixTrie([(2, 1), (1, 2, 1)]), 11)
+    assert zeta_mod_p((1, 2, 1), 11) == zeta_brute((1, 2, 1), 11)
+    # one sweep of both indices, none for the repeat, one of the new index
+    assert swept == [[(2, 1), (3,)], [(1, 2, 1)]]
+
+
+def test_closed_forms_at_large_primes():
+    # depth 1: the sum of m^(-a) vanishes unless (p-1) | a, when it is p-1.
+    # depth 2 (m_1 > m_2, a on the outer sum), for 2 <= a+b <= p-2:
+    # zeta_p(a, b) = (-1)^a C(a+b, a) B_(p-a-b) / (a+b)  (Hoffman; Zhao)
+    for p in (10007, 65537):
+        singles = [1, 2, 3, 37, p - 2, p - 1, 2 * (p - 1), 3 * (p - 1) + 5]
+        pairs = [(1, 1), (1, 2), (2, 1), (3, 4), (5, 2), (2, 6), (10, 11), (100, 37), (1, p - 4)]
+        swept = SuffixTrie([(a,) for a in singles] + pairs).sweep(p)
+        for a in singles:
+            expect = p - 1 if a % (p - 1) == 0 else 0
+            assert swept[(a,)] == zeta_mod_p((a,), p) == expect, (a, p)
+        for a, b in pairs:
+            w = a + b
+            expect = (-1) ** a * comb(w, a) * bernoulli_mod_p(w, p) * inv_mod(w, p) % p
+            assert swept[(a, b)] == zeta_mod_p((a, b), p) == expect, (a, b, p)
+
+
+def test_trie_keeps_one_tail_per_depth():
+    p = 65537
+    # depth 4, eleven proper suffixes: (1), (2), (3), (1,1), (2,2), ...
+    indices = [(1, 1, 1, 1), (1, 2, 2, 2), (1, 3, 3, 3), (1, 1, 2, 3), (2, 2, 2, 2)]
+    trie = SuffixTrie(indices)
+    trie.sweep(p)  # rows into the store, and the walk built
+    nodes = sum(1 for op in trie._ops if op[2] is None)
+    tracemalloc.start()
+    try:
+        tail = list(map(mod, accumulate(map(mul, inverse_table(p), repeat(1)), initial=0), repeat(p)))
+        one_tail = tracemalloc.get_traced_memory()[0]
+        del tail
+        tracemalloc.reset_peak()
+        trie.sweep(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert nodes == 11
+    assert peak < (4 + 2) * one_tail, (peak / one_tail, nodes)

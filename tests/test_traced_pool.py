@@ -12,9 +12,10 @@ from pathlib import Path
 
 import pytest
 
+import fmzv.modp as modp
 import fmzv.verify
 from fmzv.cli import main
-from fmzv.modp import primes_in, zeta_mod_p
+from fmzv.modp import primes_in
 
 _spec = importlib.util.spec_from_file_location(
     "perfbench_tracer", Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -40,7 +41,10 @@ def test_worker_spans_reach_the_parent(monkeypatch, tmp_path):
         assert main(argv + ["--jobs", "1", "--format", "json", "--output", str(out)]) == 0
         serial.append(out.read_bytes())
 
-    zeta_mod_p.cache_clear()
+    # cold residues and rows, so the workers sweep and build every row
+    monkeypatch.setattr(modp, "_residues", {})
+    monkeypatch.setattr(modp, "_rows", {})
+    monkeypatch.setattr(modp, "_rows_size", 0)
     spool = tmp_path / "spool"
     spool.mkdir()
     active = tracer.Tracer(spool)
@@ -57,7 +61,7 @@ def test_worker_spans_reach_the_parent(monkeypatch, tmp_path):
 
     assert metrics["verify.pool_starts"] == 2
     assert not list(spool.iterdir())
-    worker_sweeps = [s for s in trace["spans"] if s[0] == "modp.zeta_mod_p" and s[4] != os.getpid()]
-    assert worker_sweeps and len(worker_sweeps) == metrics["modp.zeta_mod_p.sweeps"]
-    # the homogeneous check's one index (3, 3) is swept at every prime in a worker
-    assert metrics["modp.sweep_mults"] >= 2 * sum(p - 1 for p in primes_in(5, 60))
+    tables = [s for s in trace["spans"] if s[0] == "modp.inverse_table"]
+    # each check builds the inverse row of every prime once, in a worker
+    assert all(s[4] != os.getpid() for s in tables)
+    assert len(tables) == metrics["modp.inverse_table.calls"] == 2 * len(primes_in(5, 60))

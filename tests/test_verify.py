@@ -2,9 +2,10 @@ from collections import Counter
 
 import pytest
 
+import fmzv.modp
 import fmzv.verify
 from fmzv.indices import Index
-from fmzv.modp import zeta_mod_p, zeta_poly_mod_p
+from fmzv.modp import zeta_mod_p
 from fmzv.verify import (
     CheckReport,
     PrimeCheck,
@@ -25,7 +26,7 @@ from fmzv.verify import (
 from fmzv.suite import all_indices
 from fmzv.words import index_of_word
 
-from oracles import zeta_brute
+from oracles import zeta_brute, zeta_poly_mod_p
 
 
 def test_ohno_trivial_shift():
@@ -313,7 +314,7 @@ def test_pool_only_for_heavy_checks(monkeypatch, recorded_pools):
     plans = []
     evaluate = fmzv.verify._evaluate
     monkeypatch.setattr(
-        fmzv.verify, "_evaluate", lambda plan, *rest: plans.append(plan) or evaluate(plan, *rest)
+        fmzv.verify, "_evaluate", lambda batch, *rest: plans.extend(batch) or evaluate(batch, *rest)
     )
     check_ohno(k, 1, light, jobs=1)
     (plan,) = plans
@@ -353,6 +354,28 @@ def test_confirm_failures_flags_engine_bugs():
         _confirm_failures(rows, 5, buggy_pair)
     # below the floor nothing is re-verified
     _confirm_failures(rows, 13, buggy_pair)
+
+
+def test_batch_reports_equal_single_runs(monkeypatch):
+    # one window, plans with different minimum primes, shared indices
+    window = (2, 40)
+    batch = [
+        fmzv.verify.ohno_instance((2, 1), 1, window),
+        fmzv.verify.sum_formula_instance(7, 3, 2, window),
+        fmzv.verify.height_one_instance(1, 0, window, floor=2),
+        fmzv.verify.stuffle_instance("xy", "y", window),
+        fmzv.verify.lemma_instance("key-lemma", (1, 2), 2, window),
+        fmzv.verify.homogeneous_instance(1, 1, window, floor=2),
+    ]
+    monkeypatch.setattr(fmzv.modp, "_residues", {})
+    reports = fmzv.verify._run(batch, window, jobs=1)
+    assert [rep.passed for rep in reports] == [True, True, True, True, True, False]
+    assert [rep.results[0].p for rep in reports] == [2, 11, 5, 2, 2, 2]
+    for inst, rep in zip(batch, reports):
+        monkeypatch.setattr(fmzv.modp, "_residues", {})
+        alone = fmzv.verify._run([inst], window, jobs=1)
+        assert alone == [rep]
+    assert fmzv.verify._run([], (2, 1), jobs=1) == []
 
 
 def test_empty_window_rejected():

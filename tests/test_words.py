@@ -17,7 +17,6 @@ from fmzv.words import (
     index_of_word,
     reverse_word,
     shuffle,
-    tau,
     word_of_index,
 )
 
@@ -40,14 +39,6 @@ def test_word_index_bijection():
         index_of_word("")
     with pytest.raises(ValueError):
         word_of_index((0,))
-
-
-def test_tau():
-    assert tau("xyy") == "yxx"
-    assert tau("") == ""
-    assert tau("yxy") == "xyx"
-    with pytest.raises(ValueError):
-        tau("xz")
 
 
 def test_hoffman_dual_word():
