@@ -37,27 +37,13 @@ from .modp import (
     zeta_mod_p,
     zeta_mod_p_naive,
 )
-from .verify import (
-    CheckReport,
-    PrimeCheck,
-    check_eq3,
-    check_height_one,
-    check_homogeneous_zero,
-    check_ikz,
-    check_key_lemma,
-    check_lemma2,
-    check_ohno,
-    check_shuffle_duality,
-    check_stuffle_hom,
-    check_sum_formula,
-    lemma_index_layers,
-    lemma_word_layers,
-)
+from .verify import CHECKS, CheckReport, PrimeCheck, check, lemma_index_layers, lemma_word_layers
 from .suite import run_battery
 
 __version__ = "0.1.0"
 
 __all__ = [
+    "CHECKS",
     "CheckReport",
     "Index",
     "NCPolynomial",
@@ -67,16 +53,7 @@ __all__ = [
     "bernoulli_mod_p",
     "binary_vectors",
     "bumped_insertion_words",
-    "check_eq3",
-    "check_height_one",
-    "check_homogeneous_zero",
-    "check_ikz",
-    "check_key_lemma",
-    "check_lemma2",
-    "check_ohno",
-    "check_shuffle_duality",
-    "check_stuffle_hom",
-    "check_sum_formula",
+    "check",
     "concat",
     "const_series",
     "format_index",

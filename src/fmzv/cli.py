@@ -19,20 +19,7 @@ import sys
 from .indices import format_index, hoffman_dual, parse_index
 from .modp import EngineFault, bernoulli_mod_p, primes_in, zeta_mod_p
 from .suite import run_battery
-from .verify import (
-    CheckReport,
-    check_eq3,
-    check_height_one,
-    check_homogeneous_zero,
-    check_ikz,
-    check_key_lemma,
-    check_lemma2,
-    check_ohno,
-    check_shuffle_duality,
-    check_stuffle_hom,
-    check_sum_formula,
-)
-from .words import check_word
+from .verify import CHECKS, CheckReport, check
 
 PRIMES_ENV = "FMZV_DEFAULT_PRIMES"
 
@@ -150,41 +137,6 @@ def _add_numeric_opts(parser: argparse.ArgumentParser) -> None:
     _add_output_opts(parser)
 
 
-_INDEX = ("--index", parse_index)
-_N = ("--n", int)
-_W = ("--w", check_word)
-_WP = ("--wp", check_word)
-
-# check name -> (help, flags, checker, numeric).  Each flag is (option,
-# parser): int flags are converted by argparse, the others by their parser
-# when the check runs, so a bad token is reported like any other usage error.
-# The checker takes the flags' values in order, and a numeric one also the
-# window, floor and jobs.
-CHECKS = {
-    "ohno": ("shifted-sum relation", (_INDEX, _N), check_ohno, True),
-    "sum-formula": (
-        "fixed weight/depth sum vs closed form",
-        (("--k", int), ("--r", int), ("--i", int)),
-        check_sum_formula,
-        True,
-    ),
-    "height-one": (
-        "ones-padded double sum vs closed form", (("--a", int), ("--b", int)), check_height_one, True
-    ),
-    "stuffle": ("harmonic product vs product of values", (_W, _WP), check_stuffle_hom, True),
-    "duality": (
-        "shuffle product vs signed reversed concatenation", (_W, _WP), check_shuffle_duality, True
-    ),
-    "homogeneous": (
-        "vanishing of a constant-index sum", (("--a", int), ("--r", int)), check_homogeneous_zero, True
-    ),
-    "lemma2": ("word-side lemma value vs zero", (_INDEX, _N), check_lemma2, True),
-    "key-lemma": ("index-side lemma value vs zero", (_INDEX, _N), check_key_lemma, True),
-    "eq3": ("exact word identity (symbolic)", (_INDEX, _N), check_eq3, False),
-    "ikz": ("truncated series identity (symbolic)", (_W, ("--order", int)), check_ikz, False),
-}
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     # Built on first use and reused by every later call of main in the
@@ -212,6 +164,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="run one identity checker")
     p_check.set_defaults(handler=_cmd_check)
     csub = p_check.add_subparsers(dest="check_command", required=True)
+    # int flags are converted by argparse, the others by their parser when
+    # the check runs, so a bad token is reported like any other usage error
     for name, (help_text, flags, _, numeric) in CHECKS.items():
         p = csub.add_parser(name, help=help_text)
         for option, parse in flags:
@@ -274,7 +228,8 @@ def _cmd_bernoulli(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    _, flags, checker, numeric = CHECKS[args.check_command]
+    name = args.check_command
+    _, flags, _, numeric = CHECKS[name]
     options = {}
     if numeric:
         window = _window_from(args)
@@ -284,7 +239,7 @@ def _cmd_check(args) -> int:
             )
         options = {"window": window, "floor": args.floor, "jobs": args.jobs}
     values = [parse(getattr(args, option[2:])) for option, parse in flags]
-    return _finish_report(checker(*values, **options), args)
+    return _finish_report(check(name, *values, **options), args)
 
 
 def _cmd_suite(args) -> int:

@@ -28,7 +28,6 @@ all of their arithmetic.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from collections.abc import Iterable, Mapping, Sequence
@@ -316,22 +315,28 @@ def zeta_mod_p_naive(k: tuple[int, ...], p: int) -> int:
     return g[0]
 
 
-@functools.lru_cache(maxsize=None)
-def _bernoulli(n: int, p: int) -> int:
-    # B_n mod p for 2 <= n <= p-2.  B_n vanishes for odd n >= 3; for even n
-    # (then n <= p-3) the power-sum congruence 1^n + ... + (p-1)^n = p*B_n
-    # mod p^2 holds (Ireland-Rosen, ch. 15), so the sum divided by p is B_n.
-    if n % 2:
-        return 0
-    s = sum(map(pow, range(1, p), repeat(n), repeat(p * p)))
-    if s % p:
-        raise EngineFault(f"power sum of exponent {n} is not divisible by {p}")
-    return s // p % p
+# (n, p) -> B_n mod p; a key is stored only once p has passed the primality
+# and range checks, so a hit needs neither
+_bernoulli: dict[tuple[int, int], int] = {}
 
 
 def bernoulli_mod_p(k: int, p: int) -> int:
     """B_(p-k) mod p, for 2 <= k <= p-2 (which keeps the number p-integral)."""
+    n = p - k
+    hit = _bernoulli.get((n, p))
+    if hit is not None:
+        return hit
     ensure_prime(p)
     if not 2 <= k <= p - 2:
         raise ValueError(f"need 2 <= k <= p-2, got k={k}, p={p}")
-    return _bernoulli(p - k, p)
+    # B_n vanishes for odd n >= 3; for even n (then n <= p-3) the power-sum
+    # congruence 1^n + ... + (p-1)^n = p*B_n mod p^2 holds (Ireland-Rosen,
+    # ch. 15), so the sum divided by p is B_n.
+    value = 0
+    if n % 2 == 0:
+        s = sum(map(pow, range(1, p), repeat(n), repeat(p * p)))
+        if s % p:
+            raise EngineFault(f"power sum of exponent {n} is not divisible by {p}")
+        value = s // p % p
+    _bernoulli[n, p] = value
+    return value

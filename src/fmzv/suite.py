@@ -14,18 +14,7 @@ from math import comb
 
 from .indices import Index, hoffman_dual, weak_compositions
 from .modp import bernoulli_mod_p, primes_in, zeta_mod_p, zeta_mod_p_naive
-from .verify import (
-    _run,
-    check_eq3,
-    check_ikz,
-    duality_instance,
-    height_one_instance,
-    homogeneous_instance,
-    lemma_instance,
-    ohno_instance,
-    stuffle_instance,
-    sum_formula_instance,
-)
+from .verify import CHECKS, _run, check
 from .words import NCPolynomial, harmonic, shuffle
 
 
@@ -88,85 +77,54 @@ def run_battery(
         f"{count} indices of weight <= 10, {bad} failures",
     )
 
-    # 2. exact word identity behind the shifted harmonic product
-    fails = 0
-    count = 0
-    for k in all_indices(min(max_weight, 6)):
-        for n in range(min(max_n, 3) + 1):
-            count += 1
-            if not check_eq3(k, n).passed:
-                fails += 1
-    record("eq3-symbolic", fails == 0, f"{count} instances, {fails} failures")
-
-    # 3. truncated series identity through u^4
-    fails = 0
-    count = 0
-    for w in h1_words(5):
-        count += 1
-        if not check_ikz(w, 4).passed:
-            fails += 1
-    record("ikz-truncated", fails == 0, f"{count} words through u^4, {fails} failures")
+    # Steps 2-9 each count the reports that fail ``ok``.
+    def tally(name: str, noun: str, reports, ok=lambda rep: rep.passed) -> None:
+        reports = list(reports)
+        fails = sum(1 for rep in reports if not ok(rep))
+        record(name, fails == 0, f"{len(reports)} {noun}, {fails} failures")
 
     # Steps 4-9 each build every instance first and run them as one batch.
-    def failures(reports) -> int:
-        return sum(1 for rep in reports if not rep.passed)
+    def batch(names, values, at=window):
+        return _run([CHECKS[name].build(*v, at) for v in values for name in names], at, jobs)
+
+    # 2. exact word identity behind the shifted harmonic product
+    symbolic = [(k, n) for k in all_indices(min(max_weight, 6)) for n in range(min(max_n, 3) + 1)]
+    tally("eq3-symbolic", "instances", (check("eq3", k, n) for k, n in symbolic))
+
+    # 3. truncated series identity through u^4
+    tally("ikz-truncated", "words through u^4", (check("ikz", w, 4) for w in h1_words(5)))
 
     # 4. shifted-sum relation over the window
-    batch = [ohno_instance(k, n, window) for k in all_indices(max_weight) for n in range(max_n + 1)]
-    fails = failures(_run(batch, window, jobs))
-    record("ohno", fails == 0, f"{len(batch)} instances, {fails} failures")
+    ohno = [(k, n) for k in all_indices(max_weight) for n in range(max_n + 1)]
+    tally("ohno", "instances", batch(["ohno"], ohno))
 
     # 5. sum formula, including forced vanishing for even weights
-    batch = [
-        sum_formula_instance(k, r, i, window)
-        for k in range(3, 10)
-        if k + 2 <= hi
-        for r in range(1, k)
-        for i in range(1, r + 1)
+    def vanishes_if_even(rep) -> bool:
+        k = rep.params["k"]
+        return rep.passed and (k % 2 or all(row.rhs == 0 for row in rep.results if row.p >= k + 3))
+
+    sums = [
+        (k, r, i) for k in range(3, 10) if k + 2 <= hi for r in range(1, k) for i in range(1, r + 1)
     ]
-    fails = 0
-    for inst, rep in zip(batch, _run(batch, window, jobs)):
-        k = inst.weight
-        ok = rep.passed
-        if k % 2 == 0:
-            ok = ok and all(row.rhs == 0 for row in rep.results if row.p >= k + 3)
-        if not ok:
-            fails += 1
-    record("sum-formula", fails == 0, f"{len(batch)} instances, {fails} failures")
+    tally("sum-formula", "instances", batch(["sum-formula"], sums), ok=vanishes_if_even)
 
     # 6. height-one closed form
-    batch = [height_one_instance(a, b, window) for a in range(0, 6) for b in range(0, 6 - a)]
-    fails = failures(_run(batch, window, jobs))
-    record("height-one", fails == 0, f"{len(batch)} instances, {fails} failures")
+    runs = [(a, b) for a in range(0, 6) for b in range(0, 6 - a)]
+    tally("height-one", "instances", batch(["height-one"], runs))
 
     # 7. product-to-value homomorphism and shuffle duality
-    pair_window = (max(lo, 9), hi)
     words = [w for w in h1_words(5) if w]
-    batch = [
-        make(w, wp, pair_window)
-        for w in words
-        for wp in words
-        if len(w) + len(wp) <= 6
-        for make in (stuffle_instance, duality_instance)
-    ]
-    fails = failures(_run(batch, pair_window, jobs))
-    record("stuffle-duality", fails == 0, f"{len(batch)} checks, {fails} failures")
+    pairs = [(w, wp) for w in words for wp in words if len(w) + len(wp) <= 6]
+    tally("stuffle-duality", "checks", batch(["stuffle", "duality"], pairs, (max(lo, 9), hi)))
 
     # 8. homogeneous vanishing
-    batch = [homogeneous_instance(a, r, window) for a in range(1, 4) for r in range(1, 5)]
-    fails = failures(_run(batch, window, jobs))
-    record("homogeneous", fails == 0, f"{len(batch)} instances, {fails} failures")
+    constants = [(a, r) for a in range(1, 4) for r in range(1, 5)]
+    tally("homogeneous", "instances", batch(["homogeneous"], constants))
 
     # 9. the lemma value at every prime; key-lemma first compares the index
     # and word readings exactly, layer by layer
-    batch = [
-        lemma_instance(identity, k, n, window)
-        for k in all_indices(min(max_weight, 5))
-        for n in range(1, max_n + 1)
-        for identity in ("lemma2", "key-lemma")
-    ]
-    fails = failures(_run(batch, window, jobs))
-    record("lemma-checks", fails == 0, f"{len(batch)} checks, {fails} failures")
+    lemmas = [(k, n) for k in all_indices(min(max_weight, 5)) for n in range(1, max_n + 1)]
+    tally("lemma-checks", "checks", batch(["lemma2", "key-lemma"], lemmas))
 
     # 10. fast evaluator against the brute-force oracle
     fails = 0

@@ -7,19 +7,23 @@ of harmonic sums, and at most one Bernoulli term on the right.  A word
 polynomial becomes such a sum once, word by word, when the plan is built.
 One evaluator, :func:`_pair`, computes a plan at a prime.
 
-Each checker builds an :class:`Instance` (identity, params, plan, floor)
-and runs it through one runner, :func:`_run`, which takes a batch of
-instances over one window; the battery passes each step's instances as one
-batch.  The plans that share a minimum prime are evaluated together: at
-each prime one walk of a :class:`~fmzv.modp.SuffixTrie`, built once over
-the union of their indices and backed by the residue memo of
-:mod:`fmzv.modp`, gives every residue they need, and then each plan is
-evaluated from those residues.  Each instance is reported on its own.
+One table, :data:`CHECKS`, names every identity with its flags and its
+builder, and :func:`check` runs one identity by name; the CLI and the
+battery read the same table.  A numeric builder makes an :class:`Instance`
+(identity, params, plan, weight), and one runner, :func:`_run`, takes a
+batch of instances over one window and one floor; the battery passes each
+step's instances as one batch.  The plans that share a minimum prime are
+evaluated together: at each prime one walk of a
+:class:`~fmzv.modp.SuffixTrie`, built once over the union of their indices
+and backed by the residue memo of :mod:`fmzv.modp`, gives every residue
+they need, and then each plan is evaluated from those residues.  Each
+instance is reported on its own.
 
 "Equal in the cofinite-equality ring" is operationalized as "equal at every
-prime at or above the floor", with the floor defaulting to weight + shift +
-3.  Sub-floor primes are still evaluated and reported, but they never fail
-a check.  When a numeric comparison fails at or above the floor, the prime
+prime at or above the floor".  The floor is an option of the run, not of
+the identity, and defaults to each instance's weight + shift + 3.
+Sub-floor primes are still evaluated and reported, but they never fail a
+check.  When a numeric comparison fails at or above the floor, the prime
 is re-evaluated with the independent brute-force harmonic-sum oracle before
 the failure is reported, so an engine bug cannot masquerade as a genuine
 exceptional prime.
@@ -35,7 +39,7 @@ from __future__ import annotations
 import math
 import os
 from collections import Counter
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from itertools import zip_longest
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -43,7 +47,14 @@ from functools import partial
 from typing import NamedTuple
 
 from .generators import bumped_insertion_words, ones_expansion_sides
-from .indices import Index, add_componentwise, binary_vectors, hoffman_dual, weak_compositions
+from .indices import (
+    Index,
+    add_componentwise,
+    binary_vectors,
+    hoffman_dual,
+    parse_index,
+    weak_compositions,
+)
 from .modp import (
     EngineFault,
     SuffixTrie,
@@ -57,6 +68,7 @@ from .series import const_series, geometric_yu, series_harmonic, series_shuffle,
 from .words import (
     NCPolynomial,
     _combine,
+    check_word,
     concat,
     harmonic,
     in_h1,
@@ -183,13 +195,11 @@ class Plan:
 
 class Instance(NamedTuple):
     """One numeric identity instance, ready for :func:`_run`: its report's
-    identity and params, its plan, its floor (None for weight + 3) and its
-    weight."""
+    identity and params, its plan and its weight."""
 
     identity: str
     params: dict
     plan: Plan
-    floor: int | None
     weight: int
 
 
@@ -271,10 +281,12 @@ def _confirm_failures(rows: list[PrimeCheck], floor: int, pair_fn) -> None:
                 )
 
 
-def _run(instances: list[Instance], window: Window, jobs: int) -> list[CheckReport]:
+def _run(
+    instances: list[Instance], window: Window, jobs: int = 1, floor: int | None = None
+) -> list[CheckReport]:
     """Evaluate every instance's plan at each usable prime of one window and
-    report each instance on its own.  Plans that share their minimum prime
-    are evaluated as one batch."""
+    report each instance on its own, against ``floor`` or else its weight
+    + 3.  Plans that share their minimum prime are evaluated as one batch."""
     lo, hi = window
     batches: dict[int, list[int]] = {}  # minimum prime -> positions
     for i, inst in enumerate(instances):
@@ -291,11 +303,10 @@ def _run(instances: list[Instance], window: Window, jobs: int) -> list[CheckRepo
         for i, rows in zip(members, _evaluate(plans, primes, jobs)):
             rows_of[i] = rows
     reports = []
-    for (identity, params, plan, floor, weight), rows in zip(instances, rows_of):
-        if floor is None:
-            floor = weight + 3
-        _confirm_failures(rows, floor, partial(_pair_with, plan))
-        reports.append(CheckReport(identity, params, "numeric", floor, rows))
+    for (identity, params, plan, weight), rows in zip(instances, rows_of):
+        at = weight + 3 if floor is None else floor
+        _confirm_failures(rows, at, partial(_pair_with, plan))
+        reports.append(CheckReport(identity, params, "numeric", at, rows))
     return reports
 
 
@@ -307,10 +318,12 @@ def _index_and_shift(k: Sequence[int], n: int) -> Index:
 
 
 # ---------------------------------------------------------------------------
-# numeric checkers: each builds an instance and runs it as a batch of one
+# numeric identities: each builder takes its flags' values and the window
 
 
-def ohno_instance(k: Sequence[int], n: int, window: Window, floor: int | None = None) -> Instance:
+def ohno_instance(k: Sequence[int], n: int, window: Window) -> Instance:
+    """Shifted-sum relation: the n-shifted sum over ``k`` against the
+    dualized n-shifted sum over the dual of ``k``, prime by prime."""
     k = _index_and_shift(k, n)
     kd = hoffman_dual(k)
     plan = Plan(
@@ -320,20 +333,13 @@ def ohno_instance(k: Sequence[int], n: int, window: Window, floor: int | None = 
         ),
     )
     params = {"index": list(k), "n": n, "primes": list(window)}
-    return Instance("ohno", params, plan, floor, k.weight + n)
+    return Instance("ohno", params, plan, k.weight + n)
 
 
-def check_ohno(
-    k: Sequence[int], n: int, window: Window, floor: int | None = None, jobs: int = 1
-) -> CheckReport:
-    """Shifted-sum relation: the n-shifted sum over ``k`` against the
-    dualized n-shifted sum over the dual of ``k``, prime by prime."""
-    return _run([ohno_instance(k, n, window, floor)], window, jobs)[0]
-
-
-def sum_formula_instance(
-    k: int, r: int, i: int, window: Window, floor: int | None = None
-) -> Instance:
+def sum_formula_instance(k: int, r: int, i: int, window: Window) -> Instance:
+    """Fixed weight/depth sum with one raised entry against its closed form
+    in B_(p-k)/k.  Primes below k+2, where the closed form is undefined, are
+    skipped."""
     if not 1 <= i <= r <= k - 1:
         raise ValueError(f"need 1 <= i <= r <= k-1, got k={k}, r={r}, i={i}")
     base = Index([1] * (i - 1) + [2] + [1] * (r - i))
@@ -347,37 +353,23 @@ def sum_formula_instance(
         bernoulli=(k, coef, coef_alt),
     )
     params = {"k": k, "r": r, "i": i, "primes": list(window)}
-    return Instance("sum-formula", params, plan, floor, k)
+    return Instance("sum-formula", params, plan, k)
 
 
-def check_sum_formula(
-    k: int, r: int, i: int, window: Window, floor: int | None = None, jobs: int = 1
-) -> CheckReport:
-    """Fixed weight/depth sum with one raised entry against its closed form
-    in B_(p-k)/k.  Primes below k+2, where the closed form is undefined, are
-    skipped."""
-    return _run([sum_formula_instance(k, r, i, window, floor)], window, jobs)[0]
-
-
-def height_one_instance(a: int, b: int, window: Window, floor: int | None = None) -> Instance:
+def height_one_instance(a: int, b: int, window: Window) -> Instance:
+    """Single harmonic sum over (1,...,1,2,1,...,1) with a leading and b
+    trailing ones against its closed form in B_(p-w)/w, w = a+b+2."""
     if a < 0 or b < 0:
         raise ValueError(f"run lengths must be >= 0, got a={a}, b={b}")
     w = a + b + 2
     coef = (-1 if (b + 1) % 2 else 1) * math.comb(w, b + 1)
     plan = Plan(_index_terms([Index([1] * a + [2] + [1] * b)]), bernoulli=(w, coef, coef))
     params = {"a": a, "b": b, "primes": list(window)}
-    return Instance("height-one", params, plan, floor, w)
+    return Instance("height-one", params, plan, w)
 
 
-def check_height_one(
-    a: int, b: int, window: Window, floor: int | None = None, jobs: int = 1
-) -> CheckReport:
-    """Single harmonic sum over (1,...,1,2,1,...,1) with a leading and b
-    trailing ones against its closed form in B_(p-w)/w, w = a+b+2."""
-    return _run([height_one_instance(a, b, window, floor)], window, jobs)[0]
-
-
-def stuffle_instance(w: str, wp: str, window: Window, floor: int | None = None) -> Instance:
+def stuffle_instance(w: str, wp: str, window: Window) -> Instance:
+    """Harmonic product maps to the product of values, prime by prime."""
     for word in (w, wp):
         if not in_h1(word):
             raise ValueError(f"word {word!r} must be empty or end in 'y'")
@@ -385,17 +377,12 @@ def stuffle_instance(w: str, wp: str, window: Window, floor: int | None = None) 
     values = tuple(index_of_word(word) for word in (w, wp) if word)
     plan = Plan(_word_terms(harm), ((1, values),))
     params = {"w": w, "wp": wp, "primes": list(window)}
-    return Instance("stuffle", params, plan, floor, len(w) + len(wp))
+    return Instance("stuffle", params, plan, len(w) + len(wp))
 
 
-def check_stuffle_hom(
-    w: str, wp: str, window: Window, floor: int | None = None, jobs: int = 1
-) -> CheckReport:
-    """Harmonic product maps to the product of values, prime by prime."""
-    return _run([stuffle_instance(w, wp, window, floor)], window, jobs)[0]
-
-
-def duality_instance(w: str, wp: str, window: Window, floor: int | None = None) -> Instance:
+def duality_instance(w: str, wp: str, window: Window) -> Instance:
+    """Shuffle product against the signed value of the block-reversed
+    concatenation, prime by prime."""
     for word in (w, wp):
         if not word or not in_h1(word):
             raise ValueError(f"word {word!r} must be nonempty and end in 'y'")
@@ -403,30 +390,16 @@ def duality_instance(w: str, wp: str, window: Window, floor: int | None = None) 
     sign = -1 if len(w) % 2 else 1
     plan = Plan(_word_terms(shuf), _index_terms([index_of_word(reverse_word(w) + wp)], sign))
     params = {"w": w, "wp": wp, "primes": list(window)}
-    return Instance("duality", params, plan, floor, len(w) + len(wp))
+    return Instance("duality", params, plan, len(w) + len(wp))
 
 
-def check_shuffle_duality(
-    w: str, wp: str, window: Window, floor: int | None = None, jobs: int = 1
-) -> CheckReport:
-    """Shuffle product against the signed value of the block-reversed
-    concatenation, prime by prime."""
-    return _run([duality_instance(w, wp, window, floor)], window, jobs)[0]
-
-
-def homogeneous_instance(a: int, r: int, window: Window, floor: int | None = None) -> Instance:
+def homogeneous_instance(a: int, r: int, window: Window) -> Instance:
+    """Vanishing of the harmonic sum over a constant index (a, ..., a)."""
     if a < 1 or r < 1:
         raise ValueError(f"need a >= 1 and r >= 1, got a={a}, r={r}")
     plan = Plan(_index_terms([Index((a,) * r)]))
     params = {"a": a, "r": r, "primes": list(window)}
-    return Instance("homogeneous", params, plan, floor, a * r)
-
-
-def check_homogeneous_zero(
-    a: int, r: int, window: Window, floor: int | None = None, jobs: int = 1
-) -> CheckReport:
-    """Vanishing of the harmonic sum over a constant index (a, ..., a)."""
-    return _run([homogeneous_instance(a, r, window, floor)], window, jobs)[0]
+    return Instance("homogeneous", params, plan, a * r)
 
 
 def lemma_word_layers(k: Sequence[int], n: int) -> tuple[NCPolynomial, ...]:
@@ -458,13 +431,17 @@ def lemma_index_layers(k: Sequence[int], n: int) -> tuple[tuple[Index, ...], ...
     return tuple(layers)
 
 
-def lemma_instance(
-    identity: str, k: Sequence[int], n: int, window: Window, floor: int | None = None
-) -> Instance:
-    """The signed word reading of the lemma value against zero, for
-    ``lemma2`` or ``key-lemma``; for key-lemma the index reading must first
-    equal it exactly, layer by layer.  At n = 0 the value is not zero, so
-    the two readings are compared at every prime."""
+def lemma_instance(identity: str, k: Sequence[int], n: int, window: Window) -> Instance:
+    """The signed lemma value against zero, prime by prime, for ``lemma2``
+    (the word reading) or ``key-lemma`` (the index reading).  For key-lemma
+    the index reading is first compared exactly with the word reading, layer
+    by layer as multisets of indices; since they are equal, the value is
+    then evaluated from the word reading, as for lemma2.
+
+    The stated identity needs n >= 1; n = 0 is accepted but degenerates, and
+    the two readings are then compared at every prime instead of against
+    zero.
+    """
     k = _index_and_shift(k, n)
     compare = identity == "key-lemma"
     params = {"index": list(k), "n": n, "primes": list(window)}
@@ -484,34 +461,11 @@ def lemma_instance(
     if n == 0:
         params["note"] = "n=0 is outside the stated range; comparing the two readings"
         index_side = tuple(t for i, L in enumerate(idx_layers) for t in _index_terms(L, (-1) ** i))
-    return Instance(identity, params, Plan(word_side, index_side), floor, k.weight + n)
-
-
-def check_lemma2(
-    k: Sequence[int], n: int, window: Window, floor: int | None = None, jobs: int = 1
-) -> CheckReport:
-    """Signed word-side lemma value against zero, prime by prime.
-
-    The stated identity needs n >= 1; n = 0 is accepted but degenerates, and
-    is then checked against the index-side reading instead of zero.
-    """
-    return _run([lemma_instance("lemma2", k, n, window, floor)], window, jobs)[0]
-
-
-def check_key_lemma(
-    k: Sequence[int], n: int, window: Window, floor: int | None = None, jobs: int = 1
-) -> CheckReport:
-    """Signed index-side lemma value against zero, prime by prime.
-
-    The index reading is first compared exactly with the word reading, layer
-    by layer as multisets of indices; since they are equal, the value is
-    then evaluated from the word reading, as in :func:`check_lemma2`.
-    """
-    return _run([lemma_instance("key-lemma", k, n, window, floor)], window, jobs)[0]
+    return Instance(identity, params, Plan(word_side, index_side), k.weight + n)
 
 
 # ---------------------------------------------------------------------------
-# symbolic checkers
+# symbolic identities: each checker takes its flags' values
 
 
 def check_eq3(k: Sequence[int], n: int) -> CheckReport:
@@ -552,3 +506,69 @@ def check_ikz(w: str, order: int) -> CheckReport:
         lhs=None if equal else str(lhs),
         rhs=None if equal else str(rhs),
     )
+
+
+class Check(NamedTuple):
+    """One identity of :data:`CHECKS`: its help line, its flags, each an
+    (option, parser) pair, and how it is built from the flags' values.  A
+    numeric identity's ``build`` also takes the window and returns an
+    :class:`Instance`; a symbolic one's returns the report itself."""
+
+    help: str
+    flags: tuple[tuple[str, Callable], ...]
+    build: Callable
+    numeric: bool
+
+
+_INDEX = ("--index", parse_index)
+_N = ("--n", int)
+_W = ("--w", check_word)
+_WP = ("--wp", check_word)
+
+# identity name -> Check; the ``fmzv check`` subcommands, :func:`check` and
+# the battery all read this one table
+CHECKS = {
+    "ohno": Check("shifted-sum relation", (_INDEX, _N), ohno_instance, True),
+    "sum-formula": Check(
+        "fixed weight/depth sum vs closed form",
+        (("--k", int), ("--r", int), ("--i", int)),
+        sum_formula_instance,
+        True,
+    ),
+    "height-one": Check(
+        "ones-padded double sum vs closed form", (("--a", int), ("--b", int)),
+        height_one_instance, True,
+    ),
+    "stuffle": Check("harmonic product vs product of values", (_W, _WP), stuffle_instance, True),
+    "duality": Check(
+        "shuffle product vs signed reversed concatenation", (_W, _WP), duality_instance, True
+    ),
+    "homogeneous": Check(
+        "vanishing of a constant-index sum", (("--a", int), ("--r", int)),
+        homogeneous_instance, True,
+    ),
+    "lemma2": Check(
+        "word-side lemma value vs zero", (_INDEX, _N), partial(lemma_instance, "lemma2"), True
+    ),
+    "key-lemma": Check(
+        "index-side lemma value vs zero", (_INDEX, _N), partial(lemma_instance, "key-lemma"), True
+    ),
+    "eq3": Check("exact word identity (symbolic)", (_INDEX, _N), check_eq3, False),
+    "ikz": Check("truncated series identity (symbolic)", (_W, ("--order", int)), check_ikz, False),
+}
+
+
+def check(
+    name: str, *values, window: Window | None = None, floor: int | None = None, jobs: int = 1
+) -> CheckReport:
+    """Check the identity ``name`` of :data:`CHECKS` for ``values``, the
+    values of its flags in order.  A numeric identity is evaluated at every
+    usable prime of ``window`` with up to ``jobs`` workers, and passes when
+    no prime at or above ``floor`` (default: its weight + 3) disagrees; a
+    symbolic one ignores window, floor and jobs."""
+    entry = CHECKS[name]
+    if not entry.numeric:
+        return entry.build(*values)
+    if window is None:
+        raise ValueError(f"check {name} needs a prime window")
+    return _run([entry.build(*values, window)], window, jobs, floor)[0]

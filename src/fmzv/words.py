@@ -136,40 +136,6 @@ class NCPolynomial:
 
     __hash__ = None  # mutable mapping inside; identity-free equality only
 
-    def __add__(self, other: "NCPolynomial") -> "NCPolynomial":
-        if not isinstance(other, NCPolynomial):
-            return NotImplemented
-        acc = dict(self.terms)
-        for w, c in other.terms.items():
-            v = acc.get(w, 0) + c
-            if v:
-                acc[w] = v
-            else:
-                acc.pop(w, None)
-        return _raw(acc)
-
-    def __sub__(self, other: "NCPolynomial") -> "NCPolynomial":
-        if not isinstance(other, NCPolynomial):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self) -> "NCPolynomial":
-        return _raw({w: -c for w, c in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            if other == 0:
-                return NCPolynomial.zero()
-            return _raw({w: c * other for w, c in self.terms.items()})
-        if isinstance(other, NCPolynomial):
-            return concat(self, other)
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, int):
-            return self * other
-        return NotImplemented
-
     def __str__(self) -> str:
         if not self.terms:
             return "0"

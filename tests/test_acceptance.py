@@ -18,15 +18,9 @@ from fmzv.modp import (
 )
 from fmzv.suite import all_indices, h1_words, run_battery
 from fmzv.verify import (
+    check,
     check_eq3,
-    check_homogeneous_zero,
     check_ikz,
-    check_key_lemma,
-    check_lemma2,
-    check_ohno,
-    check_shuffle_duality,
-    check_stuffle_hom,
-    check_sum_formula,
     lemma_index_layers,
     lemma_word_layers,
 )
@@ -93,7 +87,7 @@ def test_c04_ohno_relation():
     for k in all_indices(7):
         for n in range(4):
             count += 1
-            rep = check_ohno(k, n, (k.weight + n + 3, 200))
+            rep = check("ohno", k, n, window=(k.weight + n + 3, 200))
             if not rep.passed:
                 fails.append((tuple(k), n))
     elapsed = time.time() - start
@@ -110,7 +104,7 @@ def test_c05_sum_formula():
         for r in range(1, k):
             for i in range(1, r + 1):
                 count += 1
-                rep = check_sum_formula(k, r, i, (k + 3, 300))
+                rep = check("sum-formula", k, r, i, window=(k + 3, 300))
                 ok = rep.passed
                 if k % 2 == 0:
                     ok = ok and all(
@@ -143,7 +137,7 @@ def test_c07_homogeneous_vanishing():
     fails = []
     for a in range(1, 4):
         for r in range(1, 5):
-            rep = check_homogeneous_zero(a, r, (2, 200))
+            rep = check("homogeneous", a, r, window=(2, 200))
             if not rep.passed:
                 fails.append((a, r))
     report(7, not fails, f"constant indices (a <= 3, r <= 4) vanish at every prime "
@@ -183,9 +177,9 @@ def test_c09_product_value_relations():
             if len(w) + len(wp) > 6:
                 continue
             count += 2
-            if not check_stuffle_hom(w, wp, (9, 200)).passed:
+            if not check("stuffle", w, wp, window=(9, 200)).passed:
                 fails.append(("stuffle", w, wp))
-            if not check_shuffle_duality(w, wp, (9, 200)).passed:
+            if not check("duality", w, wp, window=(9, 200)).passed:
                 fails.append(("duality", w, wp))
     report(9, not fails, f"{count} product/value checks over word pairs with total "
                          f"weight <= 6, primes in (8, 200]; failures: {fails}")
@@ -210,8 +204,8 @@ def test_c11_lemma_checks():
         for n in (1, 2, 3):
             window = (k.weight + n + 3, 200)
             count += 2
-            r2 = check_lemma2(k, n, window)
-            rk = check_key_lemma(k, n, window)
+            r2 = check("lemma2", k, n, window=window)
+            rk = check("key-lemma", k, n, window=window)
             if not (r2.passed and rk.passed):
                 fails.append((tuple(k), n))
                 continue

@@ -6,7 +6,7 @@ import sys
 import time
 
 import fmzv.verify
-from fmzv.cli import main
+from fmzv.cli import main, render_json
 
 
 def run_cli(capsys, *argv):
@@ -203,12 +203,23 @@ REPORT_HASHES = [
 
 
 def test_every_check_keeps_its_report_bytes(capsys):
-    from fmzv.cli import CHECKS
+    from fmzv.verify import CHECKS, check
 
     assert {argv[0] for argv, _, _ in REPORT_HASHES} == set(CHECKS)
     for argv, expect_code, digest in REPORT_HASHES:
         code, out, _ = run_cli(capsys, "check", *argv, "--format", "json")
         assert (code, hashlib.sha256(out.encode()).hexdigest()) == (expect_code, digest), argv
+        # the same check called from Python renders the same bytes
+        name, given = argv[0], dict(zip(argv[1::2], argv[2::2]))
+        values = [parse(given[option]) for option, parse in CHECKS[name].flags]
+        options = {}
+        if "--primes" in given:
+            lo, hi = map(int, given["--primes"].split(":"))
+            floor = given.get("--floor")
+            options = {"window": (lo, hi), "floor": None if floor is None else int(floor)}
+        report = check(name, *values, **options)
+        assert report.passed == (expect_code == 0), argv
+        assert hashlib.sha256(render_json(report).encode()).hexdigest() == digest, argv
 
 
 def test_check_usage_error(capsys):

@@ -6,6 +6,7 @@ from operator import mod, mul
 
 import pytest
 
+import fmzv.modp
 from fmzv.indices import Index
 from fmzv.modp import (
     MAX_MODULUS,
@@ -181,6 +182,21 @@ def test_bernoulli_range_errors():
     for k, p in [(1, 7), (6, 7), (0, 5), (10, 5)]:
         with pytest.raises(ValueError):
             bernoulli_mod_p(k, p)
+
+
+def test_bernoulli_memo_is_read_before_validating(monkeypatch):
+    monkeypatch.setattr(fmzv.modp, "_bernoulli", {})
+    first = bernoulli_mod_p(3, 7)
+    # a miss still validates: 9 is not prime, and k = 1 is out of range at 7
+    for k, p in [(3, 9), (1, 7)]:
+        with pytest.raises(ValueError):
+            bernoulli_mod_p(k, p)
+
+    def refuse(n):
+        raise AssertionError(f"primality of {n} tested again")
+
+    monkeypatch.setattr(fmzv.modp, "is_prime", refuse)
+    assert bernoulli_mod_p(3, 7) == first == 3
 
 
 def test_bernoulli_table_satisfies_recurrence():

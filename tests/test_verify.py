@@ -10,16 +10,9 @@ from fmzv.verify import (
     CheckReport,
     PrimeCheck,
     _confirm_failures,
+    check,
     check_eq3,
-    check_height_one,
-    check_homogeneous_zero,
     check_ikz,
-    check_key_lemma,
-    check_lemma2,
-    check_ohno,
-    check_shuffle_duality,
-    check_stuffle_hom,
-    check_sum_formula,
     lemma_index_layers,
     lemma_word_layers,
 )
@@ -30,22 +23,22 @@ from oracles import zeta_brute, zeta_poly_mod_p
 
 
 def test_ohno_trivial_shift():
-    rep = check_ohno(Index((2, 1)), 0, (5, 100))
+    rep = check("ohno", Index((2, 1)), 0, window=(5, 100))
     assert rep.passed
     assert all(r.lhs == r.rhs for r in rep.results)
 
 
 def test_ohno_examples():
-    rep = check_ohno(Index((2,)), 1, (7, 200))
+    rep = check("ohno", Index((2,)), 1, window=(7, 200))
     assert rep.passed
     assert all(r.lhs == 0 and r.rhs == 0 for r in rep.results)
-    rep = check_ohno(Index((2, 1)), 1, (5, 200))
+    rep = check("ohno", Index((2, 1)), 1, window=(5, 200))
     assert rep.passed
     assert rep.floor == 3 + 1 + 3
 
 
 def test_ohno_subfloor_reported_not_failed():
-    rep = check_ohno(Index((2,)), 1, (2, 50))
+    rep = check("ohno", Index((2,)), 1, window=(2, 50))
     assert rep.passed
     assert any(r.p == 2 for r in rep.results)
     subs = rep.subfloor_disagreements()
@@ -53,11 +46,11 @@ def test_ohno_subfloor_reported_not_failed():
 
 
 def test_sum_formula_spot():
-    rep = check_sum_formula(3, 2, 1, (5, 5))
+    rep = check("sum-formula", 3, 2, 1, window=(5, 5))
     assert rep.results == [PrimeCheck(5, 1, 1)]
-    rep = check_sum_formula(3, 2, 2, (5, 5))
+    rep = check("sum-formula", 3, 2, 2, window=(5, 5))
     assert rep.results == [PrimeCheck(5, 4, 4)]
-    rep = check_sum_formula(6, 3, 2, (11, 300))
+    rep = check("sum-formula", 6, 3, 2, window=(11, 300))
     assert rep.passed
     assert all(r.rhs == 0 for r in rep.results if r.p >= 9)
 
@@ -65,69 +58,69 @@ def test_sum_formula_spot():
 def test_sum_formula_validation():
     for k, r, i in [(3, 3, 1), (3, 2, 0), (2, 2, 1), (4, 2, 3)]:
         with pytest.raises(ValueError):
-            check_sum_formula(k, r, i, (5, 50))
+            check("sum-formula", k, r, i, window=(5, 50))
     # no prime where the closed form is defined
     with pytest.raises(ValueError):
-        check_sum_formula(9, 2, 1, (2, 7))
+        check("sum-formula", 9, 2, 1, window=(2, 7))
 
 
 def test_height_one_examples():
-    rep = check_height_one(0, 0, (5, 100))
+    rep = check("height-one", 0, 0, window=(5, 100))
     assert rep.passed
     assert all(r.lhs == 0 and r.rhs == 0 for r in rep.results)
-    rep = check_height_one(1, 0, (5, 5))
+    rep = check("height-one", 1, 0, window=(5, 5))
     assert rep.results == [PrimeCheck(5, 4, 4)]
-    rep = check_height_one(0, 1, (5, 5))
+    rep = check("height-one", 0, 1, window=(5, 5))
     assert rep.results == [PrimeCheck(5, 1, 1)]
     with pytest.raises(ValueError):
-        check_height_one(-1, 0, (5, 50))
+        check("height-one", -1, 0, window=(5, 50))
 
 
 def test_height_one_matches_sum_formula_column():
-    left = check_height_one(1, 1, (7, 120)).results
+    left = check("height-one", 1, 1, window=(7, 120)).results
     # a=1, b=1 is the k=4, r=3, i=2 column with no extra shift
-    right = check_sum_formula(4, 3, 2, (7, 120)).results
+    right = check("sum-formula", 4, 3, 2, window=(7, 120)).results
     assert left == right
 
 
 def test_stuffle_examples():
-    rep = check_stuffle_hom("y", "xy", (7, 7))
+    rep = check("stuffle", "y", "xy", window=(7, 7))
     assert rep.passed and rep.results[0].lhs == 0
-    rep = check_stuffle_hom("y", "", (2, 60))
+    rep = check("stuffle", "y", "", window=(2, 60))
     assert rep.passed
-    rep = check_stuffle_hom("y", "y", (3, 97))
+    rep = check("stuffle", "y", "y", window=(3, 97))
     assert rep.passed
     with pytest.raises(ValueError):
-        check_stuffle_hom("yx", "y", (2, 50))
+        check("stuffle", "yx", "y", window=(2, 50))
 
 
 def test_duality_examples():
-    rep = check_shuffle_duality("y", "xy", (2, 200))
+    rep = check("duality", "y", "xy", window=(2, 200))
     assert rep.passed and rep.failed_above_floor == 0
-    rep = check_shuffle_duality("y", "y", (2, 200))
+    rep = check("duality", "y", "y", window=(2, 200))
     assert rep.passed
     with pytest.raises(ValueError):
-        check_shuffle_duality("y", "", (2, 50))
+        check("duality", "y", "", window=(2, 50))
     with pytest.raises(ValueError):
-        check_shuffle_duality("xy", "yx", (2, 50))
+        check("duality", "xy", "yx", window=(2, 50))
 
 
 def test_homogeneous_examples():
-    rep = check_homogeneous_zero(1, 2, (5, 5))
+    rep = check("homogeneous", 1, 2, window=(5, 5))
     assert rep.results[0].lhs == 0
-    rep = check_homogeneous_zero(2, 1, (5, 5))
+    rep = check("homogeneous", 2, 1, window=(5, 5))
     assert rep.results[0].lhs == 0
-    rep = check_homogeneous_zero(1, 5, (2, 5))
+    rep = check("homogeneous", 1, 5, window=(2, 5))
     assert all(r.lhs == 0 for r in rep.results if r.p <= 5)
     with pytest.raises(ValueError):
-        check_homogeneous_zero(0, 1, (2, 50))
+        check("homogeneous", 0, 1, window=(2, 50))
 
 
 def test_lemma_checks_match_and_vanish():
     for k, n in [((1,), 1), ((2,), 1), ((1,), 2), ((2, 1), 1), ((2,), 2)]:
         window = (sum(k) + n + 3, 200)
-        rep2 = check_lemma2(Index(k), n, window)
-        repk = check_key_lemma(Index(k), n, window)
+        rep2 = check("lemma2", Index(k), n, window=window)
+        repk = check("key-lemma", Index(k), n, window=window)
         assert rep2.passed and repk.passed
         assert [(r.p, r.lhs) for r in rep2.results] == [(r.p, r.lhs) for r in repk.results]
 
@@ -176,12 +169,12 @@ def test_lemma_value_equals_signed_product_at_every_prime():
 
 
 def test_lemma_accepts_degenerate_shift():
-    rep = check_lemma2(Index((2,)), 0, (7, 60))
+    rep = check("lemma2", Index((2,)), 0, window=(7, 60))
     assert rep.passed and "note" in rep.params
-    repk = check_key_lemma(Index((2,)), 0, (7, 60))
+    repk = check("key-lemma", Index((2,)), 0, window=(7, 60))
     assert repk.passed and "note" in repk.params
     with pytest.raises(ValueError):
-        check_lemma2(Index((2,)), -1, (7, 60))
+        check("lemma2", Index((2,)), -1, window=(7, 60))
 
 
 def test_ohno_implies_sum_formula_columns():
@@ -190,8 +183,8 @@ def test_ohno_implies_sum_formula_columns():
     for kw, r, i in [(5, 2, 1), (6, 3, 2), (7, 3, 1)]:
         base = Index([1] * (i - 1) + [2] + [1] * (r - i))
         n = kw - r - 1
-        ohno = check_ohno(base, n, (kw + 3, 150))
-        sf = check_sum_formula(kw, r, i, (kw + 3, 150))
+        ohno = check("ohno", base, n, window=(kw + 3, 150))
+        sf = check("sum-formula", kw, r, i, window=(kw + 3, 150))
         assert [(x.p, x.lhs) for x in ohno.results] == [(x.p, x.lhs) for x in sf.results]
         # and the dual side equals the closed form, so it matches the rhs too
         assert [(x.p, x.rhs) for x in ohno.results] == [(x.p, x.rhs) for x in sf.results]
@@ -210,8 +203,18 @@ def test_symbolic_checks():
         check_ikz("y", -1)
 
 
+def test_check_by_name():
+    assert check("eq3", Index((2, 1)), 2) == check_eq3(Index((2, 1)), 2)
+    assert check("ikz", "xy", 2) == check_ikz("xy", 2)
+    with pytest.raises(ValueError):
+        check("ohno", Index((2,)), 1)  # a numeric identity needs a window
+    rep = check("homogeneous", 1, 1, window=(2, 30), floor=2)
+    assert rep.floor == 2 and not rep.passed
+    assert check("homogeneous", 1, 1, window=(2, 30)).floor == 4
+
+
 def test_report_shapes():
-    rep = check_ohno(Index((2,)), 1, (5, 30))
+    rep = check("ohno", Index((2,)), 1, window=(5, 30))
     doc = rep.to_json_dict()
     assert list(doc) == ["identity", "params", "floor", "results", "summary"]
     assert doc["summary"] == {
@@ -243,21 +246,21 @@ def test_report_pass_semantics():
 
 
 def test_determinism():
-    a = check_ohno(Index((2, 1)), 1, (5, 80)).to_json_dict()
-    b = check_ohno(Index((2, 1)), 1, (5, 80)).to_json_dict()
+    a = check("ohno", Index((2, 1)), 1, window=(5, 80)).to_json_dict()
+    b = check("ohno", Index((2, 1)), 1, window=(5, 80)).to_json_dict()
     assert a == b
 
 
 def test_parallel_matches_serial(monkeypatch):
     # checks this light run serially unless the pool is forced
     monkeypatch.setattr(fmzv.verify, "POOL_MIN_MULTS", 0)
-    serial = check_ohno(Index((2, 1)), 2, (5, 80), jobs=1)
-    parallel = check_ohno(Index((2, 1)), 2, (5, 80), jobs=2)
+    serial = check("ohno", Index((2, 1)), 2, window=(5, 80), jobs=1)
+    parallel = check("ohno", Index((2, 1)), 2, window=(5, 80), jobs=2)
     assert serial.results == parallel.results
     assert parallel.passed
     # a polynomial-carrying evaluator must survive the worker round trip too
-    s = check_stuffle_hom("y", "xy", (5, 60), jobs=1)
-    p = check_stuffle_hom("y", "xy", (5, 60), jobs=2)
+    s = check("stuffle", "y", "xy", window=(5, 60), jobs=1)
+    p = check("stuffle", "y", "xy", window=(5, 60), jobs=2)
     assert s.results == p.results
 
 
@@ -289,7 +292,7 @@ def test_pool_never_exceeds_cores_or_primes(monkeypatch, recorded_pools):
     started = recorded_pools
     # every check is heavy enough for a pool here; only the caps apply
     monkeypatch.setattr(fmzv.verify, "POOL_MIN_MULTS", 0)
-    serial = check_ohno(Index((2, 1)), 1, (5, 80), jobs=1).results
+    serial = check("ohno", Index((2, 1)), 1, window=(5, 80), jobs=1).results
     for jobs, window, expect in [
         (5000, (5, 80), [4]),    # capped by the cores
         (5000, (5, 12), [3]),    # capped by the primes 5, 7, 11
@@ -298,12 +301,12 @@ def test_pool_never_exceeds_cores_or_primes(monkeypatch, recorded_pools):
         (1, (5, 80), []),
     ]:
         started.clear()
-        rep = check_ohno(Index((2, 1)), 1, window, jobs=jobs)
+        rep = check("ohno", Index((2, 1)), 1, window=window, jobs=jobs)
         assert started == expect, (jobs, window)
         assert rep.results == [r for r in serial if window[0] <= r.p <= window[1]]
     monkeypatch.setattr(fmzv.verify.os, "cpu_count", lambda: None)
     started.clear()
-    check_ohno(Index((2, 1)), 1, (5, 80), jobs=5000)
+    check("ohno", Index((2, 1)), 1, window=(5, 80), jobs=5000)
     assert started == []
 
 
@@ -316,7 +319,7 @@ def test_pool_only_for_heavy_checks(monkeypatch, recorded_pools):
     monkeypatch.setattr(
         fmzv.verify, "_evaluate", lambda batch, *rest: plans.extend(batch) or evaluate(batch, *rest)
     )
-    check_ohno(k, 1, light, jobs=1)
+    check("ohno", k, 1, window=light, jobs=1)
     (plan,) = plans
     # ohno (2,1) at n=1 sums over (3,1), (2,2) and the duals' shifts
     assert sorted(plan.indices()) == [(1, 2, 1), (2, 1, 1), (2, 2), (3, 1)]
@@ -326,15 +329,15 @@ def test_pool_only_for_heavy_checks(monkeypatch, recorded_pools):
 
     assert work(light) < fmzv.verify.POOL_MIN_MULTS <= work(heavy)
     for window, expect in [(light, []), (heavy, [4])]:
-        serial = check_ohno(k, 1, window, jobs=1).results
+        serial = check("ohno", k, 1, window=window, jobs=1).results
         started.clear()
-        assert check_ohno(k, 1, window, jobs=5000).results == serial
+        assert check("ohno", k, 1, window=window, jobs=5000).results == serial
         assert started == expect, window
     # the threshold itself: work equal to it pools, one less does not
     for limit, expect in [(work(light), [4]), (work(light) + 1, [])]:
         monkeypatch.setattr(fmzv.verify, "POOL_MIN_MULTS", limit)
         started.clear()
-        check_ohno(k, 1, light, jobs=5000)
+        check("ohno", k, 1, window=light, jobs=5000)
         assert started == expect, limit
 
 
@@ -357,27 +360,33 @@ def test_confirm_failures_flags_engine_bugs():
 
 
 def test_batch_reports_equal_single_runs(monkeypatch):
-    # one window, plans with different minimum primes, shared indices
+    # one window, plans with different minimum primes, shared indices; each
+    # floor applies to the whole batch, and at 2 two instances fail
     window = (2, 40)
     batch = [
         fmzv.verify.ohno_instance((2, 1), 1, window),
         fmzv.verify.sum_formula_instance(7, 3, 2, window),
-        fmzv.verify.height_one_instance(1, 0, window, floor=2),
+        fmzv.verify.height_one_instance(1, 0, window),
         fmzv.verify.stuffle_instance("xy", "y", window),
         fmzv.verify.lemma_instance("key-lemma", (1, 2), 2, window),
-        fmzv.verify.homogeneous_instance(1, 1, window, floor=2),
+        fmzv.verify.homogeneous_instance(1, 1, window),
     ]
-    monkeypatch.setattr(fmzv.modp, "_residues", {})
-    reports = fmzv.verify._run(batch, window, jobs=1)
-    assert [rep.passed for rep in reports] == [True, True, True, True, True, False]
-    assert [rep.results[0].p for rep in reports] == [2, 11, 5, 2, 2, 2]
-    for inst, rep in zip(batch, reports):
+    for floor, passed, floors in [
+        (None, [True] * 6, [7, 10, 6, 6, 8, 4]),
+        (2, [True, True, True, True, False, False], [2] * 6),
+    ]:
         monkeypatch.setattr(fmzv.modp, "_residues", {})
-        alone = fmzv.verify._run([inst], window, jobs=1)
-        assert alone == [rep]
-    assert fmzv.verify._run([], (2, 1), jobs=1) == []
+        reports = fmzv.verify._run(batch, window, floor=floor)
+        assert [rep.passed for rep in reports] == passed
+        assert [rep.floor for rep in reports] == floors
+        assert [rep.results[0].p for rep in reports] == [2, 11, 5, 2, 2, 2]
+        for inst, rep in zip(batch, reports):
+            monkeypatch.setattr(fmzv.modp, "_residues", {})
+            alone = fmzv.verify._run([inst], window, floor=floor)
+            assert alone == [rep]
+    assert fmzv.verify._run([], (2, 1)) == []
 
 
 def test_empty_window_rejected():
     with pytest.raises(ValueError):
-        check_ohno(Index((2,)), 1, (14, 16))
+        check("ohno", Index((2,)), 1, window=(14, 16))
