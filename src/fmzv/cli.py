@@ -232,12 +232,7 @@ def _cmd_check(args) -> int:
     _, flags, _, numeric = CHECKS[name]
     options = {}
     if numeric:
-        window = _window_from(args)
-        if args.floor is not None and args.floor > window[1]:
-            raise ValueError(
-                f"floor {args.floor} lies above the top of the window {window[1]}"
-            )
-        options = {"window": window, "floor": args.floor, "jobs": args.jobs}
+        options = {"window": _window_from(args), "floor": args.floor, "jobs": args.jobs}
     values = [parse(getattr(args, option[2:])) for option, parse in flags]
     return _finish_report(check(name, *values, **options), args)
 

@@ -16,19 +16,19 @@ iterators (``map``, ``itertools.accumulate``) rather than an interpreted
 loop over m.  Bernoulli numbers B_n mod p come from the power sum
 1^n + ... + (p-1)^n mod p^2 in O(p).
 
-Inverse-power rows live in one per-prime row store capped at
-``TABLE_BUDGET`` residues: once it is over budget, the rows of the least
-recently used prime are dropped, never those of the prime being evaluated,
-so memory stays bounded however many large primes a process meets.  Swept
-residues are memoized per (index, prime), and the trie is walked only for
-the indices missing there; Bernoulli values are memoized per (n, prime).
-These hold one residue each, so large verification batteries share almost
-all of their arithmetic.
+Everything memoized at a prime lives in one store: its inverse-power rows
+by exponent, its swept residues by index and its Bernoulli values by n.
+Each row entry, residue and Bernoulli value costs one unit of
+``TABLE_BUDGET``; once the store is over budget, whole primes are dropped,
+least recently used first and never the prime being evaluated, so memory
+stays bounded however many primes a process meets, and a prime's rows,
+residues and Bernoulli values always leave together.  The trie is walked
+only for the indices whose residues are missing there, so large
+verification batteries share almost all of their arithmetic.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections.abc import Iterable, Mapping, Sequence
 from itertools import accumulate, filterfalse, repeat
@@ -36,8 +36,8 @@ from operator import mod, mul
 
 
 MAX_MODULUS = 2**31
-# residues the inverse-power row store may hold beyond the current prime's
-# rows: about 40 MB of row entries, ten rows at p = 10^5
+# units (row entries, residues, Bernoulli values) the per-prime store may
+# hold beyond the current prime's: about 40 MB, ten rows at p = 10^5
 TABLE_BUDGET = 2**20
 
 
@@ -119,43 +119,52 @@ def inverse_table(p: int) -> tuple[int, ...]:
     return tuple(inv)
 
 
-# prime -> {exponent: row}; the dict's order runs from the least to the most
-# recently used prime
-_rows: dict[int, dict[int, tuple[int, ...]]] = {}
-_rows_size = 0  # residues held in _rows
+# prime -> (rows by exponent, residues by index, B_n by n); the dict's order
+# runs from the least to the most recently used prime.  A prime enters only
+# once it has passed ensure_prime or come from the sieve, so a hit needs no
+# validation.
+_store: dict[int, tuple[dict, dict, dict]] = {}
+_store_size = 0  # units held in _store
 
 
-def _store_row(p: int, e: int, row: tuple[int, ...]) -> tuple[int, ...]:
-    # Keep the row, then drop whole primes, least recently used first, until
-    # the store fits TABLE_BUDGET or only p's rows are left.
-    global _rows_size
-    _rows[p][e] = row
-    _rows_size += len(row)
-    while _rows_size > TABLE_BUDGET:
-        oldest = next(iter(_rows))
+def _entry(p: int) -> tuple[dict, dict, dict]:
+    # p's entry, moved to the most recently used end (created empty)
+    entry = _store[p] = _store.pop(p, None) or ({}, {}, {})
+    return entry
+
+
+def _charge(p: int, units: int) -> None:
+    # Count units just stored at p, then drop whole primes, least recently
+    # used first, until the store fits TABLE_BUDGET or only p is left.
+    global _store_size
+    _store_size += units
+    while _store_size > TABLE_BUDGET:
+        oldest = next(iter(_store))
         if oldest == p:
             break
-        _rows_size -= sum(map(len, _rows.pop(oldest).values()))
-    return row
+        rows, residues, bernoulli = _store.pop(oldest)
+        _store_size -= sum(map(len, rows.values())) + len(residues) + len(bernoulli)
 
 
 def _inv_pow_row(p: int, e: int) -> tuple[int, ...]:
     # row[m] = m^(-e) mod p for 1 <= m < p, row[0] = 0; e already reduced mod p-1
-    prime_rows = _rows[p] = _rows.pop(p, {})  # last: the most recently used
-    row = prime_rows.get(e)
+    rows = _entry(p)[0]
+    row = rows.get(e)
     if row is not None:
         return row
     if e == 0:
-        return _store_row(p, e, (0,) + (1,) * (p - 1))
-    if e == 1:
-        return _store_row(p, e, inverse_table(p))
-    inv = _inv_pow_row(p, 1)
-    if e > 32:
+        row = (0,) + (1,) * (p - 1)
+    elif e == 1:
+        row = inverse_table(p)
+    elif e > 32:
         # large exponents are rare; power directly instead of materializing
         # every intermediate row
-        return _store_row(p, e, tuple(map(pow, inv, repeat(e), repeat(p))))
-    prev = _inv_pow_row(p, e - 1)
-    return _store_row(p, e, tuple(map(mod, map(mul, prev, inv), repeat(p))))
+        row = tuple(map(pow, _inv_pow_row(p, 1), repeat(e), repeat(p)))
+    else:
+        row = tuple(map(mod, map(mul, _inv_pow_row(p, e - 1), _inv_pow_row(p, 1)), repeat(p)))
+    rows[e] = row
+    _charge(p, len(row))
+    return row
 
 
 def _reduced_exponents(k: Sequence[int], p: int) -> list[int]:
@@ -241,17 +250,13 @@ class SuffixTrie:
         return out
 
 
-# prime -> {index: residue} of every sweep so far
-_residues: dict[int, dict[tuple[int, ...], int]] = {}
-
-
 def harmonic_sums(trie: SuffixTrie, p: int) -> Mapping[tuple[int, ...], int]:
     """The residues at the prime p, which the caller takes from the sieve,
     of (at least) the trie's indices.  Memoized residues are read first,
     and an index of depth >= p is 0; the rest are swept in one walk, of
     ``trie`` itself when it holds no other index.  The mapping returned is
     the memo of p itself, for reading only."""
-    memo = _residues.setdefault(p, {})
+    memo = _entry(p)[1]
     missing = list(filterfalse(memo.__contains__, trie.indices))
     if missing:
         # an index of depth >= p has an empty summation range
@@ -261,6 +266,7 @@ def harmonic_sums(trie: SuffixTrie, p: int) -> Mapping[tuple[int, ...], int]:
                 memo[k] = 0
         if live:
             memo.update((trie if len(live) == len(trie.indices) else SuffixTrie(live)).sweep(p))
+        _charge(p, len(missing))
     return memo
 
 
@@ -274,9 +280,10 @@ def zeta_mod_p(k: tuple[int, ...], p: int) -> int:
     summation range and gives 0.
     """
     k = tuple(k)
-    hit = _residues.get(p, {}).get(k)
-    if hit is not None:
-        return hit
+    if p in _store:
+        hit = _entry(p)[1].get(k)
+        if hit is not None:
+            return hit
     ensure_prime(p)
     if not k or any(kj < 1 for kj in k):
         raise ValueError(f"index parts must be >= 1, got {k}")
@@ -285,27 +292,16 @@ def zeta_mod_p(k: tuple[int, ...], p: int) -> int:
 
 def zeta_mod_p_naive(k: tuple[int, ...], p: int) -> int:
     """Independent evaluation of the same nested sum, sharing no code and no
-    rows with :class:`SuffixTrie`.
+    rows with :class:`SuffixTrie` or the store.
 
-    Enumerates the decreasing tuples directly (via combinations) when that
-    is affordable, and otherwise runs one interpreted loop over m that keeps
-    the running inner sums, O(p * depth).  Both use only builtin modular
-    exponentiation, with no exponent reduced mod p - 1.
+    One interpreted loop over m that keeps the running inner sums,
+    O(p * depth), using only builtin modular exponentiation with no
+    exponent reduced mod p - 1.  An index of depth >= p gives 0 because no
+    level can fill.
     """
     k = tuple(k)
     ensure_prime(p)
     r = len(k)
-    if r >= p:
-        return 0
-    if math.comb(p - 1, r) <= 2_000_000:
-        total = 0
-        # combinations are ascending; reversing gives m_1 > ... > m_r
-        for combo in itertools.combinations(range(1, p), r):
-            t = 1
-            for m, e in zip(reversed(combo), k):
-                t = t * pow(m, -e, p) % p
-            total = (total + t) % p
-        return total
     # g[j] is the sum over m > m_(j+1) > ... > m_r > 0 for the current m,
     # g[r] the empty product 1; raising m by one adds its term to each level
     g = [0] * r + [1]
@@ -315,17 +311,13 @@ def zeta_mod_p_naive(k: tuple[int, ...], p: int) -> int:
     return g[0]
 
 
-# (n, p) -> B_n mod p; a key is stored only once p has passed the primality
-# and range checks, so a hit needs neither
-_bernoulli: dict[tuple[int, int], int] = {}
-
-
 def bernoulli_mod_p(k: int, p: int) -> int:
     """B_(p-k) mod p, for 2 <= k <= p-2 (which keeps the number p-integral)."""
     n = p - k
-    hit = _bernoulli.get((n, p))
-    if hit is not None:
-        return hit
+    if p in _store:
+        hit = _entry(p)[2].get(n)
+        if hit is not None:
+            return hit
     ensure_prime(p)
     if not 2 <= k <= p - 2:
         raise ValueError(f"need 2 <= k <= p-2, got k={k}, p={p}")
@@ -338,5 +330,6 @@ def bernoulli_mod_p(k: int, p: int) -> int:
         if s % p:
             raise EngineFault(f"power sum of exponent {n} is not divisible by {p}")
         value = s // p % p
-    _bernoulli[n, p] = value
+    _entry(p)[2][n] = value
+    _charge(p, 1)
     return value

@@ -126,7 +126,7 @@ def run_battery(
     lemmas = [(k, n) for k in all_indices(min(max_weight, 5)) for n in range(1, max_n + 1)]
     tally("lemma-checks", "checks", batch(["lemma2", "key-lemma"], lemmas))
 
-    # 10. fast evaluator against the brute-force oracle
+    # 10. fast evaluator against the independent loop oracle
     fails = 0
     count = 0
     for p in primes_in(2, min(50, hi)):

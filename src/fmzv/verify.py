@@ -14,18 +14,18 @@ battery read the same table.  A numeric builder makes an :class:`Instance`
 batch of instances over one window and one floor; the battery passes each
 step's instances as one batch.  The plans that share a minimum prime are
 evaluated together: at each prime one walk of a
-:class:`~fmzv.modp.SuffixTrie`, built once over the union of their indices
-and backed by the residue memo of :mod:`fmzv.modp`, gives every residue
-they need, and then each plan is evaluated from those residues.  Each
-instance is reported on its own.
+:class:`~fmzv.modp.SuffixTrie`, built once over the union of their indices,
+gives every residue they need that the bounded per-prime store of
+:mod:`fmzv.modp` does not already hold, and then each plan is evaluated
+from those residues.  Each instance is reported on its own.
 
 "Equal in the cofinite-equality ring" is operationalized as "equal at every
 prime at or above the floor".  The floor is an option of the run, not of
 the identity, and defaults to each instance's weight + shift + 3.
 Sub-floor primes are still evaluated and reported, but they never fail a
 check.  When a numeric comparison fails at or above the floor, the prime
-is re-evaluated with the independent brute-force harmonic-sum oracle before
-the failure is reported, so an engine bug cannot masquerade as a genuine
+is re-evaluated with the independent harmonic-sum oracle before the
+failure is reported, so an engine bug cannot masquerade as a genuine
 exceptional prime.
 
 The lemma has an index reading and a word reading.  ``key-lemma`` compares
@@ -268,7 +268,7 @@ def _pair_with(plan: Plan, p: int, zeta) -> tuple[int, int]:
 
 
 def _confirm_failures(rows: list[PrimeCheck], floor: int, pair_fn) -> None:
-    # Failures at or above the floor are re-derived with the brute-force
+    # Failures at or above the floor are re-derived with the independent
     # oracle; a disagreement with the fast path is an engine bug, not an
     # exceptional prime, and is raised loudly.
     for row in rows:
@@ -565,10 +565,13 @@ def check(
     values of its flags in order.  A numeric identity is evaluated at every
     usable prime of ``window`` with up to ``jobs`` workers, and passes when
     no prime at or above ``floor`` (default: its weight + 3) disagrees; a
-    symbolic one ignores window, floor and jobs."""
+    floor above the window is refused with ValueError.  A symbolic identity
+    ignores window, floor and jobs."""
     entry = CHECKS[name]
     if not entry.numeric:
         return entry.build(*values)
     if window is None:
         raise ValueError(f"check {name} needs a prime window")
+    if floor is not None and floor > window[1]:
+        raise ValueError(f"floor {floor} lies above the top of the window {window[1]}")
     return _run([entry.build(*values, window)], window, jobs, floor)[0]

@@ -3,10 +3,10 @@
 Everything here deliberately avoids the production code paths: duals are
 built by run-length bookkeeping instead of the word transform, shuffles by
 position enumeration instead of recursion, harmonic sums by direct nested
-summation with builtin modular inverses (or by a per-m running-sum loop at
-primes too large to enumerate), and Bernoulli numbers by the
-Akiyama-Tanigawa scheme over exact rationals or by their defining
-recurrence mod p.  The one exception is :func:`zeta_poly_mod_p`, the linear
+summation with builtin modular inverses (the definitional oracle, for small
+primes) or by a per-m running-sum loop (at any prime), and Bernoulli
+numbers by the Akiyama-Tanigawa scheme over exact rationals or by their
+defining recurrence mod p.  The one exception is :func:`zeta_poly_mod_p`, the linear
 extension of a harmonic-sum function over a word polynomial, which the
 tests use as the word-side reference and which defaults to the package's
 own ``zeta_mod_p``.
@@ -74,7 +74,8 @@ def stuffle_by_indices(k1, k2):
 
 
 def zeta_brute(k, p):
-    """Nested harmonic sum by direct enumeration of decreasing tuples."""
+    """Nested harmonic sum by direct enumeration of decreasing tuples: the
+    definition itself, C(p-1, depth) terms, so only for small primes."""
     r = len(k)
     total = 0
     for combo in itertools.combinations(range(1, p), r):
@@ -90,7 +91,9 @@ def zeta_by_loop(k, p):
 
     g[j] holds the sum over upper > m_(j+1) > ... > m_r > 0 with the current
     upper bound; g[r] is the empty product 1.  Powers come from builtin
-    modular exponentiation, so no exponent is reduced mod p-1.
+    modular exponentiation, so no exponent is reduced mod p-1.  It is the
+    same loop as the package's own oracle ``zeta_mod_p_naive``, written
+    out here so that the tests do not rest on package code.
     """
     r = len(k)
     if r >= p:

@@ -225,10 +225,28 @@ def test_c11_lemma_checks():
                           f"failures: {fails}")
 
 
+# every step's name, verdict and detail of the default battery
+DEFAULT_BATTERY = [
+    ("dual-involution", True, "1023 indices of weight <= 10, 0 failures"),
+    ("eq3-symbolic", True, "252 instances, 0 failures"),
+    ("ikz-truncated", True, "32 words through u^4, 0 failures"),
+    ("ohno", True, "508 instances, 0 failures"),
+    ("sum-formula", True, "119 instances, 0 failures"),
+    ("height-one", True, "21 instances, 0 failures"),
+    ("stuffle-duality", True, "258 checks, 0 failures"),
+    ("homogeneous", True, "12 instances, 0 failures"),
+    ("lemma-checks", True, "186 checks, 0 failures"),
+    ("zeta-oracle", True, "615 evaluations, 0 mismatches"),
+    ("spot-congruences", True, "residues at p=5"),
+    ("algebra-laws", True, "100 random triples, 0 failures"),
+]
+
+
 def test_full_battery_under_ten_minutes():
     start = time.time()
     steps = run_battery(max_weight=7, max_n=3, window=(2, 200))
     elapsed = time.time() - start
+    assert [(s.name, s.passed, s.detail) for s in steps] == DEFAULT_BATTERY
     bad = [s.name for s in steps if not s.passed]
     ok = not bad and elapsed < 600.0
     report("suite", ok,

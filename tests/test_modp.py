@@ -123,12 +123,11 @@ def test_zeta_matches_loop_reference_at_large_primes():
             assert zeta_mod_p(Index(k), p) == zeta_by_loop(k, p), (k, p)
 
 
-def test_zeta_naive_agrees_on_both_strategies():
-    for p in (11, 13):
-        for k in [(1, 2), (2, 1, 1), (3,)]:
-            assert zeta_mod_p_naive(k, p) == zeta_brute(k, p)
-    # a depth-10 index at p=199 overflows the enumeration budget and takes
-    # the per-m loop instead
+def test_zeta_naive_matches_brute_force_and_engine():
+    for p in (2, 3, 5, 11, 13):
+        # depth >= p, and a part that is 0 mod p - 1
+        for k in [(1, 2), (2, 1, 1), (3,), (1,) * p, (2, p - 1, 1)]:
+            assert zeta_mod_p_naive(k, p) == zeta_brute(k, p), (k, p)
     deep = Index((1,) * 9 + (2,))
     assert zeta_mod_p_naive(deep, 199) == zeta_mod_p(deep, 199)
 
@@ -185,7 +184,8 @@ def test_bernoulli_range_errors():
 
 
 def test_bernoulli_memo_is_read_before_validating(monkeypatch):
-    monkeypatch.setattr(fmzv.modp, "_bernoulli", {})
+    monkeypatch.setattr(fmzv.modp, "_store", {})
+    monkeypatch.setattr(fmzv.modp, "_store_size", 0)
     first = bernoulli_mod_p(3, 7)
     # a miss still validates: 9 is not prime, and k = 1 is out of range at 7
     for k, p in [(3, 9), (1, 7)]:
@@ -217,22 +217,30 @@ def test_bernoulli_matches_recurrence_oracle():
 def test_row_store_stays_within_budget(monkeypatch):
     import fmzv.modp as modp
 
-    monkeypatch.setattr(modp, "_rows", {})
-    monkeypatch.setattr(modp, "_rows_size", 0)
+    def units(entry):
+        rows, residues, bernoulli = entry
+        return sum(map(len, rows.values())) + len(residues) + len(bernoulli)
+
+    monkeypatch.setattr(modp, "_store", {})
+    monkeypatch.setattr(modp, "_store_size", 0)
     primes = primes_in(99_990, 100_100)[:5]
     for p in primes:
         zeta_mod_p(Index((3, 1, 2)), p)
-        held = [len(row) for rows in modp._rows.values() for row in rows.values()]
-        assert modp._rows_size == sum(held)
-        current = sum(map(len, modp._rows[p].values()))
-        assert modp._rows_size <= modp.TABLE_BUDGET + current, p
+        bernoulli_mod_p(p - 4, p)  # B_4
+        assert modp._store_size == sum(map(units, modp._store.values()))
+        assert modp._store_size <= modp.TABLE_BUDGET + units(modp._store[p]), p
     # three rows of about 10^5 residues per prime: the first primes are gone
-    assert primes[0] not in modp._rows
-    assert list(modp._rows)[-1] == primes[-1]
-    # rebuilt rows give the same sums as the loop oracle
-    for k in [(2, 3, 1), (1, 1, 3)]:
-        assert zeta_mod_p(Index(k), primes[0]) == zeta_by_loop(k, primes[0]), k
-    assert primes[0] in modp._rows
+    assert primes[0] not in modp._store
+    assert list(modp._store)[-1] == primes[-1]
+    # rebuilt rows give the same sums as the loop oracle, and the evicted
+    # prime's residue and Bernoulli value left with its rows
+    p = primes[0]
+    value = zeta_mod_p(Index((2, 3, 1)), p)
+    assert value == zeta_by_loop((2, 3, 1), p)
+    assert modp._store[p][1:] == ({(2, 3, 1): value}, {})
+    assert zeta_mod_p(Index((1, 1, 3)), p) == zeta_by_loop((1, 1, 3), p)
+    assert bernoulli_mod_p(p - 4, p) == bernoulli_exact_mod(4, p)
+    assert modp._store_size == sum(map(units, modp._store.values()))
 
 
 def _shared_suffix_indices(rng, p, count, max_depth):
@@ -269,7 +277,8 @@ def test_trie_matches_loop_oracle():
 def test_memoized_indices_are_not_swept(monkeypatch):
     import fmzv.modp as modp
 
-    monkeypatch.setattr(modp, "_residues", {})
+    monkeypatch.setattr(modp, "_store", {})
+    monkeypatch.setattr(modp, "_store_size", 0)
     swept = []
     sweep = SuffixTrie.sweep
     monkeypatch.setattr(SuffixTrie, "sweep", lambda self, p: swept.append(self.indices) or sweep(self, p))

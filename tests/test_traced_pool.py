@@ -42,9 +42,8 @@ def test_worker_spans_reach_the_parent(monkeypatch, tmp_path):
         serial.append(out.read_bytes())
 
     # cold residues and rows, so the workers sweep and build every row
-    monkeypatch.setattr(modp, "_residues", {})
-    monkeypatch.setattr(modp, "_rows", {})
-    monkeypatch.setattr(modp, "_rows_size", 0)
+    monkeypatch.setattr(modp, "_store", {})
+    monkeypatch.setattr(modp, "_store_size", 0)
     spool = tmp_path / "spool"
     spool.mkdir()
     active = tracer.Tracer(spool)

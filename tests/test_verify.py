@@ -211,6 +211,11 @@ def test_check_by_name():
     rep = check("homogeneous", 1, 1, window=(2, 30), floor=2)
     assert rep.floor == 2 and not rep.passed
     assert check("homogeneous", 1, 1, window=(2, 30)).floor == 4
+    # a floor above the window would leave every prime sub-floor
+    with pytest.raises(ValueError):
+        check("ohno", Index((2, 1)), 1, window=(5, 20), floor=50)
+    with pytest.raises(ValueError):
+        check("homogeneous", 1, 1, window=(2, 30), floor=100)
 
 
 def test_report_shapes():
@@ -375,13 +380,15 @@ def test_batch_reports_equal_single_runs(monkeypatch):
         (None, [True] * 6, [7, 10, 6, 6, 8, 4]),
         (2, [True, True, True, True, False, False], [2] * 6),
     ]:
-        monkeypatch.setattr(fmzv.modp, "_residues", {})
+        monkeypatch.setattr(fmzv.modp, "_store", {})
+        monkeypatch.setattr(fmzv.modp, "_store_size", 0)
         reports = fmzv.verify._run(batch, window, floor=floor)
         assert [rep.passed for rep in reports] == passed
         assert [rep.floor for rep in reports] == floors
         assert [rep.results[0].p for rep in reports] == [2, 11, 5, 2, 2, 2]
         for inst, rep in zip(batch, reports):
-            monkeypatch.setattr(fmzv.modp, "_residues", {})
+            monkeypatch.setattr(fmzv.modp, "_store", {})
+            monkeypatch.setattr(fmzv.modp, "_store_size", 0)
             alone = fmzv.verify._run([inst], window, floor=floor)
             assert alone == [rep]
     assert fmzv.verify._run([], (2, 1)) == []
