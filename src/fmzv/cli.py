@@ -178,7 +178,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_suite.add_argument("--primes", metavar="LO:HI")
     p_suite.add_argument(
         "--jobs", type=int, default=1,
-        help="parallel workers per check (default: 1; the battery is cache-bound)",
+        help="parallel workers per step (default: 1); steps whose missing sweep "
+        "work is too light to pay for starting workers run serially, and pooled "
+        "steps leave their residues for later ones",
     )
     p_suite.add_argument("--format", choices=("table", "json"), default="table")
     p_suite.add_argument("--output", metavar="PATH")

@@ -24,7 +24,9 @@ least recently used first and never the prime being evaluated, so memory
 stays bounded however many primes a process meets, and a prime's rows,
 residues and Bernoulli values always leave together.  The trie is walked
 only for the indices whose residues are missing there, so large
-verification batteries share almost all of their arithmetic.
+verification batteries share almost all of their arithmetic.  Residues and
+Bernoulli values computed in a pool worker are merged into the parent's
+store, so they outlive the worker; the rows a worker builds stay behind.
 """
 
 from __future__ import annotations
@@ -267,6 +269,30 @@ def harmonic_sums(trie: SuffixTrie, p: int) -> Mapping[tuple[int, ...], int]:
         if live:
             memo.update((trie if len(live) == len(trie.indices) else SuffixTrie(live)).sweep(p))
         _charge(p, len(missing))
+    return memo
+
+
+def sweep_work(indices: Sequence[tuple[int, ...]], primes: Iterable[int]) -> int:
+    """Multiplications the sweeps of ``indices`` still cost at ``primes``:
+    depth * (p - 1) for each index whose residue at p is not memoized; an
+    index of depth >= p costs nothing.  The store is only read, so no prime
+    moves in its order."""
+    total = 0
+    for p in primes:
+        missing = filterfalse(_store[p][1].__contains__, indices) if p in _store else indices
+        total += (p - 1) * sum(d for d in map(len, missing) if d < p)
+    return total
+
+
+def merge(p: int, residues: Iterable[tuple], bernoulli: Iterable[tuple]) -> Mapping:
+    """Store (index, residue) and (n, B_n) pairs computed at the prime p
+    elsewhere, in a pool worker, charging only the units that are new, and
+    return p's residue memo, for reading only."""
+    _, memo, bern = _entry(p)
+    held = len(memo) + len(bern)
+    memo.update(residues)
+    bern.update(bernoulli)
+    _charge(p, len(memo) + len(bern) - held)
     return memo
 
 

@@ -17,7 +17,10 @@ evaluated together: at each prime one walk of a
 :class:`~fmzv.modp.SuffixTrie`, built once over the union of their indices,
 gives every residue they need that the bounded per-prime store of
 :mod:`fmzv.modp` does not already hold, and then each plan is evaluated
-from those residues.  Each instance is reported on its own.
+from those residues.  A pooled batch differs only in who fills the store:
+each worker sends the residues and Bernoulli values it computed at its
+prime home, where they are merged into the store and every plan is paired
+at that prime.  Each instance is reported on its own.
 
 "Equal in the cofinite-equality ring" is operationalized as "equal at every
 prime at or above the floor".  The floor is an option of the run, not of
@@ -61,7 +64,9 @@ from .modp import (
     bernoulli_mod_p,
     harmonic_sums,
     inv_mod,
+    merge,
     primes_in,
+    sweep_work,
     zeta_mod_p_naive,
 )
 from .series import const_series, geometric_yu, series_harmonic, series_shuffle, substitution_series
@@ -152,10 +157,13 @@ class CheckReport:
         }
 
 
-# Cold-cache sweep work, in multiplications, below which a batch runs
-# serially whatever ``jobs`` says: starting and tearing down a 2-worker pool
-# costs about 20 ms on a 2-vCPU host, so lighter batches finish sooner
-# in-process, where their residues also stay memoized for later checks.
+# Sweep work, in multiplications, below which a batch runs serially
+# whatever ``jobs`` says: starting and tearing down a 2-worker pool costs
+# about 20 ms on a 2-vCPU host, so lighter batches finish sooner in-process.
+# A batch pools only when both its cold-cache work (Plan.work) and the work
+# still missing from the store (modp.sweep_work) reach it, so a batch whose
+# residues are all memoized runs in-process; the second figure is counted
+# only once the first reaches the threshold.
 POOL_MIN_MULTS = 500_000
 
 Window = tuple[int, int]
@@ -189,7 +197,9 @@ class Plan:
 
     def work(self, primes: list[int]) -> int:
         """Multiplications the plan's sweeps cost with cold caches: (p - 1)
-        times the depth for every distinct index at every prime."""
+        times the depth for every distinct index at every prime.  A batch
+        below :data:`POOL_MIN_MULTS` of it runs in-process without counting
+        what the store already holds."""
         return sum(map(len, self.indices())) * sum(p - 1 for p in primes)
 
 
@@ -237,25 +247,44 @@ def _pair(plan: Plan, p: int, values: Mapping[tuple[int, ...], int]) -> tuple[in
     return lhs, rhs
 
 
-def _pairs_at(plans: list[Plan], trie: SuffixTrie, p: int) -> list[tuple[int, int]]:
-    # both sides of every plan at p; ``trie`` holds the union of the plans'
-    # indices, so one sweep serves them all
+def _fill(trie: SuffixTrie, ws: list[int], p: int) -> tuple[list[int], list[int]]:
+    # run in a pool worker: what a batch reads at p, computed into the
+    # worker's store and returned for the parent's, namely the residue of
+    # each of the trie's indices in order, then B_(p-w) for each w of ``ws``
     values = harmonic_sums(trie, p)
+    return [values[k] for k in trie.indices], [bernoulli_mod_p(w, p) for w in ws]
+
+
+def _pairs_at(plans: list[Plan], p: int, values: Mapping) -> list[tuple[int, int]]:
+    # both sides of every plan at p, from the residues at p of (at least)
+    # all the plans' indices
     return [_pair(plan, p, values) for plan in plans]
 
 
 def _evaluate(plans: list[Plan], primes: list[int], jobs: int) -> list[list[PrimeCheck]]:
-    # One row list per plan.  More workers than primes or cores only adds
-    # start-up cost, and under the fork start method every requested worker
-    # is launched at once.
-    at = partial(_pairs_at, plans, SuffixTrie(k for plan in plans for k in plan.indices()))
+    # One row list per plan.  The store is filled at each prime, in-process
+    # or by pool workers whose results are merged into it as they arrive,
+    # and every plan is paired at that prime at once, so evicting an older
+    # prime never forces a sweep.  More workers than primes or cores only
+    # adds start-up cost, and under the fork start method every requested
+    # worker is launched at once.
+    trie = SuffixTrie(k for plan in plans for k in plan.indices())
     workers = min(jobs, len(primes), os.cpu_count() or 1)
-    if workers > 1 and sum(plan.work(primes) for plan in plans) >= POOL_MIN_MULTS:
+    if (
+        workers > 1
+        and sum(plan.work(primes) for plan in plans) >= POOL_MIN_MULTS
+        and sweep_work(trie.indices, primes) >= POOL_MIN_MULTS
+    ):
+        ws = sorted({plan.bernoulli[0] for plan in plans if plan.bernoulli})
         chunk = max(1, len(primes) // (workers * 4))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            values = list(pool.map(at, primes, chunksize=chunk))
+            filled = pool.map(partial(_fill, trie, ws), primes, chunksize=chunk)
+            values = [
+                _pairs_at(plans, p, merge(p, zip(trie.indices, got), zip([p - w for w in ws], bs)))
+                for p, (got, bs) in zip(primes, filled)
+            ]
     else:
-        values = [at(p) for p in primes]
+        values = [_pairs_at(plans, p, harmonic_sums(trie, p)) for p in primes]
     return [
         [PrimeCheck(p, l % p, r % p) for p, (l, r) in zip(primes, column)]
         for column in zip(*values)

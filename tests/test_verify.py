@@ -1,9 +1,12 @@
+import multiprocessing
+import os
 from collections import Counter
 
 import pytest
 
 import fmzv.modp
 import fmzv.verify
+from fmzv.cli import main
 from fmzv.indices import Index
 from fmzv.modp import zeta_mod_p
 from fmzv.verify import (
@@ -332,18 +335,123 @@ def test_pool_only_for_heavy_checks(monkeypatch, recorded_pools):
     def work(window):
         return plan.work(fmzv.verify.primes_in(*window))
 
+    def cold():
+        monkeypatch.setattr(fmzv.modp, "_store", {})
+        monkeypatch.setattr(fmzv.modp, "_store_size", 0)
+
     assert work(light) < fmzv.verify.POOL_MIN_MULTS <= work(heavy)
     for window, expect in [(light, []), (heavy, [4])]:
+        cold()
         serial = check("ohno", k, 1, window=window, jobs=1).results
+        cold()
         started.clear()
         assert check("ohno", k, 1, window=window, jobs=5000).results == serial
         assert started == expect, window
-    # the threshold itself: work equal to it pools, one less does not
+    # warm: every residue of the heavy check is memoized, so nothing is left
+    # to sweep and it runs in-process
+    started.clear()
+    assert check("ohno", k, 1, window=heavy, jobs=5000).results == serial
+    assert started == []
+    # the threshold itself, cold: work equal to it pools, one less does not
     for limit, expect in [(work(light), [4]), (work(light) + 1, [])]:
         monkeypatch.setattr(fmzv.verify, "POOL_MIN_MULTS", limit)
+        cold()
         started.clear()
         check("ohno", k, 1, window=light, jobs=5000)
         assert started == expect, limit
+
+
+@pytest.mark.skipif(
+    (os.cpu_count() or 1) < 2 or multiprocessing.get_start_method() != "fork",
+    reason="needs two cores and fork-started workers",
+)
+def test_pooled_residues_come_home(monkeypatch, tmp_path):
+    modp = fmzv.modp
+    window = (5, 400)
+    requests = [
+        ("ohno", Index((2, 1, 3)), 2),
+        ("sum-formula", 6, 3, 2),
+    ]
+    argvs = [
+        ["check", "ohno", "--index", "2,1,3", "--n", "2", "--primes", "5:400"],
+        ["check", "sum-formula", "--k", "6", "--r", "3", "--i", "2", "--primes", "5:400"],
+    ]
+    batch = [fmzv.verify.CHECKS[name].build(*values, window) for name, *values in requests]
+    default = fmzv.verify.POOL_MIN_MULTS
+    assert batch[0].plan.work(fmzv.verify.primes_in(*window)) >= default
+
+    def cold():
+        monkeypatch.setattr(modp, "_store", {})
+        monkeypatch.setattr(modp, "_store_size", 0)
+
+    def run(argv, jobs):
+        out = tmp_path / "out.json"
+        assert main(argv + ["--jobs", str(jobs), "--format", "json", "--output", str(out)]) == 0
+        return out.read_bytes()
+
+    def held():
+        # residues and Bernoulli values by prime; the rows are left out
+        return {p: (dict(residues), dict(bern)) for p, (_, residues, bern) in modp._store.items()}
+
+    def units():
+        return sum(
+            sum(map(len, rows.values())) + len(residues) + len(bern)
+            for rows, residues, bern in modp._store.values()
+        )
+
+    cold()
+    serial = [run(argv, 1) for argv in argvs]
+    serial_held = held()
+
+    # spies that count, in this process only, pool starts, trie sweeps and
+    # cold modp work: a Bernoulli power sum, like an inverse row, first
+    # validates its prime
+    pools, sweeps, cold_work = [], [], []
+    real_pool, real_sweep, real_ensure = (
+        fmzv.verify.ProcessPoolExecutor, modp.SuffixTrie.sweep, modp.ensure_prime
+    )
+    monkeypatch.setattr(
+        fmzv.verify, "ProcessPoolExecutor", lambda **kw: pools.append(kw) or real_pool(**kw)
+    )
+    monkeypatch.setattr(
+        modp.SuffixTrie, "sweep", lambda self, p: sweeps.append(p) or real_sweep(self, p)
+    )
+    monkeypatch.setattr(modp, "ensure_prime", lambda p: cold_work.append(p) or real_ensure(p))
+
+    monkeypatch.setattr(fmzv.verify, "POOL_MIN_MULTS", 0)
+    cold()
+    assert [run(argv, 2) for argv in argvs] == serial
+    assert len(pools) == 2 and sweeps == [] and cold_work == []
+    # the parent holds every residue and Bernoulli value the checks used,
+    # each unit charged once
+    assert held() == serial_held
+    for inst in batch:
+        for p in fmzv.verify.primes_in(max(window[0], inst.plan.minimum), window[1]):
+            residues, bern = modp._store[p][1:]
+            assert all(k in residues for k in inst.plan.indices())
+            if inst.plan.bernoulli:
+                assert p - inst.plan.bernoulli[0] in bern
+    assert modp._store_size == units()
+
+    # a repeat finds everything memoized: in-process, nothing swept
+    monkeypatch.setattr(fmzv.verify, "POOL_MIN_MULTS", default)
+    assert [run(argv, 2) for argv in argvs] == serial
+    assert len(pools) == 2 and sweeps == [] and cold_work == []
+
+    # a store that holds one prime at a time: each prime is paired as it
+    # arrives, so nothing is swept again in the parent
+    monkeypatch.setattr(fmzv.verify, "POOL_MIN_MULTS", 0)
+    monkeypatch.setattr(modp, "TABLE_BUDGET", 1)
+    cold()
+    expected = fmzv.verify._run(batch, window, jobs=1)
+    cold()
+    sweeps.clear()
+    cold_work.clear()
+    assert fmzv.verify._run(batch, window, jobs=2) == expected
+    # one pool for each minimum prime of the batch
+    assert len(pools) == 4 and sweeps == [] and cold_work == []
+    assert list(modp._store) == fmzv.verify.primes_in(*window)[-1:]
+    assert modp._store_size == units()
 
 
 def test_confirm_failures_flags_engine_bugs():
