@@ -178,13 +178,15 @@ def concat(a: NCPolynomial, b: NCPolynomial) -> NCPolynomial:
     return _raw({w: c for w, c in acc.items() if c})
 
 
-def _quotient_trie(
+def _quotient_dag(
     poly: NCPolynomial, labels: Callable[[str], Iterable[Hashable]]
 ) -> list[tuple[int, dict]]:
-    # Node u stands for the left quotient u^-1 poly, kept as (its constant
-    # term, {label: child node}).  Node 0 is the root and every child comes
-    # after its parent; inserting the words in sorted order makes the
-    # numbering a preorder, so a bottom-up walk holds few rows at once.
+    # One node per distinct left quotient u^-1 poly, kept as (its constant
+    # term, {label: child node}).  The prefix trie is built first (node 0 the
+    # root, children after their parents), then hash-consed bottom-up on
+    # (constant, sorted (label, child)), so prefixes with equal quotients
+    # share one node.  Children come before their parents and the root is
+    # the last node: no proper quotient of a finite polynomial equals it.
     consts = [0]
     children: list[dict] = [{}]
     for w in sorted(poly.terms):
@@ -197,7 +199,18 @@ def _quotient_trie(
                 consts.append(0)
                 children.append({})
         consts[node] = poly.terms[w]
-    return list(zip(consts, children))
+    ids: dict[tuple, int] = {}
+    dag_id = [0] * len(consts)
+    nodes: list[tuple[int, dict]] = []
+    for u in range(len(consts) - 1, -1, -1):
+        kids = {label: dag_id[c] for label, c in children[u].items()}
+        key = (consts[u], tuple(sorted(kids.items())))
+        node = ids.get(key)
+        if node is None:
+            node = ids[key] = len(nodes)
+            nodes.append((consts[u], kids))
+        dag_id[u] = node
+    return nodes
 
 
 def _by_quotients(
@@ -214,21 +227,30 @@ def _by_quotients(
 
     where P_e is the constant term, s and t run over the labels of the
     leading letter or block of a word, and ``spell`` turns a label back into
-    its word.  Every pair (node of P, node of Q) is evaluated once,
-    bottom-up: children come after parents in both tries, so walking both
-    numberings backwards meets each pair after every pair it needs, and no
-    recursion limits the word length.  The row of results for a node of P
-    lives only until its parent's row is done; nothing outlives the call.
+    its word.  The result depends on the two quotients only, so each pair
+    (distinct left quotient of P, distinct left quotient of Q) is evaluated
+    once, bottom-up: both quotient DAGs number children before parents, so
+    walking both numberings forwards meets each pair after every pair it
+    needs, and no recursion limits the word length.  The row of results for
+    a quotient of P lives until the last quotient that has it as a child is
+    done; nothing outlives the call.
     """
-    p_nodes = _quotient_trie(a, labels)
-    q_nodes = _quotient_trie(b, labels)
+    p_nodes = _quotient_dag(a, labels)
+    q_nodes = _quotient_dag(b, labels)
+    readers = [0] * len(p_nodes)
+    for _, p_kids in p_nodes:
+        for ci in p_kids.values():
+            readers[ci] += 1
     rows: dict[int, list[dict[str, int]]] = {}
-    for i in range(len(p_nodes) - 1, -1, -1):
-        cp, p_kids = p_nodes[i]
-        kid_rows = [(s, rows.pop(ci)) for s, ci in p_kids.items()]
+    for i, (cp, p_kids) in enumerate(p_nodes):
+        kid_rows = []
+        for s, ci in p_kids.items():
+            kid_rows.append((s, rows[ci]))
+            readers[ci] -= 1
+            if not readers[ci]:
+                del rows[ci]
         row: list[dict[str, int]] = [{}] * len(q_nodes)
-        for j in range(len(q_nodes) - 1, -1, -1):
-            cq, q_kids = q_nodes[j]
+        for j, (cq, q_kids) in enumerate(q_nodes):
             groups: dict[Hashable, list[dict[str, int]]] = {}
             for s, lower in kid_rows:
                 groups.setdefault(s, []).append(lower[j])
@@ -254,7 +276,12 @@ def _by_quotients(
                 out.update({head + w: c for w, c in merged.items() if c})
             row[j] = out
         rows[i] = row
-    return _raw(rows[0][0])
+    return _raw(row[-1])  # the root pair: both roots come last
+
+
+def _blocks(w: str) -> tuple[int, ...]:
+    # the labels of the harmonic product: a word's z-blocks, by their k
+    return index_of_word(w) if w else ()
 
 
 def harmonic(a: NCPolynomial, b: NCPolynomial) -> NCPolynomial:
@@ -266,13 +293,7 @@ def harmonic(a: NCPolynomial, b: NCPolynomial) -> NCPolynomial:
             raise ValueError(f"harmonic operand contains inadmissible word {bad!r}")
     # no operand reordering: commutativity must emerge from the rule, so the
     # algebra-law tests exercise it rather than bake it in
-    return _by_quotients(
-        a,
-        b,
-        lambda w: index_of_word(w) if w else (),
-        lambda k: word_of_index((k,)),
-        merge_heads=True,
-    )
+    return _by_quotients(a, b, _blocks, lambda k: word_of_index((k,)), merge_heads=True)
 
 
 def shuffle(a: NCPolynomial, b: NCPolynomial) -> NCPolynomial:

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import random
 import tracemalloc
 from collections import Counter
@@ -10,6 +11,8 @@ from fmzv.indices import hoffman_dual, Index
 from fmzv.suite import h1_words
 from fmzv.words import (
     NCPolynomial,
+    _blocks,
+    _quotient_dag,
     concat,
     harmonic,
     hoffman_dual_word,
@@ -134,12 +137,34 @@ H1_OPERANDS = [
     poly(("y", 1), ("xy", 1)),
     poly(("", -1)),
     NCPolynomial.zero(),
+    poly(("xxyy", 4), ("xyxy", 2)),  # xy ш xy
+    poly(("xy", 1), ("yy", 1)),  # x^-1 P = y^-1 P = y
 ]
 FREE_OPERANDS = H1_OPERANDS + [
     poly(("x", 1), ("y", -1)),
     poly(("x", 1), ("y", 1)),
     poly(("", 1), ("yx", 2), ("yxx", -3), ("xyx", 1)),
 ]
+
+
+def distinct_left_quotients(p, labels):
+    # brute force: u^-1 p for every label prefix u of every word, and the root
+    split = {w: tuple(labels(w)) for w in p.terms}
+    prefixes = {()} | {seq[:n] for seq in split.values() for n in range(len(seq) + 1)}
+    return {
+        frozenset((seq[len(u):], p.terms[w]) for w, seq in split.items() if seq[: len(u)] == u)
+        for u in prefixes
+    }
+
+
+def test_quotient_dag_has_one_node_per_distinct_quotient():
+    cases = [(p, iter) for p in FREE_OPERANDS] + [(p, _blocks) for p in H1_OPERANDS]
+    for p, labels in cases:
+        nodes = _quotient_dag(p, labels)
+        assert len(nodes) == len(distinct_left_quotients(p, labels)), p
+        assert all(c < i for i, (_, kids) in enumerate(nodes) for c in kids.values()), p
+    root_kids = _quotient_dag(poly(("xy", 1), ("yy", 1)), iter)[-1][1]
+    assert root_kids["x"] == root_kids["y"]
 
 
 def test_shuffle_of_polynomials_matches_bilinear_oracle():
@@ -208,6 +233,62 @@ def test_products_keep_no_state_between_calls():
     finally:
         tracemalloc.stop()
     assert retained < 5_000_000
+
+
+def test_products_peak_memory():
+    # a row of results is freed once no parent quotient still needs it;
+    # keeping every row to the end of the call peaks at about 10 MB
+    a, b, c = P("xyxyxy"), P("xxyyxy"), P("yxyxxy")
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = shuffle(a, shuffle(b, c))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.term_count() == comb(18, 6) * comb(12, 6)
+    assert peak < 9_000_000
+
+
+# For each of the first 20 algebra-laws triples of `fmzv suite` (seed
+# 20240607, drawn from the nonempty words of h1_words(6)): the SHA-256 over
+# the SHA-256 of repr(q.items()) for the 8 products q, harmonic then shuffle,
+# each as ab, (ab)c, bc, a(bc).
+TRIPLE_PRODUCT_SHA256 = [
+    "599196902e3232bfdff7685a0c139d11664c69c65d4cb8cad5228b48f8a335fa",
+    "35b362ab691dc09be5de5e17074dfa5e313b84330478e722c9a4bed57fd7b4f6",
+    "8bf40dc7ab4032ad43ab3e99a47a7eb4ec43616be6c3d7b8c9bdf466ee83d2e1",
+    "240507026f3b48df6bdd955d7607041b752c77893a1470ee0ddc9d6786bcf29c",
+    "f1f7b2af630cccc800820d20773acdcb87ae69ca84b107ec90bf0fedb3d7b465",
+    "9096425707eb8ae0ebda056297e4c0fa91b6f2eac48734c6ad1c9fcf4b32c4ae",
+    "265a7f08dd0e7a5c227d37d02058053a1c6109dc3a0d5f8cd95ab359aa3cfa2e",
+    "be6a51b7607ddcc73da4adeae7d1a640973354a7428b8074904403cc041d3022",
+    "6bffe85eca7e140551334c44d8ebf24e3d51389dc4824fbff82488c41eec9a9a",
+    "1fc37440ce359cd2a93df2d9201117d6dbb8efccce4c545dfc32a26f55988ead",
+    "266fbf62bfa2d1e24a723194556acf3d0fe3bbe59975759040a73d9b1ab34b0d",
+    "36edd53dc0a35b0bb4a9564d7f74feb7a92591f6a2d75fbd65d60fc3018bbd8e",
+    "5e2a08703f0246bfc8f50bb847c829034a01a2e5ca017a4a6165274145e292d4",
+    "1ccc9fd6cd43a973b8be475040003b7a0ecb980841bf784311187b5666ccdee0",
+    "dcfef068d299511f42fa97c9f085020549834cd092fb649c0d64f3ef0ef7dd8a",
+    "1e3887c33a23ac5b84620a70a60f4ce4b75f3daf501302fecace8b7325e5def3",
+    "141e6ec1afd4570190866cdd69f1744ced5105bf2df474b92d8397dabe6d3c05",
+    "1cbf49022f39ef0a99295c26b86f4b5778f043458d0ffeeaf97201b797184b7c",
+    "e2a6e0ff47b0ced128721118c4487d88adc5e24e9a04d9eca564b09a59f8b69c",
+    "8ce974295b41a2506d9975684b9e3d8d3079aa003f0cd748fe3d689a5b3e7ef6",
+]
+
+
+def test_triple_products_keep_their_bytes():
+    rng = random.Random(20240607)
+    pool = [w for w in h1_words(6) if w]
+    for n, want in enumerate(TRIPLE_PRODUCT_SHA256):
+        a, b, c = (P(rng.choice(pool)) for _ in range(3))
+        digest = hashlib.sha256()
+        for product in (harmonic, shuffle):
+            ab, bc = product(a, b), product(b, c)
+            for q in (ab, product(ab, c), bc, product(a, bc)):
+                digest.update(hashlib.sha256(repr(q.items()).encode()).digest())
+        assert digest.hexdigest() == want, (n, a, b, c)
 
 
 def test_products_commute_and_associate():
