@@ -178,8 +178,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_suite.add_argument("--primes", metavar="LO:HI")
     p_suite.add_argument(
         "--jobs", type=int, default=1,
-        help="parallel workers per step (default: 1); steps whose missing sweep "
-        "work is too light to pay for starting workers run serially, and pooled "
+        help="parallel workers per step (default: 1); a step starts them only "
+        "when the sweep work still missing from the store pays for it, and pooled "
         "steps leave their residues for later ones",
     )
     p_suite.add_argument("--format", choices=("table", "json"), default="table")

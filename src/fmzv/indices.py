@@ -40,9 +40,6 @@ class Index(tuple):
     def depth(self) -> int:
         return len(self)
 
-    def dual(self) -> "Index":
-        return hoffman_dual(self)
-
     def __repr__(self) -> str:
         return f"Index({format_index(self)})"
 

@@ -1,8 +1,9 @@
 """Prime windows, modular arithmetic, truncated multiple harmonic sums mod p,
 and Bernoulli numbers mod p.
 
-Moduli are restricted below 2^31 so that products of two residues always fit
-in native 64-bit intermediates; windows in day-to-day use stay far smaller.
+Moduli are restricted below ``MAX_MODULUS`` = 2^31, which bounds the
+windows the sieve accepts; Python integers are exact at any size, so no
+product overflows.  Windows in day-to-day use stay far smaller.
 
 Harmonic sums are evaluated over a :class:`SuffixTrie`, built once from a
 set of indices and reused at every prime.  Its nodes are the proper suffixes
@@ -22,17 +23,25 @@ Each row entry, residue and Bernoulli value costs one unit of
 ``TABLE_BUDGET``; once the store is over budget, whole primes are dropped,
 least recently used first and never the prime being evaluated, so memory
 stays bounded however many primes a process meets, and a prime's rows,
-residues and Bernoulli values always leave together.  The trie is walked
-only for the indices whose residues are missing there, so large
-verification batteries share almost all of their arithmetic.  Residues and
-Bernoulli values computed in a pool worker are merged into the parent's
-store, so they outlive the worker; the rows a worker builds stay behind.
+residues and Bernoulli values always leave together.
+
+:func:`residues` is the one way a batch of indices is evaluated over a
+window: it yields each prime's residue memo once the store holds what the
+batch reads there.  The trie is walked only for the indices whose residues
+are missing, so large verification batteries share almost all of their
+arithmetic.  When that missing work reaches ``POOL_MIN_MULTS`` the primes
+are filled by pool workers instead, whose residues and Bernoulli values are
+merged into the parent's store as they arrive, so they outlive the worker;
+the rows a worker builds stay behind.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Mapping, Sequence
+import os
+from collections.abc import Iterable, Iterator, Mapping, Sequence
+from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from itertools import accumulate, filterfalse, repeat
 from operator import mod, mul
 
@@ -41,6 +50,11 @@ MAX_MODULUS = 2**31
 # units (row entries, residues, Bernoulli values) the per-prime store may
 # hold beyond the current prime's: about 40 MB, ten rows at p = 10^5
 TABLE_BUDGET = 2**20
+# Sweep work still missing from the store, in multiplications, below which
+# a window is filled in-process whatever ``jobs`` says: starting and tearing
+# down a 2-worker pool costs about 20 ms on a 2-vCPU host, so lighter
+# windows finish sooner without one.
+POOL_MIN_MULTS = 500_000
 
 
 class EngineFault(RuntimeError):
@@ -169,16 +183,6 @@ def _inv_pow_row(p: int, e: int) -> tuple[int, ...]:
     return row
 
 
-def _reduced_exponents(k: Sequence[int], p: int) -> list[int]:
-    # Fermat reduction: m^(-k) = m^(-(k mod (p-1))), and exponent 0 with k > 0
-    # means the full power collapses to 1.
-    out = []
-    for kj in k:
-        e = kj % (p - 1) if p > 2 else 0
-        out.append(e)
-    return out
-
-
 class SuffixTrie:
     """The proper suffixes of a set of indices, in the order one walk
     evaluates them; it does not depend on the prime.
@@ -237,8 +241,9 @@ class SuffixTrie:
         """
         if self._ops is None:
             self._build()
-        parts = self._parts
-        rows = dict(zip(parts, (_inv_pow_row(p, e) for e in _reduced_exponents(parts, p))))
+        # Fermat reduction: m^(-a) = m^(-(a mod (p-1))), and exponent 0 with
+        # a > 0 means the full power collapses to 1
+        rows = {part: _inv_pow_row(p, part % (p - 1)) for part in self._parts}
         # every row starts with row[0] = 0, so the m = 0 term of every pass
         # vanishes; one tail slot per depth, the root's being the empty product
         tails: list = [repeat(1)] + [None] * self._depth
@@ -272,28 +277,73 @@ def harmonic_sums(trie: SuffixTrie, p: int) -> Mapping[tuple[int, ...], int]:
     return memo
 
 
-def sweep_work(indices: Sequence[tuple[int, ...]], primes: Iterable[int]) -> int:
-    """Multiplications the sweeps of ``indices`` still cost at ``primes``:
-    depth * (p - 1) for each index whose residue at p is not memoized; an
-    index of depth >= p costs nothing.  The store is only read, so no prime
-    moves in its order."""
+def _pool_pays(indices: Sequence[tuple[int, ...]], primes: list[int]) -> bool:
+    # Whether the sweeps of ``indices`` still missing at ``primes`` cost
+    # POOL_MIN_MULTS multiplications or more: depth * (p - 1) for each index
+    # whose residue at p is not memoized, an index of depth >= p costing
+    # nothing.  The store is only read, so no prime moves in its order.  The
+    # cold work, every index at every prime, bounds that figure, and a window
+    # lighter than that is settled without reading the store, which costs
+    # about a microsecond a prime.
+    if sum(map(len, indices)) * (sum(primes) - len(primes)) < POOL_MIN_MULTS:
+        return False
     total = 0
     for p in primes:
         missing = filterfalse(_store[p][1].__contains__, indices) if p in _store else indices
         total += (p - 1) * sum(d for d in map(len, missing) if d < p)
-    return total
+    return total >= POOL_MIN_MULTS
 
 
-def merge(p: int, residues: Iterable[tuple], bernoulli: Iterable[tuple]) -> Mapping:
-    """Store (index, residue) and (n, B_n) pairs computed at the prime p
-    elsewhere, in a pool worker, charging only the units that are new, and
-    return p's residue memo, for reading only."""
+def _fill(trie: SuffixTrie, ws: list[int], p: int) -> tuple[list[int], list[int]]:
+    # run in a pool worker: the residue at p of each of the trie's indices in
+    # order, then B_(p-w) for each w of ``ws``, computed into the worker's
+    # store and returned for the parent's
+    values = harmonic_sums(trie, p)
+    return [values[k] for k in trie.indices], [bernoulli_mod_p(w, p) for w in ws]
+
+
+def _merge(p: int, sums: Iterable[tuple], bernoulli: Iterable[tuple]) -> Mapping:
+    # Store (index, residue) and (n, B_n) pairs computed at p in a pool
+    # worker, charging only the units that are new, and return p's memo.
     _, memo, bern = _entry(p)
     held = len(memo) + len(bern)
-    memo.update(residues)
+    memo.update(sums)
     bern.update(bernoulli)
     _charge(p, len(memo) + len(bern) - held)
     return memo
+
+
+def residues(
+    indices: Iterable[Sequence[int]], primes: list[int], ws: Iterable[int] = (), jobs: int = 1
+) -> Iterator[tuple[int, Mapping[tuple[int, ...], int]]]:
+    """For each prime p of ``primes``, taken from the sieve, in order: yield
+    (p, p's residue memo, for reading only) once the store holds the residue
+    at p of every index of ``indices`` and B_(p-w) for each w of ``ws``.
+
+    What is missing is computed in-process, unless the sweep work still
+    missing over all of ``primes`` reaches :data:`POOL_MIN_MULTS` and more
+    than one worker is allowed: at most ``jobs``, and never more than the
+    primes or the cores.  Then pool workers fill the primes and each one's
+    results are merged into the store as they arrive.  Close the generator
+    (``contextlib.closing``) to shut such a pool down early.
+    """
+    trie = SuffixTrie(indices)
+    ws = sorted(set(ws))
+    # more workers than primes or cores only add start-up cost: under the
+    # fork start method every requested worker is launched at once
+    workers = min(jobs, len(primes), os.cpu_count() or 1)
+    if workers > 1 and _pool_pays(trie.indices, primes):
+        chunk = max(1, len(primes) // (workers * 4))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            filled = pool.map(partial(_fill, trie, ws), primes, chunksize=chunk)
+            for p, (got, bs) in zip(primes, filled):
+                yield p, _merge(p, zip(trie.indices, got), zip([p - w for w in ws], bs))
+    else:
+        for p in primes:
+            values = harmonic_sums(trie, p)
+            for w in ws:
+                bernoulli_mod_p(w, p)
+            yield p, values
 
 
 def zeta_mod_p(k: tuple[int, ...], p: int) -> int:

@@ -13,14 +13,10 @@ battery read the same table.  A numeric builder makes an :class:`Instance`
 (identity, params, plan, weight), and one runner, :func:`_run`, takes a
 batch of instances over one window and one floor; the battery passes each
 step's instances as one batch.  The plans that share a minimum prime are
-evaluated together: at each prime one walk of a
-:class:`~fmzv.modp.SuffixTrie`, built once over the union of their indices,
-gives every residue they need that the bounded per-prime store of
-:mod:`fmzv.modp` does not already hold, and then each plan is evaluated
-from those residues.  A pooled batch differs only in who fills the store:
-each worker sends the residues and Bernoulli values it computed at its
-prime home, where they are merged into the store and every plan is paired
-at that prime.  Each instance is reported on its own.
+evaluated together: :func:`fmzv.modp.residues` fills the bounded per-prime
+store with every residue and Bernoulli value they read, in-process or in a
+pool, and as each prime arrives every plan is paired there.  Each instance
+is reported on its own.
 
 "Equal in the cofinite-equality ring" is operationalized as "equal at every
 prime at or above the floor".  The floor is an option of the run, not of
@@ -40,13 +36,12 @@ checks then evaluate the word reading.
 from __future__ import annotations
 
 import math
-import os
 from collections import Counter
 from collections.abc import Callable, Iterable, Mapping, Sequence
-from itertools import zip_longest
-from concurrent.futures import ProcessPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import zip_longest
 from typing import NamedTuple
 
 from .generators import bumped_insertion_words, ones_expansion_sides
@@ -60,13 +55,10 @@ from .indices import (
 )
 from .modp import (
     EngineFault,
-    SuffixTrie,
     bernoulli_mod_p,
-    harmonic_sums,
     inv_mod,
-    merge,
     primes_in,
-    sweep_work,
+    residues,
     zeta_mod_p_naive,
 )
 from .series import const_series, geometric_yu, series_harmonic, series_shuffle, substitution_series
@@ -131,9 +123,6 @@ class CheckReport:
             return 0 if self.equal else 1
         return sum(1 for r in self.results if r.p >= self.floor and not r.ok)
 
-    def subfloor_disagreements(self) -> list[PrimeCheck]:
-        return [r for r in self.results if r.p < self.floor and not r.ok]
-
     def to_json_dict(self) -> dict:
         if self.mode == "symbolic":
             res: dict = {"equal": bool(self.equal)}
@@ -156,15 +145,6 @@ class CheckReport:
             },
         }
 
-
-# Sweep work, in multiplications, below which a batch runs serially
-# whatever ``jobs`` says: starting and tearing down a 2-worker pool costs
-# about 20 ms on a 2-vCPU host, so lighter batches finish sooner in-process.
-# A batch pools only when both its cold-cache work (Plan.work) and the work
-# still missing from the store (modp.sweep_work) reach it, so a batch whose
-# residues are all memoized runs in-process; the second figure is counted
-# only once the first reaches the threshold.
-POOL_MIN_MULTS = 500_000
 
 Window = tuple[int, int]
 # (c, indices): c times the product of the indices' harmonic sums
@@ -194,13 +174,6 @@ class Plan:
     def minimum(self) -> int:
         """The least prime the plan is evaluated at."""
         return self.bernoulli[0] + 2 if self.bernoulli else 2
-
-    def work(self, primes: list[int]) -> int:
-        """Multiplications the plan's sweeps cost with cold caches: (p - 1)
-        times the depth for every distinct index at every prime.  A batch
-        below :data:`POOL_MIN_MULTS` of it runs in-process without counting
-        what the store already holds."""
-        return sum(map(len, self.indices())) * sum(p - 1 for p in primes)
 
 
 class Instance(NamedTuple):
@@ -247,66 +220,33 @@ def _pair(plan: Plan, p: int, values: Mapping[tuple[int, ...], int]) -> tuple[in
     return lhs, rhs
 
 
-def _fill(trie: SuffixTrie, ws: list[int], p: int) -> tuple[list[int], list[int]]:
-    # run in a pool worker: what a batch reads at p, computed into the
-    # worker's store and returned for the parent's, namely the residue of
-    # each of the trie's indices in order, then B_(p-w) for each w of ``ws``
-    values = harmonic_sums(trie, p)
-    return [values[k] for k in trie.indices], [bernoulli_mod_p(w, p) for w in ws]
-
-
-def _pairs_at(plans: list[Plan], p: int, values: Mapping) -> list[tuple[int, int]]:
-    # both sides of every plan at p, from the residues at p of (at least)
-    # all the plans' indices
-    return [_pair(plan, p, values) for plan in plans]
-
-
 def _evaluate(plans: list[Plan], primes: list[int], jobs: int) -> list[list[PrimeCheck]]:
-    # One row list per plan.  The store is filled at each prime, in-process
-    # or by pool workers whose results are merged into it as they arrive,
-    # and every plan is paired at that prime at once, so evicting an older
-    # prime never forces a sweep.  More workers than primes or cores only
-    # adds start-up cost, and under the fork start method every requested
-    # worker is launched at once.
-    trie = SuffixTrie(k for plan in plans for k in plan.indices())
-    workers = min(jobs, len(primes), os.cpu_count() or 1)
-    if (
-        workers > 1
-        and sum(plan.work(primes) for plan in plans) >= POOL_MIN_MULTS
-        and sweep_work(trie.indices, primes) >= POOL_MIN_MULTS
-    ):
-        ws = sorted({plan.bernoulli[0] for plan in plans if plan.bernoulli})
-        chunk = max(1, len(primes) // (workers * 4))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            filled = pool.map(partial(_fill, trie, ws), primes, chunksize=chunk)
-            values = [
-                _pairs_at(plans, p, merge(p, zip(trie.indices, got), zip([p - w for w in ws], bs)))
-                for p, (got, bs) in zip(primes, filled)
-            ]
-    else:
-        values = [_pairs_at(plans, p, harmonic_sums(trie, p)) for p in primes]
-    return [
-        [PrimeCheck(p, l % p, r % p) for p, (l, r) in zip(primes, column)]
-        for column in zip(*values)
-    ]
+    # One row list per plan: every plan is paired at each prime as soon as
+    # the store holds that prime's residues, so evicting an older prime
+    # never forces a sweep.  Closing the residues on the way out shuts a
+    # pool down if pairing raises.
+    rows: list[list[PrimeCheck]] = [[] for _ in plans]
+    indices = (k for plan in plans for k in plan.indices())
+    ws = (plan.bernoulli[0] for plan in plans if plan.bernoulli)
+    with closing(residues(indices, primes, ws, jobs)) as filled:
+        for p, values in filled:
+            for row, plan in zip(rows, plans):
+                row.append(PrimeCheck(p, *_pair(plan, p, values)))
+    return rows
 
 
-def _pair_with(plan: Plan, p: int, zeta) -> tuple[int, int]:
-    # both sides of ``plan`` at p, every harmonic sum from ``zeta(k, p)``
-    return _pair(plan, p, {k: zeta(k, p) for k in plan.indices()})
-
-
-def _confirm_failures(rows: list[PrimeCheck], floor: int, pair_fn) -> None:
+def _confirm_failures(plan: Plan, rows: list[PrimeCheck], floor: int) -> None:
     # Failures at or above the floor are re-derived with the independent
     # oracle; a disagreement with the fast path is an engine bug, not an
     # exceptional prime, and is raised loudly.
     for row in rows:
         if row.p >= floor and not row.ok:
-            l2, r2 = pair_fn(row.p, zeta=zeta_mod_p_naive)
-            if (l2 % row.p, r2 % row.p) != (row.lhs, row.rhs):
+            oracle = {k: zeta_mod_p_naive(k, row.p) for k in plan.indices()}
+            l2, r2 = _pair(plan, row.p, oracle)
+            if (l2, r2) != (row.lhs, row.rhs):
                 raise EngineFault(
                     f"evaluator disagrees with brute-force oracle at p={row.p}: "
-                    f"fast ({row.lhs}, {row.rhs}) vs oracle ({l2 % row.p}, {r2 % row.p})"
+                    f"fast ({row.lhs}, {row.rhs}) vs oracle ({l2}, {r2})"
                 )
 
 
@@ -334,7 +274,7 @@ def _run(
     reports = []
     for (identity, params, plan, weight), rows in zip(instances, rows_of):
         at = weight + 3 if floor is None else floor
-        _confirm_failures(rows, at, partial(_pair_with, plan))
+        _confirm_failures(plan, rows, at)
         reports.append(CheckReport(identity, params, "numeric", at, rows))
     return reports
 

@@ -113,9 +113,6 @@ class NCPolynomial:
         """Terms in deterministic order (length, then lexicographic)."""
         return sorted(self.terms.items(), key=lambda t: (len(t[0]), t[0]))
 
-    def support(self) -> list[str]:
-        return [w for w, _ in self.items()]
-
     def coeff(self, w: str) -> int:
         return self.terms.get(w, 0)
 

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import time
 
+import fmzv.modp
 import fmzv.verify
 from fmzv.cli import main, render_json
 
@@ -142,7 +143,7 @@ def test_engine_fault_exit_code(capsys, monkeypatch):
     def wrong_sums(trie, p):
         return {k: len(k) for k in trie.indices}
 
-    monkeypatch.setattr(fmzv.verify, "harmonic_sums", wrong_sums)
+    monkeypatch.setattr(fmzv.modp, "harmonic_sums", wrong_sums)
     code, out, err = run_cli(
         capsys, "check", "ohno", "--index", "2,1", "--n", "1", "--primes", "11:13", "--jobs", "1"
     )

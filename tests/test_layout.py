@@ -1,0 +1,71 @@
+"""Every function, class and method of the package is used by the package.
+
+Code that only its tests call is deleted rather than kept: a name defined in
+``src/fmzv`` must be read somewhere in ``src/fmzv`` outside its own
+definition, or be exported through an ``__all__``.  Names are matched by
+spelling, so a use of any attribute of the same name counts.
+"""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "fmzv"
+
+
+def _names_read(node: ast.AST) -> Counter:
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    )
+
+
+def _exported(tree: ast.Module) -> set[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def unused_definitions(src: Path = SRC) -> list[str]:
+    """``module.qualname`` of every non-dunder definition in ``src`` that
+    nothing else there reads."""
+    trees = {path.stem: ast.parse(path.read_text(), str(path)) for path in sorted(src.glob("*.py"))}
+    read = sum(map(_names_read, trees.values()), Counter())
+    exported = set().union(*map(_exported, trees.values()))
+    unused = []
+
+    def visit(module: str, scope: str, body: list) -> None:
+        for node in body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            name = node.name
+            if not (name.startswith("__") and name.endswith("__")):
+                if read[name] - _names_read(node)[name] <= 0 and name not in exported:
+                    unused.append(f"{module}.{scope}{name}")
+            if isinstance(node, ast.ClassDef):
+                visit(module, f"{scope}{name}.", node.body)
+
+    for module, tree in trees.items():
+        visit(module, "", tree.body)
+    return unused
+
+
+def test_every_definition_is_used_by_the_package():
+    assert unused_definitions() == []
+
+
+def test_a_definition_read_only_by_itself_is_unused(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "__all__ = ['api']\n"
+        "def api():\n    return _used()\n"
+        "def _used():\n    return 1\n"
+        "def _recursive(n):\n    return _recursive(n - 1) if n else 0\n"
+        "class Box:\n"
+        "    def __len__(self):\n        return 0\n"
+        "    def dead(self):\n        return self\n"
+    )
+    assert unused_definitions(tmp_path) == ["a._recursive", "a.Box", "a.Box.dead"]

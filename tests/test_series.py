@@ -31,7 +31,7 @@ def test_geometric_series():
     g = geometric_yu(2)
     assert g.coeffs == (NCPolynomial.one(), P("y"), P("yy"))
     for k, c in enumerate(geometric_yu(5).coeffs):
-        (w,) = c.support()
+        (w,) = c.terms
         assert w.count("y") == k and len(w) == k
 
 

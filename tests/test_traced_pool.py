@@ -13,7 +13,6 @@ from pathlib import Path
 import pytest
 
 import fmzv.modp as modp
-import fmzv.verify
 from fmzv.cli import main
 from fmzv.modp import primes_in
 
@@ -30,7 +29,7 @@ pytestmark = pytest.mark.skipif(
 
 
 def test_worker_spans_reach_the_parent(monkeypatch, tmp_path):
-    monkeypatch.setattr(fmzv.verify, "POOL_MIN_MULTS", 0)
+    monkeypatch.setattr(modp, "POOL_MIN_MULTS", 0)
     requests = [
         ["check", "homogeneous", "--a", "3", "--r", "2", "--primes", "5:60"],
         ["check", "stuffle", "--w", "y", "--wp", "xy", "--primes", "5:60"],

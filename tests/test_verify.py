@@ -8,7 +8,7 @@ import fmzv.modp
 import fmzv.verify
 from fmzv.cli import main
 from fmzv.indices import Index
-from fmzv.modp import zeta_mod_p
+from fmzv.modp import EngineFault, zeta_mod_p
 from fmzv.verify import (
     CheckReport,
     PrimeCheck,
@@ -44,7 +44,7 @@ def test_ohno_subfloor_reported_not_failed():
     rep = check("ohno", Index((2,)), 1, window=(2, 50))
     assert rep.passed
     assert any(r.p == 2 for r in rep.results)
-    subs = rep.subfloor_disagreements()
+    subs = [r for r in rep.results if r.p < rep.floor and not r.ok]
     assert all(r.p < rep.floor for r in subs)
 
 
@@ -248,7 +248,7 @@ def test_report_pass_semantics():
     rep = CheckReport(identity="t", params={}, mode="numeric", floor=5, results=rows)
     assert not rep.passed
     assert rep.failed_above_floor == 1
-    assert rep.subfloor_disagreements() == [rows[0]]
+    assert [r for r in rep.results if r.p < rep.floor and not r.ok] == [rows[0]]
     rep_ok = CheckReport(identity="t", params={}, mode="numeric", floor=5, results=rows[:2])
     assert rep_ok.passed
 
@@ -261,7 +261,7 @@ def test_determinism():
 
 def test_parallel_matches_serial(monkeypatch):
     # checks this light run serially unless the pool is forced
-    monkeypatch.setattr(fmzv.verify, "POOL_MIN_MULTS", 0)
+    monkeypatch.setattr(fmzv.modp, "POOL_MIN_MULTS", 0)
     serial = check("ohno", Index((2, 1)), 2, window=(5, 80), jobs=1)
     parallel = check("ohno", Index((2, 1)), 2, window=(5, 80), jobs=2)
     assert serial.results == parallel.results
@@ -291,15 +291,15 @@ def recorded_pools(monkeypatch):
         def map(self, fn, items, chunksize=1):
             return map(fn, items)
 
-    monkeypatch.setattr(fmzv.verify, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(fmzv.verify.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(fmzv.modp, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(fmzv.modp.os, "cpu_count", lambda: 4)
     return started
 
 
 def test_pool_never_exceeds_cores_or_primes(monkeypatch, recorded_pools):
     started = recorded_pools
     # every check is heavy enough for a pool here; only the caps apply
-    monkeypatch.setattr(fmzv.verify, "POOL_MIN_MULTS", 0)
+    monkeypatch.setattr(fmzv.modp, "POOL_MIN_MULTS", 0)
     serial = check("ohno", Index((2, 1)), 1, window=(5, 80), jobs=1).results
     for jobs, window, expect in [
         (5000, (5, 80), [4]),    # capped by the cores
@@ -312,7 +312,7 @@ def test_pool_never_exceeds_cores_or_primes(monkeypatch, recorded_pools):
         rep = check("ohno", Index((2, 1)), 1, window=window, jobs=jobs)
         assert started == expect, (jobs, window)
         assert rep.results == [r for r in serial if window[0] <= r.p <= window[1]]
-    monkeypatch.setattr(fmzv.verify.os, "cpu_count", lambda: None)
+    monkeypatch.setattr(fmzv.modp.os, "cpu_count", lambda: None)
     started.clear()
     check("ohno", Index((2, 1)), 1, window=(5, 80), jobs=5000)
     assert started == []
@@ -333,13 +333,15 @@ def test_pool_only_for_heavy_checks(monkeypatch, recorded_pools):
     assert sorted(plan.indices()) == [(1, 2, 1), (2, 1, 1), (2, 2), (3, 1)]
 
     def work(window):
-        return plan.work(fmzv.verify.primes_in(*window))
+        # the sweep multiplications of the plan's indices over the window
+        primes = fmzv.verify.primes_in(*window)
+        return sum(map(len, plan.indices())) * sum(p - 1 for p in primes)
 
     def cold():
         monkeypatch.setattr(fmzv.modp, "_store", {})
         monkeypatch.setattr(fmzv.modp, "_store_size", 0)
 
-    assert work(light) < fmzv.verify.POOL_MIN_MULTS <= work(heavy)
+    assert work(light) < fmzv.modp.POOL_MIN_MULTS <= work(heavy)
     for window, expect in [(light, []), (heavy, [4])]:
         cold()
         serial = check("ohno", k, 1, window=window, jobs=1).results
@@ -352,13 +354,51 @@ def test_pool_only_for_heavy_checks(monkeypatch, recorded_pools):
     started.clear()
     assert check("ohno", k, 1, window=heavy, jobs=5000).results == serial
     assert started == []
-    # the threshold itself, cold: work equal to it pools, one less does not
+    # partly warm: the residues below 900 are memoized, so only the 14
+    # primes above are missing; their work alone decides, whatever the cold
+    # work over the whole window is
+    warm, missing = (5, 900), (901, 1000)
+
+    def partly_warm():
+        cold()
+        check("ohno", k, 1, window=warm, jobs=1)
+        started.clear()
+
+    assert work(missing) < fmzv.modp.POOL_MIN_MULTS <= work(heavy)
+    partly_warm()
+    assert check("ohno", k, 1, window=heavy, jobs=5000).results == serial
+    assert started == []
+    # the threshold itself: missing work equal to it pools, one less does not
+    for limit, expect in [(work(missing), [4]), (work(missing) + 1, [])]:
+        monkeypatch.setattr(fmzv.modp, "POOL_MIN_MULTS", limit)
+        partly_warm()
+        assert check("ohno", k, 1, window=heavy, jobs=5000).results == serial
+        assert started == expect, limit
+    # and cold
     for limit, expect in [(work(light), [4]), (work(light) + 1, [])]:
-        monkeypatch.setattr(fmzv.verify, "POOL_MIN_MULTS", limit)
+        monkeypatch.setattr(fmzv.modp, "POOL_MIN_MULTS", limit)
         cold()
         started.clear()
         check("ohno", k, 1, window=light, jobs=5000)
         assert started == expect, limit
+
+
+def test_pool_shuts_down_when_pairing_raises(monkeypatch, recorded_pools):
+    monkeypatch.setattr(fmzv.modp, "POOL_MIN_MULTS", 0)
+    pool_class = fmzv.modp.ProcessPoolExecutor
+    exit_pool, exits = pool_class.__exit__, []
+    monkeypatch.setattr(
+        pool_class, "__exit__", lambda self, *exc: exits.append(exc[0]) or exit_pool(self, *exc)
+    )
+
+    def broken_pair(plan, p, values):
+        raise EngineFault(f"pairing broke at p={p}")
+
+    monkeypatch.setattr(fmzv.verify, "_pair", broken_pair)
+    with pytest.raises(EngineFault, match="p=5"):
+        check("ohno", Index((2, 1)), 1, window=(5, 80), jobs=2)
+    # the pool left its block before the fault reached the caller
+    assert recorded_pools == [2] and exits == [GeneratorExit]
 
 
 @pytest.mark.skipif(
@@ -377,8 +417,9 @@ def test_pooled_residues_come_home(monkeypatch, tmp_path):
         ["check", "sum-formula", "--k", "6", "--r", "3", "--i", "2", "--primes", "5:400"],
     ]
     batch = [fmzv.verify.CHECKS[name].build(*values, window) for name, *values in requests]
-    default = fmzv.verify.POOL_MIN_MULTS
-    assert batch[0].plan.work(fmzv.verify.primes_in(*window)) >= default
+    default = fmzv.modp.POOL_MIN_MULTS
+    depths = sum(map(len, batch[0].plan.indices()))
+    assert depths * sum(p - 1 for p in modp.primes_in(*window)) >= default
 
     def cold():
         monkeypatch.setattr(modp, "_store", {})
@@ -408,17 +449,17 @@ def test_pooled_residues_come_home(monkeypatch, tmp_path):
     # validates its prime
     pools, sweeps, cold_work = [], [], []
     real_pool, real_sweep, real_ensure = (
-        fmzv.verify.ProcessPoolExecutor, modp.SuffixTrie.sweep, modp.ensure_prime
+        modp.ProcessPoolExecutor, modp.SuffixTrie.sweep, modp.ensure_prime
     )
     monkeypatch.setattr(
-        fmzv.verify, "ProcessPoolExecutor", lambda **kw: pools.append(kw) or real_pool(**kw)
+        modp, "ProcessPoolExecutor", lambda **kw: pools.append(kw) or real_pool(**kw)
     )
     monkeypatch.setattr(
         modp.SuffixTrie, "sweep", lambda self, p: sweeps.append(p) or real_sweep(self, p)
     )
     monkeypatch.setattr(modp, "ensure_prime", lambda p: cold_work.append(p) or real_ensure(p))
 
-    monkeypatch.setattr(fmzv.verify, "POOL_MIN_MULTS", 0)
+    monkeypatch.setattr(modp, "POOL_MIN_MULTS", 0)
     cold()
     assert [run(argv, 2) for argv in argvs] == serial
     assert len(pools) == 2 and sweeps == [] and cold_work == []
@@ -434,13 +475,13 @@ def test_pooled_residues_come_home(monkeypatch, tmp_path):
     assert modp._store_size == units()
 
     # a repeat finds everything memoized: in-process, nothing swept
-    monkeypatch.setattr(fmzv.verify, "POOL_MIN_MULTS", default)
+    monkeypatch.setattr(modp, "POOL_MIN_MULTS", default)
     assert [run(argv, 2) for argv in argvs] == serial
     assert len(pools) == 2 and sweeps == [] and cold_work == []
 
     # a store that holds one prime at a time: each prime is paired as it
     # arrives, so nothing is swept again in the parent
-    monkeypatch.setattr(fmzv.verify, "POOL_MIN_MULTS", 0)
+    monkeypatch.setattr(modp, "POOL_MIN_MULTS", 0)
     monkeypatch.setattr(modp, "TABLE_BUDGET", 1)
     cold()
     expected = fmzv.verify._run(batch, window, jobs=1)
@@ -455,21 +496,16 @@ def test_pooled_residues_come_home(monkeypatch, tmp_path):
 
 
 def test_confirm_failures_flags_engine_bugs():
-    rows = [PrimeCheck(11, 1, 0)]
-
-    def honest_pair(p, zeta=zeta_mod_p):
-        return 1, 0
-
-    # a genuine failure: oracle reproduces the same residues, no error
-    _confirm_failures(rows, 5, honest_pair)
-
-    def buggy_pair(p, zeta=zeta_mod_p):
-        return (1, 0) if zeta is zeta_mod_p else (0, 0)
-
-    with pytest.raises(RuntimeError):
-        _confirm_failures(rows, 5, buggy_pair)
+    # H(1) against 0: at p = 2 the sum is 1, a genuine failure the oracle
+    # reproduces, so no error; at p = 11 it is 0, so a failing row that
+    # reads 1 there is the fast path's bug
+    plan = fmzv.verify.homogeneous_instance(1, 1, (2, 11)).plan
+    genuine, buggy = [PrimeCheck(2, 1, 0)], [PrimeCheck(11, 1, 0)]
+    _confirm_failures(plan, genuine, 2)
+    with pytest.raises(EngineFault, match=r"at p=11: fast \(1, 0\) vs oracle \(0, 0\)"):
+        _confirm_failures(plan, buggy, 5)
     # below the floor nothing is re-verified
-    _confirm_failures(rows, 13, buggy_pair)
+    _confirm_failures(plan, buggy, 13)
 
 
 def test_batch_reports_equal_single_runs(monkeypatch):
