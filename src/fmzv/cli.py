@@ -2,7 +2,8 @@
 
 Exit codes: 0 when everything requested passed (above the floor), 1 when at
 least one check failed above its floor, 2 for usage or parse errors (the
-offending token is reported on standard error), 3 for an engine fault: the
+offending token is reported on standard error) and for an output file that
+cannot be written, 3 for an engine fault: the
 evaluator disagreed with its independent oracle or with itself, or the two
 readings of the lemma differ, which is a bug in this package rather than a
 failed identity (reported on standard error).
@@ -178,9 +179,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_suite.add_argument("--primes", metavar="LO:HI")
     p_suite.add_argument(
         "--jobs", type=int, default=1,
-        help="parallel workers per step (default: 1); a step starts them only "
-        "when the sweep work still missing from the store pays for it, and pooled "
-        "steps leave their residues for later ones",
+        help="parallel workers per step (default: 1); each numeric step fills the "
+        "store once for all its checks, and starts workers only when the sweep work "
+        "still missing from the store pays for it; pooled steps leave their residues "
+        "for later ones",
     )
     p_suite.add_argument("--format", choices=("table", "json"), default="table")
     p_suite.add_argument("--output", metavar="PATH")
@@ -277,7 +279,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, OSError) as exc:
         print(f"fmzv: error: {exc}", file=sys.stderr)
         return 2
     except EngineFault as exc:

@@ -6,12 +6,14 @@ windows the sieve accepts; Python integers are exact at any size, so no
 product overflows.  Windows in day-to-day use stay far smaller.
 
 Harmonic sums are evaluated over a :class:`SuffixTrie`, built once from a
-set of indices and reused at every prime.  Its nodes are the proper suffixes
-(k_j, ..., k_r) of the indices; at the prime p a node's tail is the prefix
-sum over m = 1 .. p-1 of the row m^(-k_j) times its parent's tail, so each
-distinct suffix costs one O(p) pass and each index one more dot product.
-The walk runs in preorder and keeps one tail per depth, so at most depth
-tails of length p are alive at once, however many indices share the trie.
+set of indices and reused at every prime.  It sorts the indices by their
+proper suffixes (k_j, ..., k_r), read innermost part first; at the prime p
+a suffix's tail is the prefix sum over m = 1 .. p-1 of the row m^(-k_j)
+times the tail of the suffix one part shorter.  Walking the indices in
+sorted order extends the tails the previous index left, so each distinct
+suffix costs one O(p) pass and each index one more dot product, and one
+tail per depth, at most depth tails of length p, is alive at once, however
+many indices share the walk.
 Each pass, and each inverse-power row it reads, is built from C-level
 iterators (``map``, ``itertools.accumulate``) rather than an interpreted
 loop over m.  Bernoulli numbers B_n mod p come from the power sum
@@ -187,11 +189,12 @@ class SuffixTrie:
     """The proper suffixes of a set of indices, in the order one walk
     evaluates them; it does not depend on the prime.
 
-    A node (k_j, ..., k_r) holds, at the prime p, the tail
+    A suffix (k_j, ..., k_r) has, at the prime p, the tail
     ``tail[m]`` = sum over m > m_j > ... > m_r > 0 of prod m_i^(-k_i): the
-    prefix sums of the row m^(-k_j) times its parent (k_(j+1), ..., k_r)'s
-    tail, the root () being the empty product 1.  An index (k_1, ..., k_r)
-    is then the dot product of the row m^(-k_1) with the tail of k[1:].
+    prefix sums of the row m^(-k_j) times the tail of (k_(j+1), ..., k_r),
+    the empty suffix's tail being the empty product 1.  An index
+    (k_1, ..., k_r) is then the dot product of the row m^(-k_1) with the
+    tail of k[1:].
     """
 
     def __init__(self, indices: Iterable[Sequence[int]]):
@@ -199,39 +202,20 @@ class SuffixTrie:
         self._ops: list | None = None  # built on the first sweep
 
     def _build(self) -> None:
-        # Node 0 is the root (); a node is named by (its first part, its
-        # parent's number), so no suffix is ever spelled out.  In the walk,
-        # (d, part, None) builds the tail of a depth-d node from its
-        # parent's at depth d - 1, and (d, part, k) evaluates k against the
-        # depth-d tail of k[1:]; preorder keeps the parent's tail in place
-        # while its subtree is walked.
-        number: dict[tuple[int, int], int] = {}
-        first, depth, children, ending = [0], [0], [[]], [[]]
-        for k in self.indices:
-            node = 0
-            for part in reversed(k[1:]):
-                child = number.get((part, node))
-                if child is None:
-                    child = number[part, node] = len(first)
-                    first.append(part)
-                    depth.append(depth[node] + 1)
-                    children.append([])
-                    ending.append([])
-                    children[node].append(child)
-                node = child
-            ending[node].append(k)
+        # Sorted by their proper suffixes read innermost part first, the
+        # indices visit every suffix just after the longest one it extends,
+        # as a preorder walk of the suffixes' trie would.  The op
+        # (kept, parts, k) keeps the tails of the first ``kept`` inner parts
+        # it shares with the previous index, extends them by ``parts`` and
+        # evaluates k on the last; commonprefix compares tuples part by part.
         ops = []
-        stack = [0]
-        while stack:
-            node = stack.pop()
-            d = depth[node]
-            if node:
-                ops.append((d, first[node], None))
-            ops.extend((d, k[0], k) for k in ending[node])
-            stack.extend(reversed(children[node]))
+        last: tuple = ()
+        for inner, k in sorted((k[:0:-1], k) for k in self.indices):
+            kept = len(os.path.commonprefix([last, inner]))
+            ops.append((kept, inner[kept:], k))
+            last = inner
         self._ops = ops
-        self._parts = sorted({op[1] for op in ops})
-        self._depth = max(depth)
+        self._parts = {part for k in self.indices for part in k}
 
     def sweep(self, p: int) -> dict[tuple[int, ...], int]:
         """Every index's harmonic sum at the prime p (not checked here).
@@ -245,15 +229,15 @@ class SuffixTrie:
         # a > 0 means the full power collapses to 1
         rows = {part: _inv_pow_row(p, part % (p - 1)) for part in self._parts}
         # every row starts with row[0] = 0, so the m = 0 term of every pass
-        # vanishes; one tail slot per depth, the root's being the empty product
-        tails: list = [repeat(1)] + [None] * self._depth
+        # vanishes; one tail per depth, the empty suffix's first
+        tails: list = [repeat(1)]
         ps = repeat(p)
         out = {}
-        for d, part, k in self._ops:
-            if k is None:
-                tails[d] = list(map(mod, accumulate(map(mul, rows[part], tails[d - 1]), initial=0), ps))
-            else:
-                out[k] = sum(map(mul, rows[part], tails[d])) % p
+        for kept, parts, k in self._ops:
+            del tails[kept + 1 :]
+            for part in parts:
+                tails.append(list(map(mod, accumulate(map(mul, rows[part], tails[-1]), initial=0), ps)))
+            out[k] = sum(map(mul, rows[k[0]], tails[-1])) % p
         return out
 
 
@@ -294,12 +278,13 @@ def _pool_pays(indices: Sequence[tuple[int, ...]], primes: list[int]) -> bool:
     return total >= POOL_MIN_MULTS
 
 
-def _fill(trie: SuffixTrie, ws: list[int], p: int) -> tuple[list[int], list[int]]:
+def _fill(trie: SuffixTrie, ws: list[int], p: int) -> tuple[list[int], list[tuple[int, int]]]:
     # run in a pool worker: the residue at p of each of the trie's indices in
-    # order, then B_(p-w) for each w of ``ws``, computed into the worker's
-    # store and returned for the parent's
+    # order, then (p - w, B_(p-w)) for each w of ``ws`` with p >= w + 2,
+    # computed into the worker's store and returned for the parent's
     values = harmonic_sums(trie, p)
-    return [values[k] for k in trie.indices], [bernoulli_mod_p(w, p) for w in ws]
+    bernoulli = [(p - w, bernoulli_mod_p(w, p)) for w in ws if p >= w + 2]
+    return [values[k] for k in trie.indices], bernoulli
 
 
 def _merge(p: int, sums: Iterable[tuple], bernoulli: Iterable[tuple]) -> Mapping:
@@ -318,7 +303,8 @@ def residues(
 ) -> Iterator[tuple[int, Mapping[tuple[int, ...], int]]]:
     """For each prime p of ``primes``, taken from the sieve, in order: yield
     (p, p's residue memo, for reading only) once the store holds the residue
-    at p of every index of ``indices`` and B_(p-w) for each w of ``ws``.
+    at p of every index of ``indices`` and B_(p-w) for each w of ``ws``
+    where it is defined, p >= w + 2.
 
     What is missing is computed in-process, unless the sweep work still
     missing over all of ``primes`` reaches :data:`POOL_MIN_MULTS` and more
@@ -337,12 +323,13 @@ def residues(
         with ProcessPoolExecutor(max_workers=workers) as pool:
             filled = pool.map(partial(_fill, trie, ws), primes, chunksize=chunk)
             for p, (got, bs) in zip(primes, filled):
-                yield p, _merge(p, zip(trie.indices, got), zip([p - w for w in ws], bs))
+                yield p, _merge(p, zip(trie.indices, got), bs)
     else:
         for p in primes:
             values = harmonic_sums(trie, p)
             for w in ws:
-                bernoulli_mod_p(w, p)
+                if p >= w + 2:
+                    bernoulli_mod_p(w, p)
             yield p, values
 
 

@@ -12,20 +12,21 @@ builder, and :func:`check` runs one identity by name; the CLI and the
 battery read the same table.  A numeric builder makes an :class:`Instance`
 (identity, params, plan, weight), and one runner, :func:`_run`, takes a
 batch of instances over one window and one floor; the battery passes each
-step's instances as one batch.  The plans that share a minimum prime are
-evaluated together: :func:`fmzv.modp.residues` fills the bounded per-prime
-store with every residue and Bernoulli value they read, in-process or in a
-pool, and as each prime arrives every plan is paired there.  Each instance
-is reported on its own.
+step's instances as one batch.  One call of :func:`fmzv.modp.residues`
+fills the bounded per-prime store with every residue and Bernoulli value
+the batch reads, in-process or in a pool, from the least minimum prime of
+its plans up, and as each prime arrives every plan whose minimum it
+reaches is paired there.  Each instance is reported on its own.
 
 "Equal in the cofinite-equality ring" is operationalized as "equal at every
 prime at or above the floor".  The floor is an option of the run, not of
-the identity, and defaults to each instance's weight + shift + 3.
-Sub-floor primes are still evaluated and reported, but they never fail a
-check.  When a numeric comparison fails at or above the floor, the prime
-is re-evaluated with the independent harmonic-sum oracle before the
-failure is reported, so an engine bug cannot masquerade as a genuine
-exceptional prime.
+the identity, and defaults to each instance's weight + shift + 3;
+:func:`check` refuses a window with no prime at or above it.  Sub-floor
+primes are still evaluated and reported, but they never fail a check.
+When a numeric comparison fails at or above the floor, the prime is
+re-evaluated with the independent harmonic-sum oracle before the failure
+is reported, so an engine bug cannot masquerade as a genuine exceptional
+prime.
 
 The lemma has an index reading and a word reading.  ``key-lemma`` compares
 them exactly, layer by layer as multisets of indices, once per instance and
@@ -57,6 +58,7 @@ from .modp import (
     EngineFault,
     bernoulli_mod_p,
     inv_mod,
+    is_prime,
     primes_in,
     residues,
     zeta_mod_p_naive,
@@ -185,6 +187,10 @@ class Instance(NamedTuple):
     plan: Plan
     weight: int
 
+    def floor(self, given: int | None = None) -> int:
+        """The pass/fail floor: ``given``, or else the weight + 3."""
+        return self.weight + 3 if given is None else given
+
 
 def _index_terms(indices: Iterable[tuple[int, ...]], sign: int = 1) -> tuple[Term, ...]:
     return tuple((sign, (k,)) for k in indices)
@@ -220,21 +226,6 @@ def _pair(plan: Plan, p: int, values: Mapping[tuple[int, ...], int]) -> tuple[in
     return lhs, rhs
 
 
-def _evaluate(plans: list[Plan], primes: list[int], jobs: int) -> list[list[PrimeCheck]]:
-    # One row list per plan: every plan is paired at each prime as soon as
-    # the store holds that prime's residues, so evicting an older prime
-    # never forces a sweep.  Closing the residues on the way out shuts a
-    # pool down if pairing raises.
-    rows: list[list[PrimeCheck]] = [[] for _ in plans]
-    indices = (k for plan in plans for k in plan.indices())
-    ws = (plan.bernoulli[0] for plan in plans if plan.bernoulli)
-    with closing(residues(indices, primes, ws, jobs)) as filled:
-        for p, values in filled:
-            for row, plan in zip(rows, plans):
-                row.append(PrimeCheck(p, *_pair(plan, p, values)))
-    return rows
-
-
 def _confirm_failures(plan: Plan, rows: list[PrimeCheck], floor: int) -> None:
     # Failures at or above the floor are re-derived with the independent
     # oracle; a disagreement with the fast path is an engine bug, not an
@@ -253,29 +244,33 @@ def _confirm_failures(plan: Plan, rows: list[PrimeCheck], floor: int) -> None:
 def _run(
     instances: list[Instance], window: Window, jobs: int = 1, floor: int | None = None
 ) -> list[CheckReport]:
-    """Evaluate every instance's plan at each usable prime of one window and
-    report each instance on its own, against ``floor`` or else its weight
-    + 3.  Plans that share their minimum prime are evaluated as one batch."""
-    lo, hi = window
-    batches: dict[int, list[int]] = {}  # minimum prime -> positions
-    for i, inst in enumerate(instances):
-        batches.setdefault(inst.plan.minimum, []).append(i)
-    if not batches:
+    """Evaluate every instance's plan at each prime of one window from its
+    minimum up and report each instance on its own, against its floor.  One
+    fill of the store, from the least minimum up, serves the whole batch:
+    each plan is paired at a prime as soon as the store holds it, so
+    evicting an older prime never forces a sweep.  Closing the residues on
+    the way out shuts a pool down if pairing raises."""
+    if not instances:
         return []
-    window_primes = primes_in(lo, hi)
-    if not window_primes or window_primes[-1] < max(batches):
+    lo, hi = window
+    plans = [inst.plan for inst in instances]
+    primes = primes_in(lo, hi)
+    if not primes or primes[-1] < max(plan.minimum for plan in plans):
         raise ValueError(f"no usable primes in window [{lo}, {hi}]")
-    rows_of: list[list[PrimeCheck]] = [[] for _ in instances]
-    for minimum, members in batches.items():
-        plans = [instances[i].plan for i in members]
-        primes = [p for p in window_primes if p >= minimum]
-        for i, rows in zip(members, _evaluate(plans, primes, jobs)):
-            rows_of[i] = rows
+    start = min(plan.minimum for plan in plans)
+    indices = (k for plan in plans for k in plan.indices())
+    ws = (plan.bernoulli[0] for plan in plans if plan.bernoulli)
+    rows_of: list[list[PrimeCheck]] = [[] for _ in plans]
+    with closing(residues(indices, [p for p in primes if p >= start], ws, jobs)) as filled:
+        for p, values in filled:
+            for rows, plan in zip(rows_of, plans):
+                if p >= plan.minimum:
+                    rows.append(PrimeCheck(p, *_pair(plan, p, values)))
     reports = []
-    for (identity, params, plan, weight), rows in zip(instances, rows_of):
-        at = weight + 3 if floor is None else floor
-        _confirm_failures(plan, rows, at)
-        reports.append(CheckReport(identity, params, "numeric", at, rows))
+    for inst, rows in zip(instances, rows_of):
+        at = inst.floor(floor)
+        _confirm_failures(inst.plan, rows, at)
+        reports.append(CheckReport(inst.identity, inst.params, "numeric", at, rows))
     return reports
 
 
@@ -534,13 +529,18 @@ def check(
     values of its flags in order.  A numeric identity is evaluated at every
     usable prime of ``window`` with up to ``jobs`` workers, and passes when
     no prime at or above ``floor`` (default: its weight + 3) disagrees; a
-    floor above the window is refused with ValueError.  A symbolic identity
-    ignores window, floor and jobs."""
+    window with no prime at or above that floor is refused with ValueError
+    before any prime is evaluated.  A symbolic identity ignores window,
+    floor and jobs."""
     entry = CHECKS[name]
     if not entry.numeric:
         return entry.build(*values)
     if window is None:
         raise ValueError(f"check {name} needs a prime window")
-    if floor is not None and floor > window[1]:
-        raise ValueError(f"floor {floor} lies above the top of the window {window[1]}")
-    return _run([entry.build(*values, window)], window, jobs, floor)[0]
+    inst = entry.build(*values, window)
+    at = inst.floor(floor)
+    lo, hi = window
+    # a prime gap bounds this scan, wherever the window lies
+    if not any(map(is_prime, range(max(lo, at), hi + 1))):
+        raise ValueError(f"no prime of the window [{lo}, {hi}] reaches the floor {at}")
+    return _run([inst], window, jobs, floor)[0]

@@ -130,7 +130,8 @@ def test_long_words_check_without_crashing(capsys):
     for command in ("duality", "stuffle"):
         code, out, err = run_cli(
             capsys,
-            "check", command, "--w", long, "--wp", "y", "--primes", "9:20", "--jobs", "1",
+            "check", command, "--w", long, "--wp", "y", "--primes", "9:20", "--floor", "9",
+            "--jobs", "1",
         )
         assert code == 0, err
         assert "summary: PASS  checked=4" in out
@@ -162,7 +163,7 @@ def test_lemma_readings_that_differ_are_an_engine_fault(capsys, monkeypatch):
 
     evaluated = []
     monkeypatch.setattr(fmzv.verify, "lemma_index_layers", one_index_dropped)
-    monkeypatch.setattr(fmzv.verify, "_evaluate", lambda *args: evaluated.append(args))
+    monkeypatch.setattr(fmzv.verify, "residues", lambda *args: evaluated.append(args))
     code, out, err = run_cli(
         capsys, "check", "key-lemma", "--index", "2,1", "--n", "2", "--primes", "11:60"
     )
@@ -230,13 +231,28 @@ def test_check_usage_error(capsys):
     assert code == 2 and "yx" in err
 
 
-def test_floor_above_window_rejected(capsys):
+def test_floor_above_window_rejected(capsys, monkeypatch):
     code, _, err = run_cli(
         capsys,
         "check", "ohno", "--index", "2", "--n", "0",
         "--primes", "5:20", "--floor", "50",
     )
     assert code == 2 and "floor" in err
+    # weight 8: the default floor 11 leaves every prime of 5:7 sub-floor too
+    argv = ("check", "ohno", "--index", "2,1,3", "--n", "2", "--primes", "5:7")
+    for extra in [(), ("--floor", "11")]:
+        code, out, err = run_cli(capsys, *argv, *extra)
+        assert code == 2 and out == "", extra
+        assert err == "fmzv: error: no prime of the window [5, 7] reaches the floor 11\n", extra
+    # refused before any prime is evaluated
+    fills = []
+    monkeypatch.setattr(fmzv.verify, "residues", lambda *args: fills.append(args))
+    assert run_cli(capsys, *argv)[0] == 2 and fills == []
+    # the primes decide, not the window's top: 10 reaches the floor 8, 7 does not
+    code, _, err = run_cli(
+        capsys, "check", "ohno", "--index", "2,1", "--n", "2", "--primes", "5:10"
+    )
+    assert code == 2 and err.endswith("reaches the floor 8\n")
 
 
 def test_output_file(tmp_path, capsys):
@@ -325,3 +341,15 @@ def test_suite_window_fallback(capsys, monkeypatch):
         laws = [s for s in doc["steps"] if s["step"] == "algebra-laws"]
         assert laws == [{"step": "algebra-laws", "pass": True,
                          "detail": "0 random triples, 0 failures"}]
+
+
+def test_unwritable_output_is_a_usage_error(capsys, tmp_path):
+    target = str(tmp_path / "missing" / "out.txt")
+    for argv in [
+        ("check", "ohno", "--index", "2,1", "--n", "1", "--primes", "5:50"),
+        ("suite", "--max-weight", "0", "--max-n", "0", "--primes", "2:30"),
+    ]:
+        code, out, err = run_cli(capsys, *argv, "--output", target)
+        assert code == 2 and out == "", argv
+        assert err.startswith("fmzv: error: ") and "out.txt" in err, argv
+        assert "Traceback" not in err, argv

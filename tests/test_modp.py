@@ -314,7 +314,9 @@ def test_trie_keeps_one_tail_per_depth():
     indices = [(1, 1, 1, 1), (1, 2, 2, 2), (1, 3, 3, 3), (1, 1, 2, 3), (2, 2, 2, 2)]
     trie = SuffixTrie(indices)
     trie.sweep(p)  # rows into the store, and the walk built
-    nodes = sum(1 for op in trie._ops if op[2] is None)
+    # one pass per part an op extends by, one op (and dot product) per index
+    passes = sum(len(parts) for _, parts, _ in trie._ops)
+    assert [k for _, _, k in trie._ops] == sorted(indices, key=lambda k: k[:0:-1])
     tracemalloc.start()
     try:
         tail = list(map(mod, accumulate(map(mul, inverse_table(p), repeat(1)), initial=0), repeat(p)))
@@ -325,5 +327,5 @@ def test_trie_keeps_one_tail_per_depth():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert nodes == 11
-    assert peak < (4 + 2) * one_tail, (peak / one_tail, nodes)
+    assert passes == 11
+    assert peak < (4 + 2) * one_tail, (peak / one_tail, passes)

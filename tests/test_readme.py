@@ -1,7 +1,11 @@
-"""The README's library quick start runs as written and shows what it says."""
+"""The README's library quick start and CLI examples run as written and
+show what they say."""
 
 import ast
+import shlex
 from pathlib import Path
+
+from fmzv.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -33,4 +37,30 @@ def test_readme_quick_start_shows_its_results(capsys):
         "1",
         "3",
         "True",
+    ]
+
+
+def cli_examples() -> list[str]:
+    section = README.read_text(encoding="utf-8").split("## CLI", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("fmzv ")]
+
+
+def test_readme_cli_examples_run_and_show_their_results(capsys):
+    ran = []
+    for line in cli_examples():
+        command, _, comment = line.partition("#")
+        argv = shlex.split(command)[1:]
+        assert argv[0] in ("dual", "zeta", "bernoulli", "check"), line
+        code = main(argv)
+        out = capsys.readouterr().out
+        assert code == 0, line
+        # "# -> OUT" gives the output, up to a double space
+        comment = comment.strip()
+        if comment.startswith("-> "):
+            assert out.rstrip("\n") == comment[3:].split("  ")[0], line
+        ran.append(argv[0] if argv[0] != "check" else argv[1])
+    assert ran == [
+        "dual", "zeta", "bernoulli", "ohno", "sum-formula", "height-one", "stuffle",
+        "duality", "homogeneous", "lemma2", "key-lemma", "eq3", "ikz",
     ]

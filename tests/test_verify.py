@@ -49,9 +49,9 @@ def test_ohno_subfloor_reported_not_failed():
 
 
 def test_sum_formula_spot():
-    rep = check("sum-formula", 3, 2, 1, window=(5, 5))
+    rep = check("sum-formula", 3, 2, 1, window=(5, 5), floor=5)
     assert rep.results == [PrimeCheck(5, 1, 1)]
-    rep = check("sum-formula", 3, 2, 2, window=(5, 5))
+    rep = check("sum-formula", 3, 2, 2, window=(5, 5), floor=5)
     assert rep.results == [PrimeCheck(5, 4, 4)]
     rep = check("sum-formula", 6, 3, 2, window=(11, 300))
     assert rep.passed
@@ -71,9 +71,9 @@ def test_height_one_examples():
     rep = check("height-one", 0, 0, window=(5, 100))
     assert rep.passed
     assert all(r.lhs == 0 and r.rhs == 0 for r in rep.results)
-    rep = check("height-one", 1, 0, window=(5, 5))
+    rep = check("height-one", 1, 0, window=(5, 5), floor=5)
     assert rep.results == [PrimeCheck(5, 4, 4)]
-    rep = check("height-one", 0, 1, window=(5, 5))
+    rep = check("height-one", 0, 1, window=(5, 5), floor=5)
     assert rep.results == [PrimeCheck(5, 1, 1)]
     with pytest.raises(ValueError):
         check("height-one", -1, 0, window=(5, 50))
@@ -113,7 +113,7 @@ def test_homogeneous_examples():
     assert rep.results[0].lhs == 0
     rep = check("homogeneous", 2, 1, window=(5, 5))
     assert rep.results[0].lhs == 0
-    rep = check("homogeneous", 1, 5, window=(2, 5))
+    rep = check("homogeneous", 1, 5, window=(2, 5), floor=2)
     assert all(r.lhs == 0 for r in rep.results if r.p <= 5)
     with pytest.raises(ValueError):
         check("homogeneous", 0, 1, window=(2, 50))
@@ -322,20 +322,23 @@ def test_pool_only_for_heavy_checks(monkeypatch, recorded_pools):
     started = recorded_pools
     light, heavy = (5, 80), (5, 1000)
     k = Index((2, 1))
-    plans = []
-    evaluate = fmzv.verify._evaluate
-    monkeypatch.setattr(
-        fmzv.verify, "_evaluate", lambda batch, *rest: plans.extend(batch) or evaluate(batch, *rest)
-    )
+    filled = []
+    fill = fmzv.verify.residues
+
+    def spy(indices, *rest):
+        filled.append(list(indices))
+        return fill(filled[-1], *rest)
+
+    monkeypatch.setattr(fmzv.verify, "residues", spy)
     check("ohno", k, 1, window=light, jobs=1)
-    (plan,) = plans
+    (indices,) = filled
     # ohno (2,1) at n=1 sums over (3,1), (2,2) and the duals' shifts
-    assert sorted(plan.indices()) == [(1, 2, 1), (2, 1, 1), (2, 2), (3, 1)]
+    assert sorted(indices) == [(1, 2, 1), (2, 1, 1), (2, 2), (3, 1)]
 
     def work(window):
         # the sweep multiplications of the plan's indices over the window
         primes = fmzv.verify.primes_in(*window)
-        return sum(map(len, plan.indices())) * sum(p - 1 for p in primes)
+        return sum(map(len, indices)) * sum(p - 1 for p in primes)
 
     def cold():
         monkeypatch.setattr(fmzv.modp, "_store", {})
@@ -489,8 +492,8 @@ def test_pooled_residues_come_home(monkeypatch, tmp_path):
     sweeps.clear()
     cold_work.clear()
     assert fmzv.verify._run(batch, window, jobs=2) == expected
-    # one pool for each minimum prime of the batch
-    assert len(pools) == 4 and sweeps == [] and cold_work == []
+    # one pool for the whole batch, whatever its plans' minimum primes
+    assert len(pools) == 3 and sweeps == [] and cold_work == []
     assert list(modp._store) == fmzv.verify.primes_in(*window)[-1:]
     assert modp._store_size == units()
 
@@ -520,17 +523,28 @@ def test_batch_reports_equal_single_runs(monkeypatch):
         fmzv.verify.lemma_instance("key-lemma", (1, 2), 2, window),
         fmzv.verify.homogeneous_instance(1, 1, window),
     ]
+    fills = []
+    fill = fmzv.verify.residues
+    monkeypatch.setattr(
+        fmzv.verify, "residues", lambda *args: fills.append(args[1]) or fill(*args)
+    )
+    primes = fmzv.verify.primes_in(*window)
     for floor, passed, floors in [
         (None, [True] * 6, [7, 10, 6, 6, 8, 4]),
         (2, [True, True, True, True, False, False], [2] * 6),
     ]:
         monkeypatch.setattr(fmzv.modp, "_store", {})
         monkeypatch.setattr(fmzv.modp, "_store_size", 0)
+        fills.clear()
         reports = fmzv.verify._run(batch, window, floor=floor)
+        # one fill, from the least minimum prime, serves the whole batch
+        assert fills == [primes]
         assert [rep.passed for rep in reports] == passed
         assert [rep.floor for rep in reports] == floors
         assert [rep.results[0].p for rep in reports] == [2, 11, 5, 2, 2, 2]
         for inst, rep in zip(batch, reports):
+            # each plan's rows start at its own minimum prime
+            assert [row.p for row in rep.results] == [p for p in primes if p >= inst.plan.minimum]
             monkeypatch.setattr(fmzv.modp, "_store", {})
             monkeypatch.setattr(fmzv.modp, "_store_size", 0)
             alone = fmzv.verify._run([inst], window, floor=floor)
