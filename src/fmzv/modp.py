@@ -16,8 +16,14 @@ tail per depth, at most depth tails of length p, is alive at once, however
 many indices share the walk.
 Each pass, and each inverse-power row it reads, is built from C-level
 iterators (``map``, ``itertools.accumulate``) rather than an interpreted
-loop over m.  Bernoulli numbers B_n mod p come from the power sum
-1^n + ... + (p-1)^n mod p^2 in O(p).
+loop over m.  The innermost pass sums its row alone, and only every second
+pass reduces its tail mod p: a tail of odd depth is left below p^3, and
+each dot product is reduced once at its end.  A row m^(-e) is computed
+for m <= p // 2 only, from row e - 1 when the store holds it and by
+powering the inverses otherwise; since (p - m)^(-e) = (-1)^e m^(-e) mod p,
+its upper half is the lower one mirrored, negated for odd e.  Bernoulli
+numbers B_n mod p come from the power sum 1^n + ... + (p-1)^n mod p^2 in
+O(p).
 
 Everything memoized at a prime lives in one store: its inverse-power rows
 by exponent, its swept residues by index and its Bernoulli values by n.
@@ -44,8 +50,8 @@ import os
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
-from itertools import accumulate, filterfalse, repeat
-from operator import mod, mul
+from itertools import accumulate, compress, filterfalse, islice, repeat
+from operator import mod, mul, sub
 
 
 MAX_MODULUS = 2**31
@@ -115,7 +121,7 @@ def primes_in(lo: int, hi: int) -> list[int]:
     for q in small:
         start = max(q * q, (lo + q - 1) // q * q) - lo
         seg[start::q] = bytes(len(range(start, len(seg), q)))
-    return [lo + i for i, keep in enumerate(seg) if keep and lo + i >= 2]
+    return list(compress(range(lo, hi + 1), seg))
 
 
 def inv_mod(a: int, p: int) -> int:
@@ -126,15 +132,27 @@ def inv_mod(a: int, p: int) -> int:
     return pow(a, p - 2, p)
 
 
-def inverse_table(p: int) -> tuple[int, ...]:
-    """inv[m] = m^(-1) mod p for 1 <= m < p, via the standard O(p) recurrence."""
+def inverse_table(p: int) -> list[int]:
+    """inv[m] = m^(-1) mod p for 1 <= m < p, inv[0] = 0: the standard O(p)
+    recurrence for m <= p // 2, whose p % m < m is always filled first, and
+    the upper half mirrored from the lower one."""
     ensure_prime(p)
-    inv = [0] * p
-    if p > 1:
-        inv[1] = 1
-    for m in range(2, p):
+    if p == 2:
+        return [0, 1]
+    inv = [0] * (p // 2 + 1)
+    inv[1] = 1
+    for m in range(2, p // 2 + 1):
         inv[m] = (p - p // m) * inv[p % m] % p
-    return tuple(inv)
+    return _mirror(inv, p, 1)
+
+
+def _mirror(row: list[int], p: int, e: int) -> list[int]:
+    # row holds m^(-e) mod p for 0 <= m <= p // 2, p odd; append the rest in
+    # place.  (p - m)^(-e) = (-1)^e m^(-e) mod p, so the upper half is the
+    # lower one reversed, and negated for odd e.
+    upper = row[:0:-1]
+    row += map(sub, repeat(p), upper) if e % 2 else upper
+    return row
 
 
 # prime -> (rows by exponent, residues by index, B_n by n); the dict's order
@@ -164,22 +182,27 @@ def _charge(p: int, units: int) -> None:
         _store_size -= sum(map(len, rows.values())) + len(residues) + len(bernoulli)
 
 
-def _inv_pow_row(p: int, e: int) -> tuple[int, ...]:
-    # row[m] = m^(-e) mod p for 1 <= m < p, row[0] = 0; e already reduced mod p-1
+def _inv_pow_row(p: int, e: int) -> list[int]:
+    # row[m] = m^(-e) mod p for 1 <= m < p, row[0] = 0; e already reduced mod
+    # p-1, so e = 0 at p = 2.  Only the lower half is computed, from row e-1
+    # when the store holds it and by powering row 1 otherwise, so no row is
+    # built that no sweep reads.
     rows = _entry(p)[0]
     row = rows.get(e)
     if row is not None:
         return row
     if e == 0:
-        row = (0,) + (1,) * (p - 1)
+        row = [0] + [1] * (p - 1)
     elif e == 1:
         row = inverse_table(p)
-    elif e > 32:
-        # large exponents are rare; power directly instead of materializing
-        # every intermediate row
-        row = tuple(map(pow, _inv_pow_row(p, 1), repeat(e), repeat(p)))
     else:
-        row = tuple(map(mod, map(mul, _inv_pow_row(p, e - 1), _inv_pow_row(p, 1)), repeat(p)))
+        lower = islice(_inv_pow_row(p, 1), p // 2 + 1)
+        prev = rows.get(e - 1)
+        if prev is None:
+            row = list(map(pow, lower, repeat(e), repeat(p)))
+        else:
+            row = list(map(mod, map(mul, prev, lower), repeat(p)))
+        _mirror(row, p, e)
     rows[e] = row
     _charge(p, len(row))
     return row
@@ -215,7 +238,8 @@ class SuffixTrie:
             ops.append((kept, inner[kept:], k))
             last = inner
         self._ops = ops
-        self._parts = {part for k in self.indices for part in k}
+        # ascending, so that row e - 1 is built before row e
+        self._parts = sorted({part for k in self.indices for part in k})
 
     def sweep(self, p: int) -> dict[tuple[int, ...], int]:
         """Every index's harmonic sum at the prime p (not checked here).
@@ -229,14 +253,22 @@ class SuffixTrie:
         # a > 0 means the full power collapses to 1
         rows = {part: _inv_pow_row(p, part % (p - 1)) for part in self._parts}
         # every row starts with row[0] = 0, so the m = 0 term of every pass
-        # vanishes; one tail per depth, the empty suffix's first
+        # vanishes; one tail per depth, the empty suffix's first.  The
+        # innermost pass sums its row alone, and only the tails of even
+        # depth are reduced mod p: with rows below p, a tail of odd depth
+        # stays below p^3, and the dot product reduces its sum once.
         tails: list = [repeat(1)]
         ps = repeat(p)
         out = {}
         for kept, parts, k in self._ops:
             del tails[kept + 1 :]
             for part in parts:
-                tails.append(list(map(mod, accumulate(map(mul, rows[part], tails[-1]), initial=0), ps)))
+                depth = len(tails)
+                if depth == 1:
+                    sums = accumulate(rows[part], initial=0)
+                else:
+                    sums = accumulate(map(mul, rows[part], tails[-1]), initial=0)
+                tails.append(list(map(mod, sums, ps)) if depth % 2 == 0 else list(sums))
             out[k] = sum(map(mul, rows[k[0]], tails[-1])) % p
         return out
 

@@ -116,7 +116,7 @@ def test_zeta_matches_loop_reference_at_large_primes():
         indices = [
             (1,), (3,), (2, 1), (1, 2, 1), (3, 1, 2, 1),
             (p - 1,), (2, p - 1), (p - 1, 1, 2),        # exponent 0 rows
-            (34,), (1, 40), (2, 35, 1, 1),              # the e > 32 row path
+            (34,), (1, 40), (2, 35, 1, 1),              # rows powered from row 1
             (p - 1, 33, 2, p),                          # both, and p = exponent 1
         ]
         for k in indices:
@@ -243,10 +243,60 @@ def test_row_store_stays_within_budget(monkeypatch):
     assert modp._store_size == sum(map(units, modp._store.values()))
 
 
+def test_rows_are_exact_with_and_without_row_e_minus_1(monkeypatch):
+    import fmzv.modp as modp
+
+    def cold_row(p, r, held=()):
+        monkeypatch.setattr(modp, "_store", {})
+        monkeypatch.setattr(modp, "_store_size", 0)
+        for f in held:
+            modp._inv_pow_row(p, f)
+        return modp._inv_pow_row(p, r)
+
+    for p in (2, 3, 5, 7, 13, 10007):
+        for e in (0, 1, 2, 3, 4, 5, 33, 40, p - 2):
+            r = e % (p - 1)
+            row = cold_row(p, r)
+            assert len(row) == p and row[0] == 0, (p, e)
+            assert all(row[m] == pow(m, -e, p) for m in range(1, p)), (p, e)
+            if r > 1:
+                # built from row r - 1 instead of by powering row 1
+                assert cold_row(p, r, held=(r - 1,)) == row, (p, e)
+
+
+def test_cold_sweep_builds_only_the_rows_it_reads(monkeypatch):
+    import fmzv.modp as modp
+
+    monkeypatch.setattr(modp, "_store", {})
+    monkeypatch.setattr(modp, "_store_size", 0)
+    p = 10007
+    values = harmonic_sums(SuffixTrie([(5, 1)]), p)
+    assert values == {(5, 1): zeta_by_loop((5, 1), p)}
+    rows = modp._store[p][0]
+    assert sorted(rows) == [1, 5]
+    assert modp._store_size == len(rows[1]) + len(rows[5]) + 1 == 2 * p + 1
+
+
+def test_deep_indices_match_loop_oracle():
+    # tails of odd depth are left unreduced, so deep walks chain several of
+    # them through passes and dot products
+    p = 10007
+    rng = random.Random(13)
+    parts = [1, 2, 33, p - 1, 2 * (p - 1) + 3]
+    indices = []
+    for depth in (8, 9, 10):
+        k = tuple(rng.choice(parts) for _ in range(depth))
+        indices += [k, (rng.choice(parts),) + k[1:]]
+    swept = SuffixTrie(indices).sweep(p)
+    for k in indices:
+        assert swept[k] == zeta_by_loop(k, p), k
+
+
 def _shared_suffix_indices(rng, p, count, max_depth):
     # each new index puts one to three parts in front of an earlier index
-    # (or of nothing), so the set shares suffixes at every depth; parts
-    # above 32, and at or near multiples of p - 1, take every row path
+    # (or of nothing), so the set shares suffixes at every depth; parts with
+    # and without row e - 1 in the store, and at or near multiples of p - 1,
+    # take every row path
     parts = [1, 2, 3, 33, 40, p - 1, p, 2 * (p - 1), 2 * (p - 1) + 3]
     indices = [()]
     while len(indices) <= count:
