@@ -18,7 +18,7 @@ import os
 import sys
 
 from .indices import format_index, hoffman_dual, parse_index
-from .modp import EngineFault, bernoulli_mod_p, primes_in, zeta_mod_p
+from .modp import EngineFault, bernoulli_mod_p, primes_in, residues
 from .suite import run_battery
 from .verify import CHECKS, CheckReport, check
 
@@ -219,7 +219,8 @@ def _cmd_zeta(args) -> int:
     if not ps:
         raise ValueError(f"no primes in window [{lo}, {hi}]")
     params = {"index": list(k), "primes": [lo, hi]}
-    return _value_table("zeta", params, ps, functools.partial(zeta_mod_p, k), args)
+    values = {p: memo[k] for p, memo in residues([k], ps)}
+    return _value_table("zeta", params, ps, values.__getitem__, args)
 
 
 def _cmd_bernoulli(args) -> int:

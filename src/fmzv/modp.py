@@ -12,35 +12,50 @@ a suffix's tail is the prefix sum over m = 1 .. p-1 of the row m^(-k_j)
 times the tail of the suffix one part shorter.  Walking the indices in
 sorted order extends the tails the previous index left, so each distinct
 suffix costs one O(p) pass and each index one more dot product, and one
-tail per depth, at most depth tails of length p, is alive at once, however
-many indices share the walk.
+tail per depth, at most depth tails, is alive at once, however many
+indices share the walk.
+
+One walk serves a group of consecutive primes q_1 < ... < q_G at once: it
+runs modulo their product P, and since Z/P is the product of the Z/q_i
+(the Chinese remainder theorem), the lane of q_i is read off the entries
+m < q_i, where every row and tail is exact modulo q_i; what a lane holds
+at m >= q_i is never read.  Each dot product is one running sum, broken
+at each prime of the group.  A Python integer costs about as much to
+handle whether it holds one prime's residue or a few primes', so a group
+of G primes costs less than G walks, and far less at small primes.  Groups hold at most
+``GROUP_PRIMES`` primes and rows of at most ``GROUP_BITS`` bits, which
+bounds the memory of a walk.
+
 Each pass, and each inverse-power row it reads, is built from C-level
 iterators (``map``, ``itertools.accumulate``) rather than an interpreted
 loop over m.  The innermost pass sums its row alone, and only every second
-pass reduces its tail mod p: a tail of odd depth is left below p^3, and
-each dot product is reduced once at its end.  A row m^(-e) is computed
-for m <= p // 2 only, from row e - 1 when the store holds it and by
-powering the inverses otherwise; since (p - m)^(-e) = (-1)^e m^(-e) mod p,
-its upper half is the lower one mirrored, negated for odd e.  Bernoulli
-numbers B_n mod p come from the power sum 1^n + ... + (p-1)^n mod p^2 in
-O(p).
+pass reduces its tail mod P: a tail of odd depth is left below P^3, and
+each lane's dot product is reduced once at its end.  Row 1 comes from the
+recurrence of the inverses, whose modulus drops each prime of the group
+once m reaches it; row e is the product of two rows the sweep already
+built, and a power of row 1 only when there are none.  A one-prime group
+reduces its exponents mod p - 1 and computes its rows for m <= p // 2
+only: since (p - m)^(-e) = (-1)^e m^(-e) mod p, the upper half is the
+lower one mirrored, negated for odd e.  Rows live for one sweep.
+Bernoulli numbers B_n mod p come from the power sum 1^n + ... + (p-1)^n
+mod p^2 in O(p).
 
-Everything memoized at a prime lives in one store: its inverse-power rows
-by exponent, its swept residues by index and its Bernoulli values by n.
-Each row entry, residue and Bernoulli value costs one unit of
-``TABLE_BUDGET``; once the store is over budget, whole primes are dropped,
-least recently used first and never the prime being evaluated, so memory
-stays bounded however many primes a process meets, and a prime's rows,
-residues and Bernoulli values always leave together.
+Everything memoized at a prime lives in one store: its swept residues by
+index and its Bernoulli values by n.  Each residue and Bernoulli value
+costs one unit of ``TABLE_BUDGET``; once the store is over budget, whole
+primes are dropped, least recently used first and never a prime of the
+group being evaluated, so memory stays bounded however many primes a process meets,
+and a prime's residues and Bernoulli values always leave together.
 
 :func:`residues` is the one way a batch of indices is evaluated over a
 window: it yields each prime's residue memo once the store holds what the
 batch reads there.  The trie is walked only for the indices whose residues
-are missing, so large verification batteries share almost all of their
-arithmetic.  When that missing work reaches ``POOL_MIN_MULTS`` the primes
-are filled by pool workers instead, whose residues and Bernoulli values are
-merged into the parent's store as they arrive, so they outlive the worker;
-the rows a worker builds stay behind.
+are missing, a group of primes at a time, so large verification batteries
+share almost all of their arithmetic.  When those walks cost
+``POOL_MIN_MULTS`` or more the primes are filled by pool workers instead,
+a group or a single prime per task, whose residues and Bernoulli values
+are merged into the parent's store as they arrive, so they outlive the
+worker.
 """
 
 from __future__ import annotations
@@ -50,20 +65,29 @@ import os
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
-from itertools import accumulate, compress, filterfalse, islice, repeat
+from itertools import accumulate, chain, compress, filterfalse, islice, repeat
 from operator import mod, mul, sub
 
 
 MAX_MODULUS = 2**31
-# units (row entries, residues, Bernoulli values) the per-prime store may
-# hold beyond the current prime's: about 40 MB, ten rows at p = 10^5
+# units (residues, Bernoulli values) the per-prime store may hold beyond
+# the current prime's: each is a dict entry of tens of bytes
 TABLE_BUDGET = 2**20
-# Sweep work still missing from the store, in multiplications, below which
-# a window is filled in-process whatever ``jobs`` says: starting and tearing
-# down a 2-worker pool costs about 20 ms on a 2-vCPU host, so lighter
-# windows finish sooner without one.
-POOL_MIN_MULTS = 500_000
-
+# A group of primes swept in one walk: at most GROUP_PRIMES of them, and a
+# row of at most GROUP_BITS bits, q_G entries of the summed bit lengths of
+# its primes.  A walk keeps a row per distinct part and a tail per depth
+# alive, so the bits bound its memory: near p = 10^5 a group holds 2 or 3
+# primes, and an int below 2^60 takes as many bytes as one below 2^30, so
+# its rows are no larger than those of one prime.
+GROUP_PRIMES = 16
+GROUP_BITS = 5_000_000
+# Cost of the walks still missing from the store, in multiplications
+# modulo one prime (see _cost), below which a window is filled in-process
+# whatever ``jobs`` says: starting and tearing down a 2-worker pool costs
+# about 20 ms on a 2-vCPU host, so lighter windows finish sooner without
+# one.  Measured cold on that host, the pool starts to win at 1.1-1.4e6
+# near p = 4e4, and never won a window of p <= 500.
+POOL_MIN_MULTS = 1_200_000
 
 class EngineFault(RuntimeError):
     """The evaluator contradicted itself or an independent oracle: a bug in
@@ -132,18 +156,35 @@ def inv_mod(a: int, p: int) -> int:
     return pow(a, p - 2, p)
 
 
-def inverse_table(p: int) -> list[int]:
-    """inv[m] = m^(-1) mod p for 1 <= m < p, inv[0] = 0: the standard O(p)
-    recurrence for m <= p // 2, whose p % m < m is always filled first, and
-    the upper half mirrored from the lower one."""
-    ensure_prime(p)
-    if p == 2:
-        return [0, 1]
-    inv = [0] * (p // 2 + 1)
+def inverse_table(*group: int) -> list[int]:
+    """Row 1 of a group of ascending primes q_1 < ... < q_G: inv[m] = m^(-1)
+    modulo every prime of the group above m, for 1 <= m < q_G, and inv[0] = 0.
+
+    One prime p is validated and filled by the standard O(p) recurrence
+    for m <= p // 2, whose p % m < m is always filled first, and the upper
+    half is mirrored from the lower one.  A larger group, which comes from
+    the sieve, runs the same recurrence modulo M, the product of the primes
+    above m: M drops each prime once m reaches it, every prime of M exceeds
+    m > M % m, so M % m is a unit, and an inverse modulo a multiple of M is
+    one modulo M."""
+    if len(group) == 1:
+        p = ensure_prime(group[0])
+        if p == 2:
+            return [0, 1]
+        inv = [0] * (p // 2 + 1)
+        inv[1] = 1
+        for m in range(2, p // 2 + 1):
+            inv[m] = (p - p // m) * inv[p % m] % p
+        return _mirror(inv, p, 1)
+    inv = [0] * group[-1]
     inv[1] = 1
-    for m in range(2, p // 2 + 1):
-        inv[m] = (p - p // m) * inv[p % m] % p
-    return _mirror(inv, p, 1)
+    lo = 2
+    for i, q in enumerate(group):
+        M = math.prod(group[i:])
+        for m in range(lo, q):
+            inv[m] = (M - M // m) * inv[M % m] % M
+        lo = q
+    return inv
 
 
 def _mirror(row: list[int], p: int, e: int) -> list[int]:
@@ -155,17 +196,49 @@ def _mirror(row: list[int], p: int, e: int) -> list[int]:
     return row
 
 
-# prime -> (rows by exponent, residues by index, B_n by n); the dict's order
-# runs from the least to the most recently used prime.  A prime enters only
-# once it has passed ensure_prime or come from the sieve, so a hit needs no
-# validation.
-_store: dict[int, tuple[dict, dict, dict]] = {}
+def _rows(parts: Iterable[int], group: Sequence[int]) -> dict[int, list[int]]:
+    # part -> the row m^(-part) the walk over ``group`` reads, built for this
+    # sweep only.  One prime p keeps its half rows: exponents are reduced mod
+    # p - 1 (exponent 0 with a part > 0 means the power collapses to 1), only
+    # m <= p // 2 is computed, and the rest is mirrored.  A larger group's
+    # rows hold the true powers modulo P, the product of its primes, over
+    # 0 <= m < q_G, and a row is exact in the lane of each prime above m.
+    # Row e is the product of two rows already built whose exponents sum to
+    # e, and a power of row 1 only when there are none.
+    one = len(group) == 1
+    p = group[0]
+    modulus = math.prod(group)
+    exponent = {part: part % (p - 1) if one else part for part in parts}
+    inv = inverse_table(*group)
+    size = p // 2 + 1 if one else len(inv)
+    held = {1: inv}
+    for e in sorted(set(exponent.values()) - {1}):
+        if e == 0:
+            row = [0] + [1] * (size - 1)
+        else:
+            a = next((a for a in held if e - a in held), None)
+            if a is None:
+                row = list(map(pow, islice(inv, size), repeat(e), repeat(modulus)))
+            else:
+                row = list(map(mod, map(mul, islice(held[a], size), held[e - a]), repeat(modulus)))
+        held[e] = row
+    if one and p > 2:
+        for e, row in held.items():
+            if e != 1:
+                _mirror(row, p, e)
+    return {part: held[e] for part, e in exponent.items()}
+
+
+# prime -> (residues by index, B_n by n); the dict's order runs from the
+# least to the most recently used prime.  A prime enters only once it has
+# passed ensure_prime or come from the sieve, so a hit needs no validation.
+_store: dict[int, tuple[dict, dict]] = {}
 _store_size = 0  # units held in _store
 
 
-def _entry(p: int) -> tuple[dict, dict, dict]:
+def _entry(p: int) -> tuple[dict, dict]:
     # p's entry, moved to the most recently used end (created empty)
-    entry = _store[p] = _store.pop(p, None) or ({}, {}, {})
+    entry = _store[p] = _store.pop(p, None) or ({}, {})
     return entry
 
 
@@ -178,39 +251,13 @@ def _charge(p: int, units: int) -> None:
         oldest = next(iter(_store))
         if oldest == p:
             break
-        rows, residues, bernoulli = _store.pop(oldest)
-        _store_size -= sum(map(len, rows.values())) + len(residues) + len(bernoulli)
-
-
-def _inv_pow_row(p: int, e: int) -> list[int]:
-    # row[m] = m^(-e) mod p for 1 <= m < p, row[0] = 0; e already reduced mod
-    # p-1, so e = 0 at p = 2.  Only the lower half is computed, from row e-1
-    # when the store holds it and by powering row 1 otherwise, so no row is
-    # built that no sweep reads.
-    rows = _entry(p)[0]
-    row = rows.get(e)
-    if row is not None:
-        return row
-    if e == 0:
-        row = [0] + [1] * (p - 1)
-    elif e == 1:
-        row = inverse_table(p)
-    else:
-        lower = islice(_inv_pow_row(p, 1), p // 2 + 1)
-        prev = rows.get(e - 1)
-        if prev is None:
-            row = list(map(pow, lower, repeat(e), repeat(p)))
-        else:
-            row = list(map(mod, map(mul, prev, lower), repeat(p)))
-        _mirror(row, p, e)
-    rows[e] = row
-    _charge(p, len(row))
-    return row
+        residues, bernoulli = _store.pop(oldest)
+        _store_size -= len(residues) + len(bernoulli)
 
 
 class SuffixTrie:
     """The proper suffixes of a set of indices, in the order one walk
-    evaluates them; it does not depend on the prime.
+    evaluates them; it does not depend on the primes.
 
     A suffix (k_j, ..., k_r) has, at the prime p, the tail
     ``tail[m]`` = sum over m > m_j > ... > m_r > 0 of prod m_i^(-k_i): the
@@ -238,28 +285,31 @@ class SuffixTrie:
             ops.append((kept, inner[kept:], k))
             last = inner
         self._ops = ops
-        # ascending, so that row e - 1 is built before row e
-        self._parts = sorted({part for k in self.indices for part in k})
+        self._parts = {part for k in self.indices for part in k}
 
-    def sweep(self, p: int) -> dict[tuple[int, ...], int]:
-        """Every index's harmonic sum at the prime p (not checked here).
+    def sweep(self, group: Sequence[int]) -> list[dict[tuple[int, ...], int]]:
+        """Every index's harmonic sum at each prime of ``group``, ascending
+        primes (not checked here), in one walk modulo their product P.
 
-        The passes need no special case for an index of depth >= p: its sum
-        has an empty range, and its tails vanish to match.
+        By the Chinese remainder theorem Z/P is the product of the Z/q, so
+        the walk evaluates each prime q in its own lane, which reads only the
+        entries m < q: each dot product is one running sum, broken at each
+        prime of the group.  The passes need no special case for an index of
+        depth >= q: its sum has an empty range, and its tails vanish to
+        match.
         """
         if self._ops is None:
             self._build()
-        # Fermat reduction: m^(-a) = m^(-(a mod (p-1))), and exponent 0 with
-        # a > 0 means the full power collapses to 1
-        rows = {part: _inv_pow_row(p, part % (p - 1)) for part in self._parts}
+        rows = _rows(self._parts, group)
+        modulus = math.prod(group)
         # every row starts with row[0] = 0, so the m = 0 term of every pass
         # vanishes; one tail per depth, the empty suffix's first.  The
         # innermost pass sums its row alone, and only the tails of even
-        # depth are reduced mod p: with rows below p, a tail of odd depth
-        # stays below p^3, and the dot product reduces its sum once.
+        # depth are reduced mod P: with rows below P, a tail of odd depth
+        # stays below P^3, and each lane's dot product is reduced once.
         tails: list = [repeat(1)]
-        ps = repeat(p)
-        out = {}
+        ps = repeat(modulus)
+        out: list[dict] = [{} for _ in group]
         for kept, parts, k in self._ops:
             del tails[kept + 1 :]
             for part in parts:
@@ -269,60 +319,119 @@ class SuffixTrie:
                 else:
                     sums = accumulate(map(mul, rows[part], tails[-1]), initial=0)
                 tails.append(list(map(mod, sums, ps)) if depth % 2 == 0 else list(sums))
-            out[k] = sum(map(mul, rows[k[0]], tails[-1])) % p
+            terms = map(mul, rows[k[0]], tails[-1])
+            total = start = 0
+            for q, values in zip(group, out):
+                total += sum(islice(terms, q - start))
+                start = q
+                values[k] = total % q
         return out
+
+
+def _fill_group(trie: SuffixTrie, group: Sequence[int]) -> list[dict]:
+    # Memoize at each prime of ``group`` the residues of the trie's indices
+    # missing there, and return the group's memos.  They are swept in one
+    # walk over the group, of ``trie`` itself when it holds no other index,
+    # and an index of depth >= q is 0 at q, whose summation range is empty.
+    # The units are charged at once, at the group's least recently used
+    # prime, so that no prime of the group drops another, and a group with
+    # nothing missing drops nothing.
+    memos = [_entry(q)[0] for q in group]
+    if all(all(map(memo.__contains__, trie.indices)) for memo in memos):
+        return memos
+    missing = [list(filterfalse(memo.__contains__, trie.indices)) for memo in memos]
+    live = [k for k in dict.fromkeys(chain.from_iterable(missing)) if len(k) < group[-1]]
+    swept = repeat({})
+    if live:
+        swept = (trie if len(live) == len(trie.indices) else SuffixTrie(live)).sweep(group)
+    for q, memo, ks, values in zip(group, memos, missing, swept):
+        memo.update((k, values[k] if len(k) < q else 0) for k in ks)
+    _charge(group[0], sum(map(len, missing)))
+    return memos
 
 
 def harmonic_sums(trie: SuffixTrie, p: int) -> Mapping[tuple[int, ...], int]:
     """The residues at the prime p, which the caller takes from the sieve,
     of (at least) the trie's indices.  Memoized residues are read first,
-    and an index of depth >= p is 0; the rest are swept in one walk, of
-    ``trie`` itself when it holds no other index.  The mapping returned is
-    the memo of p itself, for reading only."""
-    memo = _entry(p)[1]
-    missing = list(filterfalse(memo.__contains__, trie.indices))
-    if missing:
-        # an index of depth >= p has an empty summation range
-        live = [k for k in missing if len(k) < p]
-        for k in missing:
-            if len(k) >= p:
-                memo[k] = 0
-        if live:
-            memo.update((trie if len(live) == len(trie.indices) else SuffixTrie(live)).sweep(p))
-        _charge(p, len(missing))
+    and an index of depth >= p is 0; the rest are swept in one walk at p
+    alone.  The mapping returned is the memo of p itself, for reading
+    only."""
+    memo = _entry(p)[0]
+    if not all(map(memo.__contains__, trie.indices)):
+        _fill_group(trie, (p,))
     return memo
 
 
-def _pool_pays(indices: Sequence[tuple[int, ...]], primes: list[int]) -> bool:
-    # Whether the sweeps of ``indices`` still missing at ``primes`` cost
-    # POOL_MIN_MULTS multiplications or more: depth * (p - 1) for each index
-    # whose residue at p is not memoized, an index of depth >= p costing
-    # nothing.  The store is only read, so no prime moves in its order.  The
-    # cold work, every index at every prime, bounds that figure, and a window
-    # lighter than that is settled without reading the store, which costs
-    # about a microsecond a prime.
-    if sum(map(len, indices)) * (sum(primes) - len(primes)) < POOL_MIN_MULTS:
+def _groups(primes: Sequence[int], most: int = GROUP_PRIMES) -> list[tuple[int, ...]]:
+    # ``primes`` cut, in order, into runs swept together: at most ``most``
+    # primes, and a row of at most GROUP_BITS bits, q_G entries of the summed
+    # bit lengths of the group's primes, which bound that of P.
+    groups: list[tuple[int, ...]] = []
+    group: list[int] = []
+    bits = 0
+    for p in primes:
+        bits += p.bit_length()
+        if group and (len(group) == most or bits * p > GROUP_BITS):
+            groups.append(tuple(group))
+            group, bits = [], p.bit_length()
+        group.append(p)
+    if group:
+        groups.append(tuple(group))
+    return groups
+
+
+def _cost(group: Sequence[int], depths: int, parts: int) -> int:
+    # The time of one walk over ``group``, in multiplications modulo one
+    # prime: q_G - 1 entries times its passes and dot products, at most
+    # ``depths``, plus its rows, each of the ``parts`` other than 1 about
+    # two passes and row 1 (the interpreted inverse recurrence) about
+    # three; each step costs (bits + 90) / 100 as much as modulo one prime,
+    # for the summed bit lengths of the group's primes.
+    bits = sum(map(int.bit_length, group))
+    return (group[-1] - 1) * (depths + 2 * parts + 3) * (bits + 90) // 100
+
+
+def _walk_size(indices: Iterable[tuple[int, ...]]) -> tuple[int, int]:
+    # the depths and the distinct parts other than 1 that _cost charges
+    indices = list(indices)
+    return sum(map(len, indices)), len({part for k in indices for part in k} - {1})
+
+
+def _pool_pays(indices: Sequence[tuple[int, ...]], groups: list[tuple[int, ...]]) -> bool:
+    # Whether the in-process walks over ``groups`` of the indices still
+    # missing there cost POOL_MIN_MULTS or more: at each group, the indices
+    # missing at any of its primes whose depth is below its largest.  The
+    # store is only read, so no prime moves in its order.  The cold work,
+    # every index at every group, bounds that figure, and a window lighter
+    # than that is settled without reading the store.
+    size = _walk_size(indices)
+    if sum(_cost(g, *size) for g in groups) < POOL_MIN_MULTS:
         return False
     total = 0
-    for p in primes:
-        missing = filterfalse(_store[p][1].__contains__, indices) if p in _store else indices
-        total += (p - 1) * sum(d for d in map(len, missing) if d < p)
+    for g in groups:
+        memos = [_store[q][0] if q in _store else {} for q in g]
+        missing = [k for k in indices if len(k) < g[-1] and any(k not in memo for memo in memos)]
+        if missing:
+            total += _cost(g, *_walk_size(missing))
     return total >= POOL_MIN_MULTS
 
 
-def _fill(trie: SuffixTrie, ws: list[int], p: int) -> tuple[list[int], list[tuple[int, int]]]:
-    # run in a pool worker: the residue at p of each of the trie's indices in
-    # order, then (p - w, B_(p-w)) for each w of ``ws`` with p >= w + 2,
-    # computed into the worker's store and returned for the parent's
-    values = harmonic_sums(trie, p)
-    bernoulli = [(p - w, bernoulli_mod_p(w, p)) for w in ws if p >= w + 2]
-    return [values[k] for k in trie.indices], bernoulli
+def _fill(trie: SuffixTrie, ws: list[int], group: tuple[int, ...]) -> list[tuple[list, list]]:
+    # run in a pool worker: for each prime q of ``group``, the residue at q of
+    # each of the trie's indices in order, then (q - w, B_(q-w)) for each w of
+    # ``ws`` with q >= w + 2, computed into the worker's store and returned
+    # for the parent's
+    memos = _fill_group(trie, group)
+    return [
+        ([memo[k] for k in trie.indices], [(q - w, bernoulli_mod_p(w, q)) for w in ws if q >= w + 2])
+        for q, memo in zip(group, memos)
+    ]
 
 
 def _merge(p: int, sums: Iterable[tuple], bernoulli: Iterable[tuple]) -> Mapping:
     # Store (index, residue) and (n, B_n) pairs computed at p in a pool
     # worker, charging only the units that are new, and return p's memo.
-    _, memo, bern = _entry(p)
+    memo, bern = _entry(p)
     held = len(memo) + len(bern)
     memo.update(sums)
     bern.update(bernoulli)
@@ -338,31 +447,37 @@ def residues(
     at p of every index of ``indices`` and B_(p-w) for each w of ``ws``
     where it is defined, p >= w + 2.
 
-    What is missing is computed in-process, unless the sweep work still
-    missing over all of ``primes`` reaches :data:`POOL_MIN_MULTS` and more
-    than one worker is allowed: at most ``jobs``, and never more than the
-    primes or the cores.  Then pool workers fill the primes and each one's
-    results are merged into the store as they arrive.  Close the generator
-    (``contextlib.closing``) to shut such a pool down early.
+    What is missing is swept in-process, a group of consecutive primes in
+    one walk, unless those walks cost at least :data:`POOL_MIN_MULTS` and
+    more than one worker is allowed: at most ``jobs``, and never more than
+    the primes or the cores.  Then pool workers fill groups of at most a
+    worker's share of the primes, or single primes when that share is below
+    4, and each prime's results are merged into the store as they arrive.
+    Close the generator (``contextlib.closing``) to shut such a pool down
+    early.
     """
     trie = SuffixTrie(indices)
     ws = sorted(set(ws))
+    groups = _groups(primes)
     # more workers than primes or cores only add start-up cost: under the
     # fork start method every requested worker is launched at once
     workers = min(jobs, len(primes), os.cpu_count() or 1)
-    if workers > 1 and _pool_pays(trie.indices, primes):
-        chunk = max(1, len(primes) // (workers * 4))
+    if workers > 1 and _pool_pays(trie.indices, groups):
+        share = len(primes) // workers
+        tasks = _groups(primes, min(share, GROUP_PRIMES)) if share >= 4 else [(p,) for p in primes]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            filled = pool.map(partial(_fill, trie, ws), primes, chunksize=chunk)
-            for p, (got, bs) in zip(primes, filled):
-                yield p, _merge(p, zip(trie.indices, got), bs)
+            for group, filled in zip(tasks, pool.map(partial(_fill, trie, ws), tasks)):
+                for p, (got, bs) in zip(group, filled):
+                    yield p, _merge(p, zip(trie.indices, got), bs)
     else:
-        for p in primes:
-            values = harmonic_sums(trie, p)
-            for w in ws:
-                if p >= w + 2:
-                    bernoulli_mod_p(w, p)
-            yield p, values
+        for group in groups:
+            _fill_group(trie, group)
+            for p in group:
+                values = harmonic_sums(trie, p)
+                for w in ws:
+                    if p >= w + 2:
+                        bernoulli_mod_p(w, p)
+                yield p, values
 
 
 def zeta_mod_p(k: tuple[int, ...], p: int) -> int:
@@ -376,7 +491,7 @@ def zeta_mod_p(k: tuple[int, ...], p: int) -> int:
     """
     k = tuple(k)
     if p in _store:
-        hit = _entry(p)[1].get(k)
+        hit = _entry(p)[0].get(k)
         if hit is not None:
             return hit
     ensure_prime(p)
@@ -410,7 +525,7 @@ def bernoulli_mod_p(k: int, p: int) -> int:
     """B_(p-k) mod p, for 2 <= k <= p-2 (which keeps the number p-integral)."""
     n = p - k
     if p in _store:
-        hit = _entry(p)[2].get(n)
+        hit = _entry(p)[1].get(n)
         if hit is not None:
             return hit
     ensure_prime(p)
@@ -425,6 +540,6 @@ def bernoulli_mod_p(k: int, p: int) -> int:
         if s % p:
             raise EngineFault(f"power sum of exponent {n} is not divisible by {p}")
         value = s // p % p
-    _entry(p)[2][n] = value
+    _entry(p)[1][n] = value
     _charge(p, 1)
     return value

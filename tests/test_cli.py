@@ -37,6 +37,38 @@ def test_zeta_window(capsys):
     assert code == 0 and out == "5,4\n7,4\n"
 
 
+# SHA-256 of ``fmzv zeta`` output over windows of small and large primes,
+# with depth >= p and parts p - 1 among them, in both formats
+ZETA_HASHES = [
+    (("--index", "2,1,3", "--primes", "2:400"),
+     "9304748ab9bef3d6522b2684a9c840d56b832e73d8f6e23ca4a1fc1073c1cb76",
+     "0804f540e42cf1d7897ddc2c4dd669c44451363f21a15d85dfc66ba4764f6067"),
+    (("--index", "1,1,1,1,1", "--primes", "2:60"),
+     "98f07b0272b8721194c5c8e6d182fe4f81e1d2457840a4d54d66b294ed9b7b70",
+     "9725a13b4eb34af531cad239859584eba3fae37132df029cecca4b5aa9b24145"),
+    (("--index", "1,2", "--primes", "10007:10100"),
+     "8526dac554a3db53a7eceb8ac4cff355c47d13cc91584556b0e950c95ddc3439",
+     "c64528243e7b528caf8873d551dd1a266c2a01498e9ad610ac40e23b3f8c1804"),
+    (("--index", "3,10006,1", "--primes", "9973:10039"),
+     "bb0405bb66c375915d3b5052a619f6a74389436a7114a0c60a0e4b74785820ad",
+     "6c4cab7d916c87d55d446881bc9e2f6f7e1e98c109410cbc5db92a35e111c937"),
+]
+
+
+def test_zeta_window_keeps_its_bytes(capsys, monkeypatch):
+    # the window is filled by one residues call, a group of primes per walk
+    fills = []
+    fill = fmzv.cli.residues
+    monkeypatch.setattr(fmzv.cli, "residues", lambda *args: fills.append(args[1]) or fill(*args))
+    for argv, csv_hash, json_hash in ZETA_HASHES:
+        for fmt, expect in (("csv", csv_hash), ("json", json_hash)):
+            fills.clear()
+            code, out, _ = run_cli(capsys, "zeta", *argv, "--format", fmt)
+            assert code == 0
+            assert hashlib.sha256(out.encode()).hexdigest() == expect, (argv, fmt)
+            assert len(fills) == 1, (argv, fmt)
+
+
 def test_bernoulli(capsys):
     code, out, _ = run_cli(capsys, "bernoulli", "--k", "3", "--primes", "5:7")
     assert code == 0 and out == "5,1\n7,3\n"

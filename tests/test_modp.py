@@ -218,50 +218,62 @@ def test_row_store_stays_within_budget(monkeypatch):
     import fmzv.modp as modp
 
     def units(entry):
-        rows, residues, bernoulli = entry
-        return sum(map(len, rows.values())) + len(residues) + len(bernoulli)
+        residues, bernoulli = entry
+        return len(residues) + len(bernoulli)
 
     monkeypatch.setattr(modp, "_store", {})
     monkeypatch.setattr(modp, "_store_size", 0)
+    # rows live for one sweep, so the store holds residues and Bernoulli
+    # values only: two units a prime here
+    monkeypatch.setattr(modp, "TABLE_BUDGET", 4)
     primes = primes_in(99_990, 100_100)[:5]
     for p in primes:
         zeta_mod_p(Index((3, 1, 2)), p)
         bernoulli_mod_p(p - 4, p)  # B_4
         assert modp._store_size == sum(map(units, modp._store.values()))
         assert modp._store_size <= modp.TABLE_BUDGET + units(modp._store[p]), p
-    # three rows of about 10^5 residues per prime: the first primes are gone
-    assert primes[0] not in modp._store
-    assert list(modp._store)[-1] == primes[-1]
-    # rebuilt rows give the same sums as the loop oracle, and the evicted
-    # prime's residue and Bernoulli value left with its rows
+    # two primes' units at most: the first primes are gone
+    assert list(modp._store) == primes[3:]
+    # a swept-again prime gives the same sums as the loop oracle, and the
+    # evicted prime's residue and Bernoulli value left together
     p = primes[0]
     value = zeta_mod_p(Index((2, 3, 1)), p)
     assert value == zeta_by_loop((2, 3, 1), p)
-    assert modp._store[p][1:] == ({(2, 3, 1): value}, {})
+    assert modp._store[p] == ({(2, 3, 1): value}, {})
     assert zeta_mod_p(Index((1, 1, 3)), p) == zeta_by_loop((1, 1, 3), p)
     assert bernoulli_mod_p(p - 4, p) == bernoulli_exact_mod(4, p)
     assert modp._store_size == sum(map(units, modp._store.values()))
 
 
-def test_rows_are_exact_with_and_without_row_e_minus_1(monkeypatch):
+def test_rows_are_exact_with_and_without_row_e_minus_1():
     import fmzv.modp as modp
 
-    def cold_row(p, r, held=()):
-        monkeypatch.setattr(modp, "_store", {})
-        monkeypatch.setattr(modp, "_store_size", 0)
-        for f in held:
-            modp._inv_pow_row(p, f)
-        return modp._inv_pow_row(p, r)
-
     for p in (2, 3, 5, 7, 13, 10007):
-        for e in (0, 1, 2, 3, 4, 5, 33, 40, p - 2):
-            r = e % (p - 1)
-            row = cold_row(p, r)
+        # parts are >= 1: exponent 0 is reached through multiples of p - 1
+        for e in {1, 2, 3, 4, 5, 33, 40, p - 1, p - 2, 2 * (p - 1)} - {0}:
+            row = modp._rows([e], (p,))[e]
             assert len(row) == p and row[0] == 0, (p, e)
             assert all(row[m] == pow(m, -e, p) for m in range(1, p)), (p, e)
-            if r > 1:
-                # built from row r - 1 instead of by powering row 1
-                assert cold_row(p, r, held=(r - 1,)) == row, (p, e)
+            if e > 1:
+                # built from row e - 1 instead of by powering row 1
+                assert modp._rows([e - 1, e], (p,))[e] == row, (p, e)
+
+
+def test_group_rows_are_exact_in_every_lane():
+    # a group's rows hold m^(-e) modulo each prime q of the group above m,
+    # whatever they hold at m >= q; parts are not reduced, so p - 1 and
+    # 2(p - 1) + 3 differ from lane to lane
+    import fmzv.modp as modp
+
+    for group in [(2, 3), (2, 3, 5, 7), (3, 5, 7, 11, 13), tuple(primes_in(10007, 10200)[:4])]:
+        p = group[0]
+        parts = [e for e in (1, 2, 3, 4, 5, 33, 40, p - 1, p, 2 * (p - 1) + 3) if e >= 1]
+        for held in (parts, parts[-3:]):
+            rows = modp._rows(held, group)
+            for e in held:
+                assert len(rows[e]) == group[-1] and rows[e][0] == 0, (group, e)
+                for q in group:
+                    assert all(rows[e][m] % q == pow(m, -e, q) for m in range(1, q)), (group, q, e)
 
 
 def test_cold_sweep_builds_only_the_rows_it_reads(monkeypatch):
@@ -269,12 +281,18 @@ def test_cold_sweep_builds_only_the_rows_it_reads(monkeypatch):
 
     monkeypatch.setattr(modp, "_store", {})
     monkeypatch.setattr(modp, "_store_size", 0)
+    # row 5 is one power pass over the half of row 1, with no rows 2 to 4
+    # built on the way; inverse_table itself powers nothing but the
+    # Miller-Rabin test of p, to (p - 1) / 2
+    powers = []
+    monkeypatch.setattr(modp, "pow", lambda *a: powers.append(a[1]) or pow(*a), raising=False)
     p = 10007
     values = harmonic_sums(SuffixTrie([(5, 1)]), p)
     assert values == {(5, 1): zeta_by_loop((5, 1), p)}
-    rows = modp._store[p][0]
-    assert sorted(rows) == [1, 5]
-    assert modp._store_size == len(rows[1]) + len(rows[5]) + 1 == 2 * p + 1
+    assert set(powers) == {5, (p - 1) // 2} and powers.count(5) == p // 2 + 1
+    # the rows left with the sweep: the store holds the residue alone
+    assert modp._store == {p: (values, {})}
+    assert modp._store_size == 1
 
 
 def test_deep_indices_match_loop_oracle():
@@ -287,7 +305,7 @@ def test_deep_indices_match_loop_oracle():
     for depth in (8, 9, 10):
         k = tuple(rng.choice(parts) for _ in range(depth))
         indices += [k, (rng.choice(parts),) + k[1:]]
-    swept = SuffixTrie(indices).sweep(p)
+    (swept,) = SuffixTrie(indices).sweep((p,))
     for k in indices:
         assert swept[k] == zeta_by_loop(k, p), k
 
@@ -316,12 +334,80 @@ def test_trie_matches_loop_oracle():
             indices += [(1,) * p, (2,) * (p + 2)]  # depth >= p
         trie = SuffixTrie(indices)
         assert len(trie.indices) < len(indices)
-        swept = trie.sweep(p)
+        (swept,) = trie.sweep((p,))
         assert sorted(swept) == sorted(set(indices))
         for k in trie.indices:
             assert swept[k] == zeta_by_loop(k, p), (k, p)
         values = harmonic_sums(trie, p)
         assert {k: values[k] for k in trie.indices} == swept
+
+
+def _lane_parts(group):
+    # parts that take every row path in some lane: small ones, ones beyond
+    # 32, and p - 1, p and 2(p - 1) + 3 of each prime of the group
+    parts = {1, 2, 3, 33, 40}
+    for q in group:
+        parts |= {q - 1, q, 2 * (q - 1) + 3}
+    return sorted(parts)
+
+
+def test_group_sweeps_match_loop_and_naive_oracles():
+    # one walk modulo the product of the group: groups of 1, 2, 3, 4 and 16
+    # primes, from p = 2 and from p = 3, against both oracles lane by lane
+    rng = random.Random(14)
+    small = primes_in(2, 100)
+    groups = [tuple(small[:n]) for n in (1, 2, 3, 4, 16)]
+    groups += [tuple(small[1 : n + 1]) for n in (1, 2, 3, 4, 16)]
+    for group in groups:
+        parts = _lane_parts(group)
+        indices = [tuple(rng.choice(parts) for _ in range(rng.randint(1, 5))) for _ in range(25)]
+        # shared suffixes, and depth >= p in some lanes or in all of them
+        indices += [(2,) + k for k in indices[:5]]
+        indices += [(1,) * group[0], (2,) * (group[0] + 1), (1,) * (group[-1] - 1), (3,) * group[-1]]
+        swept = SuffixTrie(indices).sweep(group)
+        assert len(swept) == len(group)
+        for q, values in zip(group, swept):
+            assert sorted(values) == sorted(set(indices))
+            for k in set(indices):
+                assert values[k] == zeta_by_loop(k, q), (group, q, k)
+            for k in indices[:8]:
+                assert values[k] == zeta_mod_p_naive(k, q), (group, q, k)
+
+
+def test_deep_group_sweeps_match_loop_oracle():
+    # depth 8 to 10 at p = 10007, where tails of odd depth are left
+    # unreduced modulo a product of 2 and of 3 primes
+    rng = random.Random(15)
+    for group in (tuple(primes_in(10007, 10040)[:2]), tuple(primes_in(10007, 10040)[:3])):
+        parts = _lane_parts(group)
+        indices = [tuple(rng.choice(parts) for _ in range(depth)) for depth in (8, 9, 10)]
+        indices.append((1,) + indices[0][1:])
+        swept = SuffixTrie(indices).sweep(group)
+        for q, values in zip(group, swept):
+            for k in indices:
+                assert values[k] == zeta_by_loop(k, q), (group, q, k)
+
+
+def test_residues_fill_groups_in_process(monkeypatch):
+    # a window swept group by group equals the one-prime sweeps, and each
+    # group is walked once, for the indices missing at any of its primes
+    import fmzv.modp as modp
+
+    monkeypatch.setattr(modp, "_store", {})
+    monkeypatch.setattr(modp, "_store_size", 0)
+    primes = primes_in(2, 400)
+    indices = [(1,), (2, 1), (3, 1, 2), (1, 1, 1, 1, 1), (2, 2, 2)]
+    zeta_mod_p((2, 1), 53)  # one prime already holds one index
+    walks = []
+    sweep = SuffixTrie.sweep
+    monkeypatch.setattr(SuffixTrie, "sweep", lambda self, g: walks.append((g, self.indices)) or sweep(self, g))
+    got = {p: dict(values) for p, values in modp.residues(indices, primes)}
+    assert list(got) == primes
+    groups = modp._groups(primes)
+    assert [len(g) for g in groups] == [16] * 4 + [14] and sum(groups, ()) == tuple(primes)
+    assert walks == [(g, indices) for g in groups]
+    for p in primes:
+        assert got[p] == {k: zeta_by_loop(k, p) for k in indices}, p
 
 
 def test_memoized_indices_are_not_swept(monkeypatch):
@@ -348,7 +434,7 @@ def test_closed_forms_at_large_primes():
     for p in (10007, 65537):
         singles = [1, 2, 3, 37, p - 2, p - 1, 2 * (p - 1), 3 * (p - 1) + 5]
         pairs = [(1, 1), (1, 2), (2, 1), (3, 4), (5, 2), (2, 6), (10, 11), (100, 37), (1, p - 4)]
-        swept = SuffixTrie([(a,) for a in singles] + pairs).sweep(p)
+        (swept,) = SuffixTrie([(a,) for a in singles] + pairs).sweep((p,))
         for a in singles:
             expect = p - 1 if a % (p - 1) == 0 else 0
             assert swept[(a,)] == zeta_mod_p((a,), p) == expect, (a, p)
@@ -358,12 +444,17 @@ def test_closed_forms_at_large_primes():
             assert swept[(a, b)] == zeta_mod_p((a, b), p) == expect, (a, b, p)
 
 
-def test_trie_keeps_one_tail_per_depth():
+def test_trie_keeps_one_tail_per_depth(monkeypatch):
+    import fmzv.modp as modp
+
     p = 65537
     # depth 4, eleven proper suffixes: (1), (2), (3), (1,1), (2,2), ...
     indices = [(1, 1, 1, 1), (1, 2, 2, 2), (1, 3, 3, 3), (1, 1, 2, 3), (2, 2, 2, 2)]
     trie = SuffixTrie(indices)
-    trie.sweep(p)  # rows into the store, and the walk built
+    trie.sweep((p,))  # the walk built
+    # the rows, which live for one sweep, are built before memory is traced
+    rows = modp._rows(trie._parts, (p,))
+    monkeypatch.setattr(modp, "_rows", lambda parts, group: rows)
     # one pass per part an op extends by, one op (and dot product) per index
     passes = sum(len(parts) for _, parts, _ in trie._ops)
     assert [k for _, _, k in trie._ops] == sorted(indices, key=lambda k: k[:0:-1])
@@ -373,7 +464,7 @@ def test_trie_keeps_one_tail_per_depth():
         one_tail = tracemalloc.get_traced_memory()[0]
         del tail
         tracemalloc.reset_peak()
-        trie.sweep(p)
+        trie.sweep((p,))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

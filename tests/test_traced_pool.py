@@ -60,6 +60,8 @@ def test_worker_spans_reach_the_parent(monkeypatch, tmp_path):
     assert metrics["verify.pool_starts"] == 2
     assert not list(spool.iterdir())
     tables = [s for s in trace["spans"] if s[0] == "modp.inverse_table"]
-    # each check builds the inverse row of every prime once, in a worker
+    # each check builds the inverse row of every group once, in a worker:
+    # 15 primes, 7 a worker, so groups of 7, 7 and 1
     assert all(s[4] != os.getpid() for s in tables)
-    assert len(tables) == metrics["modp.inverse_table.calls"] == 2 * len(primes_in(5, 60))
+    assert len(primes_in(5, 60)) == 15
+    assert len(tables) == metrics["modp.inverse_table.calls"] == 2 * 3

@@ -320,7 +320,7 @@ def test_pool_never_exceeds_cores_or_primes(monkeypatch, recorded_pools):
 
 def test_pool_only_for_heavy_checks(monkeypatch, recorded_pools):
     started = recorded_pools
-    light, heavy = (5, 80), (5, 1000)
+    light, heavy = (5, 80), (5, 3000)
     k = Index((2, 1))
     filled = []
     fill = fmzv.verify.residues
@@ -336,9 +336,17 @@ def test_pool_only_for_heavy_checks(monkeypatch, recorded_pools):
     assert sorted(indices) == [(1, 2, 1), (2, 1, 1), (2, 2), (3, 1)]
 
     def work(window):
-        # the sweep multiplications of the plan's indices over the window
-        primes = fmzv.verify.primes_in(*window)
-        return sum(map(len, indices)) * sum(p - 1 for p in primes)
+        # the cost of the in-process walks of the plan's indices, a group of
+        # primes at a time: q_G - 1 entries by the depths, two for each part
+        # but 1 and three for row 1, by (bits + 90) / 100 for the summed bit
+        # lengths of the group's primes
+        depths = sum(map(len, indices))
+        parts = len({part for k in indices for part in k} - {1})
+        total = 0
+        for group in fmzv.modp._groups(fmzv.verify.primes_in(*window)):
+            bits = sum(p.bit_length() for p in group)
+            total += (group[-1] - 1) * (depths + 2 * parts + 3) * (bits + 90) // 100
+        return total
 
     def cold():
         monkeypatch.setattr(fmzv.modp, "_store", {})
@@ -357,10 +365,11 @@ def test_pool_only_for_heavy_checks(monkeypatch, recorded_pools):
     started.clear()
     assert check("ohno", k, 1, window=heavy, jobs=5000).results == serial
     assert started == []
-    # partly warm: the residues below 900 are memoized, so only the 14
-    # primes above are missing; their work alone decides, whatever the cold
-    # work over the whole window is
-    warm, missing = (5, 900), (901, 1000)
+    # partly warm: the residues below the heavy window's last group are
+    # memoized, so only that group's primes are missing; their work alone
+    # decides, whatever the cold work over the whole window is
+    last = fmzv.modp._groups(fmzv.verify.primes_in(*heavy))[-1]
+    warm, missing = (5, last[0] - 1), (last[0], heavy[1])
 
     def partly_warm():
         cold()
@@ -410,19 +419,21 @@ def test_pool_shuts_down_when_pairing_raises(monkeypatch, recorded_pools):
 )
 def test_pooled_residues_come_home(monkeypatch, tmp_path):
     modp = fmzv.modp
-    window = (5, 400)
+    window = (5, 1500)
     requests = [
         ("ohno", Index((2, 1, 3)), 2),
         ("sum-formula", 6, 3, 2),
     ]
     argvs = [
-        ["check", "ohno", "--index", "2,1,3", "--n", "2", "--primes", "5:400"],
-        ["check", "sum-formula", "--k", "6", "--r", "3", "--i", "2", "--primes", "5:400"],
+        ["check", "ohno", "--index", "2,1,3", "--n", "2", "--primes", "5:1500"],
+        ["check", "sum-formula", "--k", "6", "--r", "3", "--i", "2", "--primes", "5:1500"],
     ]
     batch = [fmzv.verify.CHECKS[name].build(*values, window) for name, *values in requests]
     default = fmzv.modp.POOL_MIN_MULTS
-    depths = sum(map(len, batch[0].plan.indices()))
-    assert depths * sum(p - 1 for p in modp.primes_in(*window)) >= default
+    # the ohno check alone is heavy enough to pool, cold
+    ks = batch[0].plan.indices()
+    size = modp._walk_size(ks)
+    assert sum(modp._cost(g, *size) for g in modp._groups(modp.primes_in(*window))) >= default
 
     def cold():
         monkeypatch.setattr(modp, "_store", {})
@@ -434,14 +445,11 @@ def test_pooled_residues_come_home(monkeypatch, tmp_path):
         return out.read_bytes()
 
     def held():
-        # residues and Bernoulli values by prime; the rows are left out
-        return {p: (dict(residues), dict(bern)) for p, (_, residues, bern) in modp._store.items()}
+        # residues and Bernoulli values by prime
+        return {p: (dict(residues), dict(bern)) for p, (residues, bern) in modp._store.items()}
 
     def units():
-        return sum(
-            sum(map(len, rows.values())) + len(residues) + len(bern)
-            for rows, residues, bern in modp._store.values()
-        )
+        return sum(len(residues) + len(bern) for residues, bern in modp._store.values())
 
     cold()
     serial = [run(argv, 1) for argv in argvs]
@@ -471,7 +479,7 @@ def test_pooled_residues_come_home(monkeypatch, tmp_path):
     assert held() == serial_held
     for inst in batch:
         for p in fmzv.verify.primes_in(max(window[0], inst.plan.minimum), window[1]):
-            residues, bern = modp._store[p][1:]
+            residues, bern = modp._store[p]
             assert all(k in residues for k in inst.plan.indices())
             if inst.plan.bernoulli:
                 assert p - inst.plan.bernoulli[0] in bern
