@@ -51,8 +51,29 @@ def _emit(text: str, path: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _dump(doc: dict, rows: list[str]) -> str:
+    # json.dumps(doc, indent=2) + "\n", whose top-level "results" is a list
+    # given as ``rows``, each already rendered as json.dumps renders an item
+    # at that depth.  An indent makes json.dumps use its pure-Python encoder,
+    # so the rows, nearly all of a report, are formatted from one template
+    # instead, and only the rest of the document is dumped.  Strings escape
+    # their newlines, so a newline followed by two spaces only starts a key
+    # of the top level.
+    text = json.dumps({**doc, "results": None}, indent=2)
+    array = "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
+    return text.replace('\n  "results": null', '\n  "results": ' + array, 1) + "\n"
+
+
+_CHECK_ROW = '    {\n      "p": %d,\n      "lhs": %d,\n      "rhs": %d,\n      "pass": %s\n    }'
+_VALUE_ROW = '    {\n      "p": %d,\n      "value": %d\n    }'
+
+
 def render_json(report: CheckReport) -> str:
-    return json.dumps(report.to_json_dict(), indent=2) + "\n"
+    doc = report.to_json_dict()
+    if report.mode == "symbolic":
+        return json.dumps(doc, indent=2) + "\n"
+    rows = [_CHECK_ROW % (r.p, r.lhs, r.rhs, "true" if r.ok else "false") for r in report.results]
+    return _dump(doc, rows)
 
 
 def render_csv(report: CheckReport) -> str:
@@ -201,12 +222,8 @@ def _value_table(identity: str, params: dict, primes: list[int], value, args) ->
     # one "p,value" line per prime, or the same rows as a JSON document
     rows = [(p, value(p)) for p in primes]
     if args.format == "json":
-        doc = {
-            "identity": identity,
-            "params": params,
-            "results": [{"p": p, "value": v} for p, v in rows],
-        }
-        _emit(json.dumps(doc, indent=2) + "\n", args.output)
+        doc = {"identity": identity, "params": params, "results": None}
+        _emit(_dump(doc, [_VALUE_ROW % row for row in rows]), args.output)
     else:
         _emit("".join(f"{p},{v}\n" for p, v in rows), args.output)
     return 0

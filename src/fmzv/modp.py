@@ -6,37 +6,52 @@ windows the sieve accepts; Python integers are exact at any size, so no
 product overflows.  Windows in day-to-day use stay far smaller.
 
 Harmonic sums are evaluated over a :class:`SuffixTrie`, built once from a
-set of indices and reused at every prime.  It sorts the indices by their
-proper suffixes (k_j, ..., k_r), read innermost part first; at the prime p
-a suffix's tail is the prefix sum over m = 1 .. p-1 of the row m^(-k_j)
-times the tail of the suffix one part shorter.  Walking the indices in
-sorted order extends the tails the previous index left, so each distinct
-suffix costs one O(p) pass and each index one more dot product, and one
-tail per depth, at most depth tails, is alive at once, however many
-indices share the walk.
+set of indices and reused at every prime.  Each prime q is swept over half
+its range only.  The reversal m -> q - m maps the upper half of 1 .. q-1
+onto the lower half L = {1, ..., (q-1)/2}, reversing the order of the
+parts, and (q - m)^(-a) = (-1)^a m^(-a) mod q; so, cutting an index where
+its summation variables leave the upper half (Hoffman, arXiv:math/0401319;
+the concatenation rule of iterated sums),
+
+    H_q(k_1, ..., k_r) = sum over i = 0 .. r of (-1)^(k_1 + ... + k_i)
+                         * H_L(k_i, ..., k_1) * H_L(k_(i+1), ..., k_r)  mod q,
+
+where H_L sums over L and H_L of the empty index is 1.  The trie builds,
+once per batch, the set J of every nonempty suffix and every reversed
+prefix of its indices, and for each index this recipe of (sign, reversed
+prefix, suffix) terms; neither depends on the prime.  J is closed under
+suffixes, so one walk covers it: J is sorted by proper suffixes
+(s_j, ..., s_n), read innermost part first, and a suffix's tail is the
+prefix sum over m in L of the row m^(-s_j) times the tail of the suffix
+one part shorter.  Walking J in sorted order extends the tails the
+previous element left, so each distinct proper suffix costs one pass over
+(q+1)/2 entries and each element one more dot product, and one tail per
+depth is alive at once, however many indices share the walk.  The recipes
+then combine the values of J into each index's residue.  At q = 2, where
+m = 1 is its own mirror, H_2(k) is 1 at depth 1 and 0 deeper.
 
 One walk serves a group of consecutive primes q_1 < ... < q_G at once: it
-runs modulo their product P, and since Z/P is the product of the Z/q_i
-(the Chinese remainder theorem), the lane of q_i is read off the entries
-m < q_i, where every row and tail is exact modulo q_i; what a lane holds
-at m >= q_i is never read.  Each dot product is one running sum, broken
-at each prime of the group.  A Python integer costs about as much to
+runs over the lower half of q_G modulo the product P of the group's odd
+primes, and since Z/P is the product of the Z/q_i (the Chinese remainder
+theorem), the lane of q_i is read off the entries m <= (q_i - 1)/2, where
+every row and tail is exact modulo q_i; what a lane holds above that is
+never read.  Each dot product is one running sum, broken at (q_i + 1)/2
+for each prime of the group.  A Python integer costs about as much to
 handle whether it holds one prime's residue or a few primes', so a group
-of G primes costs less than G walks, and far less at small primes.  Groups hold at most
-``GROUP_PRIMES`` primes and rows of at most ``GROUP_BITS`` bits, which
-bounds the memory of a walk.
+of G primes costs less than G walks, and far less at small primes.
+Groups hold at most ``GROUP_PRIMES`` primes and rows of at most
+``GROUP_BITS`` bits, which bounds the memory of a walk.
 
 Each pass, and each inverse-power row it reads, is built from C-level
 iterators (``map``, ``itertools.accumulate``) rather than an interpreted
 loop over m.  The innermost pass sums its row alone, and only every second
 pass reduces its tail mod P: a tail of odd depth is left below P^3, and
-each lane's dot product is reduced once at its end.  Row 1 comes from the
-recurrence of the inverses, whose modulus drops each prime of the group
-once m reaches it; row e is the product of two rows the sweep already
-built, and a power of row 1 only when there are none.  A one-prime group
-reduces its exponents mod p - 1 and computes its rows for m <= p // 2
-only: since (p - m)^(-e) = (-1)^e m^(-e) mod p, the upper half is the
-lower one mirrored, negated for odd e.  Rows live for one sweep.
+each lane's dot product is reduced once at its end.  Rows cover the lower
+half of q_G only.  Row 1 comes from the recurrence of the inverses, one
+for a lone prime and for a group, whose modulus drops each prime of the
+group once m passes its half; row e is the product of two rows the sweep
+already built, and a power of row 1 only when there are none.  A one-prime
+group reduces its exponents mod p - 1.  Rows live for one sweep.
 Bernoulli numbers B_n mod p come from the power sum 1^n + ... + (p-1)^n
 mod p^2 in O(p).
 
@@ -85,9 +100,11 @@ GROUP_BITS = 5_000_000
 # modulo one prime (see _cost), below which a window is filled in-process
 # whatever ``jobs`` says: starting and tearing down a 2-worker pool costs
 # about 20 ms on a 2-vCPU host, so lighter windows finish sooner without
-# one.  Measured cold on that host, the pool starts to win at 1.1-1.4e6
-# near p = 4e4, and never won a window of p <= 500.
-POOL_MIN_MULTS = 1_200_000
+# one.  Measured cold on that host over 440 check requests, the pool won 1
+# of 30 windows costing 4-8e5, 16 of 34 at 0.8-1.6e6 and 22 of 27 above,
+# and windows of p <= 500, all below 2.1e5, never gained beyond noise;
+# 1.4e6 loses least (292 ms in all, against 299 ms for 1.2e6).
+POOL_MIN_MULTS = 1_400_000
 
 class EngineFault(RuntimeError):
     """The evaluator contradicted itself or an independent oracle: a bug in
@@ -157,75 +174,54 @@ def inv_mod(a: int, p: int) -> int:
 
 
 def inverse_table(*group: int) -> list[int]:
-    """Row 1 of a group of ascending primes q_1 < ... < q_G: inv[m] = m^(-1)
-    modulo every prime of the group above m, for 1 <= m < q_G, and inv[0] = 0.
+    """Row 1 of a group of ascending primes q_1 < ... < q_G over the lower
+    half of the largest: inv[m] = m^(-1) modulo every prime q of the group
+    with m <= (q - 1) / 2, for 1 <= m <= (q_G - 1) / 2, and inv[0] = 0.
 
-    One prime p is validated and filled by the standard O(p) recurrence
-    for m <= p // 2, whose p % m < m is always filled first, and the upper
-    half is mirrored from the lower one.  A larger group, which comes from
-    the sieve, runs the same recurrence modulo M, the product of the primes
-    above m: M drops each prime once m reaches it, every prime of M exceeds
-    m > M % m, so M % m is a unit, and an inverse modulo a multiple of M is
-    one modulo M."""
+    One recurrence fills one prime and a group alike:
+    inv[m] = (M - M//m) * inv[M % m] % M, with M the product of the primes
+    whose lower half holds m, so M drops each prime once m passes the half
+    of it.  Every prime of M exceeds m > M % m, so M % m is a unit filled
+    first, and an inverse modulo a multiple of M is one modulo M.  One prime
+    is validated first; a larger group comes from the sieve."""
     if len(group) == 1:
-        p = ensure_prime(group[0])
-        if p == 2:
-            return [0, 1]
-        inv = [0] * (p // 2 + 1)
-        inv[1] = 1
-        for m in range(2, p // 2 + 1):
-            inv[m] = (p - p // m) * inv[p % m] % p
-        return _mirror(inv, p, 1)
-    inv = [0] * group[-1]
-    inv[1] = 1
+        ensure_prime(group[0])
+    inv = [0] * ((group[-1] + 1) // 2)
     lo = 2
+    if len(inv) > 1:
+        inv[1] = 1
     for i, q in enumerate(group):
         M = math.prod(group[i:])
-        for m in range(lo, q):
+        for m in range(lo, (q + 1) // 2):
             inv[m] = (M - M // m) * inv[M % m] % M
-        lo = q
+        lo = max(lo, (q + 1) // 2)
     return inv
-
-
-def _mirror(row: list[int], p: int, e: int) -> list[int]:
-    # row holds m^(-e) mod p for 0 <= m <= p // 2, p odd; append the rest in
-    # place.  (p - m)^(-e) = (-1)^e m^(-e) mod p, so the upper half is the
-    # lower one reversed, and negated for odd e.
-    upper = row[:0:-1]
-    row += map(sub, repeat(p), upper) if e % 2 else upper
-    return row
 
 
 def _rows(parts: Iterable[int], group: Sequence[int]) -> dict[int, list[int]]:
     # part -> the row m^(-part) the walk over ``group`` reads, built for this
-    # sweep only.  One prime p keeps its half rows: exponents are reduced mod
-    # p - 1 (exponent 0 with a part > 0 means the power collapses to 1), only
-    # m <= p // 2 is computed, and the rest is mirrored.  A larger group's
-    # rows hold the true powers modulo P, the product of its primes, over
-    # 0 <= m < q_G, and a row is exact in the lane of each prime above m.
-    # Row e is the product of two rows already built whose exponents sum to
-    # e, and a power of row 1 only when there are none.
+    # sweep only over the lower half of its largest prime, 0 <= m <= (q_G - 1) / 2;
+    # a row is exact in the lane of each prime whose lower half holds m.
+    # One prime reduces its exponents mod p - 1 (exponent 0 with a part > 0
+    # means the power collapses to 1); a larger group's rows hold the true
+    # powers modulo P, the product of its primes.  Row e is the product of
+    # two rows already built whose exponents sum to e, and a power of row 1
+    # only when there are none.
     one = len(group) == 1
-    p = group[0]
     modulus = math.prod(group)
-    exponent = {part: part % (p - 1) if one else part for part in parts}
+    exponent = {part: part % (group[0] - 1) if one else part for part in parts}
     inv = inverse_table(*group)
-    size = p // 2 + 1 if one else len(inv)
     held = {1: inv}
     for e in sorted(set(exponent.values()) - {1}):
         if e == 0:
-            row = [0] + [1] * (size - 1)
+            row = [0] + [1] * (len(inv) - 1)
         else:
             a = next((a for a in held if e - a in held), None)
             if a is None:
-                row = list(map(pow, islice(inv, size), repeat(e), repeat(modulus)))
+                row = list(map(pow, inv, repeat(e), repeat(modulus)))
             else:
-                row = list(map(mod, map(mul, islice(held[a], size), held[e - a]), repeat(modulus)))
+                row = list(map(mod, map(mul, held[a], held[e - a]), repeat(modulus)))
         held[e] = row
-    if one and p > 2:
-        for e, row in held.items():
-            if e != 1:
-                _mirror(row, p, e)
     return {part: held[e] for part, e in exponent.items()}
 
 
@@ -255,16 +251,35 @@ def _charge(p: int, units: int) -> None:
         _store_size -= len(residues) + len(bernoulli)
 
 
-class SuffixTrie:
-    """The proper suffixes of a set of indices, in the order one walk
-    evaluates them; it does not depend on the primes.
+def _closure(indices: Iterable[tuple[int, ...]]) -> set[tuple[int, ...]]:
+    # J: every nonempty suffix and every reversed prefix of the indices.  The
+    # suffixes of a reversed prefix are shorter reversed prefixes, so J is
+    # closed under suffixes.
+    return {s for k in indices for i in range(len(k)) for s in (k[i:], k[i::-1])}
 
-    A suffix (k_j, ..., k_r) has, at the prime p, the tail
-    ``tail[m]`` = sum over m > m_j > ... > m_r > 0 of prod m_i^(-k_i): the
-    prefix sums of the row m^(-k_j) times the tail of (k_(j+1), ..., k_r),
-    the empty suffix's tail being the empty product 1.  An index
-    (k_1, ..., k_r) is then the dot product of the row m^(-k_1) with the
-    tail of k[1:].
+
+class SuffixTrie:
+    """The half-range walk of a set of indices: the set J of their nonempty
+    suffixes and reversed prefixes, in the order one walk evaluates them,
+    and each index's recipe over J; none of it depends on the primes.
+
+    At the odd prime q, write H_L(s) for the nested sum of s over
+    L = {1, ..., (q - 1) / 2}, the lower half.  The reversal m -> q - m maps
+    the upper half onto L, reversing the order of the parts, and
+    (q - m)^(-a) = (-1)^a m^(-a) mod q, so cutting an index k = (k_1, ..., k_r)
+    where its summation variables leave the upper half gives
+
+        H_q(k) = sum over i = 0 .. r of (-1)^(k_1 + ... + k_i)
+                 * H_L(k_i, ..., k_1) * H_L(k_(i+1), ..., k_r)  mod q,
+
+    with H_L of the empty index 1: the recipe of k.  The walk evaluates H_L
+    of every element of J.  A suffix (s_j, ..., s_n) of an element has the
+    tail ``tail[m]`` = sum over m > m_j > ... > m_n > 0 of prod m_i^(-s_i):
+    the prefix sums of the row m^(-s_j) times the tail of (s_(j+1), ..., s_n),
+    the empty suffix's tail being the empty product 1; an element s is then
+    the dot product of the row m^(-s_1) with the tail of s[1:] over m in L.
+    At q = 2, where m = 1 is its own mirror, H_2(k) is 1 at depth 1 and 0
+    deeper.
     """
 
     def __init__(self, indices: Iterable[Sequence[int]]):
@@ -273,35 +288,58 @@ class SuffixTrie:
 
     def _build(self) -> None:
         # Sorted by their proper suffixes read innermost part first, the
-        # indices visit every suffix just after the longest one it extends,
-        # as a preorder walk of the suffixes' trie would.  The op
-        # (kept, parts, k) keeps the tails of the first ``kept`` inner parts
-        # it shares with the previous index, extends them by ``parts`` and
-        # evaluates k on the last; commonprefix compares tuples part by part.
+        # elements of J visit every suffix just after the longest one it
+        # extends, as a preorder walk of the suffixes' trie would.  The op
+        # (kept, parts, s) keeps the tails of the first ``kept`` inner parts
+        # it shares with the previous element, extends them by ``parts`` and
+        # evaluates s on the last; commonprefix compares tuples part by part.
         ops = []
         last: tuple = ()
-        for inner, k in sorted((k[:0:-1], k) for k in self.indices):
+        for inner, s in sorted((s[:0:-1], s) for s in _closure(self.indices)):
             kept = len(os.path.commonprefix([last, inner]))
-            ops.append((kept, inner[kept:], k))
+            ops.append((kept, inner[kept:], s))
             last = inner
         self._ops = ops
         self._parts = {part for k in self.indices for part in k}
+        # A lane's values are H_L of the empty index, 1, then of each element
+        # in walk order; an element's sign as a reversed prefix is (-1) to
+        # its weight.  The recipes are flattened: term t multiplies the
+        # signed value at _prefixes[t] by the value at _suffixes[t], and
+        # index j sums the terms _bounds[j] .. _bounds[j + 1] - 1.
+        at = {(): 0}
+        at.update((s, j) for j, (_, _, s) in enumerate(ops, 1))
+        self._signs = [1] + [-1 if sum(s) % 2 else 1 for _, _, s in ops]
+        self._prefixes = [at[k[:i][::-1]] for k in self.indices for i in range(len(k) + 1)]
+        self._suffixes = [at[k[i:]] for k in self.indices for i in range(len(k) + 1)]
+        self._bounds = list(accumulate((len(k) + 1 for k in self.indices), initial=0))
 
     def sweep(self, group: Sequence[int]) -> list[dict[tuple[int, ...], int]]:
         """Every index's harmonic sum at each prime of ``group``, ascending
-        primes (not checked here), in one walk modulo their product P.
+        primes (not checked here), from one walk of J over the lower half of
+        the largest, modulo the product P of the odd ones.
 
         By the Chinese remainder theorem Z/P is the product of the Z/q, so
-        the walk evaluates each prime q in its own lane, which reads only the
-        entries m < q: each dot product is one running sum, broken at each
-        prime of the group.  The passes need no special case for an index of
-        depth >= q: its sum has an empty range, and its tails vanish to
+        the walk evaluates each odd prime q in its own lane, which reads only
+        the entries m <= (q - 1) / 2: each dot product is one running sum,
+        broken at each prime of the group.  The passes need no special case
+        for an index of depth >= q: one of the two factors of each of its
+        recipe's terms is deeper than (q - 1) / 2, and its tails vanish to
         match.
         """
         if self._ops is None:
             self._build()
-        rows = _rows(self._parts, group)
-        modulus = math.prod(group)
+        lanes = group[1:] if group[0] == 2 else group
+        out = [self._recipes(values, q) for q, values in zip(lanes, self._walk(lanes))]
+        if group[0] == 2:
+            out.insert(0, {k: int(len(k) == 1) for k in self.indices})
+        return out
+
+    def _walk(self, lanes: Sequence[int]) -> list[list[int]]:
+        # each lane's values, H_L of the empty index then of J in walk order
+        if not lanes:
+            return []
+        rows = _rows(self._parts, lanes)
+        modulus = math.prod(lanes)
         # every row starts with row[0] = 0, so the m = 0 term of every pass
         # vanishes; one tail per depth, the empty suffix's first.  The
         # innermost pass sums its row alone, and only the tails of even
@@ -309,8 +347,8 @@ class SuffixTrie:
         # stays below P^3, and each lane's dot product is reduced once.
         tails: list = [repeat(1)]
         ps = repeat(modulus)
-        out: list[dict] = [{} for _ in group]
-        for kept, parts, k in self._ops:
+        out: list[list[int]] = [[1] for _ in lanes]
+        for kept, parts, s in self._ops:
             del tails[kept + 1 :]
             for part in parts:
                 depth = len(tails)
@@ -319,13 +357,21 @@ class SuffixTrie:
                 else:
                     sums = accumulate(map(mul, rows[part], tails[-1]), initial=0)
                 tails.append(list(map(mod, sums, ps)) if depth % 2 == 0 else list(sums))
-            terms = map(mul, rows[k[0]], tails[-1])
+            terms = map(mul, rows[s[0]], tails[-1])
             total = start = 0
-            for q, values in zip(group, out):
-                total += sum(islice(terms, q - start))
-                start = q
-                values[k] = total % q
+            for q, values in zip(lanes, out):
+                stop = (q + 1) // 2
+                total += sum(islice(terms, stop - start))
+                start = stop
+                values.append(total % q)
         return out
+
+    def _recipes(self, values: list[int], q: int) -> dict[tuple[int, ...], int]:
+        # every index's residue at q from the lane's values of J
+        signed = list(map(mul, values, self._signs))
+        terms = map(mul, map(signed.__getitem__, self._prefixes), map(values.__getitem__, self._suffixes))
+        sums = list(map(list(accumulate(terms, initial=0)).__getitem__, self._bounds))
+        return dict(zip(self.indices, map(mod, map(sub, islice(sums, 1, None), sums), repeat(q))))
 
 
 def _fill_group(trie: SuffixTrie, group: Sequence[int]) -> list[dict]:
@@ -380,21 +426,26 @@ def _groups(primes: Sequence[int], most: int = GROUP_PRIMES) -> list[tuple[int, 
     return groups
 
 
-def _cost(group: Sequence[int], depths: int, parts: int) -> int:
+def _cost(group: Sequence[int], units: int, parts: int) -> int:
     # The time of one walk over ``group``, in multiplications modulo one
-    # prime: q_G - 1 entries times its passes and dot products, at most
-    # ``depths``, plus its rows, each of the ``parts`` other than 1 about
-    # two passes and row 1 (the interpreted inverse recurrence) about
-    # three; each step costs (bits + 90) / 100 as much as modulo one prime,
-    # for the summed bit lengths of the group's primes.
+    # prime: (q_G + 1) / 2 entries, the lower half of its largest prime,
+    # times its ``units`` passes and dot products, plus its half rows, each
+    # of the ``parts`` other than 1 about two passes and row 1 (the
+    # interpreted inverse recurrence) about three; each step costs
+    # (bits + 90) / 100 as much as modulo one prime, for the summed bit
+    # lengths of the group's primes.
     bits = sum(map(int.bit_length, group))
-    return (group[-1] - 1) * (depths + 2 * parts + 3) * (bits + 90) // 100
+    return (group[-1] + 1) // 2 * (units + 2 * parts + 3) * (bits + 90) // 100
 
 
 def _walk_size(indices: Iterable[tuple[int, ...]]) -> tuple[int, int]:
-    # the depths and the distinct parts other than 1 that _cost charges
+    # the passes and dot products of the walk of J, one pass per distinct
+    # proper suffix of its elements and one dot product per element, and
+    # the distinct parts other than 1, that _cost charges
     indices = list(indices)
-    return sum(map(len, indices)), len({part for k in indices for part in k} - {1})
+    closure = _closure(indices)
+    passes = len({s[1:] for s in closure if len(s) > 1})
+    return passes + len(closure), len({part for k in indices for part in k} - {1})
 
 
 def _pool_pays(indices: Sequence[tuple[int, ...]], groups: list[tuple[int, ...]]) -> bool:
@@ -412,7 +463,7 @@ def _pool_pays(indices: Sequence[tuple[int, ...]], groups: list[tuple[int, ...]]
         memos = [_store[q][0] if q in _store else {} for q in g]
         missing = [k for k in indices if len(k) < g[-1] and any(k not in memo for memo in memos)]
         if missing:
-            total += _cost(g, *_walk_size(missing))
+            total += _cost(g, *(size if len(missing) == len(indices) else _walk_size(missing)))
     return total >= POOL_MIN_MULTS
 
 
@@ -484,10 +535,13 @@ def zeta_mod_p(k: tuple[int, ...], p: int) -> int:
     """The truncated nested harmonic sum for the index ``k`` at the prime p:
     sum over p > m_1 > ... > m_r > 0 of prod m_j^(-k_j), reduced mod p.
 
-    A one-index sweep of a :class:`SuffixTrie`: r prefix-sum passes,
-    innermost part first, each p - 1 multiplications run through C-level
-    iterators, O(p * depth) in all.  An index with depth >= p has an empty
-    summation range and gives 0.
+    A one-index sweep of a :class:`SuffixTrie` over the lower half of the
+    range, m <= (p - 1) / 2: one prefix-sum pass for each distinct proper
+    suffix of k and of its reversal, and one dot product for each of their
+    suffixes, each about p / 2 multiplications run through C-level
+    iterators, O(p * depth) in all; the reversal m -> p - m gives the upper
+    half.  An index with depth >= p has an empty summation range and
+    gives 0.
     """
     k = tuple(k)
     if p in _store:

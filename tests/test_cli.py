@@ -256,6 +256,39 @@ def test_every_check_keeps_its_report_bytes(capsys):
         assert hashlib.sha256(render_json(report).encode()).hexdigest() == digest, argv
 
 
+def test_json_renders_exactly_as_json_dumps(capsys):
+    # reports and value tables render their rows from a template; the bytes
+    # must be those of json.dumps(doc, indent=2) + "\n"
+    from fmzv.verify import CheckReport, PrimeCheck, check
+
+    reports = [
+        check("ohno", (2, 1), 1, window=(5, 60)),  # passing
+        check("homogeneous", 1, 1, window=(2, 3), floor=2),  # failing at 2
+        # every prime sub-floor, which check refuses up front
+        CheckReport("homogeneous", {"a": 1, "r": 1}, "numeric", floor=11, results=[
+            PrimeCheck(2, 1, 0), PrimeCheck(3, 0, 0), PrimeCheck(5, 0, 0), PrimeCheck(7, 0, 0),
+        ]),
+        check("ikz", "xy", 3),  # symbolic, equal
+        CheckReport("eq3", {"index": [2, 1]}, "symbolic", equal=False, lhs="y", rhs="xy"),
+        # params whose strings look like the rows' key, and no rows at all
+        CheckReport("odd", {"w": '\n  "results": null', "k": []}, "numeric", floor=7),
+        CheckReport(
+            "odd", {"w": "\u00e9\t\"", "n": {}}, "numeric", floor=3,
+            results=[PrimeCheck(2, 1, 0), PrimeCheck(3, 2, 2), PrimeCheck(5, 0, 4)],
+        ),
+    ]
+    assert [r.passed for r in reports[:4]] == [True, False, True, True]
+    for report in reports:
+        assert render_json(report) == json.dumps(report.to_json_dict(), indent=2) + "\n"
+    for argv in (
+        ["zeta", "--index", "2,1,3", "--primes", "2:60"],
+        ["zeta", "--index", "1", "--primes", "10007:10009"],
+        ["bernoulli", "--k", "3", "--primes", "5:90"],
+    ):
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0 and out == json.dumps(json.loads(out), indent=2) + "\n", argv
+
+
 def test_check_usage_error(capsys):
     code, _, err = run_cli(
         capsys, "check", "duality", "--w", "y", "--wp", "yx", "--primes", "5:20"

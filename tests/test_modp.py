@@ -77,8 +77,17 @@ def test_inv_and_pow():
         inv_mod(0, 7)
     with pytest.raises(ZeroDivisionError):
         inv_mod(14, 7)
+    # row 1 covers the lower half, m <= (p - 1) / 2, of one prime or of the
+    # largest prime of a group, exact in each lane whose lower half holds m
     table = inverse_table(13)
-    assert all(m * table[m] % 13 == 1 for m in range(1, 13))
+    assert len(table) == 7 and table[0] == 0
+    assert all(m * table[m] % 13 == 1 for m in range(1, 7))
+    assert inverse_table(2) == [0] and inverse_table(3) == [0, 1]
+    for group in [(2, 3, 5, 7), (3, 5, 7, 11, 13), tuple(primes_in(10007, 10100)[:4])]:
+        table = inverse_table(*group)
+        assert len(table) == (group[-1] + 1) // 2 and table[0] == 0, group
+        for q in group:
+            assert all(m * table[m] % q == 1 for m in range(1, (q + 1) // 2)), (group, q)
 
 
 def test_zeta_spot_values():
@@ -251,18 +260,20 @@ def test_rows_are_exact_with_and_without_row_e_minus_1():
     for p in (2, 3, 5, 7, 13, 10007):
         # parts are >= 1: exponent 0 is reached through multiples of p - 1
         for e in {1, 2, 3, 4, 5, 33, 40, p - 1, p - 2, 2 * (p - 1)} - {0}:
+            # the lower half, m <= (p - 1) / 2, which is all a walk reads
             row = modp._rows([e], (p,))[e]
-            assert len(row) == p and row[0] == 0, (p, e)
-            assert all(row[m] == pow(m, -e, p) for m in range(1, p)), (p, e)
+            assert len(row) == (p + 1) // 2 and row[0] == 0, (p, e)
+            assert all(row[m] == pow(m, -e, p) for m in range(1, (p + 1) // 2)), (p, e)
             if e > 1:
                 # built from row e - 1 instead of by powering row 1
                 assert modp._rows([e - 1, e], (p,))[e] == row, (p, e)
 
 
 def test_group_rows_are_exact_in_every_lane():
-    # a group's rows hold m^(-e) modulo each prime q of the group above m,
-    # whatever they hold at m >= q; parts are not reduced, so p - 1 and
-    # 2(p - 1) + 3 differ from lane to lane
+    # a group's rows cover the lower half of its largest prime and hold
+    # m^(-e) modulo each prime q of the group whose lower half holds m,
+    # m <= (q - 1) / 2, whatever they hold above it; parts are not reduced,
+    # so p - 1 and 2(p - 1) + 3 differ from lane to lane
     import fmzv.modp as modp
 
     for group in [(2, 3), (2, 3, 5, 7), (3, 5, 7, 11, 13), tuple(primes_in(10007, 10200)[:4])]:
@@ -271,9 +282,10 @@ def test_group_rows_are_exact_in_every_lane():
         for held in (parts, parts[-3:]):
             rows = modp._rows(held, group)
             for e in held:
-                assert len(rows[e]) == group[-1] and rows[e][0] == 0, (group, e)
+                assert len(rows[e]) == (group[-1] + 1) // 2 and rows[e][0] == 0, (group, e)
                 for q in group:
-                    assert all(rows[e][m] % q == pow(m, -e, q) for m in range(1, q)), (group, q, e)
+                    half = range(1, (q + 1) // 2)
+                    assert all(rows[e][m] % q == pow(m, -e, q) for m in half), (group, q, e)
 
 
 def test_cold_sweep_builds_only_the_rows_it_reads(monkeypatch):
@@ -388,6 +400,74 @@ def test_deep_group_sweeps_match_loop_oracle():
                 assert values[k] == zeta_by_loop(k, q), (group, q, k)
 
 
+def test_half_range_walk_matches_loop_and_naive_oracles():
+    # H_q(k) comes from H_L of suffixes and reversed prefixes over the lower
+    # half L = {1, ..., (q - 1) / 2}: one-prime groups at every prime <= 60
+    # and at 10007, and groups from 2 and from 3, at every depth 1 to q - 1
+    # of the largest prime (1 to 12 at 10007), so that parts sit in both
+    # halves and some indices are deeper than some lanes, with parts q - 1,
+    # q and 2(q - 1) + 3 of each lane
+    rng = random.Random(16)
+    small = primes_in(2, 60)
+    groups = [(q,) for q in small] + [(10007,)]
+    groups += [tuple(small[:n]) for n in (2, 5, len(small))]
+    groups += [tuple(small[1:n]) for n in (2, 5, len(small))]
+    for group in groups:
+        parts = _lane_parts(group)
+        depths = range(1, group[-1] if group[-1] < 100 else 13)
+        indices = [tuple(rng.choice(parts) for _ in range(depth)) for depth in depths]
+        indices += [k[::-1] for k in indices[:4]]
+        swept = SuffixTrie(indices).sweep(group)
+        for q, values in zip(group, swept):
+            assert sorted(values) == sorted(set(indices))
+            for k in indices:
+                assert values[k] == zeta_by_loop(k, q), (group, q, k)
+            for k in indices[:: max(1, len(indices) // 6)]:
+                assert values[k] == zeta_mod_p_naive(k, q), (group, q, k)
+
+
+def test_walk_makes_one_pass_per_proper_suffix_and_one_dot_per_element():
+    # J is every nonempty suffix and every reversed prefix of the indices;
+    # each element of J is one op, whose dot product reads the tails its
+    # passes left, and each distinct proper suffix of J is one pass
+    rng = random.Random(17)
+    for p, count, max_depth in [(3, 30, 6), (10007, 40, 7)]:
+        indices = _shared_suffix_indices(rng, p, count, max_depth)
+        trie = SuffixTrie(indices)
+        (swept,) = trie.sweep((p,))
+        closure = {s for k in indices for i in range(len(k)) for s in (k[i:], k[: i + 1][::-1])}
+        assert sorted(s for _, _, s in trie._ops) == sorted(closure)
+        passed, stack = [], []
+        for kept, parts, s in trie._ops:
+            del stack[kept:]
+            for part in parts:
+                stack.append(part)
+                passed.append(tuple(stack[::-1]))
+            assert tuple(stack[::-1]) == s[1:], s
+        assert len(passed) == len(set(passed))
+        assert set(passed) == {s[1:] for s in closure if len(s) > 1}
+        for k in trie.indices:
+            assert swept[k] == zeta_by_loop(k, p), (p, k)
+
+
+def test_key_lemma_walks_its_suffixes_only():
+    # key-lemma (2), n = 2 reads an index set closed under reversal, so its
+    # reversed prefixes are suffixes already and J is its 12 suffixes
+    from fmzv.verify import CHECKS
+
+    group = tuple(primes_in(10007, 10100)[:4])
+    indices = CHECKS["key-lemma"].build(Index((2,)), 2, (group[0], group[-1])).plan.indices()
+    assert {k[::-1] for k in indices} == set(indices)
+    trie = SuffixTrie(indices)
+    swept = trie.sweep(group)
+    suffixes = {k[i:] for k in indices for i in range(len(k))}
+    assert len(suffixes) == 12 and len(trie._ops) == 12
+    assert {s for _, _, s in trie._ops} == suffixes
+    for q, values in zip(group, swept):
+        for k in indices:
+            assert values[k] == zeta_by_loop(k, q), (q, k)
+
+
 def test_residues_fill_groups_in_process(monkeypatch):
     # a window swept group by group equals the one-prime sweeps, and each
     # group is walked once, for the indices missing at any of its primes
@@ -448,16 +528,21 @@ def test_trie_keeps_one_tail_per_depth(monkeypatch):
     import fmzv.modp as modp
 
     p = 65537
-    # depth 4, eleven proper suffixes: (1), (2), (3), (1,1), (2,2), ...
+    # depth 4; the walk covers J, their 24 suffixes and reversed prefixes,
+    # whose 16 distinct proper suffixes are (1), (2), (3), (1,1), (2,1),
+    # (2,2), (2,3), (3,1), (3,3), (1,1,1), (1,2,3), (2,1,1), (2,2,1),
+    # (2,2,2), (3,3,1) and (3,3,3)
     indices = [(1, 1, 1, 1), (1, 2, 2, 2), (1, 3, 3, 3), (1, 1, 2, 3), (2, 2, 2, 2)]
     trie = SuffixTrie(indices)
     trie.sweep((p,))  # the walk built
     # the rows, which live for one sweep, are built before memory is traced
     rows = modp._rows(trie._parts, (p,))
     monkeypatch.setattr(modp, "_rows", lambda parts, group: rows)
-    # one pass per part an op extends by, one op (and dot product) per index
+    # one pass per part an op extends by, one op (and dot product) per
+    # element of J
     passes = sum(len(parts) for _, parts, _ in trie._ops)
-    assert [k for _, _, k in trie._ops] == sorted(indices, key=lambda k: k[:0:-1])
+    closure = {s for k in indices for i in range(4) for s in (k[i:], k[: i + 1][::-1])}
+    assert [s for _, _, s in trie._ops] == sorted(closure, key=lambda s: (s[:0:-1], s))
     tracemalloc.start()
     try:
         tail = list(map(mod, accumulate(map(mul, inverse_table(p), repeat(1)), initial=0), repeat(p)))
@@ -468,5 +553,5 @@ def test_trie_keeps_one_tail_per_depth(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert passes == 11
+    assert len(closure) == 24 and passes == 16
     assert peak < (4 + 2) * one_tail, (peak / one_tail, passes)

@@ -320,7 +320,7 @@ def test_pool_never_exceeds_cores_or_primes(monkeypatch, recorded_pools):
 
 def test_pool_only_for_heavy_checks(monkeypatch, recorded_pools):
     started = recorded_pools
-    light, heavy = (5, 80), (5, 3000)
+    light, heavy = (5, 80), (5, 4000)
     k = Index((2, 1))
     filled = []
     fill = fmzv.verify.residues
@@ -337,15 +337,18 @@ def test_pool_only_for_heavy_checks(monkeypatch, recorded_pools):
 
     def work(window):
         # the cost of the in-process walks of the plan's indices, a group of
-        # primes at a time: q_G - 1 entries by the depths, two for each part
-        # but 1 and three for row 1, by (bits + 90) / 100 for the summed bit
-        # lengths of the group's primes
-        depths = sum(map(len, indices))
+        # primes at a time: (q_G + 1) / 2 entries by the walk's units, one
+        # pass per distinct proper suffix and one dot product per element of
+        # J, the suffixes and reversed prefixes of the indices, plus two for
+        # each part but 1 and three for row 1, by (bits + 90) / 100 for the
+        # summed bit lengths of the group's primes
+        closure = {s for k in indices for i in range(len(k)) for s in (k[i:], k[: i + 1][::-1])}
+        units = len(closure) + len({s[1:] for s in closure if len(s) > 1})
         parts = len({part for k in indices for part in k} - {1})
         total = 0
         for group in fmzv.modp._groups(fmzv.verify.primes_in(*window)):
             bits = sum(p.bit_length() for p in group)
-            total += (group[-1] - 1) * (depths + 2 * parts + 3) * (bits + 90) // 100
+            total += (group[-1] + 1) // 2 * (units + 2 * parts + 3) * (bits + 90) // 100
         return total
 
     def cold():
