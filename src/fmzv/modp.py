@@ -25,28 +25,31 @@ suffixes, so one walk covers it: J is sorted by proper suffixes
 prefix sum over m in L of the row m^(-s_j) times the tail of the suffix
 one part shorter.  Walking J in sorted order extends the tails the
 previous element left, so each distinct proper suffix costs one pass over
-(q+1)/2 entries and each element one more dot product, and one tail per
-depth is alive at once, however many indices share the walk.  The recipes
-then combine the values of J into each index's residue.  At q = 2, where
-m = 1 is its own mirror, H_2(k) is 1 at depth 1 and 0 deeper.
+(q+1)/2 entries, whose last entry is that suffix's value, and only an
+element that is no proper suffix of another, and so ends no pass, costs one
+more dot product; one tail per depth is alive at once, however many
+indices share the walk.  The recipes then combine the values of J into
+each index's residue.  At q = 2, where m = 1 is its own mirror, H_2(k) is
+1 at depth 1 and 0 deeper.
 
 One walk serves a group of consecutive primes q_1 < ... < q_G at once: it
 runs over the lower half of q_G modulo the product P of the group's odd
 primes, and since Z/P is the product of the Z/q_i (the Chinese remainder
 theorem), the lane of q_i is read off the entries m <= (q_i - 1)/2, where
 every row and tail is exact modulo q_i; what a lane holds above that is
-never read.  Each dot product is one running sum, broken at (q_i + 1)/2
-for each prime of the group.  A Python integer costs about as much to
-handle whether it holds one prime's residue or a few primes', so a group
-of G primes costs less than G walks, and far less at small primes.
-Groups hold at most ``GROUP_PRIMES`` primes and rows of at most
-``GROUP_BITS`` bits, which bounds the memory of a walk.
+never read.  A pass gives the lane of q_i its entry (q_i + 1)/2, and each
+dot product is one running sum, broken there for each prime of the group.
+A Python integer costs about as much to handle whether it holds one
+prime's residue or a few primes', so a group of G primes costs less than G
+walks, and far less at small primes.  Groups hold at most ``GROUP_PRIMES``
+primes and rows of at most ``GROUP_BITS`` bits, which bounds the memory of
+a walk.
 
 Each pass, and each inverse-power row it reads, is built from C-level
 iterators (``map``, ``itertools.accumulate``) rather than an interpreted
 loop over m.  The innermost pass sums its row alone, and only every second
 pass reduces its tail mod P: a tail of odd depth is left below P^3, and
-each lane's dot product is reduced once at its end.  Rows cover the lower
+each lane's value is reduced once, mod q_i.  Rows cover the lower
 half of q_G only.  Row 1 comes from the recurrence of the inverses, one
 for a lone prime and for a group, whose modulus drops each prime of the
 group once m passes its half; row e is the product of two rows the sweep
@@ -100,11 +103,13 @@ GROUP_BITS = 5_000_000
 # modulo one prime (see _cost), below which a window is filled in-process
 # whatever ``jobs`` says: starting and tearing down a 2-worker pool costs
 # about 20 ms on a 2-vCPU host, so lighter windows finish sooner without
-# one.  Measured cold on that host over 440 check requests, the pool won 1
-# of 30 windows costing 4-8e5, 16 of 34 at 0.8-1.6e6 and 22 of 27 above,
-# and windows of p <= 500, all below 2.1e5, never gained beyond noise;
-# 1.4e6 loses least (292 ms in all, against 299 ms for 1.2e6).
-POOL_MIN_MULTS = 1_400_000
+# one.  Measured cold on that host over 440 check requests, twice, the pool
+# won 4 and 3 of 32 windows costing 4-8e5, 5 and 5 of 18 at 0.8-1.2e6, 4
+# and 6 of 8 at 1.2-1.6e6 and 16 and 14 of 19 above, and windows of
+# p <= 500, all below 1.5e5, never gained beyond noise; 1.1e6 loses least
+# in both (197 and 358 ms in all, against 226 and 366 ms for 1e6 and 331
+# and 429 ms for 1.4e6).
+POOL_MIN_MULTS = 1_100_000
 
 class EngineFault(RuntimeError):
     """The evaluator contradicted itself or an independent oracle: a bug in
@@ -276,8 +281,11 @@ class SuffixTrie:
     of every element of J.  A suffix (s_j, ..., s_n) of an element has the
     tail ``tail[m]`` = sum over m > m_j > ... > m_n > 0 of prod m_i^(-s_i):
     the prefix sums of the row m^(-s_j) times the tail of (s_(j+1), ..., s_n),
-    the empty suffix's tail being the empty product 1; an element s is then
-    the dot product of the row m^(-s_1) with the tail of s[1:] over m in L.
+    the empty suffix's tail being the empty product 1, and H_L(s) is the
+    tail's entry (q + 1) / 2.  So a proper suffix of an element is read
+    off the pass that builds its tail, and only an element that is none,
+    and ends no pass, takes a dot product: the row m^(-s_1) with the tail
+    of s[1:] over m in L.
     At q = 2, where m = 1 is its own mirror, H_2(k) is 1 at depth 1 and 0
     deeper.
     """
@@ -290,25 +298,33 @@ class SuffixTrie:
         # Sorted by their proper suffixes read innermost part first, the
         # elements of J visit every suffix just after the longest one it
         # extends, as a preorder walk of the suffixes' trie would.  The op
-        # (kept, parts, s) keeps the tails of the first ``kept`` inner parts
-        # it shares with the previous element, extends them by ``parts`` and
-        # evaluates s on the last; commonprefix compares tuples part by part.
+        # (kept, parts, s, slots, dot) keeps the tails of the first ``kept``
+        # inner parts it shares with the previous element and extends them
+        # by ``parts``; each of those passes builds the tail of a proper
+        # suffix, itself in J, and writes its value at its slot.  ``dot`` is
+        # the slot of s, which a dot product evaluates, or None where s is a
+        # proper suffix of another element, whose pass writes it.
+        # commonprefix compares tuples part by part.
+        walk = sorted((s[:0:-1], s) for s in _closure(self.indices))
+        # A lane's values are H_L of the empty index, 1, then of each element
+        # in walk order.
+        at = {(): 0}
+        at.update((s, j) for j, (_, s) in enumerate(walk, 1))
+        passed = {inner for inner, _ in walk}
         ops = []
         last: tuple = ()
-        for inner, s in sorted((s[:0:-1], s) for s in _closure(self.indices)):
+        for inner, s in walk:
             kept = len(os.path.commonprefix([last, inner]))
-            ops.append((kept, inner[kept:], s))
+            slots = tuple(at[inner[i::-1]] for i in range(kept, len(inner)))
+            ops.append((kept, inner[kept:], s, slots, None if s[::-1] in passed else at[s]))
             last = inner
         self._ops = ops
         self._parts = {part for k in self.indices for part in k}
-        # A lane's values are H_L of the empty index, 1, then of each element
-        # in walk order; an element's sign as a reversed prefix is (-1) to
-        # its weight.  The recipes are flattened: term t multiplies the
-        # signed value at _prefixes[t] by the value at _suffixes[t], and
-        # index j sums the terms _bounds[j] .. _bounds[j + 1] - 1.
-        at = {(): 0}
-        at.update((s, j) for j, (_, _, s) in enumerate(ops, 1))
-        self._signs = [1] + [-1 if sum(s) % 2 else 1 for _, _, s in ops]
+        # An element's sign as a reversed prefix is (-1) to its weight.  The
+        # recipes are flattened: term t multiplies the signed value at
+        # _prefixes[t] by the value at _suffixes[t], and index j sums the
+        # terms _bounds[j] .. _bounds[j + 1] - 1.
+        self._signs = [1] + [-1 if sum(s) % 2 else 1 for _, s in walk]
         self._prefixes = [at[k[:i][::-1]] for k in self.indices for i in range(len(k) + 1)]
         self._suffixes = [at[k[i:]] for k in self.indices for i in range(len(k) + 1)]
         self._bounds = list(accumulate((len(k) + 1 for k in self.indices), initial=0))
@@ -320,8 +336,9 @@ class SuffixTrie:
 
         By the Chinese remainder theorem Z/P is the product of the Z/q, so
         the walk evaluates each odd prime q in its own lane, which reads only
-        the entries m <= (q - 1) / 2: each dot product is one running sum,
-        broken at each prime of the group.  The passes need no special case
+        the entries m <= (q - 1) / 2: each pass gives the lane its entry
+        (q + 1) / 2, and each dot product is one running sum, broken at each
+        prime of the group.  The passes need no special case
         for an index of depth >= q: one of the two factors of each of its
         recipe's terms is deeper than (q - 1) / 2, and its tails vanish to
         match.
@@ -334,7 +351,7 @@ class SuffixTrie:
             out.insert(0, {k: int(len(k) == 1) for k in self.indices})
         return out
 
-    def _walk(self, lanes: Sequence[int]) -> list[list[int]]:
+    def _walk(self, lanes: Sequence[int]) -> list[tuple[int, ...]]:
         # each lane's values, H_L of the empty index then of J in walk order
         if not lanes:
             return []
@@ -344,27 +361,32 @@ class SuffixTrie:
         # vanishes; one tail per depth, the empty suffix's first.  The
         # innermost pass sums its row alone, and only the tails of even
         # depth are reduced mod P: with rows below P, a tail of odd depth
-        # stays below P^3, and each lane's dot product is reduced once.
+        # stays below P^3, and each lane's value is reduced once.  A tail
+        # of s holds H_L(s) in lane q at entry (q + 1) / 2, and a dot
+        # product runs over the entries below it, lane after lane.
+        stops = [(q + 1) // 2 for q in lanes]
+        widths = list(map(sub, stops, [0, *stops[:-1]]))
         tails: list = [repeat(1)]
         ps = repeat(modulus)
-        out: list[list[int]] = [[1] for _ in lanes]
-        for kept, parts, s in self._ops:
+        # slot j: the value in each lane of the j-th element in walk order
+        values: list = [None] * (len(self._ops) + 1)
+        values[0] = [1] * len(lanes)
+        for kept, parts, s, slots, dot in self._ops:
             del tails[kept + 1 :]
-            for part in parts:
+            for part, slot in zip(parts, slots):
                 depth = len(tails)
                 if depth == 1:
                     sums = accumulate(rows[part], initial=0)
                 else:
                     sums = accumulate(map(mul, rows[part], tails[-1]), initial=0)
-                tails.append(list(map(mod, sums, ps)) if depth % 2 == 0 else list(sums))
-            terms = map(mul, rows[s[0]], tails[-1])
-            total = start = 0
-            for q, values in zip(lanes, out):
-                stop = (q + 1) // 2
-                total += sum(islice(terms, stop - start))
-                start = stop
-                values.append(total % q)
-        return out
+                tail = list(map(mod, sums, ps)) if depth % 2 == 0 else list(sums)
+                tails.append(tail)
+                values[slot] = list(map(mod, map(tail.__getitem__, stops), lanes))
+            if dot is not None:
+                terms = map(mul, rows[s[0]], tails[-1])
+                totals = accumulate(map(sum, map(islice, repeat(terms), widths)))
+                values[dot] = list(map(mod, totals, lanes))
+        return list(zip(*values))
 
     def _recipes(self, values: list[int], q: int) -> dict[tuple[int, ...], int]:
         # every index's residue at q from the lane's values of J
@@ -394,18 +416,6 @@ def _fill_group(trie: SuffixTrie, group: Sequence[int]) -> list[dict]:
         memo.update((k, values[k] if len(k) < q else 0) for k in ks)
     _charge(group[0], sum(map(len, missing)))
     return memos
-
-
-def harmonic_sums(trie: SuffixTrie, p: int) -> Mapping[tuple[int, ...], int]:
-    """The residues at the prime p, which the caller takes from the sieve,
-    of (at least) the trie's indices.  Memoized residues are read first,
-    and an index of depth >= p is 0; the rest are swept in one walk at p
-    alone.  The mapping returned is the memo of p itself, for reading
-    only."""
-    memo = _entry(p)[0]
-    if not all(map(memo.__contains__, trie.indices)):
-        _fill_group(trie, (p,))
-    return memo
 
 
 def _groups(primes: Sequence[int], most: int = GROUP_PRIMES) -> list[tuple[int, ...]]:
@@ -440,12 +450,11 @@ def _cost(group: Sequence[int], units: int, parts: int) -> int:
 
 def _walk_size(indices: Iterable[tuple[int, ...]]) -> tuple[int, int]:
     # the passes and dot products of the walk of J, one pass per distinct
-    # proper suffix of its elements and one dot product per element, and
-    # the distinct parts other than 1, that _cost charges
+    # proper suffix of its elements and one dot product per element that is
+    # no proper suffix, so one unit per element of J, and the distinct parts
+    # other than 1, that _cost charges
     indices = list(indices)
-    closure = _closure(indices)
-    passes = len({s[1:] for s in closure if len(s) > 1})
-    return passes + len(closure), len({part for k in indices for part in k} - {1})
+    return len(_closure(indices)), len({part for k in indices for part in k} - {1})
 
 
 def _pool_pays(indices: Sequence[tuple[int, ...]], groups: list[tuple[int, ...]]) -> bool:
@@ -522,9 +531,7 @@ def residues(
                     yield p, _merge(p, zip(trie.indices, got), bs)
     else:
         for group in groups:
-            _fill_group(trie, group)
-            for p in group:
-                values = harmonic_sums(trie, p)
+            for p, values in zip(group, _fill_group(trie, group)):
                 for w in ws:
                     if p >= w + 2:
                         bernoulli_mod_p(w, p)
@@ -537,8 +544,9 @@ def zeta_mod_p(k: tuple[int, ...], p: int) -> int:
 
     A one-index sweep of a :class:`SuffixTrie` over the lower half of the
     range, m <= (p - 1) / 2: one prefix-sum pass for each distinct proper
-    suffix of k and of its reversal, and one dot product for each of their
-    suffixes, each about p / 2 multiplications run through C-level
+    suffix of k and of its reversal, which also gives that suffix's value,
+    and one dot product for each of their suffixes that is no proper
+    suffix of another, each about p / 2 multiplications run through C-level
     iterators, O(p * depth) in all; the reversal m -> p - m gives the upper
     half.  An index with depth >= p has an empty summation range and
     gives 0.
@@ -551,7 +559,7 @@ def zeta_mod_p(k: tuple[int, ...], p: int) -> int:
     ensure_prime(p)
     if not k or any(kj < 1 for kj in k):
         raise ValueError(f"index parts must be >= 1, got {k}")
-    return harmonic_sums(SuffixTrie([k]), p)[k]
+    return _fill_group(SuffixTrie([k]), (p,))[0][k]
 
 
 def zeta_mod_p_naive(k: tuple[int, ...], p: int) -> int:

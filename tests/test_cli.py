@@ -173,10 +173,10 @@ def test_long_words_check_without_crashing(capsys):
 def test_engine_fault_exit_code(capsys, monkeypatch):
     # a fast path that gives every index its depth: ohno (2,1) at n=1 then
     # reads 4 against 6, which the oracle does not reproduce
-    def wrong_sums(trie, p):
-        return {k: len(k) for k in trie.indices}
+    def wrong_memos(trie, group):
+        return [{k: len(k) for k in trie.indices} for _ in group]
 
-    monkeypatch.setattr(fmzv.modp, "harmonic_sums", wrong_sums)
+    monkeypatch.setattr(fmzv.modp, "_fill_group", wrong_memos)
     code, out, err = run_cli(
         capsys, "check", "ohno", "--index", "2,1", "--n", "1", "--primes", "11:13", "--jobs", "1"
     )

@@ -12,11 +12,11 @@ from fmzv.modp import (
     MAX_MODULUS,
     SuffixTrie,
     bernoulli_mod_p,
-    harmonic_sums,
     inv_mod,
     inverse_table,
     is_prime,
     primes_in,
+    residues,
     zeta_mod_p,
     zeta_mod_p_naive,
 )
@@ -299,7 +299,7 @@ def test_cold_sweep_builds_only_the_rows_it_reads(monkeypatch):
     powers = []
     monkeypatch.setattr(modp, "pow", lambda *a: powers.append(a[1]) or pow(*a), raising=False)
     p = 10007
-    values = harmonic_sums(SuffixTrie([(5, 1)]), p)
+    ((_, values),) = residues([(5, 1)], [p])
     assert values == {(5, 1): zeta_by_loop((5, 1), p)}
     assert set(powers) == {5, (p - 1) // 2} and powers.count(5) == p // 2 + 1
     # the rows left with the sweep: the store holds the residue alone
@@ -350,7 +350,7 @@ def test_trie_matches_loop_oracle():
         assert sorted(swept) == sorted(set(indices))
         for k in trie.indices:
             assert swept[k] == zeta_by_loop(k, p), (k, p)
-        values = harmonic_sums(trie, p)
+        ((_, values),) = residues(indices, [p])
         assert {k: values[k] for k in trie.indices} == swept
 
 
@@ -426,33 +426,62 @@ def test_half_range_walk_matches_loop_and_naive_oracles():
                 assert values[k] == zeta_mod_p_naive(k, q), (group, q, k)
 
 
-def test_walk_makes_one_pass_per_proper_suffix_and_one_dot_per_element():
+def _assert_walk_plan(trie, closure):
+    # replays the ops of the walk of J, the closure: each element of J is
+    # one op, and each distinct proper suffix of J one pass, which writes
+    # the value of the suffix it builds at that suffix's slot; an op takes a
+    # dot product, over the tails its passes left, only for an element that
+    # is no proper suffix of another, so every slot is written exactly once
+    ops = trie._ops
+    assert sorted(s for _, _, s, _, _ in ops) == sorted(closure)
+    at = {s: j for j, (_, _, s, _, _) in enumerate(ops, 1)}
+    proper = {s[1:] for s in closure if len(s) > 1}
+    passed, written, stack = [], [], []
+    for kept, parts, s, slots, dot in ops:
+        del stack[kept:]
+        assert len(slots) == len(parts), s
+        for part, slot in zip(parts, slots):
+            stack.append(part)
+            passed.append(tuple(stack[::-1]))
+            assert slot == at[passed[-1]], s
+        assert tuple(stack[::-1]) == s[1:], s
+        assert dot == (None if s in proper else at[s]), s
+        written += [*slots, dot] if dot is not None else slots
+    assert len(passed) == len(set(passed))
+    assert set(passed) == proper
+    assert sum(dot is not None for *_, dot in ops) == len(closure) - len(proper)
+    assert sorted(written) == list(range(1, len(closure) + 1))
+
+
+def test_walk_passes_each_proper_suffix_once_and_dots_only_elements_ending_no_pass():
     # J is every nonempty suffix and every reversed prefix of the indices;
-    # each element of J is one op, whose dot product reads the tails its
-    # passes left, and each distinct proper suffix of J is one pass
+    # the walk reads each proper suffix's value off its own pass, so it
+    # takes one dot product per element of J that ends no pass.  Every lane
+    # of groups of 1, 2 and 16 primes matches the loop oracle; near 10^4
+    # the two lanes of a pair check a sample of the indices.
     rng = random.Random(17)
-    for p, count, max_depth in [(3, 30, 6), (10007, 40, 7)]:
+    large = tuple(primes_in(10007, 10100)[:2])
+    for p, count, max_depth, groups in [
+        (3, 30, 6, [(3,), (3, 5), tuple(primes_in(3, 60))]),
+        (10007, 40, 7, [large[:1], large]),
+    ]:
         indices = _shared_suffix_indices(rng, p, count, max_depth)
         trie = SuffixTrie(indices)
-        (swept,) = trie.sweep((p,))
         closure = {s for k in indices for i in range(len(k)) for s in (k[i:], k[: i + 1][::-1])}
-        assert sorted(s for _, _, s in trie._ops) == sorted(closure)
-        passed, stack = [], []
-        for kept, parts, s in trie._ops:
-            del stack[kept:]
-            for part in parts:
-                stack.append(part)
-                passed.append(tuple(stack[::-1]))
-            assert tuple(stack[::-1]) == s[1:], s
-        assert len(passed) == len(set(passed))
-        assert set(passed) == {s[1:] for s in closure if len(s) > 1}
-        for k in trie.indices:
-            assert swept[k] == zeta_by_loop(k, p), (p, k)
+        for group in groups:
+            swept = trie.sweep(group)
+            _assert_walk_plan(trie, closure)
+            for q, values in zip(group, swept):
+                checked = trie.indices if q < 100 or len(group) == 1 else trie.indices[::8]
+                for k in checked:
+                    assert values[k] == zeta_by_loop(k, q), (group, q, k)
 
 
 def test_key_lemma_walks_its_suffixes_only():
     # key-lemma (2), n = 2 reads an index set closed under reversal, so its
-    # reversed prefixes are suffixes already and J is its 12 suffixes
+    # reversed prefixes are suffixes already and J is its 12 suffixes, whose
+    # values the walk reads off its passes and its dot products, in every
+    # lane of groups of 1, 2, 4 and 16 primes
     from fmzv.verify import CHECKS
 
     group = tuple(primes_in(10007, 10100)[:4])
@@ -462,10 +491,16 @@ def test_key_lemma_walks_its_suffixes_only():
     swept = trie.sweep(group)
     suffixes = {k[i:] for k in indices for i in range(len(k))}
     assert len(suffixes) == 12 and len(trie._ops) == 12
-    assert {s for _, _, s in trie._ops} == suffixes
+    assert {s for _, _, s, _, _ in trie._ops} == suffixes
+    _assert_walk_plan(trie, suffixes)
     for q, values in zip(group, swept):
         for k in indices:
             assert values[k] == zeta_by_loop(k, q), (q, k)
+    small = tuple(primes_in(11, 100)[:16])
+    for lanes in (small[:1], small[:2], small):
+        for q, values in zip(lanes, trie.sweep(lanes)):
+            for k in indices:
+                assert values[k] == zeta_by_loop(k, q), (lanes, q, k)
 
 
 def test_residues_fill_groups_in_process(monkeypatch):
@@ -498,10 +533,10 @@ def test_memoized_indices_are_not_swept(monkeypatch):
     swept = []
     sweep = SuffixTrie.sweep
     monkeypatch.setattr(SuffixTrie, "sweep", lambda self, p: swept.append(self.indices) or sweep(self, p))
-    harmonic_sums(SuffixTrie([(2, 1), (3,)]), 11)
-    values = harmonic_sums(SuffixTrie([(3,), (2, 1)]), 11)
+    list(residues([(2, 1), (3,)], [11]))
+    ((_, values),) = residues([(3,), (2, 1)], [11])
     assert (values[3,], values[2, 1]) == (0, zeta_brute((2, 1), 11))
-    harmonic_sums(SuffixTrie([(2, 1), (1, 2, 1)]), 11)
+    list(residues([(2, 1), (1, 2, 1)], [11]))
     assert zeta_mod_p((1, 2, 1), 11) == zeta_brute((1, 2, 1), 11)
     # one sweep of both indices, none for the repeat, one of the new index
     assert swept == [[(2, 1), (3,)], [(1, 2, 1)]]
@@ -538,11 +573,10 @@ def test_trie_keeps_one_tail_per_depth(monkeypatch):
     # the rows, which live for one sweep, are built before memory is traced
     rows = modp._rows(trie._parts, (p,))
     monkeypatch.setattr(modp, "_rows", lambda parts, group: rows)
-    # one pass per part an op extends by, one op (and dot product) per
-    # element of J
-    passes = sum(len(parts) for _, parts, _ in trie._ops)
+    # one pass per part an op extends by, one op per element of J
+    passes = sum(len(parts) for _, parts, *_ in trie._ops)
     closure = {s for k in indices for i in range(4) for s in (k[i:], k[: i + 1][::-1])}
-    assert [s for _, _, s in trie._ops] == sorted(closure, key=lambda s: (s[:0:-1], s))
+    assert [s for _, _, s, *_ in trie._ops] == sorted(closure, key=lambda s: (s[:0:-1], s))
     tracemalloc.start()
     try:
         tail = list(map(mod, accumulate(map(mul, inverse_table(p), repeat(1)), initial=0), repeat(p)))

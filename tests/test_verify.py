@@ -338,12 +338,13 @@ def test_pool_only_for_heavy_checks(monkeypatch, recorded_pools):
     def work(window):
         # the cost of the in-process walks of the plan's indices, a group of
         # primes at a time: (q_G + 1) / 2 entries by the walk's units, one
-        # pass per distinct proper suffix and one dot product per element of
-        # J, the suffixes and reversed prefixes of the indices, plus two for
-        # each part but 1 and three for row 1, by (bits + 90) / 100 for the
-        # summed bit lengths of the group's primes
+        # pass per distinct proper suffix and one dot product per element
+        # ending no pass, so one per element of J, the suffixes and reversed
+        # prefixes of the indices, plus two for each part but 1 and three
+        # for row 1, by (bits + 90) / 100 for the summed bit lengths of the
+        # group's primes
         closure = {s for k in indices for i in range(len(k)) for s in (k[i:], k[: i + 1][::-1])}
-        units = len(closure) + len({s[1:] for s in closure if len(s) > 1})
+        units = len(closure)
         parts = len({part for k in indices for part in k} - {1})
         total = 0
         for group in fmzv.modp._groups(fmzv.verify.primes_in(*window)):
