@@ -188,11 +188,11 @@ def build_parser() -> argparse.ArgumentParser:
     csub = p_check.add_subparsers(dest="check_command", required=True)
     # int flags are converted by argparse, the others by their parser when
     # the check runs, so a bad token is reported like any other usage error
-    for name, (help_text, flags, _, numeric) in CHECKS.items():
-        p = csub.add_parser(name, help=help_text)
-        for option, parse in flags:
+    for name, entry in CHECKS.items():
+        p = csub.add_parser(name, help=entry.help)
+        for option, parse in entry.flags:
             p.add_argument(option, required=True, type=int if parse is int else None)
-        (_add_numeric_opts if numeric else _add_output_opts)(p)
+        (_add_numeric_opts if entry.numeric else _add_output_opts)(p)
 
     p_suite = sub.add_parser("suite", help="run the full verification battery")
     p_suite.add_argument("--max-weight", type=int, default=7)
@@ -251,11 +251,11 @@ def _cmd_bernoulli(args) -> int:
 
 def _cmd_check(args) -> int:
     name = args.check_command
-    _, flags, _, numeric = CHECKS[name]
+    entry = CHECKS[name]
     options = {}
-    if numeric:
+    if entry.numeric:
         options = {"window": _window_from(args), "floor": args.floor, "jobs": args.jobs}
-    values = [parse(getattr(args, option[2:])) for option, parse in flags]
+    values = [parse(getattr(args, option[2:])) for option, parse in entry.flags]
     return _finish_report(check(name, *values, **options), args)
 
 

@@ -39,11 +39,12 @@ theorem), the lane of q_i is read off the entries m <= (q_i - 1)/2, where
 every row and tail is exact modulo q_i; what a lane holds above that is
 never read.  A pass gives the lane of q_i its entry (q_i + 1)/2, and each
 dot product is one running sum, broken there for each prime of the group.
-A Python integer costs about as much to handle whether it holds one
-prime's residue or a few primes', so a group of G primes costs less than G
-walks, and far less at small primes.  Groups hold at most ``GROUP_PRIMES``
-primes and rows of at most ``GROUP_BITS`` bits, which bounds the memory of
-a walk.
+A Python integer of d 30-bit digits costs far less to handle than d
+integers of one digit (see _cost), so a group of G primes costs less than
+G walks, and far less at small primes, where several fit one digit.
+Groups hold at most ``GROUP_PRIMES`` primes and rows of at most
+``GROUP_BITS`` bits, which bounds the memory of a walk; 4 consecutive
+primes below about 10^5 make one group.
 
 Each pass, and each inverse-power row it reads, is built from C-level
 iterators (``map``, ``itertools.accumulate``) rather than an interpreted
@@ -69,11 +70,13 @@ and a prime's residues and Bernoulli values always leave together.
 window: it yields each prime's residue memo once the store holds what the
 batch reads there.  The trie is walked only for the indices whose residues
 are missing, a group of primes at a time, so large verification batteries
-share almost all of their arithmetic.  When those walks cost
-``POOL_MIN_MULTS`` or more the primes are filled by pool workers instead,
-a group or a single prime per task, whose residues and Bernoulli values
-are merged into the parent's store as they arrive, so they outlive the
-worker.
+share almost all of their arithmetic.  The group is also the pool's unit
+of work: each task is a group of at most a worker's share of the primes.
+When the workers, walking those groups side by side, would finish what is
+missing at least ``POOL_MIN_MULTS`` sooner than the in-process walks, the
+primes are filled by the pool instead, and the residues and Bernoulli
+values of each task are merged into the parent's store as they arrive, so
+they outlive the worker.
 """
 
 from __future__ import annotations
@@ -94,22 +97,20 @@ TABLE_BUDGET = 2**20
 # A group of primes swept in one walk: at most GROUP_PRIMES of them, and a
 # row of at most GROUP_BITS bits, q_G entries of the summed bit lengths of
 # its primes.  A walk keeps a row per distinct part and a tail per depth
-# alive, so the bits bound its memory: near p = 10^5 a group holds 2 or 3
-# primes, and an int below 2^60 takes as many bytes as one below 2^30, so
-# its rows are no larger than those of one prime.
+# alive, so the bits bound its memory.  4 consecutive primes of 17 bits
+# make one group up to q_G = 7e6 / 68, about 1.03e5: on a 2-vCPU host, a
+# walk of the 7 indices of ohno (3), n = 2 over the last 1, 2, 3 and all 4
+# of the primes 95191 .. 95219 took 101, 191, 191 and 228 ms (best of 9),
+# so the groups of 3 and 1 that a bound of 5e6 cut cost about 292 ms.
 GROUP_PRIMES = 16
-GROUP_BITS = 5_000_000
-# Cost of the walks still missing from the store, in multiplications
-# modulo one prime (see _cost), below which a window is filled in-process
-# whatever ``jobs`` says: starting and tearing down a 2-worker pool costs
-# about 20 ms on a 2-vCPU host, so lighter windows finish sooner without
-# one.  Measured cold on that host over 440 check requests, twice, the pool
-# won 4 and 3 of 32 windows costing 4-8e5, 5 and 5 of 18 at 0.8-1.2e6, 4
-# and 6 of 8 at 1.2-1.6e6 and 16 and 14 of 19 above, and windows of
-# p <= 500, all below 1.5e5, never gained beyond noise; 1.1e6 loses least
-# in both (197 and 358 ms in all, against 226 and 366 ms for 1e6 and 331
-# and 429 ms for 1.4e6).
-POOL_MIN_MULTS = 1_100_000
+GROUP_BITS = 7_000_000
+# The start cost of a pool, in multiplications modulo one prime (see
+# _cost): a window is filled by pool workers only when their walks finish
+# at least this much sooner than the in-process walks, whatever ``jobs``
+# says.  On a 2-vCPU host, starting and tearing down a 2-worker pool took
+# 13-19 ms, and one unit of _cost took about 95 ns; the cold checks of
+# windows at p <= 500 save at most 8e4 and stay in-process.
+POOL_MIN_MULTS = 150_000
 
 class EngineFault(RuntimeError):
     """The evaluator contradicted itself or an independent oracle: a bug in
@@ -441,11 +442,14 @@ def _cost(group: Sequence[int], units: int, parts: int) -> int:
     # prime: (q_G + 1) / 2 entries, the lower half of its largest prime,
     # times its ``units`` passes and dot products, plus its half rows, each
     # of the ``parts`` other than 1 about two passes and row 1 (the
-    # interpreted inverse recurrence) about three; each step costs
-    # (bits + 90) / 100 as much as modulo one prime, for the summed bit
-    # lengths of the group's primes.
-    bits = sum(map(int.bit_length, group))
-    return (group[-1] + 1) // 2 * (units + 2 * parts + 3) * (bits + 90) // 100
+    # interpreted inverse recurrence) about three.  A step costs as much as
+    # modulo one prime while the summed bit lengths of the group's primes
+    # fit one 30-bit digit of a Python integer, and (14 + 3d) / 10 as much
+    # when they take d > 1 digits (timed walks on a 2-vCPU host, over one
+    # digit: 1.9 at d = 2, 2.3 at 3, 2.5 at 4 and 2.8-4.1 at 6-8).
+    digits = -(-sum(map(int.bit_length, group)) // 30)
+    width = 10 if digits == 1 else 14 + 3 * digits
+    return (group[-1] + 1) // 2 * (units + 2 * parts + 3) * width // 10
 
 
 def _walk_size(indices: Iterable[tuple[int, ...]]) -> tuple[int, int]:
@@ -457,23 +461,35 @@ def _walk_size(indices: Iterable[tuple[int, ...]]) -> tuple[int, int]:
     return len(_closure(indices)), len({part for k in indices for part in k} - {1})
 
 
-def _pool_pays(indices: Sequence[tuple[int, ...]], groups: list[tuple[int, ...]]) -> bool:
-    # Whether the in-process walks over ``groups`` of the indices still
-    # missing there cost POOL_MIN_MULTS or more: at each group, the indices
-    # missing at any of its primes whose depth is below its largest.  The
-    # store is only read, so no prime moves in its order.  The cold work,
-    # every index at every group, bounds that figure, and a window lighter
-    # than that is settled without reading the store.
+def _pool_pays(
+    indices: Sequence[tuple[int, ...]],
+    groups: list[tuple[int, ...]],
+    tasks: list[tuple[int, ...]],
+    workers: int,
+) -> bool:
+    # Whether ``workers`` pool workers fill what is missing at least
+    # POOL_MIN_MULTS sooner than the in-process walks: those walk ``groups``
+    # one after another, while each of ``tasks`` goes, in order, to the worker
+    # free first.  A walk covers the indices missing at any prime of its group
+    # whose depth is below its largest, priced by _cost.  The store is only
+    # read, so no prime moves in its order.  The cold in-process work, every
+    # index at every group, bounds the saving, and a window lighter than that
+    # is settled without reading the store.
     size = _walk_size(indices)
     if sum(_cost(g, *size) for g in groups) < POOL_MIN_MULTS:
         return False
-    total = 0
-    for g in groups:
+
+    def cost(g: tuple[int, ...]) -> int:
         memos = [_store[q][0] if q in _store else {} for q in g]
         missing = [k for k in indices if len(k) < g[-1] and any(k not in memo for memo in memos)]
-        if missing:
-            total += _cost(g, *(size if len(missing) == len(indices) else _walk_size(missing)))
-    return total >= POOL_MIN_MULTS
+        if not missing:
+            return 0
+        return _cost(g, *(size if len(missing) == len(indices) else _walk_size(missing)))
+
+    finish = [0] * workers
+    for g in tasks:
+        finish[finish.index(min(finish))] += cost(g)
+    return sum(map(cost, groups)) - max(finish) >= POOL_MIN_MULTS
 
 
 def _fill(trie: SuffixTrie, ws: list[int], group: tuple[int, ...]) -> list[tuple[list, list]]:
@@ -508,13 +524,13 @@ def residues(
     where it is defined, p >= w + 2.
 
     What is missing is swept in-process, a group of consecutive primes in
-    one walk, unless those walks cost at least :data:`POOL_MIN_MULTS` and
-    more than one worker is allowed: at most ``jobs``, and never more than
-    the primes or the cores.  Then pool workers fill groups of at most a
-    worker's share of the primes, or single primes when that share is below
-    4, and each prime's results are merged into the store as they arrive.
-    Close the generator (``contextlib.closing``) to shut such a pool down
-    early.
+    one walk, unless more than one worker is allowed (at most ``jobs``, and
+    never more than the primes or the cores) and the workers, each handed
+    in turn a group of at most a worker's share of the primes, would
+    finish at least :data:`POOL_MIN_MULTS` sooner.  Then the pool fills
+    those groups, and each prime's results are merged into the store as
+    they arrive.  Close the generator (``contextlib.closing``) to shut such
+    a pool down early.
     """
     trie = SuffixTrie(indices)
     ws = sorted(set(ws))
@@ -522,9 +538,8 @@ def residues(
     # more workers than primes or cores only add start-up cost: under the
     # fork start method every requested worker is launched at once
     workers = min(jobs, len(primes), os.cpu_count() or 1)
-    if workers > 1 and _pool_pays(trie.indices, groups):
-        share = len(primes) // workers
-        tasks = _groups(primes, min(share, GROUP_PRIMES)) if share >= 4 else [(p,) for p in primes]
+    tasks = _groups(primes, min(len(primes) // workers, GROUP_PRIMES)) if workers > 1 else []
+    if tasks and _pool_pays(trie.indices, groups, tasks, workers):
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for group, filled in zip(tasks, pool.map(partial(_fill, trie, ws), tasks)):
                 for p, (got, bs) in zip(group, filled):

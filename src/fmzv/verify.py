@@ -189,7 +189,11 @@ class Instance(NamedTuple):
 
     def floor(self, given: int | None = None) -> int:
         """The pass/fail floor: ``given``, or else the weight + 3."""
-        return self.weight + 3 if given is None else given
+        return _floor(self.weight, given)
+
+
+def _floor(weight: int, given: int | None) -> int:
+    return weight + 3 if given is None else given
 
 
 def _index_terms(indices: Iterable[tuple[int, ...]], sign: int = 1) -> tuple[Term, ...]:
@@ -274,6 +278,15 @@ def _run(
     return reports
 
 
+def _shifted_weight(k: Sequence[int], n: int) -> int:
+    # the weight of every index of the n-shifted family over k
+    return sum(k) + n
+
+
+def _words_weight(w: str, wp: str) -> int:
+    return len(w) + len(wp)
+
+
 def _index_and_shift(k: Sequence[int], n: int) -> Index:
     k = Index(k)
     if n < 0:
@@ -297,7 +310,7 @@ def ohno_instance(k: Sequence[int], n: int, window: Window) -> Instance:
         ),
     )
     params = {"index": list(k), "n": n, "primes": list(window)}
-    return Instance("ohno", params, plan, k.weight + n)
+    return Instance("ohno", params, plan, _shifted_weight(k, n))
 
 
 def sum_formula_instance(k: int, r: int, i: int, window: Window) -> Instance:
@@ -341,7 +354,7 @@ def stuffle_instance(w: str, wp: str, window: Window) -> Instance:
     values = tuple(index_of_word(word) for word in (w, wp) if word)
     plan = Plan(_word_terms(harm), ((1, values),))
     params = {"w": w, "wp": wp, "primes": list(window)}
-    return Instance("stuffle", params, plan, len(w) + len(wp))
+    return Instance("stuffle", params, plan, _words_weight(w, wp))
 
 
 def duality_instance(w: str, wp: str, window: Window) -> Instance:
@@ -354,7 +367,7 @@ def duality_instance(w: str, wp: str, window: Window) -> Instance:
     sign = -1 if len(w) % 2 else 1
     plan = Plan(_word_terms(shuf), _index_terms([index_of_word(reverse_word(w) + wp)], sign))
     params = {"w": w, "wp": wp, "primes": list(window)}
-    return Instance("duality", params, plan, len(w) + len(wp))
+    return Instance("duality", params, plan, _words_weight(w, wp))
 
 
 def homogeneous_instance(a: int, r: int, window: Window) -> Instance:
@@ -425,7 +438,7 @@ def lemma_instance(identity: str, k: Sequence[int], n: int, window: Window) -> I
     if n == 0:
         params["note"] = "n=0 is outside the stated range; comparing the two readings"
         index_side = tuple(t for i, L in enumerate(idx_layers) for t in _index_terms(L, (-1) ** i))
-    return Instance(identity, params, Plan(word_side, index_side), k.weight + n)
+    return Instance(identity, params, Plan(word_side, index_side), _shifted_weight(k, n))
 
 
 # ---------------------------------------------------------------------------
@@ -474,14 +487,20 @@ def check_ikz(w: str, order: int) -> CheckReport:
 
 class Check(NamedTuple):
     """One identity of :data:`CHECKS`: its help line, its flags, each an
-    (option, parser) pair, and how it is built from the flags' values.  A
-    numeric identity's ``build`` also takes the window and returns an
-    :class:`Instance`; a symbolic one's returns the report itself."""
+    (option, parser) pair, how it is built from the flags' values, and the
+    weight of a numeric identity's instance from those values, or None for
+    a symbolic identity.  A numeric identity's ``build`` also takes the
+    window and returns an :class:`Instance` of that weight; a symbolic
+    one's returns the report itself."""
 
     help: str
     flags: tuple[tuple[str, Callable], ...]
     build: Callable
-    numeric: bool
+    weight: Callable | None
+
+    @property
+    def numeric(self) -> bool:
+        return self.weight is not None
 
 
 _INDEX = ("--index", parse_index)
@@ -492,33 +511,38 @@ _WP = ("--wp", check_word)
 # identity name -> Check; the ``fmzv check`` subcommands, :func:`check` and
 # the battery all read this one table
 CHECKS = {
-    "ohno": Check("shifted-sum relation", (_INDEX, _N), ohno_instance, True),
+    "ohno": Check("shifted-sum relation", (_INDEX, _N), ohno_instance, _shifted_weight),
     "sum-formula": Check(
         "fixed weight/depth sum vs closed form",
         (("--k", int), ("--r", int), ("--i", int)),
         sum_formula_instance,
-        True,
+        lambda k, r, i: k,
     ),
     "height-one": Check(
         "ones-padded double sum vs closed form", (("--a", int), ("--b", int)),
-        height_one_instance, True,
+        height_one_instance, lambda a, b: a + b + 2,
     ),
-    "stuffle": Check("harmonic product vs product of values", (_W, _WP), stuffle_instance, True),
+    "stuffle": Check(
+        "harmonic product vs product of values", (_W, _WP), stuffle_instance, _words_weight
+    ),
     "duality": Check(
-        "shuffle product vs signed reversed concatenation", (_W, _WP), duality_instance, True
+        "shuffle product vs signed reversed concatenation", (_W, _WP), duality_instance,
+        _words_weight,
     ),
     "homogeneous": Check(
         "vanishing of a constant-index sum", (("--a", int), ("--r", int)),
-        homogeneous_instance, True,
+        homogeneous_instance, lambda a, r: a * r,
     ),
     "lemma2": Check(
-        "word-side lemma value vs zero", (_INDEX, _N), partial(lemma_instance, "lemma2"), True
+        "word-side lemma value vs zero", (_INDEX, _N), partial(lemma_instance, "lemma2"),
+        _shifted_weight,
     ),
     "key-lemma": Check(
-        "index-side lemma value vs zero", (_INDEX, _N), partial(lemma_instance, "key-lemma"), True
+        "index-side lemma value vs zero", (_INDEX, _N), partial(lemma_instance, "key-lemma"),
+        _shifted_weight,
     ),
-    "eq3": Check("exact word identity (symbolic)", (_INDEX, _N), check_eq3, False),
-    "ikz": Check("truncated series identity (symbolic)", (_W, ("--order", int)), check_ikz, False),
+    "eq3": Check("exact word identity (symbolic)", (_INDEX, _N), check_eq3, None),
+    "ikz": Check("truncated series identity (symbolic)", (_W, ("--order", int)), check_ikz, None),
 }
 
 
@@ -530,17 +554,16 @@ def check(
     usable prime of ``window`` with up to ``jobs`` workers, and passes when
     no prime at or above ``floor`` (default: its weight + 3) disagrees; a
     window with no prime at or above that floor is refused with ValueError
-    before any prime is evaluated.  A symbolic identity ignores window,
-    floor and jobs."""
+    before the identity's plan is built.  A symbolic identity ignores
+    window, floor and jobs."""
     entry = CHECKS[name]
     if not entry.numeric:
         return entry.build(*values)
     if window is None:
         raise ValueError(f"check {name} needs a prime window")
-    inst = entry.build(*values, window)
-    at = inst.floor(floor)
+    at = _floor(entry.weight(*values), floor)
     lo, hi = window
     # a prime gap bounds this scan, wherever the window lies
     if not any(map(is_prime, range(max(lo, at), hi + 1))):
         raise ValueError(f"no prime of the window [{lo}, {hi}] reaches the floor {at}")
-    return _run([inst], window, jobs, floor)[0]
+    return _run([entry.build(*values, window)], window, jobs, floor)[0]

@@ -253,6 +253,9 @@ def test_every_check_keeps_its_report_bytes(capsys):
             options = {"window": (lo, hi), "floor": None if floor is None else int(floor)}
         report = check(name, *values, **options)
         assert report.passed == (expect_code == 0), argv
+        if CHECKS[name].numeric:
+            built = CHECKS[name].build(*values, options["window"])
+            assert CHECKS[name].weight(*values) == built.weight, argv
         assert hashlib.sha256(render_json(report).encode()).hexdigest() == digest, argv
 
 
@@ -318,6 +321,24 @@ def test_floor_above_window_rejected(capsys, monkeypatch):
         capsys, "check", "ohno", "--index", "2,1", "--n", "2", "--primes", "5:10"
     )
     assert code == 2 and err.endswith("reaches the floor 8\n")
+
+
+def test_floor_refused_before_the_plan_is_built(capsys, monkeypatch):
+    # ohno (1^10), n = 12 shifts its index into C(21, 9) indices; the floor
+    # needs only the weight the flags give, so the window is refused before
+    # the identity's builder runs
+    from fmzv.verify import CHECKS
+
+    built = []
+    entry = CHECKS["ohno"]
+    monkeypatch.setitem(
+        CHECKS, "ohno", entry._replace(build=lambda *args: built.append(args) or entry.build(*args))
+    )
+    code, out, err = run_cli(
+        capsys, "check", "ohno", "--index", ",".join("1" * 10), "--n", "12", "--primes", "2:3"
+    )
+    assert (code, out, built) == (2, "", [])
+    assert err == "fmzv: error: no prime of the window [2, 3] reaches the floor 25\n"
 
 
 def test_output_file(tmp_path, capsys):

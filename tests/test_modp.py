@@ -525,6 +525,22 @@ def test_residues_fill_groups_in_process(monkeypatch):
         assert got[p] == {k: zeta_by_loop(k, p) for k in indices}, p
 
 
+def test_four_primes_near_1e5_are_one_walk():
+    # a window of 4 consecutive primes below about 10^5 is one group, walked
+    # modulo their product, and each lane of that walk is the one-prime walk
+    # of its prime
+    from fmzv.verify import CHECKS
+
+    group = tuple(primes_in(95191, 95219))
+    assert len(group) == 4 and fmzv.modp._groups(list(group)) == [group]
+    indices = CHECKS["ohno"].build(Index((3,)), 2, (group[0], group[-1])).plan.indices()
+    swept = SuffixTrie(indices).sweep(group)
+    assert swept == [SuffixTrie(indices).sweep((q,))[0] for q in group]
+    # the lowest lane, which stops furthest below the walk's end, against
+    # the independent loop
+    assert swept[0][2, 2, 1] == zeta_mod_p_naive((2, 2, 1), group[0])
+
+
 def test_memoized_indices_are_not_swept(monkeypatch):
     import fmzv.modp as modp
 

@@ -318,6 +318,28 @@ def test_pool_never_exceeds_cores_or_primes(monkeypatch, recorded_pools):
     assert started == []
 
 
+def test_pool_tasks_are_groups_of_a_share(monkeypatch, recorded_pools):
+    # cold, 2 workers on 4 primes near 10^5: one in-process walk of the
+    # four costs more than the pool's start beyond two side by side of two
+    # primes each, so the pool starts and gets two 2-prime tasks
+    window = (95191, 95219)
+    tasks = []
+    fill = fmzv.modp._fill
+    monkeypatch.setattr(
+        fmzv.modp, "_fill", lambda trie, ws, group: tasks.append(group) or fill(trie, ws, group)
+    )
+
+    def cold():
+        monkeypatch.setattr(fmzv.modp, "_store", {})
+        monkeypatch.setattr(fmzv.modp, "_store_size", 0)
+
+    cold()
+    pooled = check("ohno", Index((3,)), 2, window=window, jobs=2).results
+    assert recorded_pools == [2] and [len(t) for t in tasks] == [2, 2]
+    cold()
+    assert check("ohno", Index((3,)), 2, window=window, jobs=1).results == pooled
+
+
 def test_pool_only_for_heavy_checks(monkeypatch, recorded_pools):
     started = recorded_pools
     light, heavy = (5, 80), (5, 4000)
@@ -335,22 +357,38 @@ def test_pool_only_for_heavy_checks(monkeypatch, recorded_pools):
     # ohno (2,1) at n=1 sums over (3,1), (2,2) and the duals' shifts
     assert sorted(indices) == [(1, 2, 1), (2, 1, 1), (2, 2), (3, 1)]
 
-    def work(window):
-        # the cost of the in-process walks of the plan's indices, a group of
-        # primes at a time: (q_G + 1) / 2 entries by the walk's units, one
-        # pass per distinct proper suffix and one dot product per element
-        # ending no pass, so one per element of J, the suffixes and reversed
-        # prefixes of the indices, plus two for each part but 1 and three
-        # for row 1, by (bits + 90) / 100 for the summed bit lengths of the
-        # group's primes
-        closure = {s for k in indices for i in range(len(k)) for s in (k[i:], k[: i + 1][::-1])}
-        units = len(closure)
-        parts = len({part for k in indices for part in k} - {1})
-        total = 0
-        for group in fmzv.modp._groups(fmzv.verify.primes_in(*window)):
-            bits = sum(p.bit_length() for p in group)
-            total += (group[-1] + 1) // 2 * (units + 2 * parts + 3) * (bits + 90) // 100
-        return total
+    closure = {s for k in indices for i in range(len(k)) for s in (k[i:], k[: i + 1][::-1])}
+    units = len(closure)
+    parts = len({part for k in indices for part in k} - {1})
+
+    def cost(group):
+        # one walk of the plan's indices over a group of primes: (q_G + 1) / 2
+        # entries by the walk's units, one pass per distinct proper suffix
+        # and one dot product per element ending no pass, so one per element
+        # of J, the suffixes and reversed prefixes of the indices, plus two
+        # for each part but 1 and three for row 1, by 1 while the summed bit
+        # lengths of the group's primes fit one 30-bit digit and by
+        # (14 + 3d) / 10 when they take d digits
+        digits = -(-sum(p.bit_length() for p in group) // 30)
+        width = 10 if digits == 1 else 14 + 3 * digits
+        return (group[-1] + 1) // 2 * (units + 2 * parts + 3) * width // 10
+
+    def work(window, missing=None):
+        # how much sooner 4 workers fill the residues missing at the primes
+        # of ``missing`` (default: all of ``window``) than the in-process
+        # walks: those walk the window's groups one after another, the
+        # workers groups of a worker's share of its primes, each handed to
+        # the worker free first; a walk with no missing prime costs nothing
+        primes = fmzv.verify.primes_in(*window)
+        wanted = set(fmzv.verify.primes_in(*(missing or window)))
+
+        def walks(groups):
+            return [cost(g) if wanted & set(g) else 0 for g in groups]
+
+        finish = [0] * 4
+        for c in walks(fmzv.modp._groups(primes, min(len(primes) // 4, 16))):
+            finish[finish.index(min(finish))] += c
+        return sum(walks(fmzv.modp._groups(primes))) - max(finish)
 
     def cold():
         monkeypatch.setattr(fmzv.modp, "_store", {})
@@ -371,25 +409,28 @@ def test_pool_only_for_heavy_checks(monkeypatch, recorded_pools):
     assert started == []
     # partly warm: the residues below the heavy window's last group are
     # memoized, so only that group's primes are missing; their work alone
-    # decides, whatever the cold work over the whole window is
-    last = fmzv.modp._groups(fmzv.verify.primes_in(*heavy))[-1]
-    warm, missing = (5, last[0] - 1), (last[0], heavy[1])
+    # decides, whatever the cold work over the whole window is.  One worker
+    # would walk that group, so the pool saves nothing; with the last two
+    # groups missing, two workers walk them side by side
+    groups = fmzv.modp._groups(fmzv.verify.primes_in(*heavy))
 
-    def partly_warm():
+    def partly_warm(missing):
         cold()
-        check("ohno", k, 1, window=warm, jobs=1)
+        check("ohno", k, 1, window=(5, missing[0] - 1), jobs=1)
         started.clear()
 
-    assert work(missing) < fmzv.modp.POOL_MIN_MULTS <= work(heavy)
-    partly_warm()
+    last, last_two = (groups[-1][0], heavy[1]), (groups[-2][0], heavy[1])
+    assert work(heavy, last) == 0 < work(heavy, last_two) < fmzv.modp.POOL_MIN_MULTS
+    partly_warm(last)
     assert check("ohno", k, 1, window=heavy, jobs=5000).results == serial
     assert started == []
-    # the threshold itself: missing work equal to it pools, one less does not
-    for limit, expect in [(work(missing), [4]), (work(missing) + 1, [])]:
-        monkeypatch.setattr(fmzv.modp, "POOL_MIN_MULTS", limit)
-        partly_warm()
-        assert check("ohno", k, 1, window=heavy, jobs=5000).results == serial
-        assert started == expect, limit
+    # the threshold itself: a saving equal to it pools, one less does not
+    for missing in (last, last_two):
+        for limit, expect in [(work(heavy, missing), [4]), (work(heavy, missing) + 1, [])]:
+            monkeypatch.setattr(fmzv.modp, "POOL_MIN_MULTS", limit)
+            partly_warm(missing)
+            assert check("ohno", k, 1, window=heavy, jobs=5000).results == serial
+            assert started == expect, (missing, limit)
     # and cold
     for limit, expect in [(work(light), [4]), (work(light) + 1, [])]:
         monkeypatch.setattr(fmzv.modp, "POOL_MIN_MULTS", limit)
@@ -434,10 +475,16 @@ def test_pooled_residues_come_home(monkeypatch, tmp_path):
     ]
     batch = [fmzv.verify.CHECKS[name].build(*values, window) for name, *values in requests]
     default = fmzv.modp.POOL_MIN_MULTS
-    # the ohno check alone is heavy enough to pool, cold
+    # the ohno check alone is heavy enough to pool, cold: 2 workers, each
+    # handed in turn the next of the groups of its share of the primes,
+    # finish its walks at least ``default`` sooner than the in-process walks
     ks = batch[0].plan.indices()
     size = modp._walk_size(ks)
-    assert sum(modp._cost(g, *size) for g in modp._groups(modp.primes_in(*window))) >= default
+    primes = modp.primes_in(*window)
+    finish = [0, 0]
+    for g in modp._groups(primes, min(len(primes) // 2, modp.GROUP_PRIMES)):
+        finish[finish.index(min(finish))] += modp._cost(g, *size)
+    assert sum(modp._cost(g, *size) for g in modp._groups(primes)) - max(finish) >= default
 
     def cold():
         monkeypatch.setattr(modp, "_store", {})
