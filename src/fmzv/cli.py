@@ -103,8 +103,8 @@ def render_table(report: CheckReport) -> str:
             lines.append(f"  rhs: {report.rhs}")
     else:
         lines.append(f"floor: {report.floor}")
-        sub = [r for r in report.results if r.p < report.floor]
-        main = [r for r in report.results if r.p >= report.floor]
+        main = report.above_floor
+        sub = report.results[: len(report.results) - len(main)]
         width = max((len(str(r.p)) for r in report.results), default=1)
         vwidth = max(
             [3] + [max(len(str(r.lhs)), len(str(r.rhs))) for r in report.results]

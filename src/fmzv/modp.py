@@ -51,11 +51,12 @@ iterators (``map``, ``itertools.accumulate``) rather than an interpreted
 loop over m.  The innermost pass sums its row alone, and only every second
 pass reduces its tail mod P: a tail of odd depth is left below P^3, and
 each lane's value is reduced once, mod q_i.  Rows cover the lower
-half of q_G only.  Row 1 comes from the recurrence of the inverses, one
-for a lone prime and for a group, whose modulus drops each prime of the
-group once m passes its half; row e is the product of two rows the sweep
-already built, and a power of row 1 only when there are none.  A one-prime
-group reduces its exponents mod p - 1.  Rows live for one sweep.
+half of q_G only.  Row 1 comes from the recurrence of the inverses, whose
+modulus drops each prime of the group once m passes its half; row e is
+the product of two rows the sweep already built, and a power of row 1 only
+when there are none.  A lone prime is a group of one, with no case of its
+own: its rows hold the true powers mod p, as a group's do mod P.  Rows
+live for one sweep.
 Bernoulli numbers B_n mod p come from the power sum 1^n + ... + (p-1)^n
 mod p^2 in O(p).
 
@@ -153,10 +154,18 @@ def ensure_prime(p: int) -> int:
     return p
 
 
-def primes_in(lo: int, hi: int) -> list[int]:
-    """All primes in [lo, hi], ascending; a segmented sieve over the window."""
+def check_window(lo: int, hi: int) -> tuple[int, int]:
+    """Validate that [lo, hi] is a window the sieve accepts and return it."""
     if not 2 <= lo <= hi <= MAX_MODULUS:
         raise ValueError(f"window must satisfy 2 <= lo <= hi <= {MAX_MODULUS}, got [{lo}, {hi}]")
+    return lo, hi
+
+
+def primes_in(lo: int, hi: int) -> list[int]:
+    """All primes in [lo, hi], ascending: the whole window is held in one
+    bytearray and crossed off by the primes up to sqrt(hi), which a second,
+    smaller sieve finds."""
+    check_window(lo, hi)
     root = math.isqrt(hi)
     base = bytearray([1]) * (root + 1)
     base[:2] = b"\x00\x00"
@@ -188,10 +197,9 @@ def inverse_table(*group: int) -> list[int]:
     inv[m] = (M - M//m) * inv[M % m] % M, with M the product of the primes
     whose lower half holds m, so M drops each prime once m passes the half
     of it.  Every prime of M exceeds m > M % m, so M % m is a unit filled
-    first, and an inverse modulo a multiple of M is one modulo M.  One prime
-    is validated first; a larger group comes from the sieve."""
-    if len(group) == 1:
-        ensure_prime(group[0])
+    first, and an inverse modulo a multiple of M is one modulo M.  The
+    primes are not checked here: they come from the sieve or have passed
+    ensure_prime."""
     inv = [0] * ((group[-1] + 1) // 2)
     lo = 2
     if len(inv) > 1:
@@ -205,30 +213,23 @@ def inverse_table(*group: int) -> list[int]:
 
 
 def _rows(parts: Iterable[int], group: Sequence[int]) -> dict[int, list[int]]:
-    # part -> the row m^(-part) the walk over ``group`` reads, built for this
-    # sweep only over the lower half of its largest prime, 0 <= m <= (q_G - 1) / 2;
-    # a row is exact in the lane of each prime whose lower half holds m.
-    # One prime reduces its exponents mod p - 1 (exponent 0 with a part > 0
-    # means the power collapses to 1); a larger group's rows hold the true
-    # powers modulo P, the product of its primes.  Row e is the product of
-    # two rows already built whose exponents sum to e, and a power of row 1
-    # only when there are none.
-    one = len(group) == 1
+    # part -> the row m^(-part) the walk over ``group`` reads, and row 1 in
+    # any case, built for this sweep only over the lower half of its largest
+    # prime, 0 <= m <= (q_G - 1) / 2; a row is exact in the lane of each
+    # prime whose lower half holds m.  Rows hold the true powers modulo P,
+    # the product of the group's primes, a lone prime being a group of one.
+    # Row e is the product of two rows already built whose exponents sum to
+    # e, and a power of row 1 only when there are none.
     modulus = math.prod(group)
-    exponent = {part: part % (group[0] - 1) if one else part for part in parts}
     inv = inverse_table(*group)
     held = {1: inv}
-    for e in sorted(set(exponent.values()) - {1}):
-        if e == 0:
-            row = [0] + [1] * (len(inv) - 1)
+    for e in sorted(set(parts) - {1}):
+        a = next((a for a in held if e - a in held), None)
+        if a is None:
+            held[e] = list(map(pow, inv, repeat(e), repeat(modulus)))
         else:
-            a = next((a for a in held if e - a in held), None)
-            if a is None:
-                row = list(map(pow, inv, repeat(e), repeat(modulus)))
-            else:
-                row = list(map(mod, map(mul, held[a], held[e - a]), repeat(modulus)))
-        held[e] = row
-    return {part: held[e] for part, e in exponent.items()}
+            held[e] = list(map(mod, map(mul, held[a], held[e - a]), repeat(modulus)))
+    return held
 
 
 # prime -> (residues by index, B_n by n); the dict's order runs from the

@@ -28,9 +28,6 @@ class USeries:
     def order(self) -> int:
         return len(self.coeffs) - 1
 
-    def coeff(self, n: int) -> NCPolynomial:
-        return self.coeffs[n]
-
     def __str__(self) -> str:
         return " | ".join(f"u^{i}: {c}" for i, c in enumerate(self.coeffs))
 

@@ -14,7 +14,7 @@ from math import comb
 
 from .indices import Index, hoffman_dual, weak_compositions
 from .modp import bernoulli_mod_p, primes_in, zeta_mod_p, zeta_mod_p_naive
-from .verify import CHECKS, _run, check
+from .verify import _run, check, instance
 from .words import NCPolynomial, harmonic, shuffle, word_of_index
 
 
@@ -89,7 +89,7 @@ def run_battery(
     # Steps 4-9 each build every instance first and run them as one batch
     # over the window, leaving out those whose plan needs a larger prime.
     def batch(names, values):
-        instances = (CHECKS[name].build(*v, window) for v in values for name in names)
+        instances = (instance(name, v, window) for v in values for name in names)
         return _run([inst for inst in instances if inst.plan.minimum <= primes[-1]], window, jobs)
 
     # 2. exact word identity behind the shifted harmonic product
@@ -105,8 +105,7 @@ def run_battery(
 
     # 5. sum formula, including forced vanishing for even weights
     def vanishes_if_even(rep) -> bool:
-        checked = [row for row in rep.results if row.p >= rep.floor]
-        return rep.passed and (rep.params["k"] % 2 or all(row.rhs == 0 for row in checked))
+        return rep.passed and (rep.params["k"] % 2 or all(row.rhs == 0 for row in rep.above_floor))
 
     sums = [(k, r, i) for k in range(3, 10) for r in range(1, k) for i in range(1, r + 1)]
     tally("sum-formula", "instances", batch(["sum-formula"], sums), ok=vanishes_if_even)

@@ -7,26 +7,28 @@ of harmonic sums, and at most one Bernoulli term on the right.  A word
 polynomial becomes such a sum once, word by word, when the plan is built.
 One evaluator, :func:`_pair`, computes a plan at a prime.
 
-One table, :data:`CHECKS`, names every identity with its flags and its
-builder, and :func:`check` runs one identity by name; the CLI and the
-battery read the same table.  A numeric builder makes an :class:`Instance`
-(identity, params, plan, weight), and one runner, :func:`_run`, takes a
-batch of instances over one window and one floor; the battery passes each
-step's instances as one batch.  One call of :func:`fmzv.modp.residues`
-fills the bounded per-prime store with every residue and Bernoulli value
-the batch reads, in-process or in a pool, from the least minimum prime of
-its plans up, and as each prime arrives every plan whose minimum it
-reaches is paired there.  Each instance is reported on its own.
+One table, :data:`CHECKS`, names every identity with its flags, its
+builder and its weight, and :func:`check` runs one identity by name; the
+CLI and the battery read the same table.  A numeric builder gives only its
+report's params and its plan; :func:`instance` adds the identity's name and
+the floor decided for it, and one runner, :func:`_run`, takes a batch of
+such instances over one window; the battery passes each step's instances
+as one batch.  One call of :func:`fmzv.modp.residues` fills the bounded
+per-prime store with every residue and Bernoulli value the batch reads,
+in-process or in a pool, from the least minimum prime of its plans up, and
+as each prime arrives every plan whose minimum it reaches is paired there.
+Each instance is reported on its own.
 
 "Equal in the cofinite-equality ring" is operationalized as "equal at every
 prime at or above the floor".  The floor is an option of the run, not of
-the identity, and defaults to each instance's weight + shift + 3;
-:func:`check` refuses a window with no prime at or above it.  Sub-floor
-primes are still evaluated and reported, but they never fail a check.
-When a numeric comparison fails at or above the floor, the prime is
-re-evaluated with the independent harmonic-sum oracle before the failure
-is reported, so an engine bug cannot masquerade as a genuine exceptional
-prime.
+the identity: :meth:`Check.floor` decides it once per instance, by default
+its weight (shift included) + 3, and :func:`check` refuses a window with no
+prime at or above it.  Sub-floor primes are still evaluated and reported,
+but only :attr:`CheckReport.above_floor`, the rows at or above the floor,
+can fail a check.  When a numeric comparison fails at or above the floor,
+the prime is re-evaluated with the independent harmonic-sum oracle before
+the failure is reported, so an engine bug cannot masquerade as a genuine
+exceptional prime.
 
 The lemma has an index reading and a word reading.  ``key-lemma`` compares
 them exactly, layer by layer as multisets of indices, once per instance and
@@ -57,6 +59,7 @@ from .indices import (
 from .modp import (
     EngineFault,
     bernoulli_mod_p,
+    check_window,
     inv_mod,
     is_prime,
     primes_in,
@@ -120,10 +123,16 @@ class CheckReport:
         return 1 if self.mode == "symbolic" else len(self.results)
 
     @property
+    def above_floor(self) -> list[PrimeCheck]:
+        """The rows at or above the floor, the only ones that can fail; the
+        rows ascend by prime, so the sub-floor rows are the ones before."""
+        return [r for r in self.results if r.p >= self.floor]
+
+    @property
     def failed_above_floor(self) -> int:
         if self.mode == "symbolic":
             return 0 if self.equal else 1
-        return sum(1 for r in self.results if r.p >= self.floor and not r.ok)
+        return sum(1 for r in self.above_floor if not r.ok)
 
     def to_json_dict(self) -> dict:
         if self.mode == "symbolic":
@@ -180,20 +189,12 @@ class Plan:
 
 class Instance(NamedTuple):
     """One numeric identity instance, ready for :func:`_run`: its report's
-    identity and params, its plan and its weight."""
+    identity and params, its plan and its pass/fail floor."""
 
     identity: str
     params: dict
     plan: Plan
-    weight: int
-
-    def floor(self, given: int | None = None) -> int:
-        """The pass/fail floor: ``given``, or else the weight + 3."""
-        return _floor(self.weight, given)
-
-
-def _floor(weight: int, given: int | None) -> int:
-    return weight + 3 if given is None else given
+    floor: int
 
 
 def _index_terms(indices: Iterable[tuple[int, ...]], sign: int = 1) -> tuple[Term, ...]:
@@ -230,12 +231,12 @@ def _pair(plan: Plan, p: int, values: Mapping[tuple[int, ...], int]) -> tuple[in
     return lhs, rhs
 
 
-def _confirm_failures(plan: Plan, rows: list[PrimeCheck], floor: int) -> None:
+def _confirm_failures(plan: Plan, report: CheckReport) -> None:
     # Failures at or above the floor are re-derived with the independent
     # oracle; a disagreement with the fast path is an engine bug, not an
     # exceptional prime, and is raised loudly.
-    for row in rows:
-        if row.p >= floor and not row.ok:
+    for row in report.above_floor:
+        if not row.ok:
             oracle = {k: zeta_mod_p_naive(k, row.p) for k in plan.indices()}
             l2, r2 = _pair(plan, row.p, oracle)
             if (l2, r2) != (row.lhs, row.rhs):
@@ -245,9 +246,7 @@ def _confirm_failures(plan: Plan, rows: list[PrimeCheck], floor: int) -> None:
                 )
 
 
-def _run(
-    instances: list[Instance], window: Window, jobs: int = 1, floor: int | None = None
-) -> list[CheckReport]:
+def _run(instances: list[Instance], window: Window, jobs: int = 1) -> list[CheckReport]:
     """Evaluate every instance's plan at each prime of one window from its
     minimum up and report each instance on its own, against its floor.  One
     fill of the store, from the least minimum up, serves the whole batch:
@@ -272,9 +271,9 @@ def _run(
                     rows.append(PrimeCheck(p, *_pair(plan, p, values)))
     reports = []
     for inst, rows in zip(instances, rows_of):
-        at = inst.floor(floor)
-        _confirm_failures(inst.plan, rows, at)
-        reports.append(CheckReport(inst.identity, inst.params, "numeric", at, rows))
+        report = CheckReport(inst.identity, inst.params, "numeric", inst.floor, rows)
+        _confirm_failures(inst.plan, report)
+        reports.append(report)
     return reports
 
 
@@ -295,10 +294,11 @@ def _index_and_shift(k: Sequence[int], n: int) -> Index:
 
 
 # ---------------------------------------------------------------------------
-# numeric identities: each builder takes its flags' values and the window
+# numeric identities: each builder takes its flags' values and the window and
+# gives its report's params and its plan
 
 
-def ohno_instance(k: Sequence[int], n: int, window: Window) -> Instance:
+def ohno_plan(k: Sequence[int], n: int, window: Window) -> tuple[dict, Plan]:
     """Shifted-sum relation: the n-shifted sum over ``k`` against the
     dualized n-shifted sum over the dual of ``k``, prime by prime."""
     k = _index_and_shift(k, n)
@@ -309,11 +309,10 @@ def ohno_instance(k: Sequence[int], n: int, window: Window) -> Instance:
             hoffman_dual(add_componentwise(kd, e)) for e in weak_compositions(n, kd.depth)
         ),
     )
-    params = {"index": list(k), "n": n, "primes": list(window)}
-    return Instance("ohno", params, plan, _shifted_weight(k, n))
+    return {"index": list(k), "n": n, "primes": list(window)}, plan
 
 
-def sum_formula_instance(k: int, r: int, i: int, window: Window) -> Instance:
+def sum_formula_plan(k: int, r: int, i: int, window: Window) -> tuple[dict, Plan]:
     """Fixed weight/depth sum with one raised entry against its closed form
     in B_(p-k)/k.  Primes below k+2, where the closed form is undefined, are
     skipped."""
@@ -329,11 +328,10 @@ def sum_formula_instance(k: int, r: int, i: int, window: Window) -> Instance:
         _index_terms(add_componentwise(base, e) for e in weak_compositions(k - r - 1, r)),
         bernoulli=(k, coef, coef_alt),
     )
-    params = {"k": k, "r": r, "i": i, "primes": list(window)}
-    return Instance("sum-formula", params, plan, k)
+    return {"k": k, "r": r, "i": i, "primes": list(window)}, plan
 
 
-def height_one_instance(a: int, b: int, window: Window) -> Instance:
+def height_one_plan(a: int, b: int, window: Window) -> tuple[dict, Plan]:
     """Single harmonic sum over (1,...,1,2,1,...,1) with a leading and b
     trailing ones against its closed form in B_(p-w)/w, w = a+b+2."""
     if a < 0 or b < 0:
@@ -341,23 +339,20 @@ def height_one_instance(a: int, b: int, window: Window) -> Instance:
     w = a + b + 2
     coef = (-1 if (b + 1) % 2 else 1) * math.comb(w, b + 1)
     plan = Plan(_index_terms([Index([1] * a + [2] + [1] * b)]), bernoulli=(w, coef, coef))
-    params = {"a": a, "b": b, "primes": list(window)}
-    return Instance("height-one", params, plan, w)
+    return {"a": a, "b": b, "primes": list(window)}, plan
 
 
-def stuffle_instance(w: str, wp: str, window: Window) -> Instance:
+def stuffle_plan(w: str, wp: str, window: Window) -> tuple[dict, Plan]:
     """Harmonic product maps to the product of values, prime by prime."""
     for word in (w, wp):
         if not in_h1(word):
             raise ValueError(f"word {word!r} must be empty or end in 'y'")
     harm = harmonic(NCPolynomial.from_word(w), NCPolynomial.from_word(wp))
     values = tuple(index_of_word(word) for word in (w, wp) if word)
-    plan = Plan(_word_terms(harm), ((1, values),))
-    params = {"w": w, "wp": wp, "primes": list(window)}
-    return Instance("stuffle", params, plan, _words_weight(w, wp))
+    return {"w": w, "wp": wp, "primes": list(window)}, Plan(_word_terms(harm), ((1, values),))
 
 
-def duality_instance(w: str, wp: str, window: Window) -> Instance:
+def duality_plan(w: str, wp: str, window: Window) -> tuple[dict, Plan]:
     """Shuffle product against the signed value of the block-reversed
     concatenation, prime by prime."""
     for word in (w, wp):
@@ -366,17 +361,14 @@ def duality_instance(w: str, wp: str, window: Window) -> Instance:
     shuf = shuffle(NCPolynomial.from_word(w), NCPolynomial.from_word(wp))
     sign = -1 if len(w) % 2 else 1
     plan = Plan(_word_terms(shuf), _index_terms([index_of_word(reverse_word(w) + wp)], sign))
-    params = {"w": w, "wp": wp, "primes": list(window)}
-    return Instance("duality", params, plan, _words_weight(w, wp))
+    return {"w": w, "wp": wp, "primes": list(window)}, plan
 
 
-def homogeneous_instance(a: int, r: int, window: Window) -> Instance:
+def homogeneous_plan(a: int, r: int, window: Window) -> tuple[dict, Plan]:
     """Vanishing of the harmonic sum over a constant index (a, ..., a)."""
     if a < 1 or r < 1:
         raise ValueError(f"need a >= 1 and r >= 1, got a={a}, r={r}")
-    plan = Plan(_index_terms([Index((a,) * r)]))
-    params = {"a": a, "r": r, "primes": list(window)}
-    return Instance("homogeneous", params, plan, a * r)
+    return {"a": a, "r": r, "primes": list(window)}, Plan(_index_terms([Index((a,) * r)]))
 
 
 def lemma_word_layers(k: Sequence[int], n: int) -> tuple[NCPolynomial, ...]:
@@ -408,7 +400,7 @@ def lemma_index_layers(k: Sequence[int], n: int) -> tuple[tuple[Index, ...], ...
     return tuple(layers)
 
 
-def lemma_instance(identity: str, k: Sequence[int], n: int, window: Window) -> Instance:
+def lemma_plan(identity: str, k: Sequence[int], n: int, window: Window) -> tuple[dict, Plan]:
     """The signed lemma value against zero, prime by prime, for ``lemma2``
     (the word reading) or ``key-lemma`` (the index reading).  For key-lemma
     the index reading is first compared exactly with the word reading, layer
@@ -438,7 +430,7 @@ def lemma_instance(identity: str, k: Sequence[int], n: int, window: Window) -> I
     if n == 0:
         params["note"] = "n=0 is outside the stated range; comparing the two readings"
         index_side = tuple(t for i, L in enumerate(idx_layers) for t in _index_terms(L, (-1) ** i))
-    return Instance(identity, params, Plan(word_side, index_side), _shifted_weight(k, n))
+    return params, Plan(word_side, index_side)
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +447,6 @@ def check_eq3(k: Sequence[int], n: int) -> CheckReport:
         identity="eq3",
         params={"index": list(k), "n": n},
         mode="symbolic",
-        floor=0,
         equal=equal,
         lhs=None if equal else str(lhs),
         rhs=None if equal else str(rhs),
@@ -478,7 +469,6 @@ def check_ikz(w: str, order: int) -> CheckReport:
         identity="ikz",
         params={"w": w, "order": order},
         mode="symbolic",
-        floor=0,
         equal=equal,
         lhs=None if equal else str(lhs),
         rhs=None if equal else str(rhs),
@@ -490,8 +480,8 @@ class Check(NamedTuple):
     (option, parser) pair, how it is built from the flags' values, and the
     weight of a numeric identity's instance from those values, or None for
     a symbolic identity.  A numeric identity's ``build`` also takes the
-    window and returns an :class:`Instance` of that weight; a symbolic
-    one's returns the report itself."""
+    window and gives the report's params and the :class:`Plan`; a symbolic
+    one's gives the report itself."""
 
     help: str
     flags: tuple[tuple[str, Callable], ...]
@@ -502,6 +492,11 @@ class Check(NamedTuple):
     def numeric(self) -> bool:
         return self.weight is not None
 
+    def floor(self, values: Sequence, given: int | None = None) -> int:
+        """The pass/fail floor of the numeric instance for ``values``:
+        ``given``, or else its weight + 3."""
+        return self.weight(*values) + 3 if given is None else given
+
 
 _INDEX = ("--index", parse_index)
 _N = ("--n", int)
@@ -511,39 +506,47 @@ _WP = ("--wp", check_word)
 # identity name -> Check; the ``fmzv check`` subcommands, :func:`check` and
 # the battery all read this one table
 CHECKS = {
-    "ohno": Check("shifted-sum relation", (_INDEX, _N), ohno_instance, _shifted_weight),
+    "ohno": Check("shifted-sum relation", (_INDEX, _N), ohno_plan, _shifted_weight),
     "sum-formula": Check(
         "fixed weight/depth sum vs closed form",
         (("--k", int), ("--r", int), ("--i", int)),
-        sum_formula_instance,
+        sum_formula_plan,
         lambda k, r, i: k,
     ),
     "height-one": Check(
         "ones-padded double sum vs closed form", (("--a", int), ("--b", int)),
-        height_one_instance, lambda a, b: a + b + 2,
+        height_one_plan, lambda a, b: a + b + 2,
     ),
     "stuffle": Check(
-        "harmonic product vs product of values", (_W, _WP), stuffle_instance, _words_weight
+        "harmonic product vs product of values", (_W, _WP), stuffle_plan, _words_weight
     ),
     "duality": Check(
-        "shuffle product vs signed reversed concatenation", (_W, _WP), duality_instance,
+        "shuffle product vs signed reversed concatenation", (_W, _WP), duality_plan,
         _words_weight,
     ),
     "homogeneous": Check(
         "vanishing of a constant-index sum", (("--a", int), ("--r", int)),
-        homogeneous_instance, lambda a, r: a * r,
+        homogeneous_plan, lambda a, r: a * r,
     ),
     "lemma2": Check(
-        "word-side lemma value vs zero", (_INDEX, _N), partial(lemma_instance, "lemma2"),
+        "word-side lemma value vs zero", (_INDEX, _N), partial(lemma_plan, "lemma2"),
         _shifted_weight,
     ),
     "key-lemma": Check(
-        "index-side lemma value vs zero", (_INDEX, _N), partial(lemma_instance, "key-lemma"),
+        "index-side lemma value vs zero", (_INDEX, _N), partial(lemma_plan, "key-lemma"),
         _shifted_weight,
     ),
     "eq3": Check("exact word identity (symbolic)", (_INDEX, _N), check_eq3, None),
     "ikz": Check("truncated series identity (symbolic)", (_W, ("--order", int)), check_ikz, None),
 }
+
+
+def instance(name: str, values: Sequence, window: Window, floor: int | None = None) -> Instance:
+    """The instance of the numeric identity ``name`` of :data:`CHECKS` for
+    ``values``, the values of its flags in order, over ``window``, carrying
+    the pass/fail floor that :meth:`Check.floor` decides from ``floor``."""
+    entry = CHECKS[name]
+    return Instance(name, *entry.build(*values, window), entry.floor(values, floor))
 
 
 def check(
@@ -554,16 +557,17 @@ def check(
     usable prime of ``window`` with up to ``jobs`` workers, and passes when
     no prime at or above ``floor`` (default: its weight + 3) disagrees; a
     window with no prime at or above that floor is refused with ValueError
-    before the identity's plan is built.  A symbolic identity ignores
-    window, floor and jobs."""
+    before the identity's plan is built, as is a window that the sieve
+    would refuse.  A symbolic identity ignores window, floor and jobs."""
     entry = CHECKS[name]
     if not entry.numeric:
         return entry.build(*values)
     if window is None:
         raise ValueError(f"check {name} needs a prime window")
-    at = _floor(entry.weight(*values), floor)
-    lo, hi = window
+    lo, hi = check_window(*window)
+    at = entry.floor(values, floor)
     # a prime gap bounds this scan, wherever the window lies
     if not any(map(is_prime, range(max(lo, at), hi + 1))):
         raise ValueError(f"no prime of the window [{lo}, {hi}] reaches the floor {at}")
-    return _run([entry.build(*values, window)], window, jobs, floor)[0]
+    # handed the decided floor, instance does not work it out again
+    return _run([instance(name, values, window, at)], window, jobs)[0]

@@ -113,9 +113,6 @@ class NCPolynomial:
         """Terms in deterministic order (length, then lexicographic)."""
         return sorted(self.terms.items(), key=lambda t: (len(t[0]), t[0]))
 
-    def coeff(self, w: str) -> int:
-        return self.terms.get(w, 0)
-
     def in_h1(self) -> bool:
         return all(in_h1(w) for w in self.terms)
 

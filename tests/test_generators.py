@@ -51,7 +51,7 @@ def test_substitution_coefficients_match_bumped_insertions():
                 l = order - i
                 for w, c in bumped_insertion_words(k, l, i).terms.items():
                     expect[w] += c if l % 2 == 0 else -c
-            assert s.coeff(order) == NCPolynomial(expect), (k, order)
+            assert s.coeffs[order] == NCPolynomial(expect), (k, order)
 
 
 def test_ones_expansion_sides_examples():

@@ -3,7 +3,9 @@
 Code that only its tests call is deleted rather than kept: a name defined in
 ``src/fmzv`` must be read somewhere in ``src/fmzv`` outside its own
 definition, or be exported through an ``__all__``.  Names are matched by
-spelling, so a use of any attribute of the same name counts.
+spelling.  A function or class counts as read through a name or an
+attribute of that spelling, a method only through an attribute: a local
+variable that shares a method's name does not keep the method alive.
 """
 
 import ast
@@ -14,8 +16,10 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "fmzv"
 
 
 def _names_read(node: ast.AST) -> Counter:
+    # ("name", spelling) for each name read, ("attr", spelling) for each
+    # attribute
     return Counter(
-        n.id if isinstance(n, ast.Name) else n.attr
+        ("name", n.id) if isinstance(n, ast.Name) else ("attr", n.attr)
         for n in ast.walk(node)
         if isinstance(n, (ast.Name, ast.Attribute))
     )
@@ -44,7 +48,11 @@ def unused_definitions(src: Path = SRC) -> list[str]:
                 continue
             name = node.name
             if not (name.startswith("__") and name.endswith("__")):
-                if read[name] - _names_read(node)[name] <= 0 and name not in exported:
+                kinds = ("attr",) if scope else ("name", "attr")
+                own = _names_read(node)
+                if all(read[kind, name] - own[kind, name] <= 0 for kind in kinds) and (
+                    name not in exported
+                ):
                     unused.append(f"{module}.{scope}{name}")
             if isinstance(node, ast.ClassDef):
                 visit(module, f"{scope}{name}.", node.body)
@@ -67,5 +75,13 @@ def test_a_definition_read_only_by_itself_is_unused(tmp_path):
         "class Box:\n"
         "    def __len__(self):\n        return 0\n"
         "    def dead(self):\n        return self\n"
+        "    def size(self):\n        return 0\n"
+        "    def shadowed(self):\n        return 0\n"
+        "def _sizes(box):\n    return box.size()\n"
+        "def _local(shadowed):\n    return shadowed + 1\n"
     )
-    assert unused_definitions(tmp_path) == ["a._recursive", "a.Box", "a.Box.dead"]
+    # ``_local`` reads a name spelled like ``Box.shadowed``, which is not a
+    # use of the method; ``Box.size`` is read as an attribute
+    assert unused_definitions(tmp_path) == [
+        "a._recursive", "a.Box", "a.Box.dead", "a.Box.shadowed", "a._sizes", "a._local",
+    ]

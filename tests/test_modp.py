@@ -124,9 +124,9 @@ def test_zeta_matches_loop_reference_at_large_primes():
     for p in (10007, 65537):
         indices = [
             (1,), (3,), (2, 1), (1, 2, 1), (3, 1, 2, 1),
-            (p - 1,), (2, p - 1), (p - 1, 1, 2),        # exponent 0 rows
+            (p - 1,), (2, p - 1), (p - 1, 1, 2),        # rows of m^(p-1) = 1
             (34,), (1, 40), (2, 35, 1, 1),              # rows powered from row 1
-            (p - 1, 33, 2, p),                          # both, and p = exponent 1
+            (p - 1, 33, 2, p),                          # both, and m^(-p) = m^(-1)
         ]
         for k in indices:
             assert zeta_mod_p(Index(k), p) == zeta_by_loop(k, p), (k, p)
@@ -257,9 +257,10 @@ def test_row_store_stays_within_budget(monkeypatch):
 def test_rows_are_exact_with_and_without_row_e_minus_1():
     import fmzv.modp as modp
 
-    for p in (2, 3, 5, 7, 13, 10007):
-        # parts are >= 1: exponent 0 is reached through multiples of p - 1
-        for e in {1, 2, 3, 4, 5, 33, 40, p - 1, p - 2, 2 * (p - 1)} - {0}:
+    for p in (2, 3, 5, 7, 11, 13, 10007):
+        # a lone prime is a group of one: parts at and past multiples of
+        # p - 1 are powered as they are, not reduced mod p - 1
+        for e in {1, 2, 3, 4, 5, 33, 40, p - 1, p - 2, 2 * (p - 1), 3 * (p - 1) + 1} - {0}:
             # the lower half, m <= (p - 1) / 2, which is all a walk reads
             row = modp._rows([e], (p,))[e]
             assert len(row) == (p + 1) // 2 and row[0] == 0, (p, e)
@@ -267,6 +268,11 @@ def test_rows_are_exact_with_and_without_row_e_minus_1():
             if e > 1:
                 # built from row e - 1 instead of by powering row 1
                 assert modp._rows([e - 1, e], (p,))[e] == row, (p, e)
+    # the same parts through a lone prime's whole sweep, both orders
+    for p in (5, 7, 11, 13):
+        k = (p - 1, 2 * (p - 1), 3 * (p - 1) + 1)
+        for index in (k, k[::-1]):
+            assert zeta_mod_p(Index(index), p) == zeta_by_loop(index, p), (p, index)
 
 
 def test_group_rows_are_exact_in_every_lane():
@@ -294,14 +300,14 @@ def test_cold_sweep_builds_only_the_rows_it_reads(monkeypatch):
     monkeypatch.setattr(modp, "_store", {})
     monkeypatch.setattr(modp, "_store_size", 0)
     # row 5 is one power pass over the half of row 1, with no rows 2 to 4
-    # built on the way; inverse_table itself powers nothing but the
-    # Miller-Rabin test of p, to (p - 1) / 2
+    # built on the way; inverse_table powers nothing, and leaves p, which
+    # comes from the sieve, unchecked
     powers = []
     monkeypatch.setattr(modp, "pow", lambda *a: powers.append(a[1]) or pow(*a), raising=False)
     p = 10007
     ((_, values),) = residues([(5, 1)], [p])
     assert values == {(5, 1): zeta_by_loop((5, 1), p)}
-    assert set(powers) == {5, (p - 1) // 2} and powers.count(5) == p // 2 + 1
+    assert set(powers) == {5} and powers.count(5) == p // 2 + 1
     # the rows left with the sweep: the store holds the residue alone
     assert modp._store == {p: (values, {})}
     assert modp._store_size == 1
@@ -485,7 +491,8 @@ def test_key_lemma_walks_its_suffixes_only():
     from fmzv.verify import CHECKS
 
     group = tuple(primes_in(10007, 10100)[:4])
-    indices = CHECKS["key-lemma"].build(Index((2,)), 2, (group[0], group[-1])).plan.indices()
+    _, plan = CHECKS["key-lemma"].build(Index((2,)), 2, (group[0], group[-1]))
+    indices = plan.indices()
     assert {k[::-1] for k in indices} == set(indices)
     trie = SuffixTrie(indices)
     swept = trie.sweep(group)
@@ -533,7 +540,8 @@ def test_four_primes_near_1e5_are_one_walk():
 
     group = tuple(primes_in(95191, 95219))
     assert len(group) == 4 and fmzv.modp._groups(list(group)) == [group]
-    indices = CHECKS["ohno"].build(Index((3,)), 2, (group[0], group[-1])).plan.indices()
+    _, plan = CHECKS["ohno"].build(Index((3,)), 2, (group[0], group[-1]))
+    indices = plan.indices()
     swept = SuffixTrie(indices).sweep(group)
     assert swept == [SuffixTrie(indices).sweep((q,))[0] for q in group]
     # the lowest lane, which stops furthest below the walk's end, against

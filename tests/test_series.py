@@ -21,7 +21,7 @@ def P(w, c=1):
 def test_useries_basics():
     s = USeries((P("x"), P("y")))
     assert s.order == 1
-    assert s.coeff(0) == P("x")
+    assert s.coeffs[0] == P("x")
     with pytest.raises(ValueError):
         USeries(())
 
@@ -43,7 +43,7 @@ def test_substitution_single_letters():
 def test_substitution_constant_term_is_word():
     for w in h1_words(4):
         s = substitution_series(w, 3)
-        assert s.coeff(0) == P(w) if w else s.coeff(0) == NCPolynomial.one()
+        assert s.coeffs[0] == P(w) if w else s.coeffs[0] == NCPolynomial.one()
 
 
 def test_substitution_is_multiplicative():
@@ -58,8 +58,8 @@ def test_substitution_is_multiplicative():
 def test_series_harmonic_convolution():
     # u^1 coefficient of (geometric in yu) * (constant z_2) is y * xy
     s = series_harmonic(geometric_yu(1), const_series(P("xy"), 1))
-    assert s.coeff(1) == harmonic(P("y"), P("xy"))
-    assert s.coeff(0) == P("xy")
+    assert s.coeffs[1] == harmonic(P("y"), P("xy"))
+    assert s.coeffs[0] == P("xy")
 
 
 def test_series_shuffle_with_unit():
@@ -70,7 +70,7 @@ def test_series_shuffle_with_unit():
 
 def test_series_shuffle_geometric_substitution():
     s = series_shuffle(geometric_yu(2), substitution_series("y", 2))
-    assert s.coeff(1) == NCPolynomial({"yy": 2, "xy": 1})
+    assert s.coeffs[1] == NCPolynomial({"yy": 2, "xy": 1})
 
 
 def test_mixed_orders_truncate_to_min():
@@ -85,5 +85,5 @@ def test_series_concat_matches_polynomial_products():
     a = USeries((P("x"), P("y")))
     b = USeries((P("y"), P("x", -1)))
     c = series_concat(a, b)
-    assert c.coeff(0) == P("xy")
-    assert c.coeff(1) == NCPolynomial({"xx": -1, "yy": 1})
+    assert c.coeffs[0] == P("xy")
+    assert c.coeffs[1] == NCPolynomial({"xx": -1, "yy": 1})

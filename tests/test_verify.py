@@ -6,7 +6,8 @@ import pytest
 
 import fmzv.modp
 import fmzv.verify
-from fmzv.cli import main
+import fmzv.suite
+from fmzv.cli import main, render_table
 from fmzv.indices import Index
 from fmzv.modp import EngineFault, zeta_mod_p
 from fmzv.verify import (
@@ -16,6 +17,7 @@ from fmzv.verify import (
     check,
     check_eq3,
     check_ikz,
+    instance,
     lemma_index_layers,
     lemma_word_layers,
 )
@@ -253,6 +255,36 @@ def test_report_pass_semantics():
     assert rep_ok.passed
 
 
+@pytest.mark.parametrize("p, counts", [(11, True), (7, False)], ids=["at-floor", "just-below"])
+def test_a_row_counts_from_the_floor_up(monkeypatch, p, counts):
+    # floor 11: a row at p = 11 counts for every reader of the report, a row
+    # at 7, the prime just below it, for none
+    floor = 11
+    rep = CheckReport("homogeneous", {"a": 1, "r": 1}, "numeric", floor, [PrimeCheck(p, 1, 0)])
+    assert (rep.above_floor != [], rep.failed_above_floor, rep.passed) == (counts, counts, not counts)
+    # the failure is re-checked by the oracle, which here agrees with it
+    seen = []
+    monkeypatch.setattr(fmzv.verify, "zeta_mod_p_naive", lambda k, q: seen.append(q) or 1)
+    _confirm_failures(fmzv.verify.homogeneous_plan(1, 1, (2, 11))[1], rep)
+    assert seen == [p] * counts
+    # the table lists it under "checked primes" or as sub-floor
+    lines = render_table(rep).splitlines()
+    assert lines[2] == ("checked primes:" if counts else "sub-floor primes (informative):")
+    assert lines[4].split() == [str(p), "1", "0", "NO"]
+    # the battery's sum-formula step asks an even weight's closed form to
+    # vanish at the rows that count: a passing row with rhs 3 fails it there
+    nonzero = CheckReport("sum-formula", {"k": 4}, "numeric", floor, [PrimeCheck(p, 3, 3)])
+    run = fmzv.suite._run
+    monkeypatch.setattr(
+        fmzv.suite, "_run",
+        lambda batch, *args: (
+            [nonzero] if {inst.identity for inst in batch} == {"sum-formula"} else run(batch, *args)
+        ),
+    )
+    steps = {step.name: step for step in fmzv.suite.run_battery(2, 0, (2, 20))}
+    assert steps["sum-formula"].passed == (not counts)
+
+
 def test_determinism():
     a = check("ohno", Index((2, 1)), 1, window=(5, 80)).to_json_dict()
     b = check("ohno", Index((2, 1)), 1, window=(5, 80)).to_json_dict()
@@ -473,7 +505,7 @@ def test_pooled_residues_come_home(monkeypatch, tmp_path):
         ["check", "ohno", "--index", "2,1,3", "--n", "2", "--primes", "5:1500"],
         ["check", "sum-formula", "--k", "6", "--r", "3", "--i", "2", "--primes", "5:1500"],
     ]
-    batch = [fmzv.verify.CHECKS[name].build(*values, window) for name, *values in requests]
+    batch = [instance(name, values, window) for name, *values in requests]
     default = fmzv.modp.POOL_MIN_MULTS
     # the ohno check alone is heavy enough to pool, cold: 2 workers, each
     # handed in turn the next of the groups of its share of the primes,
@@ -561,26 +593,30 @@ def test_confirm_failures_flags_engine_bugs():
     # H(1) against 0: at p = 2 the sum is 1, a genuine failure the oracle
     # reproduces, so no error; at p = 11 it is 0, so a failing row that
     # reads 1 there is the fast path's bug
-    plan = fmzv.verify.homogeneous_instance(1, 1, (2, 11)).plan
-    genuine, buggy = [PrimeCheck(2, 1, 0)], [PrimeCheck(11, 1, 0)]
-    _confirm_failures(plan, genuine, 2)
+    _, plan = fmzv.verify.homogeneous_plan(1, 1, (2, 11))
+
+    def report(row, floor):
+        return CheckReport("homogeneous", {}, "numeric", floor, [row])
+
+    genuine, buggy = PrimeCheck(2, 1, 0), PrimeCheck(11, 1, 0)
+    _confirm_failures(plan, report(genuine, 2))
     with pytest.raises(EngineFault, match=r"at p=11: fast \(1, 0\) vs oracle \(0, 0\)"):
-        _confirm_failures(plan, buggy, 5)
+        _confirm_failures(plan, report(buggy, 5))
     # below the floor nothing is re-verified
-    _confirm_failures(plan, buggy, 13)
+    _confirm_failures(plan, report(buggy, 13))
 
 
 def test_batch_reports_equal_single_runs(monkeypatch):
     # one window, plans with different minimum primes, shared indices; each
     # floor applies to the whole batch, and at 2 two instances fail
     window = (2, 40)
-    batch = [
-        fmzv.verify.ohno_instance((2, 1), 1, window),
-        fmzv.verify.sum_formula_instance(7, 3, 2, window),
-        fmzv.verify.height_one_instance(1, 0, window),
-        fmzv.verify.stuffle_instance("xy", "y", window),
-        fmzv.verify.lemma_instance("key-lemma", (1, 2), 2, window),
-        fmzv.verify.homogeneous_instance(1, 1, window),
+    requests = [
+        ("ohno", ((2, 1), 1)),
+        ("sum-formula", (7, 3, 2)),
+        ("height-one", (1, 0)),
+        ("stuffle", ("xy", "y")),
+        ("key-lemma", ((1, 2), 2)),
+        ("homogeneous", (1, 1)),
     ]
     fills = []
     fill = fmzv.verify.residues
@@ -592,10 +628,11 @@ def test_batch_reports_equal_single_runs(monkeypatch):
         (None, [True] * 6, [7, 10, 6, 6, 8, 4]),
         (2, [True, True, True, True, False, False], [2] * 6),
     ]:
+        batch = [instance(name, values, window, floor) for name, values in requests]
         monkeypatch.setattr(fmzv.modp, "_store", {})
         monkeypatch.setattr(fmzv.modp, "_store_size", 0)
         fills.clear()
-        reports = fmzv.verify._run(batch, window, floor=floor)
+        reports = fmzv.verify._run(batch, window)
         # one fill, from the least minimum prime, serves the whole batch
         assert fills == [primes]
         assert [rep.passed for rep in reports] == passed
@@ -606,7 +643,7 @@ def test_batch_reports_equal_single_runs(monkeypatch):
             assert [row.p for row in rep.results] == [p for p in primes if p >= inst.plan.minimum]
             monkeypatch.setattr(fmzv.modp, "_store", {})
             monkeypatch.setattr(fmzv.modp, "_store_size", 0)
-            alone = fmzv.verify._run([inst], window, floor=floor)
+            alone = fmzv.verify._run([inst], window)
             assert alone == [rep]
     assert fmzv.verify._run([], (2, 1)) == []
 
