@@ -278,7 +278,9 @@ def _cmd_suite(args) -> int:
                 "primes": list(window),
             },
             "steps": [
-                {"step": s.name, "pass": s.passed, "detail": s.detail} for s in steps
+                {"step": s.name, "pass": s.passed, "detail": s.detail}
+                | ({"error": s.error} if s.error else {})
+                for s in steps
             ],
             "pass": ok,
         }
@@ -286,7 +288,10 @@ def _cmd_suite(args) -> int:
     else:
         lines.append(f"suite: {'PASS' if ok else 'FAIL'} ({len(steps)} steps)")
         _emit("\n".join(lines) + "\n", args.output)
-    return 0 if ok else 1
+    faults = [s for s in steps if s.error]
+    for s in faults:
+        print(f"fmzv: engine fault in step {s.name}: {s.error}", file=sys.stderr)
+    return 3 if faults else 0 if ok else 1
 
 
 def main(argv=None) -> int:

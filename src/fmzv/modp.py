@@ -43,8 +43,8 @@ A Python integer of d 30-bit digits costs far less to handle than d
 integers of one digit (see _cost), so a group of G primes costs less than
 G walks, and far less at small primes, where several fit one digit.
 Groups hold at most ``GROUP_PRIMES`` primes and rows of at most
-``GROUP_BITS`` bits, which bounds the memory of a walk; 4 consecutive
-primes below about 10^5 make one group.
+``GROUP_BITS`` bits, which bounds the digit width of a walk's integers; 4
+consecutive primes below about 10^5 make one group.
 
 Each pass, and each inverse-power row it reads, is built from C-level
 iterators (``map``, ``itertools.accumulate``) rather than an interpreted
@@ -53,10 +53,14 @@ pass reduces its tail mod P: a tail of odd depth is left below P^3, and
 each lane's value is reduced once, mod q_i.  Rows cover the lower
 half of q_G only.  Row 1 comes from the recurrence of the inverses, whose
 modulus drops each prime of the group once m passes its half; row e is
-the product of two rows the sweep already built, and a power of row 1 only
-when there are none.  A lone prime is a group of one, with no case of its
-own: its rows hold the true powers mod p, as a group's do mod P.  Rows
-live for one sweep.
+the product of two rows already built, and a power of row 1 only when
+there are none.  A lone prime is a group of one, with no case of its
+own: its rows hold the true powers mod p, as a group's do mod P.  The walk
+runs over m in equal blocks of at most ``BLOCK`` entries.  Only row 1
+spans the range, since its recurrence reads earlier entries anywhere
+below m; every other row and every tail lives for one block, each pass
+and dot product carrying its running sum into the next.  So a walk holds
+row 1 and about one block per row and per depth, however large q_G.
 Bernoulli numbers B_n mod p come from the power sum 1^n + ... + (p-1)^n
 mod p^2 in O(p).
 
@@ -84,6 +88,7 @@ from __future__ import annotations
 
 import math
 import os
+from bisect import bisect_right
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
@@ -95,16 +100,28 @@ MAX_MODULUS = 2**31
 # units (residues, Bernoulli values) the per-prime store may hold beyond
 # the current prime's: each is a dict entry of tens of bytes
 TABLE_BUDGET = 2**20
-# A group of primes swept in one walk: at most GROUP_PRIMES of them, and a
-# row of at most GROUP_BITS bits, q_G entries of the summed bit lengths of
-# its primes.  A walk keeps a row per distinct part and a tail per depth
-# alive, so the bits bound its memory.  4 consecutive primes of 17 bits
-# make one group up to q_G = 7e6 / 68, about 1.03e5: on a 2-vCPU host, a
+# A group of primes swept in one walk: at most GROUP_PRIMES of them, and
+# at most GROUP_BITS bits in q_G entries of the summed bit lengths of its
+# primes.  Those lengths bound the bits of P, so GROUP_BITS bounds the
+# digit width of the walk's integers; BLOCK bounds its memory, but for row
+# 1.  4 consecutive primes of 17 bits make one group up to
+# q_G = 7e6 / 68, about 1.03e5: on a 2-vCPU host, a
 # walk of the 7 indices of ohno (3), n = 2 over the last 1, 2, 3 and all 4
 # of the primes 95191 .. 95219 took 101, 191, 191 and 228 ms (best of 9),
 # so the groups of 3 and 1 that a bound of 5e6 cut cost about 292 ms.
 GROUP_PRIMES = 16
 GROUP_BITS = 7_000_000
+# The most entries of a walk's block, whose rows and tails live while it is
+# walked (see SuffixTrie._walk).  On a 2-vCPU host the walk of ohno (3),
+# n = 2 over 95191 .. 95219 (47.6k entries) peaked under tracemalloc at
+# 2.5, 2.8, 3.6 and 5.1 MB with blocks of 1024, 2048, 4096 and 8192, and
+# at 15.3 MB unblocked, where two full-length tails take 4.2 MB.  The 69
+# walks of a seed-1 checks-large-p pass took the same time with each of
+# the four (medians 5.1-6.0 s over 5 alternating rounds, within the host's
+# noise), and with 4096 a median 4.7 s against 5.0 s unblocked (5 of 6
+# alternating rounds won).  4096 is the largest, and so the fewest rounds
+# of the op loop, whose peak stays below two full-length tails.
+BLOCK = 4096
 # The start cost of a pool, in multiplications modulo one prime (see
 # _cost): a window is filled by pool workers only when their walks finish
 # at least this much sooner than the in-process walks, whatever ``jobs``
@@ -212,16 +229,13 @@ def inverse_table(*group: int) -> list[int]:
     return inv
 
 
-def _rows(parts: Iterable[int], group: Sequence[int]) -> dict[int, list[int]]:
-    # part -> the row m^(-part) the walk over ``group`` reads, and row 1 in
-    # any case, built for this sweep only over the lower half of its largest
-    # prime, 0 <= m <= (q_G - 1) / 2; a row is exact in the lane of each
-    # prime whose lower half holds m.  Rows hold the true powers modulo P,
-    # the product of the group's primes, a lone prime being a group of one.
-    # Row e is the product of two rows already built whose exponents sum to
-    # e, and a power of row 1 only when there are none.
-    modulus = math.prod(group)
-    inv = inverse_table(*group)
+def _rows(parts: Iterable[int], inv: list[int], modulus: int) -> dict[int, list[int]]:
+    # part -> the row m^(-part) over one block of a walk, and row 1 in any
+    # case, from ``inv``, row 1's slice for that block.  Rows hold the true
+    # powers modulo ``modulus``, the product P of the group's primes, a lone
+    # prime being a group of one.  Row e is the product of two rows already
+    # built whose exponents sum to e, and a power of row 1 only when there
+    # are none.
     held = {1: inv}
     for e in sorted(set(parts) - {1}):
         a = next((a for a in held if e - a in held), None)
@@ -287,7 +301,10 @@ class SuffixTrie:
     tail's entry (q + 1) / 2.  So a proper suffix of an element is read
     off the pass that builds its tail, and only an element that is none,
     and ends no pass, takes a dot product: the row m^(-s_1) with the tail
-    of s[1:] over m in L.
+    of s[1:] over m in L.  A tail is a prefix sum, so the walk can take L
+    in blocks: a pass resumes from its tail's last entry in the block
+    before, and a dot product from its running sum, and only one block of
+    each tail is alive at once.
     At q = 2, where m = 1 is its own mirror, H_2(k) is 1 at depth 1 and 0
     deeper.
     """
@@ -340,7 +357,9 @@ class SuffixTrie:
         the walk evaluates each odd prime q in its own lane, which reads only
         the entries m <= (q - 1) / 2: each pass gives the lane its entry
         (q + 1) / 2, and each dot product is one running sum, broken at each
-        prime of the group.  The passes need no special case
+        prime of the group.  The walk takes the entries in equal blocks of
+        at most :data:`BLOCK`; row 1 is built once over all of them, and
+        every other row and tail for one block.  The passes need no special case
         for an index of depth >= q: one of the two factors of each of its
         recipe's terms is deeper than (q - 1) / 2, and its tails vanish to
         match.
@@ -357,37 +376,57 @@ class SuffixTrie:
         # each lane's values, H_L of the empty index then of J in walk order
         if not lanes:
             return []
-        rows = _rows(self._parts, lanes)
         modulus = math.prod(lanes)
-        # every row starts with row[0] = 0, so the m = 0 term of every pass
+        inv = inverse_table(*lanes)
+        # The entries m of the lower half of q_G, cut into equal blocks of
+        # at most BLOCK; a block's rows and tails live while it is walked.
+        # Every row starts with row[0] = 0, so the m = 0 term of every pass
         # vanishes; one tail per depth, the empty suffix's first.  The
         # innermost pass sums its row alone, and only the tails of even
         # depth are reduced mod P: with rows below P, a tail of odd depth
-        # stays below P^3, and each lane's value is reduced once.  A tail
-        # of s holds H_L(s) in lane q at entry (q + 1) / 2, and a dot
-        # product runs over the entries below it, lane after lane.
+        # stays below P^3, and each lane's value is reduced once.  The tail
+        # of a block [lo, hi) holds the entries lo .. hi of the whole tail:
+        # it starts at its carry, the entry lo its pass left in the block
+        # before, and each dot product carries its running sum the same
+        # way.  A tail of s holds H_L(s) in lane q at entry (q + 1) / 2,
+        # read in the block whose entries lo < (q + 1) / 2 <= hi hold it,
+        # and a dot product runs over the entries below it.
         stops = [(q + 1) // 2 for q in lanes]
-        widths = list(map(sub, stops, [0, *stops[:-1]]))
-        tails: list = [repeat(1)]
+        count = -(-len(inv) // BLOCK)
         ps = repeat(modulus)
-        # slot j: the value in each lane of the j-th element in walk order
-        values: list = [None] * (len(self._ops) + 1)
+        # slot j: the value in each lane of the j-th element in walk order,
+        # and the carry of the pass or dot product that gives it
+        values: list = [[] for _ in range(len(self._ops) + 1)]
         values[0] = [1] * len(lanes)
-        for kept, parts, s, slots, dot in self._ops:
-            del tails[kept + 1 :]
-            for part, slot in zip(parts, slots):
-                depth = len(tails)
-                if depth == 1:
-                    sums = accumulate(rows[part], initial=0)
-                else:
-                    sums = accumulate(map(mul, rows[part], tails[-1]), initial=0)
-                tail = list(map(mod, sums, ps)) if depth % 2 == 0 else list(sums)
-                tails.append(tail)
-                values[slot] = list(map(mod, map(tail.__getitem__, stops), lanes))
-            if dot is not None:
-                terms = map(mul, rows[s[0]], tails[-1])
-                totals = accumulate(map(sum, map(islice, repeat(terms), widths)))
-                values[dot] = list(map(mod, totals, lanes))
+        carries = [0] * len(values)
+        lo = 0
+        for block in range(1, count + 1):
+            hi = len(inv) * block // count
+            rows = _rows(self._parts, inv[lo:hi], modulus)
+            first, last = bisect_right(stops, lo), bisect_right(stops, hi)
+            moduli = lanes[first:last]
+            reads = [stop - lo for stop in stops[first:last]]
+            widths = list(map(sub, [*reads, hi - lo], [0, *reads]))
+            tails: list = [repeat(1)]
+            for kept, parts, s, slots, dot in self._ops:
+                del tails[kept + 1 :]
+                for part, slot in zip(parts, slots):
+                    depth = len(tails)
+                    if depth == 1:
+                        sums = accumulate(rows[part], initial=carries[slot])
+                    else:
+                        sums = accumulate(map(mul, rows[part], tails[-1]), initial=carries[slot])
+                    tail = list(map(mod, sums, ps)) if depth % 2 == 0 else list(sums)
+                    tails.append(tail)
+                    carries[slot] = tail[-1]
+                    values[slot] += map(mod, map(tail.__getitem__, reads), moduli)
+                if dot is not None:
+                    terms = map(mul, rows[s[0]], tails[-1])
+                    sums = map(sum, map(islice, repeat(terms), widths))
+                    totals = list(accumulate(sums, initial=carries[dot]))
+                    carries[dot] = totals[-1]
+                    values[dot] += map(mod, islice(totals, 1, None), moduli)
+            lo = hi
         return list(zip(*values))
 
     def _recipes(self, values: list[int], q: int) -> dict[tuple[int, ...], int]:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .indices import Index, hoffman_dual, weak_compositions
-from .modp import bernoulli_mod_p, primes_in, zeta_mod_p, zeta_mod_p_naive
+from .modp import EngineFault, bernoulli_mod_p, primes_in, zeta_mod_p, zeta_mod_p_naive
 from .verify import _run, check, instance
 from .words import NCPolynomial, harmonic, shuffle, word_of_index
 
@@ -23,6 +23,7 @@ class SuiteStep:
     name: str
     passed: bool
     detail: str
+    error: str | None = None  # the engine fault that failed the step, if one did
 
 
 def all_indices(max_weight: int, max_depth: int | None = None) -> Iterator[Index]:
@@ -56,8 +57,16 @@ def run_battery(
 ) -> list[SuiteStep]:
     steps = []
 
-    def record(name: str, passed: bool, detail: str) -> None:
-        steps.append(SuiteStep(name, passed, detail))
+    def run(name: str, body: Callable[[], tuple[bool, str]]) -> None:
+        # Record the step's (passed, detail), which body() gives.  An engine
+        # fault fails this step alone, with the fault as its error, and the
+        # battery goes on.
+        try:
+            passed, detail = body()
+            error = None
+        except EngineFault as exc:
+            passed, detail, error = False, "engine fault", str(exc)
+        steps.append(SuiteStep(name, passed, detail, error))
         log(f"[{'PASS' if passed else 'FAIL'}] {name}: {detail}")
 
     lo, hi = window
@@ -66,25 +75,24 @@ def run_battery(
         raise ValueError(f"no primes in window [{lo}, {hi}]")
 
     # 1. dual involution, depth identity, and the worked example
-    bad = 0
-    count = 0
-    for k in all_indices(10):
-        count += 1
-        kd = hoffman_dual(k)
-        if hoffman_dual(kd) != k or k.depth + kd.depth != k.weight + 1:
-            bad += 1
-    example_ok = hoffman_dual(Index((2, 3, 1, 2))) == (1, 2, 1, 3, 1)
-    record(
-        "dual-involution",
-        bad == 0 and example_ok,
-        f"{count} indices of weight <= 10, {bad} failures",
-    )
+    def duals() -> tuple[bool, str]:
+        bad = 0
+        count = 0
+        for k in all_indices(10):
+            count += 1
+            kd = hoffman_dual(k)
+            if hoffman_dual(kd) != k or k.depth + kd.depth != k.weight + 1:
+                bad += 1
+        example_ok = hoffman_dual(Index((2, 3, 1, 2))) == (1, 2, 1, 3, 1)
+        return bad == 0 and example_ok, f"{count} indices of weight <= 10, {bad} failures"
+
+    run("dual-involution", duals)
 
     # Steps 2-9 each count the reports that fail ``ok``.
-    def tally(name: str, noun: str, reports, ok=lambda rep: rep.passed) -> None:
+    def tally(noun: str, reports, ok=lambda rep: rep.passed) -> tuple[bool, str]:
         reports = list(reports)
         fails = sum(1 for rep in reports if not ok(rep))
-        record(name, fails == 0, f"{len(reports)} {noun}, {fails} failures")
+        return fails == 0, f"{len(reports)} {noun}, {fails} failures"
 
     # Steps 4-9 each build every instance first and run them as one batch
     # over the window, leaving out those whose plan needs a larger prime.
@@ -94,79 +102,89 @@ def run_battery(
 
     # 2. exact word identity behind the shifted harmonic product
     symbolic = [(k, n) for k in all_indices(min(max_weight, 6)) for n in range(min(max_n, 3) + 1)]
-    tally("eq3-symbolic", "instances", (check("eq3", k, n) for k, n in symbolic))
+    run("eq3-symbolic", lambda: tally("instances", (check("eq3", k, n) for k, n in symbolic)))
 
     # 3. truncated series identity through u^4
-    tally("ikz-truncated", "words through u^4", (check("ikz", w, 4) for w in h1_words(5)))
+    series = list(h1_words(5))
+    run("ikz-truncated", lambda: tally("words through u^4", (check("ikz", w, 4) for w in series)))
 
     # 4. shifted-sum relation over the window
     ohno = [(k, n) for k in all_indices(max_weight) for n in range(max_n + 1)]
-    tally("ohno", "instances", batch(["ohno"], ohno))
+    run("ohno", lambda: tally("instances", batch(["ohno"], ohno)))
 
     # 5. sum formula, including forced vanishing for even weights
     def vanishes_if_even(rep) -> bool:
         return rep.passed and (rep.params["k"] % 2 or all(row.rhs == 0 for row in rep.above_floor))
 
     sums = [(k, r, i) for k in range(3, 10) for r in range(1, k) for i in range(1, r + 1)]
-    tally("sum-formula", "instances", batch(["sum-formula"], sums), ok=vanishes_if_even)
+    run("sum-formula", lambda: tally("instances", batch(["sum-formula"], sums), vanishes_if_even))
 
     # 6. height-one closed form
     runs = [(a, b) for a in range(0, 6) for b in range(0, 6 - a)]
-    tally("height-one", "instances", batch(["height-one"], runs))
+    run("height-one", lambda: tally("instances", batch(["height-one"], runs)))
 
     # 7. product-to-value homomorphism and shuffle duality
     words = [w for w in h1_words(5) if w]
     pairs = [(w, wp) for w in words for wp in words if len(w) + len(wp) <= 6]
-    tally("stuffle-duality", "checks", batch(["stuffle", "duality"], pairs))
+    run("stuffle-duality", lambda: tally("checks", batch(["stuffle", "duality"], pairs)))
 
     # 8. homogeneous vanishing
     constants = [(a, r) for a in range(1, 4) for r in range(1, 5)]
-    tally("homogeneous", "instances", batch(["homogeneous"], constants))
+    run("homogeneous", lambda: tally("instances", batch(["homogeneous"], constants)))
 
     # 9. the lemma value at every prime; key-lemma first compares the index
     # and word readings exactly, layer by layer
     lemmas = [(k, n) for k in all_indices(min(max_weight, 5)) for n in range(1, max_n + 1)]
-    tally("lemma-checks", "checks", batch(["lemma2", "key-lemma"], lemmas))
+    run("lemma-checks", lambda: tally("checks", batch(["lemma2", "key-lemma"], lemmas)))
 
     # 10. fast evaluator against the independent loop oracle
-    fails = 0
-    count = 0
-    for p in primes_in(2, min(50, hi)):
-        for k in all_indices(6, max_depth=3):
-            count += 1
-            if zeta_mod_p(k, p) != zeta_mod_p_naive(k, p):
-                fails += 1
-    record("zeta-oracle", fails == 0, f"{count} evaluations, {fails} mismatches")
+    def oracle() -> tuple[bool, str]:
+        fails = 0
+        count = 0
+        for p in primes_in(2, min(50, hi)):
+            for k in all_indices(6, max_depth=3):
+                count += 1
+                if zeta_mod_p(k, p) != zeta_mod_p_naive(k, p):
+                    fails += 1
+        return fails == 0, f"{count} evaluations, {fails} mismatches"
+
+    run("zeta-oracle", oracle)
 
     # 11. frozen spot congruences
-    spot = (
-        zeta_mod_p(Index((2, 1)), 5) == 1
-        and bernoulli_mod_p(3, 5) == 1
-        and zeta_mod_p(Index((1, 2)), 5) == 4
-    )
-    record("spot-congruences", spot, "residues at p=5")
+    def spot() -> tuple[bool, str]:
+        ok = (
+            zeta_mod_p(Index((2, 1)), 5) == 1
+            and bernoulli_mod_p(3, 5) == 1
+            and zeta_mod_p(Index((1, 2)), 5) == 4
+        )
+        return ok, "residues at p=5"
+
+    run("spot-congruences", spot)
 
     # 12. algebra laws on seeded random words
-    rng = random.Random(20240607)
-    pool = [w for w in h1_words(min(max_weight, 6)) if w]
-    triples = 100 if pool else 0  # max_weight < 1 leaves no word to draw
-    fails = 0
-    for _ in range(triples):
-        a = NCPolynomial.from_word(rng.choice(pool))
-        b = NCPolynomial.from_word(rng.choice(pool))
-        c = NCPolynomial.from_word(rng.choice(pool))
-        # each pair product once; the swapped operands still test commutativity
-        ha, sh = harmonic(a, b), shuffle(a, b)
-        if ha != harmonic(b, a) or sh != shuffle(b, a):
-            fails += 1
-        if harmonic(ha, c) != harmonic(a, harmonic(b, c)):
-            fails += 1
-        if shuffle(sh, c) != shuffle(a, shuffle(b, c)):
-            fails += 1
-        wa = next(iter(a.terms))
-        wb = next(iter(b.terms))
-        if sh.term_count() != comb(len(wa) + len(wb), len(wa)):
-            fails += 1
-    record("algebra-laws", fails == 0, f"{triples} random triples, {fails} failures")
+    def laws() -> tuple[bool, str]:
+        rng = random.Random(20240607)
+        pool = [w for w in h1_words(min(max_weight, 6)) if w]
+        triples = 100 if pool else 0  # max_weight < 1 leaves no word to draw
+        fails = 0
+        for _ in range(triples):
+            a = NCPolynomial.from_word(rng.choice(pool))
+            b = NCPolynomial.from_word(rng.choice(pool))
+            c = NCPolynomial.from_word(rng.choice(pool))
+            # each pair product once; the swapped operands still test commutativity
+            ha, sh = harmonic(a, b), shuffle(a, b)
+            if ha != harmonic(b, a) or sh != shuffle(b, a):
+                fails += 1
+            if harmonic(ha, c) != harmonic(a, harmonic(b, c)):
+                fails += 1
+            if shuffle(sh, c) != shuffle(a, shuffle(b, c)):
+                fails += 1
+            wa = next(iter(a.terms))
+            wb = next(iter(b.terms))
+            if sh.term_count() != comb(len(wa) + len(wb), len(wa)):
+                fails += 1
+        return fails == 0, f"{triples} random triples, {fails} failures"
+
+    run("algebra-laws", laws)
 
     return steps

@@ -389,6 +389,35 @@ def test_suite_json(capsys):
     assert all(step["pass"] for step in doc["steps"])
 
 
+def test_engine_fault_fails_its_step_alone(capsys, monkeypatch):
+    # a fault forced at the battery's first walk, in its ohno step (steps 1
+    # to 3 walk nothing), fails that step alone: every other step is
+    # reported as in a clean run, and the suite exits 3
+    argv = ["suite", "--max-weight", "3", "--max-n", "1", "--primes", "2:30", "--format", "json"]
+    code, clean, _ = run_cli(capsys, *argv)
+    assert code == 0 and '"error"' not in clean
+    fill = fmzv.modp._fill_group
+    walks = []
+
+    def fault_once(trie, group):
+        walks.append(group)
+        if len(walks) == 1:
+            raise fmzv.modp.EngineFault("forced at the first walk")
+        return fill(trie, group)
+
+    monkeypatch.setattr(fmzv.modp, "_fill_group", fault_once)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3 and len(walks) > 1
+    assert err == "fmzv: engine fault in step ohno: forced at the first walk\n"
+    steps, want = json.loads(out)["steps"], json.loads(clean)["steps"]
+    assert [step["step"] for step in steps] == [step["step"] for step in want]
+    faulted = {
+        "step": "ohno", "pass": False, "detail": "engine fault", "error": "forced at the first walk"
+    }
+    assert [step if step["step"] != "ohno" else faulted for step in want] == steps
+    assert json.loads(out)["pass"] is False
+
+
 def test_module_entry_point():
     env = dict(os.environ)
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))

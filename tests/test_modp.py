@@ -1,8 +1,9 @@
+import math
 import random
 import tracemalloc
 from itertools import accumulate, repeat
 from math import comb
-from operator import mod, mul
+from operator import mod
 
 import pytest
 
@@ -260,14 +261,21 @@ def test_rows_are_exact_with_and_without_row_e_minus_1():
     for p in (2, 3, 5, 7, 11, 13, 10007):
         # a lone prime is a group of one: parts at and past multiples of
         # p - 1 are powered as they are, not reduced mod p - 1
+        inv = inverse_table(p)
+        # a block of the lower half that starts past m = 0
+        lo, hi = len(inv) // 3, 2 * len(inv) // 3
         for e in {1, 2, 3, 4, 5, 33, 40, p - 1, p - 2, 2 * (p - 1), 3 * (p - 1) + 1} - {0}:
-            # the lower half, m <= (p - 1) / 2, which is all a walk reads
-            row = modp._rows([e], (p,))[e]
+            # the lower half, m <= (p - 1) / 2, which is all a walk reads, as
+            # one block
+            row = modp._rows([e], inv, p)[e]
             assert len(row) == (p + 1) // 2 and row[0] == 0, (p, e)
             assert all(row[m] == pow(m, -e, p) for m in range(1, (p + 1) // 2)), (p, e)
+            # a block's rows are the whole rows' entries of that block
+            assert modp._rows([e], inv[lo:hi], p)[e] == row[lo:hi], (p, e)
             if e > 1:
                 # built from row e - 1 instead of by powering row 1
-                assert modp._rows([e - 1, e], (p,))[e] == row, (p, e)
+                assert modp._rows([e - 1, e], inv, p)[e] == row, (p, e)
+                assert modp._rows([e - 1, e], inv[lo:hi], p)[e] == row[lo:hi], (p, e)
     # the same parts through a lone prime's whole sweep, both orders
     for p in (5, 7, 11, 13):
         k = (p - 1, 2 * (p - 1), 3 * (p - 1) + 1)
@@ -284,11 +292,16 @@ def test_group_rows_are_exact_in_every_lane():
 
     for group in [(2, 3), (2, 3, 5, 7), (3, 5, 7, 11, 13), tuple(primes_in(10007, 10200)[:4])]:
         p = group[0]
+        inv = inverse_table(*group)
         parts = [e for e in (1, 2, 3, 4, 5, 33, 40, p - 1, p, 2 * (p - 1) + 3) if e >= 1]
         for held in (parts, parts[-3:]):
-            rows = modp._rows(held, group)
+            rows = modp._rows(held, inv, math.prod(group))
+            # the same rows, block by block from row 1's slices
+            lo = len(inv) // 2
+            blocks = [modp._rows(held, half, math.prod(group)) for half in (inv[:lo], inv[lo:])]
             for e in held:
                 assert len(rows[e]) == (group[-1] + 1) // 2 and rows[e][0] == 0, (group, e)
+                assert blocks[0][e] + blocks[1][e] == rows[e], (group, e)
                 for q in group:
                     half = range(1, (q + 1) // 2)
                     assert all(rows[e][m] % q == pow(m, -e, q) for m in half), (group, q, e)
@@ -594,22 +607,95 @@ def test_trie_keeps_one_tail_per_depth(monkeypatch):
     indices = [(1, 1, 1, 1), (1, 2, 2, 2), (1, 3, 3, 3), (1, 1, 2, 3), (2, 2, 2, 2)]
     trie = SuffixTrie(indices)
     trie.sweep((p,))  # the walk built
-    # the rows, which live for one sweep, are built before memory is traced
-    rows = modp._rows(trie._parts, (p,))
-    monkeypatch.setattr(modp, "_rows", lambda parts, group: rows)
+    # one block over the whole lower half, so that every tail spans it, and
+    # its rows, row 1 included, built before memory is traced
+    monkeypatch.setattr(modp, "BLOCK", p)
+    inv = inverse_table(p)
+    rows = modp._rows(trie._parts, inv, p)
+    monkeypatch.setattr(modp, "inverse_table", lambda *group: inv)
+    monkeypatch.setattr(modp, "_rows", lambda parts, block, modulus: rows)
     # one pass per part an op extends by, one op per element of J
     passes = sum(len(parts) for _, parts, *_ in trie._ops)
     closure = {s for k in indices for i in range(4) for s in (k[i:], k[: i + 1][::-1])}
     assert [s for _, _, s, *_ in trie._ops] == sorted(closure, key=lambda s: (s[:0:-1], s))
+    one_tail = _one_tail((p,))
     tracemalloc.start()
     try:
-        tail = list(map(mod, accumulate(map(mul, inverse_table(p), repeat(1)), initial=0), repeat(p)))
-        one_tail = tracemalloc.get_traced_memory()[0]
-        del tail
-        tracemalloc.reset_peak()
         trie.sweep((p,))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert len(closure) == 24 and passes == 16
     assert peak < (4 + 2) * one_tail, (peak / one_tail, passes)
+
+
+def _one_tail(group):
+    # the traced size of one tail over the lower half of q_G, modulo the
+    # product of ``group``
+    tracemalloc.start()
+    tail = list(map(mod, accumulate(inverse_table(*group), initial=0), repeat(math.prod(group))))
+    size = tracemalloc.get_traced_memory()[0]
+    tracemalloc.stop()
+    assert len(tail) == (group[-1] + 3) // 2
+    return size
+
+
+def test_walk_holds_tails_for_one_block():
+    # the 7 indices of ohno (3), n = 2 over the 4 primes 95191 .. 95219, one
+    # group: the walk keeps row 1 over the whole lower half, 47.6k entries,
+    # but its other rows and its tails for one block of at most BLOCK
+    group = tuple(primes_in(95191, 95219))
+    assert len(group) == 4
+    indices = [(5,), (1, 1, 3), (1, 2, 2), (1, 3, 1), (2, 1, 2), (2, 2, 1), (3, 1, 1)]
+    trie = SuffixTrie(indices)
+    trie.sweep(group)  # the walk built
+    one_tail = _one_tail(group)
+    tracemalloc.start()
+    try:
+        trie.sweep(group)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a walk that keeps full-length rows and tails peaks at about 7 tails
+    assert peak < 2 * one_tail, peak / one_tail
+
+
+@pytest.mark.parametrize("block", [5, 7])
+def test_walk_carries_across_blocks(monkeypatch, block):
+    # Blocks of 5 or 7 entries cut the lower half of q_G into several.  Each
+    # pass continues its prefix sum from its tail's last entry in the block
+    # before, each dot product its running sum, and a lane is read in the
+    # block that holds its stop (q + 1) / 2.
+    import fmzv.modp as modp
+
+    monkeypatch.setattr(modp, "BLOCK", block)
+    sizes = []
+    rows = modp._rows
+
+    def block_rows(parts, inv, modulus):
+        sizes.append(len(inv))
+        return rows(parts, inv, modulus)
+
+    monkeypatch.setattr(modp, "_rows", block_rows)
+    indices = [(1,), (3,), (2, 1), (1, 2), (1, 1, 2), (2, 3, 1), (3, 1, 2, 1), (1, 2, 1, 1, 1)]
+    trie = SuffixTrie(indices)
+    groups = [(31,), (11, 23), (29, 31), (3, 5, 7, 11), (53, 59, 61, 67), tuple(primes_in(3, 59))]
+    assert sorted(map(len, groups)) == [1, 2, 2, 4, 4, 16]
+    on_end = in_first = walks = 0
+    for group in groups:
+        sizes.clear()
+        swept = trie.sweep(group)
+        assert max(sizes) <= block and sum(sizes) == (group[-1] + 1) // 2, (group, sizes)
+        ends = list(accumulate(sizes))
+        stops = [(q + 1) // 2 for q in group]
+        walks += len(sizes) > 1
+        # a lane read at the last entry of a block that is not the last, and
+        # one whose whole half lies in the first of several blocks
+        on_end += len(set(stops) & set(ends[:-1]))
+        in_first += len(sizes) > 1 and stops[0] <= ends[0]
+        for q, values in zip(group, swept):
+            for k in indices:
+                assert values[k] == zeta_by_loop(k, q), (block, group, q, k)
+    assert walks >= 5 and on_end and in_first, (walks, on_end, in_first)
+    # elements that end no pass take a dot product
+    assert any(dot is not None for *_, dot in trie._ops)
