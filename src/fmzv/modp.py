@@ -48,21 +48,26 @@ consecutive primes below about 10^5 make one group.
 
 Each pass, and each inverse-power row it reads, is built from C-level
 iterators (``map``, ``itertools.accumulate``) rather than an interpreted
-loop over m.  The innermost pass sums its row alone, and only every second
-pass reduces its tail mod P: a tail of odd depth is left below P^3, and
-each lane's value is reduced once, mod q_i.  Rows cover the lower
-half of q_G only.  Row 1 comes from the recurrence of the inverses, whose
-modulus drops each prime of the group once m passes its half; row e is
-the product of two rows already built, and a power of row 1 only when
-there are none.  A lone prime is a group of one, with no case of its
-own: its rows hold the true powers mod p, as a group's do mod P.  The walk
-runs over m in equal blocks of at most ``BLOCK`` entries.  Only row 1
-spans the range, since its recurrence reads earlier entries anywhere
-below m; every other row and every tail lives for one block, each pass
-and dot product carrying its running sum into the next.  So a walk holds
-row 1 and about one block per row and per depth, however large q_G.
-Bernoulli numbers B_n mod p come from the power sum 1^n + ... + (p-1)^n
-mod p^2 in O(p).
+loop over m.  The innermost pass sums its row alone, and a pass reduces
+its tail mod P only where the tail's entries could otherwise pass
+``TAIL_BITS`` bits, each pass adding at most the bits of P and of the
+walk's length to those of the tail it reads, and never two depths in a
+row: a lane needs its residue mod q_i alone, which a reduction mod P at
+any depth keeps, and each lane's value is reduced once, mod q_i.  While P
+fits one 30-bit digit every second pass reduces, so that the dot products
+over the reduced tails stay on ``sum``'s machine-word path.  Rows cover
+the lower half of q_G only.  Row 1 comes from the recurrence of the
+inverses, whose modulus drops each prime of the group once m passes its
+half; row e is the product of two rows already built, and a power of row 1
+only when there are none.  A lone prime is a group of one, with no case of
+its own: its rows hold the true powers mod p, as a group's do mod P.  The
+walk runs over m in equal blocks of at most ``BLOCK`` entries.  Only row 1
+spans the range, since its recurrence reads earlier entries anywhere below
+m; every other row and every tail lives for one block, each pass and dot
+product carrying its running sum into the next.  So a walk holds row 1 and
+about one block per row and per depth, however large q_G.  Bernoulli
+numbers B_n mod p come from the power sum 1^n + ... + (p-1)^n mod p^2 in
+O(p).
 
 Everything memoized at a prime lives in one store: its swept residues by
 index and its Bernoulli values by n.  Each residue and Bernoulli value
@@ -114,14 +119,27 @@ GROUP_BITS = 7_000_000
 # The most entries of a walk's block, whose rows and tails live while it is
 # walked (see SuffixTrie._walk).  On a 2-vCPU host the walk of ohno (3),
 # n = 2 over 95191 .. 95219 (47.6k entries) peaked under tracemalloc at
-# 2.5, 2.8, 3.6 and 5.1 MB with blocks of 1024, 2048, 4096 and 8192, and
-# at 15.3 MB unblocked, where two full-length tails take 4.2 MB.  The 69
-# walks of a seed-1 checks-large-p pass took the same time with each of
-# the four (medians 5.1-6.0 s over 5 alternating rounds, within the host's
-# noise), and with 4096 a median 4.7 s against 5.0 s unblocked (5 of 6
-# alternating rounds won).  4096 is the largest, and so the fewest rounds
-# of the op loop, whose peak stays below two full-length tails.
-BLOCK = 4096
+# 2.50, 2.87, 3.65 and 5.21 MB with blocks of 1024, 2048, 4096 and 8192
+# (2.48, 2.84, 3.59 and 5.08 MB with every second tail reduced), and row 1
+# alone takes 2.09 MB.  The 69 walks of a seed-1 checks-large-p pass took
+# the same time with each of the four (medians 3.2-3.4 s over 7
+# interleaved rounds, within the host's noise), but the checks-large-p
+# benchmark's peak RSS read medians of 29.25, 28.98 and 28.71 MB with
+# 4096, 3072 and 2048, against 28.70 MB for 4096 with every second tail
+# reduced.
+BLOCK = 2048
+# The most bits of a tail's entries that a walk leaves unreduced while P
+# takes more than one 30-bit digit (see SuffixTrie._walk).  Reducing an
+# entry mod P is a long division by every digit of P, which costs more than
+# the wider products and sums it saves: on a 2-vCPU host the 69 walks of a
+# seed-1 checks-large-p pass, whose groups of 4 primes give P of 56 to 68
+# bits, took a median 3.71, 3.02, 2.98, 2.95 and 3.05 s over 7 interleaved
+# rounds with limits of 150, 200, 300, 400 and 600 bits.  A P of more than
+# about 140 bits takes 300 bits a pass past a reduced tail, and is reduced
+# every second depth, not every depth: every depth made ``fmzv check ohno
+# --index 1,1,1,1,1,1 --n 6 --primes 10007:10100``, a walk of 11 primes
+# (154 bits), take 2.31 s against 1.95 s (medians of 4 fresh processes).
+TAIL_BITS = 300
 # The start cost of a pool, in multiplications modulo one prime (see
 # _cost): a window is filled by pool workers only when their walks finish
 # at least this much sooner than the in-process walks, whatever ``jobs``
@@ -382,15 +400,32 @@ class SuffixTrie:
         # at most BLOCK; a block's rows and tails live while it is walked.
         # Every row starts with row[0] = 0, so the m = 0 term of every pass
         # vanishes; one tail per depth, the empty suffix's first.  The
-        # innermost pass sums its row alone, and only the tails of even
-        # depth are reduced mod P: with rows below P, a tail of odd depth
-        # stays below P^3, and each lane's value is reduced once.  The tail
-        # of a block [lo, hi) holds the entries lo .. hi of the whole tail:
+        # innermost pass sums its row alone.  A tail's entries stay below
+        # 2^b for a bound b that depends on its depth alone: 0 for the empty
+        # tail, whose entries are 1, and each pass adds ``grow``, bits(P)
+        # for its row, whose entries are below P, and bits(N) for its at
+        # most N summands, N the entries of the walk.  reduced[d] says
+        # whether the pass that builds a tail of depth d reduces it mod P,
+        # which brings b back to bits(P): it does where b would pass the
+        # limit, at least bits(P) + grow, the bound a pass past a reduced
+        # tail gives, so that no two depths in a row are reduced.  While P
+        # fits one 30-bit digit the limit is that alone, and the tails of
+        # even depth are reduced; a wider P takes TAIL_BITS where that is
+        # larger.  Each lane's value is reduced once, mod q.  The tail of a
+        # block [lo, hi) holds the entries lo .. hi of the whole tail:
         # it starts at its carry, the entry lo its pass left in the block
         # before, and each dot product carries its running sum the same
         # way.  A tail of s holds H_L(s) in lane q at entry (q + 1) / 2,
         # read in the block whose entries lo < (q + 1) / 2 <= hi hold it,
         # and a dot product runs over the entries below it.
+        bits = modulus.bit_length()
+        grow = bits + len(inv).bit_length()
+        limit = bits + grow if bits <= 30 else max(TAIL_BITS, bits + grow)
+        reduced, bound = [False], 0
+        for _ in range(max(map(len, self.indices), default=0)):
+            bound += grow
+            reduced.append(bound > limit)
+            bound = bits if reduced[-1] else bound
         stops = [(q + 1) // 2 for q in lanes]
         count = -(-len(inv) // BLOCK)
         ps = repeat(modulus)
@@ -416,7 +451,7 @@ class SuffixTrie:
                         sums = accumulate(rows[part], initial=carries[slot])
                     else:
                         sums = accumulate(map(mul, rows[part], tails[-1]), initial=carries[slot])
-                    tail = list(map(mod, sums, ps)) if depth % 2 == 0 else list(sums)
+                    tail = list(map(mod, sums, ps)) if reduced[depth] else list(sums)
                     tails.append(tail)
                     carries[slot] = tail[-1]
                     values[slot] += map(mod, map(tail.__getitem__, reads), moduli)

@@ -1,7 +1,7 @@
 import math
 import random
 import tracemalloc
-from itertools import accumulate, repeat
+from itertools import accumulate, islice, repeat
 from math import comb
 from operator import mod
 
@@ -599,7 +599,7 @@ def test_closed_forms_at_large_primes():
 def test_trie_keeps_one_tail_per_depth(monkeypatch):
     import fmzv.modp as modp
 
-    p = 65537
+    p = 10007
     # depth 4; the walk covers J, their 24 suffixes and reversed prefixes,
     # whose 16 distinct proper suffixes are (1), (2), (3), (1,1), (2,1),
     # (2,2), (2,3), (3,1), (3,3), (1,1,1), (1,2,3), (2,1,1), (2,2,1),
@@ -640,12 +640,15 @@ def _one_tail(group):
     return size
 
 
-def test_walk_holds_tails_for_one_block():
-    # the 7 indices of ohno (3), n = 2 over the 4 primes 95191 .. 95219, one
-    # group: the walk keeps row 1 over the whole lower half, 47.6k entries,
-    # but its other rows and its tails for one block of at most BLOCK
-    group = tuple(primes_in(95191, 95219))
+def test_walk_holds_tails_for_one_block(monkeypatch):
+    # the 7 indices of ohno (3), n = 2 over the 4 primes 10007 .. 10039, one
+    # group, in blocks of 256: the walk keeps row 1 over the whole lower
+    # half, 5020 entries, but its other rows and its tails for one block
+    import fmzv.modp as modp
+
+    group = tuple(primes_in(10007, 10039))
     assert len(group) == 4
+    monkeypatch.setattr(modp, "BLOCK", 256)
     indices = [(5,), (1, 1, 3), (1, 2, 2), (1, 3, 1), (2, 1, 2), (2, 2, 1), (3, 1, 1)]
     trie = SuffixTrie(indices)
     trie.sweep(group)  # the walk built
@@ -699,3 +702,75 @@ def test_walk_carries_across_blocks(monkeypatch, block):
     assert walks >= 5 and on_end and in_first, (walks, on_end, in_first)
     # elements that end no pass take a dot product
     assert any(dot is not None for *_, dot in trie._ops)
+
+
+def _tail_reads(trie):
+    # the depth of the tail that each pass past the innermost, and each dot
+    # product, multiplies by its row, in the order of one block of the walk
+    depths = []
+    for kept, parts, _, _, dot in trie._ops:
+        depth = kept
+        for _ in parts:
+            if depth:
+                depths.append(depth)
+            depth += 1
+        if dot is not None:
+            depths.append(depth)
+    return depths
+
+
+@pytest.mark.parametrize("size", [1, 4, 11, 16])
+def test_tails_are_reduced_past_a_bit_bound(monkeypatch, size):
+    # A pass adds at most bits(P) for its row and bits(N) for its N summands
+    # to the bits of the tail it reads, and reduces its own tail mod P only
+    # where that bound would pass the limit: TAIL_BITS, or bits(P) + grow
+    # where that is larger, so that no two depths in a row are reduced; a
+    # walk whose P fits one 30-bit digit takes bits(P) + grow alone, and
+    # reduces exactly the tails of even depth.  Either way each lane reads the same values, reduced mod its prime.
+    # Groups of 1 and 4 primes from 10007 and of 11 and 16 from 1009 span 1,
+    # 2, 4 and 6 digits, over 4 blocks, at depths up to 10, and 16 primes
+    # take the larger limit.
+    import fmzv.modp as modp
+
+    group = tuple(primes_in(*((10007, 10200) if size <= 4 else (1009, 1200)))[:size])
+    bits = math.prod(group).bit_length()
+    entries = (group[-1] + 1) // 2
+    grow = bits + entries.bit_length()
+    monkeypatch.setattr(modp, "BLOCK", entries // 4 + 1)
+    sizes = [entries * b // 4 - entries * (b - 1) // 4 for b in range(1, 5)]
+    # odd parts only, so that no row is a product of two rows and each
+    # multiplication of the walk is by a tail's entry
+    rng = random.Random(20 + size)
+    parts = [1, 3, 5, 33, *group, *(2 * (q - 1) + 3 for q in group)]
+    indices = [tuple(rng.choice(parts) for _ in range(depth)) for depth in range(1, 11) for _ in range(2)]
+    trie = SuffixTrie(indices)
+    trie.sweep(group)  # the walk built
+    seen = []
+    with monkeypatch.context() as m:
+        m.setattr(modp, "mul", lambda row, entry: seen.append(entry) or row * entry)
+        lanes = trie._walk(group)
+    reads = _tail_reads(trie)
+    assert len(seen) == entries * len(reads) and max(reads) >= 8
+    entry = iter(seen)
+    tops = dict.fromkeys(reads, 0)  # the most bits of a tail of each depth
+    for block in sizes:
+        for depth in reads:
+            tops[depth] = max(tops[depth], max(islice(entry, block)).bit_length())
+    limit = bits + grow if bits <= 30 else max(modp.TAIL_BITS, bits + grow)
+    assert (limit > modp.TAIL_BITS) == (size == 16)
+    bound, reduced = 0, set()
+    for depth in range(1, max(reads) + 1):
+        bound += grow
+        if bound > limit:
+            reduced.add(depth)
+            bound = bits
+    assert bits > 30 or reduced == set(range(2, max(reads) + 1, 2))
+    # a tail is below P exactly where its pass reduced it, and no wider
+    # than the limit anywhere
+    assert {d for d in tops if d and tops[d] <= bits} == reduced, (group, tops)
+    assert max(tops.values()) <= limit, (group, tops)
+    # the every-second-depth schedule, forced at any width
+    monkeypatch.setattr(modp, "TAIL_BITS", bits + grow)
+    assert trie._walk(group) == lanes
+    for q, values in zip(group, lanes):
+        assert all(0 <= v < q for v in values), q
