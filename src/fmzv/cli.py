@@ -18,7 +18,7 @@ import os
 import sys
 
 from .indices import format_index, hoffman_dual, parse_index
-from .modp import EngineFault, bernoulli_mod_p, primes_in, residues
+from .modp import EngineFault, bernoulli_mod_p, primes_in, residues, usable_cpus
 from .suite import run_battery
 from .verify import CHECKS, CheckReport, check
 
@@ -152,9 +152,10 @@ def _add_numeric_opts(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--primes", metavar="LO:HI", help="prime window, inclusive")
     parser.add_argument("--floor", type=int, help="override the pass/fail floor")
     parser.add_argument(
-        "--jobs", type=int, default=os.cpu_count() or 1,
-        help="parallel workers across primes (default: available cores); checks "
-        "too light to pay for starting workers run serially",
+        "--jobs", type=int, default=usable_cpus(),
+        help="parallel workers, one group of consecutive primes a task (default: "
+        "usable CPUs); a window of one group, or whose walks still missing from the "
+        "store are too light to pay for starting workers, runs in-process",
     )
     _add_output_opts(parser)
 
@@ -201,9 +202,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_suite.add_argument(
         "--jobs", type=int, default=1,
         help="parallel workers per step (default: 1); each numeric step fills the "
-        "store once for all its checks, and starts workers only when the sweep work "
-        "still missing from the store pays for it; pooled steps leave their residues "
-        "for later ones",
+        "store once for all its checks, and starts workers only when its window holds "
+        "several groups of primes whose sweep work still missing from the store pays "
+        "for them; pooled steps leave their residues for later ones",
     )
     p_suite.add_argument("--format", choices=("table", "json"), default="table")
     p_suite.add_argument("--output", metavar="PATH")

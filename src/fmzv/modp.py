@@ -40,8 +40,8 @@ every row and tail is exact modulo q_i; what a lane holds above that is
 never read.  A pass gives the lane of q_i its entry (q_i + 1)/2, and each
 dot product is one running sum, broken there for each prime of the group.
 A Python integer of d 30-bit digits costs far less to handle than d
-integers of one digit (see _cost), so a group of G primes costs less than
-G walks, and far less at small primes, where several fit one digit.
+integers of one digit, so a group of G primes costs less than G walks,
+and far less at small primes, where several fit one digit.
 Groups hold at most ``GROUP_PRIMES`` primes and rows of at most
 ``GROUP_BITS`` bits, which bounds the digit width of a walk's integers; 4
 consecutive primes below about 10^5 make one group.
@@ -81,12 +81,11 @@ window: it yields each prime's residue memo once the store holds what the
 batch reads there.  The trie is walked only for the indices whose residues
 are missing, a group of primes at a time, so large verification batteries
 share almost all of their arithmetic.  The group is also the pool's unit
-of work: each task is a group of at most a worker's share of the primes.
-When the workers, walking those groups side by side, would finish what is
-missing at least ``POOL_MIN_MULTS`` sooner than the in-process walks, the
-primes are filled by the pool instead, and the residues and Bernoulli
-values of each task are merged into the parent's store as they arrive, so
-they outlive the worker.
+of work, since one walk cannot be split: a window of one group is walked
+in-process, and a window of several is filled by a pool of workers, one
+group a task, when its cold work reaches ``POOL_MIN_MULTS``.  The residues
+and Bernoulli values of each task are merged into the parent's store as
+they arrive, so they outlive the worker.
 """
 
 from __future__ import annotations
@@ -119,14 +118,11 @@ GROUP_BITS = 7_000_000
 # The most entries of a walk's block, whose rows and tails live while it is
 # walked (see SuffixTrie._walk).  On a 2-vCPU host the walk of ohno (3),
 # n = 2 over 95191 .. 95219 (47.6k entries) peaked under tracemalloc at
-# 2.50, 2.87, 3.65 and 5.21 MB with blocks of 1024, 2048, 4096 and 8192
-# (2.48, 2.84, 3.59 and 5.08 MB with every second tail reduced), and row 1
-# alone takes 2.09 MB.  The 69 walks of a seed-1 checks-large-p pass took
-# the same time with each of the four (medians 3.2-3.4 s over 7
-# interleaved rounds, within the host's noise), but the checks-large-p
-# benchmark's peak RSS read medians of 29.25, 28.98 and 28.71 MB with
-# 4096, 3072 and 2048, against 28.70 MB for 4096 with every second tail
-# reduced.
+# 2.50, 2.87, 3.65 and 5.21 MB with blocks of 1024, 2048, 4096 and 8192,
+# and row 1 alone takes 2.09 MB.  On the checks-large-p benchmark, whose
+# walks all run in the parent, 1024 against 2048 read a peak RSS of
+# 27.96-28.23 MB against 28.33-29.02 MB over 6 alternating pairs, but made
+# the raw pass walls longer in 5 of them, by a median 0.18 s of 4.7 s.
 BLOCK = 2048
 # The most bits of a tail's entries that a walk leaves unreduced while P
 # takes more than one 30-bit digit (see SuffixTrie._walk).  Reducing an
@@ -140,13 +136,15 @@ BLOCK = 2048
 # --index 1,1,1,1,1,1 --n 6 --primes 10007:10100``, a walk of 11 primes
 # (154 bits), take 2.31 s against 1.95 s (medians of 4 fresh processes).
 TAIL_BITS = 300
-# The start cost of a pool, in multiplications modulo one prime (see
-# _cost): a window is filled by pool workers only when their walks finish
-# at least this much sooner than the in-process walks, whatever ``jobs``
-# says.  On a 2-vCPU host, starting and tearing down a 2-worker pool took
-# 13-19 ms, and one unit of _cost took about 95 ns; the cold checks of
-# windows at p <= 500 save at most 8e4 and stay in-process.
-POOL_MIN_MULTS = 150_000
+# The cold work (see _cold_work), in walk entries times passes and dot
+# products, from which a window of several groups is filled by a pool,
+# whatever ``jobs`` says.  On a 2-vCPU host, 32 requests of 7 checks over
+# windows of 4 to 27 groups from 5:300 to 5:3000 took, with --jobs 2 and
+# the pool forced, 1.1-2.7 times their --jobs 1 wall below 9e4 units and
+# 0.57-0.96 times it above 1.4e5, but once (medians of 5 to 7 alternating
+# fresh processes): the two cross near 1e5.  A cold request of the windows
+# at p <= 500 of the small-p benchmark does at most 5.4e4.
+POOL_MIN_MULTS = 100_000
 
 class EngineFault(RuntimeError):
     """The evaluator contradicted itself or an independent oracle: a bug in
@@ -494,16 +492,16 @@ def _fill_group(trie: SuffixTrie, group: Sequence[int]) -> list[dict]:
     return memos
 
 
-def _groups(primes: Sequence[int], most: int = GROUP_PRIMES) -> list[tuple[int, ...]]:
-    # ``primes`` cut, in order, into runs swept together: at most ``most``
-    # primes, and a row of at most GROUP_BITS bits, q_G entries of the summed
-    # bit lengths of the group's primes, which bound that of P.
+def _groups(primes: Sequence[int]) -> list[tuple[int, ...]]:
+    # ``primes`` cut, in order, into runs swept together: at most
+    # GROUP_PRIMES primes, and a row of at most GROUP_BITS bits, q_G entries
+    # of the summed bit lengths of the group's primes, which bound that of P.
     groups: list[tuple[int, ...]] = []
     group: list[int] = []
     bits = 0
     for p in primes:
         bits += p.bit_length()
-        if group and (len(group) == most or bits * p > GROUP_BITS):
+        if group and (len(group) == GROUP_PRIMES or bits * p > GROUP_BITS):
             groups.append(tuple(group))
             group, bits = [], p.bit_length()
         group.append(p)
@@ -512,59 +510,26 @@ def _groups(primes: Sequence[int], most: int = GROUP_PRIMES) -> list[tuple[int, 
     return groups
 
 
-def _cost(group: Sequence[int], units: int, parts: int) -> int:
-    # The time of one walk over ``group``, in multiplications modulo one
-    # prime: (q_G + 1) / 2 entries, the lower half of its largest prime,
-    # times its ``units`` passes and dot products, plus its half rows, each
-    # of the ``parts`` other than 1 about two passes and row 1 (the
-    # interpreted inverse recurrence) about three.  A step costs as much as
-    # modulo one prime while the summed bit lengths of the group's primes
-    # fit one 30-bit digit of a Python integer, and (14 + 3d) / 10 as much
-    # when they take d > 1 digits (timed walks on a 2-vCPU host, over one
-    # digit: 1.9 at d = 2, 2.3 at 3, 2.5 at 4 and 2.8-4.1 at 6-8).
-    digits = -(-sum(map(int.bit_length, group)) // 30)
-    width = 10 if digits == 1 else 14 + 3 * digits
-    return (group[-1] + 1) // 2 * (units + 2 * parts + 3) * width // 10
-
-
-def _walk_size(indices: Iterable[tuple[int, ...]]) -> tuple[int, int]:
-    # the passes and dot products of the walk of J, one pass per distinct
-    # proper suffix of its elements and one dot product per element that is
-    # no proper suffix, so one unit per element of J, and the distinct parts
-    # other than 1, that _cost charges
-    indices = list(indices)
-    return len(_closure(indices)), len({part for k in indices for part in k} - {1})
-
-
-def _pool_pays(
-    indices: Sequence[tuple[int, ...]],
-    groups: list[tuple[int, ...]],
-    tasks: list[tuple[int, ...]],
-    workers: int,
-) -> bool:
-    # Whether ``workers`` pool workers fill what is missing at least
-    # POOL_MIN_MULTS sooner than the in-process walks: those walk ``groups``
-    # one after another, while each of ``tasks`` goes, in order, to the worker
-    # free first.  A walk covers the indices missing at any prime of its group
-    # whose depth is below its largest, priced by _cost.  The store is only
-    # read, so no prime moves in its order.  The cold in-process work, every
-    # index at every group, bounds the saving, and a window lighter than that
-    # is settled without reading the store.
-    size = _walk_size(indices)
-    if sum(_cost(g, *size) for g in groups) < POOL_MIN_MULTS:
-        return False
-
-    def cost(g: tuple[int, ...]) -> int:
+def _cold_work(indices: Sequence[tuple[int, ...]], groups: list[tuple[int, ...]]) -> int:
+    # The work of the walks that would fill what is missing from the store:
+    # for each group with an index missing at one of its primes and of depth
+    # below its largest, the entries of the walk, (q_G + 1) / 2, times the
+    # elements of J of those indices, one pass or dot product each.  The
+    # store is only read, so no prime moves in its order.
+    work = 0
+    for g in groups:
         memos = [_store[q][0] if q in _store else {} for q in g]
         missing = [k for k in indices if len(k) < g[-1] and any(k not in memo for memo in memos)]
-        if not missing:
-            return 0
-        return _cost(g, *(size if len(missing) == len(indices) else _walk_size(missing)))
+        work += (g[-1] + 1) // 2 * len(_closure(missing))
+    return work
 
-    finish = [0] * workers
-    for g in tasks:
-        finish[finish.index(min(finish))] += cost(g)
-    return sum(map(cost, groups)) - max(finish) >= POOL_MIN_MULTS
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its CPU affinity where the platform
+    reports one, else the machine's CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _fill(trie: SuffixTrie, ws: list[int], group: tuple[int, ...]) -> list[tuple[list, list]]:
@@ -598,25 +563,23 @@ def residues(
     at p of every index of ``indices`` and B_(p-w) for each w of ``ws``
     where it is defined, p >= w + 2.
 
-    What is missing is swept in-process, a group of consecutive primes in
-    one walk, unless more than one worker is allowed (at most ``jobs``, and
-    never more than the primes or the cores) and the workers, each handed
-    in turn a group of at most a worker's share of the primes, would
-    finish at least :data:`POOL_MIN_MULTS` sooner.  Then the pool fills
-    those groups, and each prime's results are merged into the store as
-    they arrive.  Close the generator (``contextlib.closing``) to shut such
-    a pool down early.
+    What is missing is swept a group of consecutive primes in one walk.
+    A window of several groups, with more than one worker allowed (at most
+    ``jobs``, and never more than the groups or the usable CPUs), whose
+    cold work reaches :data:`POOL_MIN_MULTS` is filled by a pool, one group
+    a task, and each prime's results are merged into the store as they
+    arrive; otherwise the walks run in-process.  Close the generator
+    (``contextlib.closing``) to shut such a pool down early.
     """
     trie = SuffixTrie(indices)
     ws = sorted(set(ws))
     groups = _groups(primes)
-    # more workers than primes or cores only add start-up cost: under the
+    # more workers than groups or CPUs only add start-up cost: under the
     # fork start method every requested worker is launched at once
-    workers = min(jobs, len(primes), os.cpu_count() or 1)
-    tasks = _groups(primes, min(len(primes) // workers, GROUP_PRIMES)) if workers > 1 else []
-    if tasks and _pool_pays(trie.indices, groups, tasks, workers):
+    workers = min(jobs, len(groups), usable_cpus())
+    if workers > 1 and _cold_work(trie.indices, groups) >= POOL_MIN_MULTS:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for group, filled in zip(tasks, pool.map(partial(_fill, trie, ws), tasks)):
+            for group, filled in zip(groups, pool.map(partial(_fill, trie, ws), groups)):
                 for p, (got, bs) in zip(group, filled):
                     yield p, _merge(p, zip(trie.indices, got), bs)
     else:

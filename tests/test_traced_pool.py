@@ -1,6 +1,7 @@
 """The benchmark tracer's fork-worker path, run through real pool workers.
 
-Light checks run in-process, so the pool is forced here: the tracer must
+Light checks run in-process, so the pool is forced here, on a window of two
+groups of primes, since a window of one group never pools: the tracer must
 reset itself in each fork-started worker, spool the worker's spans when it
 exits, and merge them into the parent's trace.
 """
@@ -23,16 +24,16 @@ tracer = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(tracer)
 
 pytestmark = pytest.mark.skipif(
-    (os.cpu_count() or 1) < 2 or multiprocessing.get_start_method() != "fork",
-    reason="needs two cores and fork-started workers",
+    modp.usable_cpus() < 2 or multiprocessing.get_start_method() != "fork",
+    reason="needs two usable CPUs and fork-started workers",
 )
 
 
 def test_worker_spans_reach_the_parent(monkeypatch, tmp_path):
     monkeypatch.setattr(modp, "POOL_MIN_MULTS", 0)
     requests = [
-        ["check", "homogeneous", "--a", "3", "--r", "2", "--primes", "5:60"],
-        ["check", "stuffle", "--w", "y", "--wp", "xy", "--primes", "5:60"],
+        ["check", "homogeneous", "--a", "3", "--r", "2", "--primes", "5:80"],
+        ["check", "stuffle", "--w", "y", "--wp", "xy", "--primes", "5:80"],
     ]
     serial = []
     for i, argv in enumerate(requests):
@@ -60,8 +61,8 @@ def test_worker_spans_reach_the_parent(monkeypatch, tmp_path):
     assert metrics["verify.pool_starts"] == 2
     assert not list(spool.iterdir())
     tables = [s for s in trace["spans"] if s[0] == "modp.inverse_table"]
-    # each check builds the inverse row of every group once, in a worker:
-    # 15 primes, 7 a worker, so groups of 7, 7 and 1
+    # each check builds the inverse row of each of its window's groups
+    # once, in a worker: 20 primes, in groups of 16 and 4
     assert all(s[4] != os.getpid() for s in tables)
-    assert len(primes_in(5, 60)) == 15
-    assert len(tables) == metrics["modp.inverse_table.calls"] == 2 * 3
+    assert [len(g) for g in modp._groups(primes_in(5, 80))] == [16, 4]
+    assert len(tables) == metrics["modp.inverse_table.calls"] == 2 * 2

@@ -1,5 +1,4 @@
 import multiprocessing
-import os
 from collections import Counter
 
 import pytest
@@ -292,22 +291,28 @@ def test_determinism():
 
 
 def test_parallel_matches_serial(monkeypatch):
-    # checks this light run serially unless the pool is forced
+    # checks this light run serially unless the pool is forced; 5:80 is two
+    # groups of primes, 16 and 4, so a pool starts
     monkeypatch.setattr(fmzv.modp, "POOL_MIN_MULTS", 0)
     serial = check("ohno", Index((2, 1)), 2, window=(5, 80), jobs=1)
     parallel = check("ohno", Index((2, 1)), 2, window=(5, 80), jobs=2)
     assert serial.results == parallel.results
     assert parallel.passed
     # a polynomial-carrying evaluator must survive the worker round trip too
-    s = check("stuffle", "y", "xy", window=(5, 60), jobs=1)
-    p = check("stuffle", "y", "xy", window=(5, 60), jobs=2)
+    s = check("stuffle", "y", "xy", window=(5, 80), jobs=1)
+    p = check("stuffle", "y", "xy", window=(5, 80), jobs=2)
     assert s.results == p.results
+
+
+def cold_store(monkeypatch):
+    monkeypatch.setattr(fmzv.modp, "_store", {})
+    monkeypatch.setattr(fmzv.modp, "_store_size", 0)
 
 
 @pytest.fixture
 def recorded_pools(monkeypatch):
-    """Replaces the process pool by an in-process fake on 4 fake cores and
-    returns the list of max_workers of the pools started."""
+    """Replaces the process pool by an in-process fake on 4 fake usable CPUs
+    and returns the list of max_workers of the pools started."""
     started = []
 
     class RecordingPool:
@@ -324,57 +329,67 @@ def recorded_pools(monkeypatch):
             return map(fn, items)
 
     monkeypatch.setattr(fmzv.modp, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(fmzv.modp.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(fmzv.modp.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
     return started
 
 
-def test_pool_never_exceeds_cores_or_primes(monkeypatch, recorded_pools):
+def test_pool_never_exceeds_cpus_or_groups(monkeypatch, recorded_pools):
     started = recorded_pools
     # every check is heavy enough for a pool here; only the caps apply
     monkeypatch.setattr(fmzv.modp, "POOL_MIN_MULTS", 0)
-    serial = check("ohno", Index((2, 1)), 1, window=(5, 80), jobs=1).results
+    primes = fmzv.verify.primes_in
+    assert [len(g) for g in fmzv.modp._groups(primes(5, 400))] == [16, 16, 16, 16, 12]
+    assert [len(g) for g in fmzv.modp._groups(primes(5, 200))] == [16, 16, 12]
+    assert [len(g) for g in fmzv.modp._groups(primes(5, 60))] == [15]
+    serial = check("ohno", Index((2, 1)), 1, window=(5, 400), jobs=1).results
     for jobs, window, expect in [
-        (5000, (5, 80), [4]),    # capped by the cores
-        (5000, (5, 12), [3]),    # capped by the primes 5, 7, 11
-        (5000, (11, 11), []),    # one prime: serial, no pool
-        (3, (5, 80), [3]),
-        (1, (5, 80), []),
+        (5000, (5, 400), [4]),   # capped by the CPUs
+        (5000, (5, 200), [3]),   # capped by the groups
+        (5000, (5, 60), []),     # one group: in-process
+        (5000, (11, 11), []),    # one prime
+        (3, (5, 400), [3]),
+        (1, (5, 400), []),
     ]:
         started.clear()
         rep = check("ohno", Index((2, 1)), 1, window=window, jobs=jobs)
         assert started == expect, (jobs, window)
         assert rep.results == [r for r in serial if window[0] <= r.p <= window[1]]
-    monkeypatch.setattr(fmzv.modp.os, "cpu_count", lambda: None)
-    started.clear()
-    check("ohno", Index((2, 1)), 1, window=(5, 80), jobs=5000)
-    assert started == []
+    # the CPUs are those of the process's affinity, else the machine's count
+    for affinity, count, expect in [({0}, 4, []), (None, 3, [3]), (None, None, [])]:
+        if affinity is None:
+            monkeypatch.delattr(fmzv.modp.os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(fmzv.modp.os, "sched_getaffinity", lambda pid: affinity)
+        monkeypatch.setattr(fmzv.modp.os, "cpu_count", lambda: count)
+        started.clear()
+        check("ohno", Index((2, 1)), 1, window=(5, 400), jobs=5000)
+        assert started == expect, (affinity, count)
 
 
-def test_pool_tasks_are_groups_of_a_share(monkeypatch, recorded_pools):
-    # cold, 2 workers on 4 primes near 10^5: one in-process walk of the
-    # four costs more than the pool's start beyond two side by side of two
-    # primes each, so the pool starts and gets two 2-prime tasks
-    window = (95191, 95219)
+def test_pool_tasks_are_the_windows_groups(monkeypatch, recorded_pools):
+    # one walk cannot be split, so a window of one group is walked
+    # in-process however many jobs and however low the threshold; each group
+    # of a window of several is one pool task
     tasks = []
     fill = fmzv.modp._fill
     monkeypatch.setattr(
         fmzv.modp, "_fill", lambda trie, ws, group: tasks.append(group) or fill(trie, ws, group)
     )
-
-    def cold():
-        monkeypatch.setattr(fmzv.modp, "_store", {})
-        monkeypatch.setattr(fmzv.modp, "_store_size", 0)
-
-    cold()
-    pooled = check("ohno", Index((3,)), 2, window=window, jobs=2).results
-    assert recorded_pools == [2] and [len(t) for t in tasks] == [2, 2]
-    cold()
-    assert check("ohno", Index((3,)), 2, window=window, jobs=1).results == pooled
+    monkeypatch.setattr(fmzv.modp, "POOL_MIN_MULTS", 0)
+    for window, expect in [((95191, 95219), []), ((5, 400), [4])]:
+        cold_store(monkeypatch)
+        serial = check("ohno", Index((3,)), 2, window=window, jobs=1).results
+        cold_store(monkeypatch)
+        recorded_pools.clear()
+        tasks.clear()
+        assert check("ohno", Index((3,)), 2, window=window, jobs=5000).results == serial
+        assert recorded_pools == expect, window
+        assert tasks == (fmzv.modp._groups(fmzv.verify.primes_in(*window)) if expect else [])
 
 
 def test_pool_only_for_heavy_checks(monkeypatch, recorded_pools):
     started = recorded_pools
-    light, heavy = (5, 80), (5, 4000)
+    light, heavy = (5, 80), (5, 3000)
     k = Index((2, 1))
     filled = []
     fill = fmzv.verify.residues
@@ -388,50 +403,29 @@ def test_pool_only_for_heavy_checks(monkeypatch, recorded_pools):
     (indices,) = filled
     # ohno (2,1) at n=1 sums over (3,1), (2,2) and the duals' shifts
     assert sorted(indices) == [(1, 2, 1), (2, 1, 1), (2, 2), (3, 1)]
-
-    closure = {s for k in indices for i in range(len(k)) for s in (k[i:], k[: i + 1][::-1])}
-    units = len(closure)
-    parts = len({part for k in indices for part in k} - {1})
-
-    def cost(group):
-        # one walk of the plan's indices over a group of primes: (q_G + 1) / 2
-        # entries by the walk's units, one pass per distinct proper suffix
-        # and one dot product per element ending no pass, so one per element
-        # of J, the suffixes and reversed prefixes of the indices, plus two
-        # for each part but 1 and three for row 1, by 1 while the summed bit
-        # lengths of the group's primes fit one 30-bit digit and by
-        # (14 + 3d) / 10 when they take d digits
-        digits = -(-sum(p.bit_length() for p in group) // 30)
-        width = 10 if digits == 1 else 14 + 3 * digits
-        return (group[-1] + 1) // 2 * (units + 2 * parts + 3) * width // 10
+    # J, every suffix and reversed prefix of the indices
+    units = len({s for k in indices for i in range(len(k)) for s in (k[i:], k[: i + 1][::-1])})
 
     def work(window, missing=None):
-        # how much sooner 4 workers fill the residues missing at the primes
-        # of ``missing`` (default: all of ``window``) than the in-process
-        # walks: those walk the window's groups one after another, the
-        # workers groups of a worker's share of its primes, each handed to
-        # the worker free first; a walk with no missing prime costs nothing
-        primes = fmzv.verify.primes_in(*window)
+        # the cold work of the window's groups that hold a prime of
+        # ``missing`` (default: all of ``window``): each walks (q_G + 1) / 2
+        # entries with one pass or dot product per element of J
+        groups = fmzv.modp._groups(fmzv.verify.primes_in(*window))
         wanted = set(fmzv.verify.primes_in(*(missing or window)))
+        return sum((g[-1] + 1) // 2 * units for g in groups if wanted & set(g))
 
-        def walks(groups):
-            return [cost(g) if wanted & set(g) else 0 for g in groups]
-
-        finish = [0] * 4
-        for c in walks(fmzv.modp._groups(primes, min(len(primes) // 4, 16))):
-            finish[finish.index(min(finish))] += c
-        return sum(walks(fmzv.modp._groups(primes))) - max(finish)
-
-    def cold():
-        monkeypatch.setattr(fmzv.modp, "_store", {})
-        monkeypatch.setattr(fmzv.modp, "_store_size", 0)
+    def warm_below(missing):
+        # a store that holds every residue of the check below ``missing``
+        cold_store(monkeypatch)
+        if missing:
+            check("ohno", k, 1, window=(5, missing[0] - 1), jobs=1)
+        started.clear()
 
     assert work(light) < fmzv.modp.POOL_MIN_MULTS <= work(heavy)
     for window, expect in [(light, []), (heavy, [4])]:
-        cold()
+        cold_store(monkeypatch)
         serial = check("ohno", k, 1, window=window, jobs=1).results
-        cold()
-        started.clear()
+        warm_below(None)
         assert check("ohno", k, 1, window=window, jobs=5000).results == serial
         assert started == expect, window
     # warm: every residue of the heavy check is memoized, so nothing is left
@@ -439,37 +433,17 @@ def test_pool_only_for_heavy_checks(monkeypatch, recorded_pools):
     started.clear()
     assert check("ohno", k, 1, window=heavy, jobs=5000).results == serial
     assert started == []
-    # partly warm: the residues below the heavy window's last group are
-    # memoized, so only that group's primes are missing; their work alone
-    # decides, whatever the cold work over the whole window is.  One worker
-    # would walk that group, so the pool saves nothing; with the last two
-    # groups missing, two workers walk them side by side
+    # the threshold itself: cold work equal to it pools, one unit less does
+    # not; partly warm, only the groups with a residue missing count
     groups = fmzv.modp._groups(fmzv.verify.primes_in(*heavy))
-
-    def partly_warm(missing):
-        cold()
-        check("ohno", k, 1, window=(5, missing[0] - 1), jobs=1)
-        started.clear()
-
-    last, last_two = (groups[-1][0], heavy[1]), (groups[-2][0], heavy[1])
-    assert work(heavy, last) == 0 < work(heavy, last_two) < fmzv.modp.POOL_MIN_MULTS
-    partly_warm(last)
-    assert check("ohno", k, 1, window=heavy, jobs=5000).results == serial
-    assert started == []
-    # the threshold itself: a saving equal to it pools, one less does not
-    for missing in (last, last_two):
-        for limit, expect in [(work(heavy, missing), [4]), (work(heavy, missing) + 1, [])]:
+    last_two = (groups[-2][0], heavy[1])
+    assert 0 < work(heavy, last_two) < work(heavy)
+    for window, missing, pool in [(light, None, [2]), (heavy, None, [4]), (heavy, last_two, [4])]:
+        for limit, expect in [(work(window, missing), pool), (work(window, missing) + 1, [])]:
             monkeypatch.setattr(fmzv.modp, "POOL_MIN_MULTS", limit)
-            partly_warm(missing)
-            assert check("ohno", k, 1, window=heavy, jobs=5000).results == serial
-            assert started == expect, (missing, limit)
-    # and cold
-    for limit, expect in [(work(light), [4]), (work(light) + 1, [])]:
-        monkeypatch.setattr(fmzv.modp, "POOL_MIN_MULTS", limit)
-        cold()
-        started.clear()
-        check("ohno", k, 1, window=light, jobs=5000)
-        assert started == expect, limit
+            warm_below(missing)
+            check("ohno", k, 1, window=window, jobs=5000)
+            assert started == expect, (window, missing, limit)
 
 
 def test_pool_shuts_down_when_pairing_raises(monkeypatch, recorded_pools):
@@ -491,8 +465,8 @@ def test_pool_shuts_down_when_pairing_raises(monkeypatch, recorded_pools):
 
 
 @pytest.mark.skipif(
-    (os.cpu_count() or 1) < 2 or multiprocessing.get_start_method() != "fork",
-    reason="needs two cores and fork-started workers",
+    fmzv.modp.usable_cpus() < 2 or multiprocessing.get_start_method() != "fork",
+    reason="needs two usable CPUs and fork-started workers",
 )
 def test_pooled_residues_come_home(monkeypatch, tmp_path):
     modp = fmzv.modp
@@ -507,20 +481,16 @@ def test_pooled_residues_come_home(monkeypatch, tmp_path):
     ]
     batch = [instance(name, values, window) for name, *values in requests]
     default = fmzv.modp.POOL_MIN_MULTS
-    # the ohno check alone is heavy enough to pool, cold: 2 workers, each
-    # handed in turn the next of the groups of its share of the primes,
-    # finish its walks at least ``default`` sooner than the in-process walks
+    # the ohno check alone is heavy enough to pool, cold: its window's
+    # groups walk (q_G + 1) / 2 entries each, with one pass or dot product
+    # per element of J, every suffix and reversed prefix of its indices
     ks = batch[0].plan.indices()
-    size = modp._walk_size(ks)
-    primes = modp.primes_in(*window)
-    finish = [0, 0]
-    for g in modp._groups(primes, min(len(primes) // 2, modp.GROUP_PRIMES)):
-        finish[finish.index(min(finish))] += modp._cost(g, *size)
-    assert sum(modp._cost(g, *size) for g in modp._groups(primes)) - max(finish) >= default
+    units = len({s for k in ks for i in range(len(k)) for s in (k[i:], k[i::-1])})
+    groups = modp._groups(modp.primes_in(*window))
+    assert len(groups) > 1 and sum((g[-1] + 1) // 2 * units for g in groups) >= default
 
     def cold():
-        monkeypatch.setattr(modp, "_store", {})
-        monkeypatch.setattr(modp, "_store_size", 0)
+        cold_store(monkeypatch)
 
     def run(argv, jobs):
         out = tmp_path / "out.json"
