@@ -52,14 +52,14 @@ def _emit(text: str, path: str | None) -> None:
 
 
 def _dump(doc: dict, rows: list[str]) -> str:
-    # json.dumps(doc, indent=2) + "\n", whose top-level "results" is a list
-    # given as ``rows``, each already rendered as json.dumps renders an item
-    # at that depth.  An indent makes json.dumps use its pure-Python encoder,
-    # so the rows, nearly all of a report, are formatted from one template
-    # instead, and only the rest of the document is dumped.  Strings escape
-    # their newlines, so a newline followed by two spaces only starts a key
-    # of the top level.
-    text = json.dumps({**doc, "results": None}, indent=2)
+    # json.dumps(doc, indent=2) + "\n", with the top-level "results", None
+    # in ``doc``, as the list ``rows``, each already rendered as json.dumps
+    # renders an item at that depth.  An indent makes json.dumps use its
+    # pure-Python encoder, so the rows, nearly all of a report, are formatted
+    # from one template instead, and only the rest of the document is
+    # dumped.  Strings escape their newlines, so a newline followed by two
+    # spaces only starts a key of the top level.
+    text = json.dumps(doc, indent=2)
     array = "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
     return text.replace('\n  "results": null', '\n  "results": ' + array, 1) + "\n"
 
@@ -69,11 +69,10 @@ _VALUE_ROW = '    {\n      "p": %d,\n      "value": %d\n    }'
 
 
 def render_json(report: CheckReport) -> str:
-    doc = report.to_json_dict()
     if report.mode == "symbolic":
-        return json.dumps(doc, indent=2) + "\n"
+        return json.dumps(report.to_json_dict(), indent=2) + "\n"
     rows = [_CHECK_ROW % (r.p, r.lhs, r.rhs, "true" if r.ok else "false") for r in report.results]
-    return _dump(doc, rows)
+    return _dump(report.to_json_dict(rows=False), rows)
 
 
 def render_csv(report: CheckReport) -> str:

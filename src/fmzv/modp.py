@@ -48,20 +48,26 @@ consecutive primes below about 10^5 make one group.
 
 Each pass, and each inverse-power row it reads, is built from C-level
 iterators (``map``, ``itertools.accumulate``) rather than an interpreted
-loop over m.  The innermost pass sums its row alone, and a pass reduces
-its tail mod P only where the tail's entries could otherwise pass
-``TAIL_BITS`` bits, each pass adding at most the bits of P and of the
-walk's length to those of the tail it reads, and never two depths in a
-row: a lane needs its residue mod q_i alone, which a reduction mod P at
-any depth keeps, and each lane's value is reduced once, mod q_i.  While P
-fits one 30-bit digit every second pass reduces, so that the dot products
-over the reduced tails stay on ``sum``'s machine-word path.  Rows cover
-the lower half of q_G only.  Row 1 comes from the recurrence of the
-inverses, whose modulus drops each prime of the group once m passes its
-half; row e is the product of two rows already built, and a power of row 1
-only when there are none.  A lone prime is a group of one, with no case of
-its own: its rows hold the true powers mod p, as a group's do mod P.  The
-walk runs over m in equal blocks of at most ``BLOCK`` entries.  Only row 1
+loop over m.  The innermost pass sums its row alone.  Rows cover the lower
+half of q_G only.  Row 1 comes from the recurrence of the inverses, whose
+modulus drops each prime of the group once m passes its half; row e is the
+product of two rows already built, and a power of row 1 only when there
+are none.  A lane needs its residue mod q_i alone, which a reduction mod P
+at any point keeps, and each lane's value is reduced once, mod q_i; a
+reduction mod P is a long division, dearer than the product it shrinks,
+so a walk reduces a row or tail only past one bit bound.  Each of its
+arrays has a width, the bits its entries stay below: row e has e bits(P)
+unreduced and bits(P) reduced, and a pass adds the width of its row and
+the bits of the walk's length to the width of the tail it reads.  Row e
+is left unreduced where a pass over it from a tail reduced mod P stays
+within the limit, and a pass reduces its tail mod P where the tail would
+pass it.  The limit is ``TAIL_BITS``, or what a pass over a reduced row
+from a reduced tail needs where that is more, so no two depths in a row
+are reduced.  While P fits one 30-bit digit the limit is the latter alone:
+every row is reduced, and so is the tail of every second depth, which keeps
+the dot products over those tails on ``sum``'s machine-word path; so a
+lone prime, a group of one with no case of its own, has the true powers
+mod p in its rows.  The walk runs over m in equal blocks of at most ``BLOCK`` entries.  Only row 1
 spans the range, since its recurrence reads earlier entries anywhere below
 m; every other row and every tail lives for one block, each pass and dot
 product carrying its running sum into the next.  So a walk holds row 1 and
@@ -93,7 +99,7 @@ from __future__ import annotations
 import math
 import os
 from bisect import bisect_right
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Container, Iterable, Iterator, Mapping, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from itertools import accumulate, chain, compress, filterfalse, islice, repeat
@@ -124,17 +130,21 @@ GROUP_BITS = 7_000_000
 # 27.96-28.23 MB against 28.33-29.02 MB over 6 alternating pairs, but made
 # the raw pass walls longer in 5 of them, by a median 0.18 s of 4.7 s.
 BLOCK = 2048
-# The most bits of a tail's entries that a walk leaves unreduced while P
-# takes more than one 30-bit digit (see SuffixTrie._walk).  Reducing an
-# entry mod P is a long division by every digit of P, which costs more than
-# the wider products and sums it saves: on a 2-vCPU host the 69 walks of a
-# seed-1 checks-large-p pass, whose groups of 4 primes give P of 56 to 68
-# bits, took a median 3.71, 3.02, 2.98, 2.95 and 3.05 s over 7 interleaved
-# rounds with limits of 150, 200, 300, 400 and 600 bits.  A P of more than
-# about 140 bits takes 300 bits a pass past a reduced tail, and is reduced
-# every second depth, not every depth: every depth made ``fmzv check ohno
-# --index 1,1,1,1,1,1 --n 6 --primes 10007:10100``, a walk of 11 primes
-# (154 bits), take 2.31 s against 1.95 s (medians of 4 fresh processes).
+# The most bits of the entries of a walk's rows and tails that it leaves
+# unreduced while P takes more than one 30-bit digit (see SuffixTrie._walk):
+# row e stays an unreduced product, of e bits(P), where a pass over it from
+# a tail reduced mod P stays within this limit, and a pass reduces its tail
+# mod P where the tail would pass it.  Reducing an entry mod P is a long
+# division by every digit of P, which costs more than the wider products
+# and sums it saves: on a 2-vCPU host, while every row was reduced, the 69
+# walks of a seed-1 checks-large-p pass, whose groups of 4 primes give P of
+# 56 to 68 bits, took a median 3.71, 3.02, 2.98, 2.95 and 3.05 s over 7
+# interleaved rounds with limits of 150, 200, 300, 400 and 600 bits.  A P
+# of more than about 140 bits takes 300 bits a pass past a reduced tail,
+# and is reduced every second depth, not every depth: every depth made
+# ``fmzv check ohno --index 1,1,1,1,1,1 --n 6 --primes 10007:10100``, a
+# walk of 11 primes (154 bits), take 2.31 s against 1.95 s (medians of 4
+# fresh processes).
 TAIL_BITS = 300
 # The cold work (see _cold_work), in walk entries times passes and dot
 # products, from which a window of several groups is filled by a pool,
@@ -232,7 +242,13 @@ def inverse_table(*group: int) -> list[int]:
     of it.  Every prime of M exceeds m > M % m, so M % m is a unit filled
     first, and an inverse modulo a multiple of M is one modulo M.  The
     primes are not checked here: they come from the sieve or have passed
-    ensure_prime."""
+    ensure_prime.
+
+    The recurrence stays an interpreted loop because the alternatives
+    measured cost more: on a 2-vCPU host, over the 4 primes 95191 .. 95219,
+    the C-level ``map(pow, ms, repeat(-1), repeat(P))`` took 54-84 ms
+    against 20-36 ms for the loop, and the loop with ``divmod`` unpacked
+    took 1.09 to 1.14 times as long in interleaved rounds."""
     inv = [0] * ((group[-1] + 1) // 2)
     lo = 2
     if len(inv) > 1:
@@ -245,20 +261,29 @@ def inverse_table(*group: int) -> list[int]:
     return inv
 
 
-def _rows(parts: Iterable[int], inv: list[int], modulus: int) -> dict[int, list[int]]:
+def _rows(
+    parts: Iterable[int], inv: list[int], modulus: int, wide: Container[int] = ()
+) -> dict[int, list[int]]:
     # part -> the row m^(-part) over one block of a walk, and row 1 in any
-    # case, from ``inv``, row 1's slice for that block.  Rows hold the true
-    # powers modulo ``modulus``, the product P of the group's primes, a lone
-    # prime being a group of one.  Row e is the product of two rows already
-    # built whose exponents sum to e, and a power of row 1 only when there
-    # are none.
+    # case, from ``inv``, row 1's slice for that block.  Row e is the
+    # product of two rows already built whose exponents sum to e, and a
+    # power of row 1 only when there are none.  It holds the true powers
+    # modulo ``modulus``, the product P of the group's primes (a lone prime
+    # being a group of one), unless e is in ``wide``: then the product or
+    # power is left unreduced, a long division saved, and its entries stay
+    # below P^e.  The walk makes row e wide exactly where a pass over it from
+    # a tail reduced mod P stays within its limit (see SuffixTrie._walk).
+    # Either way row e is m^(-e) modulo each prime of the group.
     held = {1: inv}
     for e in sorted(set(parts) - {1}):
         a = next((a for a in held if e - a in held), None)
-        if a is None:
-            held[e] = list(map(pow, inv, repeat(e), repeat(modulus)))
+        if a is not None:
+            row = map(mul, held[a], held[e - a])
+            held[e] = list(row) if e in wide else list(map(mod, row, repeat(modulus)))
+        elif e in wide:
+            held[e] = list(map(pow, inv, repeat(e)))
         else:
-            held[e] = list(map(mod, map(mul, held[a], held[e - a]), repeat(modulus)))
+            held[e] = list(map(pow, inv, repeat(e), repeat(modulus)))
     return held
 
 
@@ -345,15 +370,19 @@ class SuffixTrie:
         # in walk order.
         at = {(): 0}
         at.update((s, j) for j, (_, s) in enumerate(walk, 1))
+        # _passes lists each pass as (its slot, the slot of the tail it
+        # reads, its part), in walk order; the empty tail's slot is 0.
         passed = {inner for inner, _ in walk}
-        ops = []
+        ops, passes = [], []
         last: tuple = ()
         for inner, s in walk:
             kept = len(os.path.commonprefix([last, inner]))
             slots = tuple(at[inner[i::-1]] for i in range(kept, len(inner)))
             ops.append((kept, inner[kept:], s, slots, None if s[::-1] in passed else at[s]))
+            passes += zip(slots, (at[inner[:i][::-1]] for i in range(kept, len(inner))), inner[kept:])
             last = inner
         self._ops = ops
+        self._passes = passes
         self._parts = {part for k in self.indices for part in k}
         # An element's sign as a reversed prefix is (-1) to its weight.  The
         # recipes are flattened: term t multiplies the signed value at
@@ -398,32 +427,40 @@ class SuffixTrie:
         # at most BLOCK; a block's rows and tails live while it is walked.
         # Every row starts with row[0] = 0, so the m = 0 term of every pass
         # vanishes; one tail per depth, the empty suffix's first.  The
-        # innermost pass sums its row alone.  A tail's entries stay below
-        # 2^b for a bound b that depends on its depth alone: 0 for the empty
-        # tail, whose entries are 1, and each pass adds ``grow``, bits(P)
-        # for its row, whose entries are below P, and bits(N) for its at
-        # most N summands, N the entries of the walk.  reduced[d] says
-        # whether the pass that builds a tail of depth d reduces it mod P,
-        # which brings b back to bits(P): it does where b would pass the
-        # limit, at least bits(P) + grow, the bound a pass past a reduced
-        # tail gives, so that no two depths in a row are reduced.  While P
-        # fits one 30-bit digit the limit is that alone, and the tails of
-        # even depth are reduced; a wider P takes TAIL_BITS where that is
-        # larger.  Each lane's value is reduced once, mod q.  The tail of a
-        # block [lo, hi) holds the entries lo .. hi of the whole tail:
-        # it starts at its carry, the entry lo its pass left in the block
-        # before, and each dot product carries its running sum the same
-        # way.  A tail of s holds H_L(s) in lane q at entry (q + 1) / 2,
-        # read in the block whose entries lo < (q + 1) / 2 <= hi hold it,
-        # and a dot product runs over the entries below it.
-        bits = modulus.bit_length()
-        grow = bits + len(inv).bit_length()
+        # innermost pass sums its row alone.  Each row and tail has a width,
+        # the bits its entries stay below.  Row e has e * bits(P) where
+        # e * bits(P) + grow stays within the limit, grow = bits(P) +
+        # bits(N), N the entries of the walk, and is left unreduced there
+        # (see _rows); elsewhere it is reduced mod P, to bits(P).  A pass
+        # adds the width of its row, and bits(N) for its at most N summands,
+        # to the width of the tail it reads (0 for the empty tail, whose
+        # entries are 1), and reduces its tail mod P, back to bits(P), where
+        # the sum passes the limit.  The limit is at least bits(P) + grow,
+        # so no pass past a reduced tail reduces.  While P fits one 30-bit
+        # digit it is that alone, so every row is reduced and the tails of
+        # even depth are, and the dot products over them stay on ``sum``'s
+        # machine-word path; a wider P takes TAIL_BITS where that is larger.
+        # Whether each pass reduces is worked out once per walk, over
+        # _passes.  Each lane's value is reduced once, mod q.  The tail of a
+        # block [lo, hi) holds the entries lo .. hi of the whole tail: it
+        # starts at its carry, the entry lo its pass left in the block
+        # before, and each dot product carries its running sum the same way.
+        # A tail of s holds H_L(s) in lane q at entry (q + 1) / 2, read in
+        # the block whose entries lo < (q + 1) / 2 <= hi hold it, and a dot
+        # product runs over the entries below it.
+        bits, summands = modulus.bit_length(), len(inv).bit_length()
+        grow = bits + summands
         limit = bits + grow if bits <= 30 else max(TAIL_BITS, bits + grow)
-        reduced, bound = [False], 0
-        for _ in range(max(map(len, self.indices), default=0)):
-            bound += grow
-            reduced.append(bound > limit)
-            bound = bits if reduced[-1] else bound
+        width = {e: e * bits if e * bits + grow <= limit else bits for e in self._parts}
+        wide = {e for e in width if width[e] > bits}
+        # by slot: the width of the tail a pass writes there, and whether
+        # the pass reduces it
+        bounds = [0] * (len(self._ops) + 1)
+        reduces = [False] * len(bounds)
+        for slot, read, part in self._passes:
+            bound = bounds[read] + width[part] + summands
+            reduces[slot] = bound > limit
+            bounds[slot] = bits if reduces[slot] else bound
         stops = [(q + 1) // 2 for q in lanes]
         count = -(-len(inv) // BLOCK)
         ps = repeat(modulus)
@@ -435,7 +472,7 @@ class SuffixTrie:
         lo = 0
         for block in range(1, count + 1):
             hi = len(inv) * block // count
-            rows = _rows(self._parts, inv[lo:hi], modulus)
+            rows = _rows(self._parts, inv[lo:hi], modulus, wide)
             first, last = bisect_right(stops, lo), bisect_right(stops, hi)
             moduli = lanes[first:last]
             reads = [stop - lo for stop in stops[first:last]]
@@ -444,12 +481,11 @@ class SuffixTrie:
             for kept, parts, s, slots, dot in self._ops:
                 del tails[kept + 1 :]
                 for part, slot in zip(parts, slots):
-                    depth = len(tails)
-                    if depth == 1:
+                    if len(tails) == 1:
                         sums = accumulate(rows[part], initial=carries[slot])
                     else:
                         sums = accumulate(map(mul, rows[part], tails[-1]), initial=carries[slot])
-                    tail = list(map(mod, sums, ps)) if reduced[depth] else list(sums)
+                    tail = list(map(mod, sums, ps)) if reduces[slot] else list(sums)
                     tails.append(tail)
                     carries[slot] = tail[-1]
                     values[slot] += map(mod, map(tail.__getitem__, reads), moduli)
@@ -460,6 +496,8 @@ class SuffixTrie:
                     carries[dot] = totals[-1]
                     values[dot] += map(mod, islice(totals, 1, None), moduli)
             lo = hi
+            # this block's rows and tails go before the next block's are built
+            del rows, tails
         return list(zip(*values))
 
     def _recipes(self, values: list[int], q: int) -> dict[tuple[int, ...], int]:
@@ -515,12 +553,29 @@ def _cold_work(indices: Sequence[tuple[int, ...]], groups: list[tuple[int, ...]]
     # for each group with an index missing at one of its primes and of depth
     # below its largest, the entries of the walk, (q_G + 1) / 2, times the
     # elements of J of those indices, one pass or dot product each.  The
-    # store is only read, so no prime moves in its order.
+    # store is only read, so no prime moves in its order.  A window's groups
+    # mostly miss the same indices, all of them on a cold store, so J is
+    # counted once per distinct set of missing indices.  A set keeps the
+    # hashes of its indices, so the memos are searched without hashing an
+    # index again.  The union is taken in a loop: on CPython 3.11
+    # ``frozenset().union(*generator)`` left the sets it read to the cyclic
+    # collector, which raised the peak memory of a checks-small-p pass.
     work = 0
+    sizes: dict[frozenset, int] = {}
+    every = frozenset(indices)
+    deepest = max(map(len, every), default=0)
     for g in groups:
-        memos = [_store[q][0] if q in _store else {} for q in g]
-        missing = [k for k in indices if len(k) < g[-1] and any(k not in memo for memo in memos)]
-        work += (g[-1] + 1) // 2 * len(_closure(missing))
+        missing = every
+        if all(q in _store for q in g):
+            lacking: set = set()
+            for q in g:
+                lacking |= every.difference(_store[q][0])
+            missing = frozenset(lacking)
+        if deepest >= g[-1]:
+            missing = frozenset(k for k in missing if len(k) < g[-1])
+        if missing not in sizes:
+            sizes[missing] = len(_closure(missing))
+        work += (g[-1] + 1) // 2 * sizes[missing]
     return work
 
 

@@ -134,13 +134,17 @@ class CheckReport:
             return 0 if self.equal else 1
         return sum(1 for r in self.above_floor if not r.ok)
 
-    def to_json_dict(self) -> dict:
+    def to_json_dict(self, rows: bool = True) -> dict:
+        """The report as a JSON document.  Without ``rows`` a numeric
+        report's "results" is None, for a renderer that formats the rows
+        itself."""
+        res: dict | list | None = None
         if self.mode == "symbolic":
-            res: dict = {"equal": bool(self.equal)}
+            res = {"equal": bool(self.equal)}
             if not self.equal:
                 res["lhs"] = self.lhs
                 res["rhs"] = self.rhs
-        else:
+        elif rows:
             res = [
                 {"p": r.p, "lhs": r.lhs, "rhs": r.rhs, "pass": r.ok} for r in self.results
             ]

@@ -562,6 +562,46 @@ def test_four_primes_near_1e5_are_one_walk():
     assert swept[0][2, 2, 1] == zeta_mod_p_naive((2, 2, 1), group[0])
 
 
+def test_cold_work_counts_what_the_store_lacks(monkeypatch):
+    # _cold_work against a count by brute force: for each group, the
+    # indices of depth below q_G missing at one of its primes, and the
+    # elements of J of those, every suffix and reversed prefix, times the
+    # walk's entries (q_G + 1) / 2; on a cold store, a warm one and stores
+    # warm at some primes for some indices, with indices deeper than the
+    # smallest groups' primes
+    import fmzv.modp as modp
+
+    rng = random.Random(30)
+    indices = list(dict.fromkeys(tuple(rng.randint(1, 4) for _ in range(rng.randint(1, 7))) for _ in range(40)))
+    groups = [(2,), (3, 5), (7, 11, 13), *modp._groups(primes_in(17, 700))]
+    primes = [q for g in groups for q in g]
+    assert len(groups) >= 4 and groups[0][-1] <= max(map(len, indices))
+
+    def brute(store):
+        work = 0
+        for g in groups:
+            missing = [k for k in indices if len(k) < g[-1] and any(q not in store or k not in store[q][0] for q in g)]
+            closure = set()
+            for k in missing:
+                for i in range(len(k)):
+                    closure.add(k[i:])
+                    closure.add(tuple(reversed(k[: i + 1])))
+            work += (g[-1] + 1) // 2 * len(closure)
+        return work
+
+    stores = [{}, {q: ({k: 0 for k in indices}, {}) for q in primes}]
+    for share in (0.3, 0.9):
+        stores.append({q: ({k: 0 for k in indices if rng.random() < share}, {}) for q in primes})
+    # whole groups warm but for one index, and a group with one prime absent
+    stores.append({q: ({k: 0 for k in indices[1:]}, {}) for q in primes if q != groups[2][1]})
+    for store in stores:
+        monkeypatch.setattr(modp, "_store", store)
+        order = list(store)
+        assert modp._cold_work(indices, groups) == brute(store)
+        assert list(store) == order  # read only
+    assert brute(stores[1]) == 0 < brute(stores[2]) < brute(stores[0])
+
+
 def test_memoized_indices_are_not_swept(monkeypatch):
     import fmzv.modp as modp
 
@@ -613,7 +653,7 @@ def test_trie_keeps_one_tail_per_depth(monkeypatch):
     inv = inverse_table(p)
     rows = modp._rows(trie._parts, inv, p)
     monkeypatch.setattr(modp, "inverse_table", lambda *group: inv)
-    monkeypatch.setattr(modp, "_rows", lambda parts, block, modulus: rows)
+    monkeypatch.setattr(modp, "_rows", lambda parts, block, *args: rows)
     # one pass per part an op extends by, one op per element of J
     passes = sum(len(parts) for _, parts, *_ in trie._ops)
     closure = {s for k in indices for i in range(4) for s in (k[i:], k[: i + 1][::-1])}
@@ -675,9 +715,9 @@ def test_walk_carries_across_blocks(monkeypatch, block):
     sizes = []
     rows = modp._rows
 
-    def block_rows(parts, inv, modulus):
+    def block_rows(parts, inv, *args):
         sizes.append(len(inv))
-        return rows(parts, inv, modulus)
+        return rows(parts, inv, *args)
 
     monkeypatch.setattr(modp, "_rows", block_rows)
     indices = [(1,), (3,), (2, 1), (1, 2), (1, 1, 2), (2, 3, 1), (3, 1, 2, 1), (1, 2, 1, 1, 1)]
@@ -705,72 +745,149 @@ def test_walk_carries_across_blocks(monkeypatch, block):
 
 
 def _tail_reads(trie):
-    # the depth of the tail that each pass past the innermost, and each dot
-    # product, multiplies by its row, in the order of one block of the walk
-    depths = []
-    for kept, parts, _, _, dot in trie._ops:
-        depth = kept
-        for _ in parts:
-            if depth:
-                depths.append(depth)
-            depth += 1
+    # the tail that each pass past the innermost, and each dot product,
+    # multiplies by its row, as the parts of its suffix read innermost part
+    # first, in the order of one block of the walk
+    reads = []
+    for kept, _, s, _, dot in trie._ops:
+        inner = s[:0:-1]
+        reads += (inner[:depth] for depth in range(max(kept, 1), len(inner)))
         if dot is not None:
-            depths.append(depth)
-    return depths
+            reads.append(inner)
+    return reads
 
 
-@pytest.mark.parametrize("size", [1, 4, 11, 16])
-def test_tails_are_reduced_past_a_bit_bound(monkeypatch, size):
-    # A pass adds at most bits(P) for its row and bits(N) for its N summands
-    # to the bits of the tail it reads, and reduces its own tail mod P only
-    # where that bound would pass the limit: TAIL_BITS, or bits(P) + grow
-    # where that is larger, so that no two depths in a row are reduced; a
-    # walk whose P fits one 30-bit digit takes bits(P) + grow alone, and
-    # reduces exactly the tails of even depth.  Either way each lane reads the same values, reduced mod its prime.
-    # Groups of 1 and 4 primes from 10007 and of 11 and 16 from 1009 span 1,
-    # 2, 4 and 6 digits, over 4 blocks, at depths up to 10, and 16 primes
-    # take the larger limit.
+def _widths(group):
+    # the rule of SuffixTrie._walk, restated: (bits(P), bits(N), limit, and
+    # the width of row e, e * bits(P) where a pass over it from a tail
+    # reduced mod P stays within the limit, else bits(P))
     import fmzv.modp as modp
 
-    group = tuple(primes_in(*((10007, 10200) if size <= 4 else (1009, 1200)))[:size])
     bits = math.prod(group).bit_length()
+    size = ((group[-1] + 1) // 2).bit_length()
+    limit = 2 * bits + size if bits <= 30 else max(modp.TAIL_BITS, 2 * bits + size)
+    return bits, size, limit, lambda e: e * bits if (e + 1) * bits + size <= limit else bits
+
+
+@pytest.mark.parametrize(
+    "size, first",
+    [(1, 10007), (4, 10007), (4, 95191), (11, 1009), (16, 1009)],
+    ids=["1", "4", "4-95191", "11", "16"],
+)
+def test_tails_are_reduced_past_a_bit_bound(monkeypatch, size, first):
+    # A pass adds the width of its row, e * bits(P) for a row e left
+    # unreduced and bits(P) for a reduced one, and bits(N) for its N
+    # summands to the width of the tail it reads, and reduces its own tail
+    # mod P only where that bound would pass the limit: TAIL_BITS, or
+    # bits(P) + grow where that is larger, so that a pass past a reduced tail
+    # never reduces; a walk whose P fits one 30-bit digit takes bits(P) +
+    # grow alone, leaves no row unreduced and reduces exactly the tails of
+    # even depth.  Either way each lane reads the same values, reduced mod
+    # its prime.  Groups of 1 and 4 primes from 10007, of 4 from 95191 and of
+    # 11 and 16 from 1009 span 1, 2, 3, 4 and 6 digits, over 4 blocks, at
+    # depths up to 10; rows 2 and 3 stay unreduced products on 4 primes, and
+    # 16 primes take the larger limit.
+    import fmzv.modp as modp
+
+    group = tuple(primes_in(first, first + 200)[:size])
+    bits, sizes, limit, width = _widths(group)
     entries = (group[-1] + 1) // 2
-    grow = bits + entries.bit_length()
     monkeypatch.setattr(modp, "BLOCK", entries // 4 + 1)
-    sizes = [entries * b // 4 - entries * (b - 1) // 4 for b in range(1, 5)]
-    # odd parts only, so that no row is a product of two rows and each
-    # multiplication of the walk is by a tail's entry
+    blocks = [entries * b // 4 - entries * (b - 1) // 4 for b in range(1, 5)]
     rng = random.Random(20 + size)
-    parts = [1, 3, 5, 33, *group, *(2 * (q - 1) + 3 for q in group)]
+    parts = [1, 2, 3, 5, 33, *group, *(2 * (q - 1) + 3 for q in group)]
     indices = [tuple(rng.choice(parts) for _ in range(depth)) for depth in range(1, 11) for _ in range(2)]
+    if first == 95191:
+        # one index of small parts: powers to large exponents, and the spy,
+        # are slow over 47.6k entries
+        indices = [tuple(rng.choice(parts[:5]) for _ in range(10))]
     trie = SuffixTrie(indices)
     trie.sweep(group)  # the walk built
-    seen = []
+    # a spy on modp.mul sees every entry of a tail that a pass or dot product
+    # multiplies, and none of the row products of _rows
+    seen, building = [], []
+    rows = modp._rows
+
+    def block_rows(*args):
+        building.append(True)
+        try:
+            return rows(*args)
+        finally:
+            building.pop()
+
+    def mul(row, entry):
+        if not building:
+            seen.append(entry)
+        return row * entry
+
     with monkeypatch.context() as m:
-        m.setattr(modp, "mul", lambda row, entry: seen.append(entry) or row * entry)
+        m.setattr(modp, "_rows", block_rows)
+        m.setattr(modp, "mul", mul)
         lanes = trie._walk(group)
     reads = _tail_reads(trie)
-    assert len(seen) == entries * len(reads) and max(reads) >= 8
+    assert len(seen) == entries * len(reads) and max(map(len, reads)) >= 8
     entry = iter(seen)
-    tops = dict.fromkeys(reads, 0)  # the most bits of a tail of each depth
-    for block in sizes:
-        for depth in reads:
-            tops[depth] = max(tops[depth], max(islice(entry, block)).bit_length())
-    limit = bits + grow if bits <= 30 else max(modp.TAIL_BITS, bits + grow)
+    tops = [0] * len(reads)  # the most bits of each tail read
+    for block in blocks:
+        for i in range(len(reads)):
+            tops[i] = max(tops[i], max(islice(entry, block)).bit_length())
     assert (limit > modp.TAIL_BITS) == (size == 16)
-    bound, reduced = 0, set()
-    for depth in range(1, max(reads) + 1):
-        bound += grow
-        if bound > limit:
-            reduced.add(depth)
-            bound = bits
-    assert bits > 30 or reduced == set(range(2, max(reads) + 1, 2))
-    # a tail is below P exactly where its pass reduced it, and no wider
-    # than the limit anywhere
-    assert {d for d in tops if d and tops[d] <= bits} == reduced, (group, tops)
-    assert max(tops.values()) <= limit, (group, tops)
-    # the every-second-depth schedule, forced at any width
-    monkeypatch.setattr(modp, "TAIL_BITS", bits + grow)
+    assert {e for e in parts if width(e) > bits} == ({2, 3} if size == 4 else set())
+    bounds, reduced = [], []
+    for tail in reads:
+        bound, reduces = 0, False
+        for part in tail:
+            bound += width(part) + sizes
+            reduces = bound > limit
+            bound = bits if reduces else bound
+        bounds.append(bound)
+        reduced.append(reduces)
+    assert any(reduced) and not all(reduced)
+    assert bits > 30 or all(r == (len(t) % 2 == 0) for t, r in zip(reads, reduced))
+    for tail, top, bound, reduces in zip(reads, tops, bounds, reduced):
+        # no entry wider than its bound, or than the limit, and a tail below
+        # P exactly where its pass reduced it; the empty tail's entries are 1
+        assert top <= max(bound, 1) <= limit, (group, tail, top, bound)
+        assert not tail or (top <= bits) == reduces, (group, tail, top, reduces)
+    # the every-second-depth schedule over reduced rows, forced at any width
+    monkeypatch.setattr(modp, "TAIL_BITS", 2 * bits + sizes)
     assert trie._walk(group) == lanes
     for q, values in zip(group, lanes):
         assert all(0 <= v < q for v in values), q
+
+
+@pytest.mark.parametrize("first", [10007, 95191])
+def test_walk_leaves_narrow_rows_unreduced(monkeypatch, first):
+    # On 4 primes from 10007 or 95191, P of 54 or 67 bits, a pass over row 2
+    # or 3 from a tail reduced mod P stays within TAIL_BITS, so the walk
+    # leaves those rows unreduced: their entries pass P but stay below
+    # 2^(e * bits(P)), and they are m^(-e) in every lane; row 5, a product
+    # of rows 2 and 3, is reduced, as row 1 is.
+    import fmzv.modp as modp
+
+    group = tuple(primes_in(first, first + 200)[:4])
+    modulus = math.prod(group)
+    bits, _, _, width = _widths(group)
+    assert [width(e) > bits for e in (1, 2, 3, 5)] == [False, True, True, False]
+    indices = [(2, 3, 5), (5, 3, 2, 1), (1, 2)]
+    lone = [SuffixTrie(indices).sweep((q,))[0] for q in group]
+    built = []
+    rows = modp._rows
+    monkeypatch.setattr(modp, "_rows", lambda *args: built.append(rows(*args)) or built[-1])
+    assert SuffixTrie(indices).sweep(group) == lone
+    assert len(built) == -(-((group[-1] + 1) // 2) // modp.BLOCK)
+    lo = 0
+    for held in built:
+        assert sorted(held) == [1, 2, 3, 5]
+        for e, row in held.items():
+            top = max(row)
+            if width(e) > bits:
+                assert modulus <= top < 2 ** (e * bits), (group, e, lo)
+            else:
+                assert top < modulus, (group, e, lo)
+            for q in group:
+                # the entries of this block in q's lower half, m >= 1
+                ms = range(max(lo, 1), min(lo + len(row), (q + 1) // 2))
+                got = [row[m - lo] % q for m in ms]
+                assert got == list(map(pow, ms, repeat(-e), repeat(q))), (group, q, e, lo)
+        lo += len(held[1])
