@@ -2,11 +2,11 @@
 
 Exit codes: 0 when everything requested passed (above the floor), 1 when at
 least one check failed above its floor, 2 for usage or parse errors (the
-offending token is reported on standard error) and for an output file that
-cannot be written, 3 for an engine fault: the
-evaluator disagreed with its independent oracle or with itself, or the two
-readings of the lemma differ, which is a bug in this package rather than a
-failed identity (reported on standard error).
+offending token is reported on standard error), for an output file that
+cannot be written and for a run that ran out of memory, 3 for an engine
+fault: the evaluator disagreed with its independent oracle or with itself,
+or the two readings of the lemma differ, which is a bug in this package
+rather than a failed identity (reported on standard error).
 """
 
 from __future__ import annotations
@@ -304,6 +304,9 @@ def main(argv=None) -> int:
         return args.handler(args)
     except (ValueError, ZeroDivisionError, OSError) as exc:
         print(f"fmzv: error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("fmzv: error: out of memory: the input is too large to check here", file=sys.stderr)
         return 2
     except EngineFault as exc:
         print(f"fmzv: engine fault: {exc}", file=sys.stderr)

@@ -20,17 +20,18 @@ where H_L sums over L and H_L of the empty index is 1.  The trie builds,
 once per batch, the set J of every nonempty suffix and every reversed
 prefix of its indices, and for each index this recipe of (sign, reversed
 prefix, suffix) terms; neither depends on the prime.  J is closed under
-suffixes, so one walk covers it: J is sorted by proper suffixes
-(s_j, ..., s_n), read innermost part first, and a suffix's tail is the
-prefix sum over m in L of the row m^(-s_j) times the tail of the suffix
-one part shorter.  Walking J in sorted order extends the tails the
-previous element left, so each distinct proper suffix costs one pass over
-(q+1)/2 entries, whose last entry is that suffix's value, and only an
-element that is no proper suffix of another, and so ends no pass, costs one
-more dot product; one tail per depth is alive at once, however many
-indices share the walk.  The recipes then combine the values of J into
-each index's residue.  At q = 2, where m = 1 is its own mirror, H_2(k) is
-1 at depth 1 and 0 deeper.
+suffixes, so it is a trie (Fredkin, "Trie memory", CACM 3(9), 1960): node
+0 is the empty index, and an element s = (s_1, ..., s_n) of J is the node
+keyed by its first part s_1 and the node of s[1:], its parent, so a node
+costs the same at any depth.  A node's tail is the prefix sum over m in L
+of the row m^(-s_1) times its parent's tail.  The walk visits the nodes
+depth first, each after its parent, and extends the tails its ancestors
+left, so each node that is a proper suffix of another costs one pass over
+(q+1)/2 entries, whose last entry is its value, and only a node that is
+none, and so ends no pass, costs one dot product; one tail per depth is
+alive at once, however many indices share the walk.  The recipes then
+combine the values of J into each index's residue.  At q = 2, where m = 1
+is its own mirror, H_2(k) is 1 at depth 1 and 0 deeper.
 
 One walk serves a group of consecutive primes q_1 < ... < q_G at once: it
 runs over the lower half of q_G modulo the product P of the group's odd
@@ -77,10 +78,12 @@ O(p).
 
 Everything memoized at a prime lives in one store: its swept residues by
 index and its Bernoulli values by n.  Each residue and Bernoulli value
-costs one unit of ``TABLE_BUDGET``; once the store is over budget, whole
-primes are dropped, least recently used first and never a prime of the
-group being evaluated, so memory stays bounded however many primes a process meets,
-and a prime's residues and Bernoulli values always leave together.
+costs one unit of ``TABLE_BUDGET``.  A write at a prime drops whole
+primes, least recently used first, while the store is over budget and down
+to that prime only, so memory stays bounded however many primes a process
+meets, and a prime's residues and Bernoulli values always leave together.
+A group's primes are written in order, so an earlier one may leave while a
+later one is written; its memo is already in hand, complete.
 
 :func:`residues` is the one way a batch of indices is evaluated over a
 window: it yields each prime's residue memo once the store holds what the
@@ -90,7 +93,7 @@ share almost all of their arithmetic.  The group is also the pool's unit
 of work, since one walk cannot be split: a window of one group is walked
 in-process, and a window of several is filled by a pool of workers, one
 group a task, when its cold work reaches ``POOL_MIN_MULTS``.  The residues
-and Bernoulli values of each task are merged into the parent's store as
+and Bernoulli values of each task are written into the parent's store as
 they arrive, so they outlive the worker.
 """
 
@@ -300,30 +303,50 @@ def _entry(p: int) -> tuple[dict, dict]:
     return entry
 
 
-def _charge(p: int, units: int) -> None:
-    # Count units just stored at p, then drop whole primes, least recently
-    # used first, until the store fits TABLE_BUDGET or only p is left.
+def _put(p: int, sums: Iterable[tuple] = (), bernoulli: Iterable[tuple] = ()) -> dict:
+    # The one writer of the store: add (index, residue) and (n, B_n) pairs
+    # computed at p, count the units that are new, then drop whole primes,
+    # least recently used first, until the store fits TABLE_BUDGET or p is
+    # the least recently used; return p's memo.  An entry p already has
+    # keeps its place, which its reader moved; a new one is the most recent.
     global _store_size
-    _store_size += units
-    while _store_size > TABLE_BUDGET:
-        oldest = next(iter(_store))
-        if oldest == p:
-            break
-        residues, bernoulli = _store.pop(oldest)
-        _store_size -= len(residues) + len(bernoulli)
+    memo, bern = _store.setdefault(p, ({}, {}))
+    held = len(memo) + len(bern)
+    memo.update(sums)
+    bern.update(bernoulli)
+    _store_size += len(memo) + len(bern) - held
+    while _store_size > TABLE_BUDGET and next(iter(_store)) != p:
+        residues, values = _store.pop(next(iter(_store)))
+        _store_size -= len(residues) + len(values)
+    return memo
 
 
-def _closure(indices: Iterable[tuple[int, ...]]) -> set[tuple[int, ...]]:
-    # J: every nonempty suffix and every reversed prefix of the indices.  The
-    # suffixes of a reversed prefix are shorter reversed prefixes, so J is
-    # closed under suffixes.
-    return {s for k in indices for i in range(len(k)) for s in (k[i:], k[i::-1])}
+def _trie(indices: Iterable[tuple[int, ...]]) -> tuple[dict[tuple[int, int], int], list[int], list[int]]:
+    # J as a trie: the node table, then each index's reversed prefixes,
+    # shortest first, and its suffixes, longest first, as nodes.  Node 0 is
+    # the empty index, and an element s of J is keyed by (s_1, the node of
+    # s[1:]) and numbered as it is first met, so each node's number exceeds
+    # its parent's.  An index's reversed prefixes chain its parts in order,
+    # each part the first of the next one, and its suffixes its parts
+    # reversed.
+    nodes: dict[tuple[int, int], int] = {}
+
+    def add(node: int, part: int) -> int:
+        return nodes.setdefault((part, node), len(nodes) + 1)
+
+    prefixes: list[int] = []
+    suffixes: list[int] = []
+    for k in indices:
+        prefixes += accumulate(k, add, initial=0)
+        suffixes += reversed(list(accumulate(reversed(k), add, initial=0)))
+    return nodes, prefixes, suffixes
 
 
 class SuffixTrie:
     """The half-range walk of a set of indices: the set J of their nonempty
-    suffixes and reversed prefixes, in the order one walk evaluates them,
-    and each index's recipe over J; none of it depends on the primes.
+    suffixes and reversed prefixes as a trie, each element a node below the
+    one of its suffix one part shorter, and each index's recipe over J;
+    none of it depends on the primes.
 
     At the odd prime q, write H_L(s) for the nested sum of s over
     L = {1, ..., (q - 1) / 2}, the lower half.  The reversal m -> q - m maps
@@ -339,13 +362,15 @@ class SuffixTrie:
     tail ``tail[m]`` = sum over m > m_j > ... > m_n > 0 of prod m_i^(-s_i):
     the prefix sums of the row m^(-s_j) times the tail of (s_(j+1), ..., s_n),
     the empty suffix's tail being the empty product 1, and H_L(s) is the
-    tail's entry (q + 1) / 2.  So a proper suffix of an element is read
-    off the pass that builds its tail, and only an element that is none,
-    and ends no pass, takes a dot product: the row m^(-s_1) with the tail
-    of s[1:] over m in L.  A tail is a prefix sum, so the walk can take L
-    in blocks: a pass resumes from its tail's last entry in the block
-    before, and a dot product from its running sum, and only one block of
-    each tail is alive at once.
+    tail's entry (q + 1) / 2.  The walk visits the trie depth first, so the
+    tails of a node's ancestors are alive when it is reached.  A node that is
+    a proper suffix of an element, and so has a child, is read off the pass
+    that builds its tail, and only a node that is none, and ends no pass,
+    takes a dot product: the row m^(-s_1) with its parent's tail over m in
+    L.  A tail is a prefix sum, so the walk can take L in blocks: a pass
+    resumes from its tail's last entry in the block before, and a dot
+    product from its running sum, and only one block of each tail is alive
+    at once.
     At q = 2, where m = 1 is its own mirror, H_2(k) is 1 at depth 1 and 0
     deeper.
     """
@@ -355,42 +380,32 @@ class SuffixTrie:
         self._ops: list | None = None  # built on the first sweep
 
     def _build(self) -> None:
-        # Sorted by their proper suffixes read innermost part first, the
-        # elements of J visit every suffix just after the longest one it
-        # extends, as a preorder walk of the suffixes' trie would.  The op
-        # (kept, parts, s, slots, dot) keeps the tails of the first ``kept``
-        # inner parts it shares with the previous element and extends them
-        # by ``parts``; each of those passes builds the tail of a proper
-        # suffix, itself in J, and writes its value at its slot.  ``dot`` is
-        # the slot of s, which a dot product evaluates, or None where s is a
-        # proper suffix of another element, whose pass writes it.
-        # commonprefix compares tuples part by part.
-        walk = sorted((s[:0:-1], s) for s in _closure(self.indices))
-        # A lane's values are H_L of the empty index, 1, then of each element
-        # in walk order.
-        at = {(): 0}
-        at.update((s, j) for j, (_, s) in enumerate(walk, 1))
-        # _passes lists each pass as (its slot, the slot of the tail it
-        # reads, its part), in walk order; the empty tail's slot is 0.
-        passed = {inner for inner, _ in walk}
-        ops, passes = [], []
-        last: tuple = ()
-        for inner, s in walk:
-            kept = len(os.path.commonprefix([last, inner]))
-            slots = tuple(at[inner[i::-1]] for i in range(kept, len(inner)))
-            ops.append((kept, inner[kept:], s, slots, None if s[::-1] in passed else at[s]))
-            passes += zip(slots, (at[inner[:i][::-1]] for i in range(kept, len(inner))), inner[kept:])
-            last = inner
-        self._ops = ops
-        self._passes = passes
-        self._parts = {part for k in self.indices for part in k}
-        # An element's sign as a reversed prefix is (-1) to its weight.  The
-        # recipes are flattened: term t multiplies the signed value at
-        # _prefixes[t] by the value at _suffixes[t], and index j sums the
-        # terms _bounds[j] .. _bounds[j + 1] - 1.
-        self._signs = [1] + [-1 if sum(s) % 2 else 1 for _, s in walk]
-        self._prefixes = [at[k[:i][::-1]] for k in self.indices for i in range(len(k) + 1)]
-        self._suffixes = [at[k[i:]] for k in self.indices for i in range(len(k) + 1)]
+        # One op (depth, part, node, inner) per node of J, each after its
+        # parent, as a depth-first walk of the trie visits them; ``inner``
+        # where the node is a proper suffix of another element, whose pass
+        # builds its tail and writes its value.  A lane's values are H_L of
+        # the nodes in number order, node 0's being 1.
+        nodes, prefixes, suffixes = _trie(self.indices)
+        self._nodes = list(nodes)  # (part, parent) of nodes 1, 2, ...
+        self._parts = {part for part, _ in self._nodes}
+        children: list[list[int]] = [[] for _ in range(len(nodes) + 1)]
+        for node, (_, parent) in enumerate(self._nodes, 1):
+            children[parent].append(node)
+        self._ops = []
+        stack = [(1, node) for node in reversed(children[0])]
+        while stack:
+            depth, node = stack.pop()
+            self._ops.append((depth, self._nodes[node - 1][0], node, bool(children[node])))
+            stack += ((depth + 1, child) for child in reversed(children[node]))
+        # A reversed prefix's sign is (-1) to its weight: its parent's sign,
+        # flipped by an odd part.  The recipes are flattened: term t
+        # multiplies the signed value at _prefixes[t] by the value at
+        # _suffixes[t], and index j sums the terms _bounds[j] ..
+        # _bounds[j + 1] - 1.
+        self._signs = [1]
+        for part, parent in self._nodes:
+            self._signs.append(-self._signs[parent] if part % 2 else self._signs[parent])
+        self._prefixes, self._suffixes = prefixes, suffixes
         self._bounds = list(accumulate((len(k) + 1 for k in self.indices), initial=0))
 
     def sweep(self, group: Sequence[int]) -> list[dict[tuple[int, ...], int]]:
@@ -418,7 +433,7 @@ class SuffixTrie:
         return out
 
     def _walk(self, lanes: Sequence[int]) -> list[tuple[int, ...]]:
-        # each lane's values, H_L of the empty index then of J in walk order
+        # each lane's values, H_L of the nodes in number order
         if not lanes:
             return []
         modulus = math.prod(lanes)
@@ -440,11 +455,12 @@ class SuffixTrie:
         # digit it is that alone, so every row is reduced and the tails of
         # even depth are, and the dot products over them stay on ``sum``'s
         # machine-word path; a wider P takes TAIL_BITS where that is larger.
-        # Whether each pass reduces is worked out once per walk, over
-        # _passes.  Each lane's value is reduced once, mod q.  The tail of a
-        # block [lo, hi) holds the entries lo .. hi of the whole tail: it
-        # starts at its carry, the entry lo its pass left in the block
-        # before, and each dot product carries its running sum the same way.
+        # Whether each node's pass reduces is worked out once per walk, from
+        # the width of its parent's tail.  Each lane's value is reduced once,
+        # mod q.  The tail of a block [lo, hi) holds the entries lo .. hi of
+        # the whole tail: it starts at its carry, the entry lo its pass left
+        # in the block before, and each dot product carries its running sum
+        # the same way.
         # A tail of s holds H_L(s) in lane q at entry (q + 1) / 2, read in
         # the block whose entries lo < (q + 1) / 2 <= hi hold it, and a dot
         # product runs over the entries below it.
@@ -453,19 +469,19 @@ class SuffixTrie:
         limit = bits + grow if bits <= 30 else max(TAIL_BITS, bits + grow)
         width = {e: e * bits if e * bits + grow <= limit else bits for e in self._parts}
         wide = {e for e in width if width[e] > bits}
-        # by slot: the width of the tail a pass writes there, and whether
-        # the pass reduces it
+        # by node: the width of the tail its pass builds, and whether the
+        # pass reduces it
         bounds = [0] * (len(self._ops) + 1)
         reduces = [False] * len(bounds)
-        for slot, read, part in self._passes:
+        for slot, (part, read) in enumerate(self._nodes, 1):
             bound = bounds[read] + width[part] + summands
             reduces[slot] = bound > limit
             bounds[slot] = bits if reduces[slot] else bound
         stops = [(q + 1) // 2 for q in lanes]
         count = -(-len(inv) // BLOCK)
         ps = repeat(modulus)
-        # slot j: the value in each lane of the j-th element in walk order,
-        # and the carry of the pass or dot product that gives it
+        # by node: its value in each lane, and the carry of the pass or dot
+        # product that gives it
         values: list = [[] for _ in range(len(self._ops) + 1)]
         values[0] = [1] * len(lanes)
         carries = [0] * len(values)
@@ -477,11 +493,12 @@ class SuffixTrie:
             moduli = lanes[first:last]
             reads = [stop - lo for stop in stops[first:last]]
             widths = list(map(sub, [*reads, hi - lo], [0, *reads]))
+            # the tails of the ancestors of the node being visited, by depth
             tails: list = [repeat(1)]
-            for kept, parts, s, slots, dot in self._ops:
-                del tails[kept + 1 :]
-                for part, slot in zip(parts, slots):
-                    if len(tails) == 1:
+            for depth, part, slot, inner in self._ops:
+                del tails[depth:]
+                if inner:
+                    if depth == 1:
                         sums = accumulate(rows[part], initial=carries[slot])
                     else:
                         sums = accumulate(map(mul, rows[part], tails[-1]), initial=carries[slot])
@@ -489,12 +506,12 @@ class SuffixTrie:
                     tails.append(tail)
                     carries[slot] = tail[-1]
                     values[slot] += map(mod, map(tail.__getitem__, reads), moduli)
-                if dot is not None:
-                    terms = map(mul, rows[s[0]], tails[-1])
+                else:
+                    terms = map(mul, rows[part], tails[-1])
                     sums = map(sum, map(islice, repeat(terms), widths))
-                    totals = list(accumulate(sums, initial=carries[dot]))
-                    carries[dot] = totals[-1]
-                    values[dot] += map(mod, islice(totals, 1, None), moduli)
+                    totals = list(accumulate(sums, initial=carries[slot]))
+                    carries[slot] = totals[-1]
+                    values[slot] += map(mod, islice(totals, 1, None), moduli)
             lo = hi
             # this block's rows and tails go before the next block's are built
             del rows, tails
@@ -511,11 +528,12 @@ class SuffixTrie:
 def _fill_group(trie: SuffixTrie, group: Sequence[int]) -> list[dict]:
     # Memoize at each prime of ``group`` the residues of the trie's indices
     # missing there, and return the group's memos.  They are swept in one
-    # walk over the group, of ``trie`` itself when it holds no other index,
-    # and an index of depth >= q is 0 at q, whose summation range is empty.
-    # The units are charged at once, at the group's least recently used
-    # prime, so that no prime of the group drops another, and a group with
-    # nothing missing drops nothing.
+    # walk over the group, of ``trie`` itself when it holds no other index.
+    # An index of depth >= q is 0 at q, whose summation range is empty: the
+    # walk alone would give the same zeros, but would first build and walk J
+    # of every such index, whose nodes grow as the square of its depth.  Each
+    # prime is written once, in order (see _put), and a group with nothing
+    # missing writes nothing.
     memos = [_entry(q)[0] for q in group]
     if all(all(map(memo.__contains__, trie.indices)) for memo in memos):
         return memos
@@ -524,9 +542,8 @@ def _fill_group(trie: SuffixTrie, group: Sequence[int]) -> list[dict]:
     swept = repeat({})
     if live:
         swept = (trie if len(live) == len(trie.indices) else SuffixTrie(live)).sweep(group)
-    for q, memo, ks, values in zip(group, memos, missing, swept):
-        memo.update((k, values[k] if len(k) < q else 0) for k in ks)
-    _charge(group[0], sum(map(len, missing)))
+    for q, ks, values in zip(group, missing, swept):
+        _put(q, ((k, values[k] if len(k) < q else 0) for k in ks))
     return memos
 
 
@@ -552,7 +569,7 @@ def _cold_work(indices: Sequence[tuple[int, ...]], groups: list[tuple[int, ...]]
     # The work of the walks that would fill what is missing from the store:
     # for each group with an index missing at one of its primes and of depth
     # below its largest, the entries of the walk, (q_G + 1) / 2, times the
-    # elements of J of those indices, one pass or dot product each.  The
+    # nodes of J of those indices, one pass or dot product each.  The
     # store is only read, so no prime moves in its order.  A window's groups
     # mostly miss the same indices, all of them on a cold store, so J is
     # counted once per distinct set of missing indices.  A set keeps the
@@ -574,7 +591,7 @@ def _cold_work(indices: Sequence[tuple[int, ...]], groups: list[tuple[int, ...]]
         if deepest >= g[-1]:
             missing = frozenset(k for k in missing if len(k) < g[-1])
         if missing not in sizes:
-            sizes[missing] = len(_closure(missing))
+            sizes[missing] = len(_trie(missing)[0])
         work += (g[-1] + 1) // 2 * sizes[missing]
     return work
 
@@ -599,32 +616,24 @@ def _fill(trie: SuffixTrie, ws: list[int], group: tuple[int, ...]) -> list[tuple
     ]
 
 
-def _merge(p: int, sums: Iterable[tuple], bernoulli: Iterable[tuple]) -> Mapping:
-    # Store (index, residue) and (n, B_n) pairs computed at p in a pool
-    # worker, charging only the units that are new, and return p's memo.
-    memo, bern = _entry(p)
-    held = len(memo) + len(bern)
-    memo.update(sums)
-    bern.update(bernoulli)
-    _charge(p, len(memo) + len(bern) - held)
-    return memo
-
-
 def residues(
     indices: Iterable[Sequence[int]], primes: list[int], ws: Iterable[int] = (), jobs: int = 1
 ) -> Iterator[tuple[int, Mapping[tuple[int, ...], int]]]:
     """For each prime p of ``primes``, taken from the sieve, in order: yield
-    (p, p's residue memo, for reading only) once the store holds the residue
-    at p of every index of ``indices`` and B_(p-w) for each w of ``ws``
-    where it is defined, p >= w + 2.
+    (p, p's residue memo, for reading only) once it holds the residue at p
+    of every index of ``indices``.  The memo may already have left the store
+    (see the module docstring), but not what it holds.
 
     What is missing is swept a group of consecutive primes in one walk.
     A window of several groups, with more than one worker allowed (at most
     ``jobs``, and never more than the groups or the usable CPUs), whose
     cold work reaches :data:`POOL_MIN_MULTS` is filled by a pool, one group
-    a task, and each prime's results are merged into the store as they
-    arrive; otherwise the walks run in-process.  Close the generator
-    (``contextlib.closing``) to shut such a pool down early.
+    a task, and each prime's results are written into the store as they
+    arrive; a worker also computes B_(p-w) for each w of ``ws`` where it is
+    defined, p >= w + 2, which it would otherwise leave to the parent.
+    Otherwise the walks run in-process, and a Bernoulli value is computed
+    where it is first read.  Close the generator (``contextlib.closing``)
+    to shut such a pool down early.
     """
     trie = SuffixTrie(indices)
     ws = sorted(set(ws))
@@ -636,14 +645,10 @@ def residues(
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for group, filled in zip(groups, pool.map(partial(_fill, trie, ws), groups)):
                 for p, (got, bs) in zip(group, filled):
-                    yield p, _merge(p, zip(trie.indices, got), bs)
+                    yield p, _put(p, zip(trie.indices, got), bs)
     else:
         for group in groups:
-            for p, values in zip(group, _fill_group(trie, group)):
-                for w in ws:
-                    if p >= w + 2:
-                        bernoulli_mod_p(w, p)
-                yield p, values
+            yield from zip(group, _fill_group(trie, group))
 
 
 def zeta_mod_p(k: tuple[int, ...], p: int) -> int:
@@ -710,6 +715,5 @@ def bernoulli_mod_p(k: int, p: int) -> int:
         if s % p:
             raise EngineFault(f"power sum of exponent {n} is not divisible by {p}")
         value = s // p % p
-    _entry(p)[1][n] = value
-    _charge(p, 1)
+    _put(p, bernoulli=[(n, value)])
     return value

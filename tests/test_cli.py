@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 import time
 
 import fmzv.modp
@@ -156,18 +157,46 @@ def test_check_symbolic(capsys):
     assert json.loads(out)["results"] == {"equal": True}
 
 
-def test_long_words_check_without_crashing(capsys):
-    # words longer than the interpreter's recursion limit
-    long = "y" * 1200
-    for command in ("duality", "stuffle"):
-        code, out, err = run_cli(
-            capsys,
-            "check", command, "--w", long, "--wp", "y", "--primes", "9:20", "--floor", "9",
-            "--jobs", "1",
-        )
-        assert code == 0, err
-        assert "summary: PASS  checked=4" in out
-        assert "Traceback" not in err and "RecursionError" not in err
+def test_long_words_check_without_crashing():
+    # Words longer than the interpreter's recursion limit.  Both checks run
+    # in a child process whose address space is capped at 1 GiB, so that one
+    # that outgrew memory fails here, rather than have the whole test run
+    # killed.
+    child = textwrap.dedent(
+        """
+        import resource
+        from fmzv.cli import main
+
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+        for command in ("duality", "stuffle"):
+            argv = ["--w", "y" * 1200, "--wp", "y", "--primes", "9:20", "--floor", "9", "--jobs", "1"]
+            print("exit", command, main(["check", command, *argv]), flush=True)
+        """
+    )
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    exits = [line for line in proc.stdout.splitlines() if line.startswith("exit ")]
+    assert exits == ["exit duality 0", "exit stuffle 0"], proc.stderr
+    assert proc.stdout.count("summary: PASS  checked=4") == 2
+    assert "Traceback" not in proc.stderr and "RecursionError" not in proc.stderr
+
+
+def test_out_of_memory_is_refused_with_exit_2(capsys, monkeypatch):
+    # exit 1 means a check failed above its floor, so running out of memory
+    # is reported like other input the CLI cannot take, with no traceback
+    def exhausted(self):
+        raise MemoryError
+
+    monkeypatch.setattr(fmzv.modp, "_store", {})
+    monkeypatch.setattr(fmzv.modp, "_store_size", 0)
+    monkeypatch.setattr(fmzv.modp.SuffixTrie, "_build", exhausted)
+    code, out, err = run_cli(
+        capsys, "check", "ohno", "--index", "2,1", "--n", "1", "--primes", "11:13", "--jobs", "1"
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("fmzv: error: out of memory") and "Traceback" not in err
 
 
 def test_engine_fault_exit_code(capsys, monkeypatch):

@@ -22,7 +22,7 @@ from fmzv.modp import (
     zeta_mod_p_naive,
 )
 from fmzv.suite import all_indices, h1_words
-from fmzv.words import NCPolynomial, harmonic
+from fmzv.words import NCPolynomial, harmonic, index_of_word
 
 from oracles import (
     bernoulli_exact_mod,
@@ -255,6 +255,27 @@ def test_row_store_stays_within_budget(monkeypatch):
     assert modp._store_size == sum(map(units, modp._store.values()))
 
 
+def test_group_memos_stay_complete_when_the_store_drops_them(monkeypatch):
+    # A budget below one prime's residues: the group's primes are written in
+    # order, and each write drops the primes written before it, but never
+    # one still to be written, so every memo yielded holds every index, the
+    # one stored at the last prime before the walk included.
+    import fmzv.modp as modp
+
+    monkeypatch.setattr(modp, "_store", {})
+    monkeypatch.setattr(modp, "_store_size", 0)
+    monkeypatch.setattr(modp, "TABLE_BUDGET", 1)
+    primes = primes_in(11, 40)
+    assert modp._groups(primes) == [tuple(primes)]
+    indices = [(1,), (2, 1), (3, 1, 2)]
+    zeta_mod_p((2, 1), primes[-1])
+    got = [(p, dict(memo)) for p, memo in residues(indices, primes)]
+    assert [p for p, _ in got] == primes
+    for p, memo in got:
+        assert memo == {k: zeta_by_loop(k, p) for k in indices}, p
+    assert list(modp._store) == [primes[-1]] and modp._store_size == 3
+
+
 def test_rows_are_exact_with_and_without_row_e_minus_1():
     import fmzv.modp as modp
 
@@ -338,6 +359,29 @@ def test_deep_indices_match_loop_oracle():
         indices += [k, (rng.choice(parts),) + k[1:]]
     (swept,) = SuffixTrie(indices).sweep((p,))
     for k in indices:
+        assert swept[k] == zeta_by_loop(k, p), k
+
+
+def test_deep_indices_build_in_memory_linear_in_j():
+    # The 301 indices of harmonic(y^300, y), of depths 300 and 301, have a J
+    # of 45,451 elements.  A node of J costs the same at any depth, so the
+    # build peaks near 20 MB under tracemalloc, where a tuple per element
+    # took over 160 MB; at 307, above every depth, the walk matches the loop.
+    harm = harmonic(NCPolynomial.from_word("y" * 300), NCPolynomial.from_word("y"))
+    indices = sorted(map(index_of_word, harm.terms))
+    assert len(indices) == 301 and {len(k) for k in indices} == {300, 301}
+    trie = SuffixTrie(indices)
+    tracemalloc.start()
+    try:
+        trie._build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(trie._ops) == 45_451
+    assert peak < 40_000_000, peak
+    p = 307
+    (swept,) = trie.sweep((p,))
+    for k in indices[::50]:
         assert swept[k] == zeta_by_loop(k, p), k
 
 
@@ -445,31 +489,51 @@ def test_half_range_walk_matches_loop_and_naive_oracles():
                 assert values[k] == zeta_mod_p_naive(k, q), (group, q, k)
 
 
+def _closure(indices):
+    # J by its definition, one tuple per element: every nonempty suffix and
+    # every reversed prefix of the indices
+    return {s for k in indices for i in range(len(k)) for s in (k[i:], k[i::-1])}
+
+
+def _elements(trie):
+    # each node's element of J, spelled out from the node table: node 0 is
+    # the empty index, and the node keyed (part, parent) is part followed by
+    # its parent's element; a parent is numbered below its child
+    elements = [()]
+    for part, parent in trie._nodes:
+        assert parent < len(elements), (part, parent)
+        elements.append((part, *elements[parent]))
+    return elements
+
+
 def _assert_walk_plan(trie, closure):
-    # replays the ops of the walk of J, the closure: each element of J is
-    # one op, and each distinct proper suffix of J one pass, which writes
-    # the value of the suffix it builds at that suffix's slot; an op takes a
-    # dot product, over the tails its passes left, only for an element that
-    # is no proper suffix of another, so every slot is written exactly once
-    ops = trie._ops
-    assert sorted(s for _, _, s, _, _ in ops) == sorted(closure)
-    at = {s: j for j, (_, _, s, _, _) in enumerate(ops, 1)}
+    # The table holds one node per element of J, the closure, each below its
+    # suffix one part shorter, and the signs and recipes read the nodes of
+    # the right elements.  Replaying the ops as the walk does, with a stack of
+    # the nodes whose tails are alive, by depth: every node is visited once,
+    # after its parent, whose tail is on top of the stack; its op is a pass,
+    # which pushes its tail, exactly where it is a proper suffix of another
+    # element, and a dot product otherwise, so every value is written once.
+    elements = _elements(trie)
+    assert len(elements) == len(closure) + 1 and set(elements[1:]) == closure
+    assert trie._signs == [(-1) ** sum(s) for s in elements]
+    ks = trie.indices
+    assert [elements[j] for j in trie._prefixes] == [k[:i][::-1] for k in ks for i in range(len(k) + 1)]
+    assert [elements[j] for j in trie._suffixes] == [k[i:] for k in ks for i in range(len(k) + 1)]
     proper = {s[1:] for s in closure if len(s) > 1}
-    passed, written, stack = [], [], []
-    for kept, parts, s, slots, dot in ops:
-        del stack[kept:]
-        assert len(slots) == len(parts), s
-        for part, slot in zip(parts, slots):
-            stack.append(part)
-            passed.append(tuple(stack[::-1]))
-            assert slot == at[passed[-1]], s
-        assert tuple(stack[::-1]) == s[1:], s
-        assert dot == (None if s in proper else at[s]), s
-        written += [*slots, dot] if dot is not None else slots
-    assert len(passed) == len(set(passed))
-    assert set(passed) == proper
-    assert sum(dot is not None for *_, dot in ops) == len(closure) - len(proper)
-    assert sorted(written) == list(range(1, len(closure) + 1))
+    stack, passed, dotted = [0], [], []
+    for depth, part, node, inner in trie._ops:
+        s = elements[node]
+        del stack[depth:]
+        assert len(stack) == depth == len(s) and part == s[0], s
+        assert elements[stack[-1]] == s[1:], s
+        assert inner == (s in proper), s
+        if inner:
+            stack.append(node)
+        (passed if inner else dotted).append(node)
+    assert sorted(passed + dotted) == list(range(1, len(elements)))
+    assert len(passed) == len(proper) and {elements[j] for j in passed} == proper
+    assert len(dotted) == len(closure) - len(proper)
 
 
 def test_walk_passes_each_proper_suffix_once_and_dots_only_elements_ending_no_pass():
@@ -486,7 +550,7 @@ def test_walk_passes_each_proper_suffix_once_and_dots_only_elements_ending_no_pa
     ]:
         indices = _shared_suffix_indices(rng, p, count, max_depth)
         trie = SuffixTrie(indices)
-        closure = {s for k in indices for i in range(len(k)) for s in (k[i:], k[: i + 1][::-1])}
+        closure = _closure(indices)
         for group in groups:
             swept = trie.sweep(group)
             _assert_walk_plan(trie, closure)
@@ -511,7 +575,8 @@ def test_key_lemma_walks_its_suffixes_only():
     swept = trie.sweep(group)
     suffixes = {k[i:] for k in indices for i in range(len(k))}
     assert len(suffixes) == 12 and len(trie._ops) == 12
-    assert {s for _, _, s, _, _ in trie._ops} == suffixes
+    elements = _elements(trie)
+    assert {elements[node] for _, _, node, _ in trie._ops} == suffixes
     _assert_walk_plan(trie, suffixes)
     for q, values in zip(group, swept):
         for k in indices:
@@ -654,10 +719,11 @@ def test_trie_keeps_one_tail_per_depth(monkeypatch):
     rows = modp._rows(trie._parts, inv, p)
     monkeypatch.setattr(modp, "inverse_table", lambda *group: inv)
     monkeypatch.setattr(modp, "_rows", lambda parts, block, *args: rows)
-    # one pass per part an op extends by, one op per element of J
-    passes = sum(len(parts) for _, parts, *_ in trie._ops)
-    closure = {s for k in indices for i in range(4) for s in (k[i:], k[: i + 1][::-1])}
-    assert [s for _, _, s, *_ in trie._ops] == sorted(closure, key=lambda s: (s[:0:-1], s))
+    # one pass per inner node, one op per element of J, each after its parent
+    passes = sum(inner for *_, inner in trie._ops)
+    closure = _closure(indices)
+    assert len(trie._ops) == len(closure)
+    _assert_walk_plan(trie, closure)
     one_tail = _one_tail((p,))
     tracemalloc.start()
     try:
@@ -741,20 +807,16 @@ def test_walk_carries_across_blocks(monkeypatch, block):
                 assert values[k] == zeta_by_loop(k, q), (block, group, q, k)
     assert walks >= 5 and on_end and in_first, (walks, on_end, in_first)
     # elements that end no pass take a dot product
-    assert any(dot is not None for *_, dot in trie._ops)
+    assert any(not inner for *_, inner in trie._ops)
 
 
 def _tail_reads(trie):
     # the tail that each pass past the innermost, and each dot product,
-    # multiplies by its row, as the parts of its suffix read innermost part
-    # first, in the order of one block of the walk
-    reads = []
-    for kept, _, s, _, dot in trie._ops:
-        inner = s[:0:-1]
-        reads += (inner[:depth] for depth in range(max(kept, 1), len(inner)))
-        if dot is not None:
-            reads.append(inner)
-    return reads
+    # multiplies by its row, its parent's, as the parts of the parent's
+    # element read innermost part first, in the order of one block of the
+    # walk
+    elements = _elements(trie)
+    return [elements[node][:0:-1] for depth, _, node, inner in trie._ops if depth > 1 or not inner]
 
 
 def _widths(group):
