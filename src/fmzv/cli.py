@@ -18,7 +18,7 @@ import os
 import sys
 
 from .indices import format_index, hoffman_dual, parse_index
-from .modp import EngineFault, bernoulli_mod_p, primes_in, residues, usable_cpus
+from .modp import EngineFault, primes_in, residues, usable_cpus
 from .suite import run_battery
 from .verify import CHECKS, CheckReport, check
 
@@ -218,9 +218,9 @@ def _cmd_dual(args) -> int:
     return 0
 
 
-def _value_table(identity: str, params: dict, primes: list[int], value, args) -> int:
-    # one "p,value" line per prime, or the same rows as a JSON document
-    rows = [(p, value(p)) for p in primes]
+def _value_table(identity: str, params: dict, rows: list[tuple[int, int]], args) -> int:
+    # one "p,value" line per (prime, value) row, or the same rows as a JSON
+    # document
     if args.format == "json":
         doc = {"identity": identity, "params": params, "results": None}
         _emit(_dump(doc, [_VALUE_ROW % row for row in rows]), args.output)
@@ -236,8 +236,7 @@ def _cmd_zeta(args) -> int:
     if not ps:
         raise ValueError(f"no primes in window [{lo}, {hi}]")
     params = {"index": list(k), "primes": [lo, hi]}
-    values = {p: memo[k] for p, memo in residues([k], ps)}
-    return _value_table("zeta", params, ps, values.__getitem__, args)
+    return _value_table("zeta", params, [(p, memo[k]) for p, memo in residues([k], ps)], args)
 
 
 def _cmd_bernoulli(args) -> int:
@@ -246,7 +245,8 @@ def _cmd_bernoulli(args) -> int:
     if not ps:
         raise ValueError(f"no primes p >= k+2 in window [{lo}, {hi}]")
     params = {"k": args.k, "primes": [lo, hi]}
-    return _value_table("bernoulli", params, ps, functools.partial(bernoulli_mod_p, args.k), args)
+    rows = [(p, memo[p - args.k]) for p, memo in residues((), ps, [args.k])]
+    return _value_table("bernoulli", params, rows, args)
 
 
 def _cmd_check(args) -> int:

@@ -76,25 +76,27 @@ about one block per row and per depth, however large q_G.  Bernoulli
 numbers B_n mod p come from the power sum 1^n + ... + (p-1)^n mod p^2 in
 O(p).
 
-Everything memoized at a prime lives in one store: its swept residues by
-index and its Bernoulli values by n.  Each residue and Bernoulli value
+Everything memoized at a prime lives in one store, one memo per prime: its
+swept residues keyed by index, a tuple, and its Bernoulli values B_n keyed
+by n, an int, so the two cannot collide.  Each residue and Bernoulli value
 costs one unit of ``TABLE_BUDGET``.  A write at a prime drops whole
 primes, least recently used first, while the store is over budget and down
 to that prime only, so memory stays bounded however many primes a process
-meets, and a prime's residues and Bernoulli values always leave together.
-A group's primes are written in order, so an earlier one may leave while a
-later one is written; its memo is already in hand, complete.
+meets.  A group's primes are written in order, so an earlier one may leave
+while a later one is written; its memo is already in hand, complete.
 
-:func:`residues` is the one way a batch of indices is evaluated over a
-window: it yields each prime's residue memo once the store holds what the
-batch reads there.  The trie is walked only for the indices whose residues
-are missing, a group of primes at a time, so large verification batteries
-share almost all of their arithmetic.  The group is also the pool's unit
-of work, since one walk cannot be split: a window of one group is walked
-in-process, and a window of several is filled by a pool of workers, one
-group a task, when its cold work reaches ``POOL_MIN_MULTS``.  The residues
-and Bernoulli values of each task are written into the parent's store as
-they arrive, so they outlive the worker.
+:func:`residues` is the one way a batch is evaluated over a window, and
+the only code that fills the store: it yields each prime's memo once the
+store holds what the batch reads there, the residue of each of its indices
+and B_(p-w) for each w it asks for.  The trie is walked only for the
+indices whose residues are missing, a group of primes at a time, so large
+verification batteries share almost all of their arithmetic, and each
+missing Bernoulli value is computed with its prime's residues.  The group
+is also the pool's unit of work, since one walk cannot be split: a window
+of one group is filled in-process, and a window of several by a pool of
+workers, one group a task, when its cold work reaches ``POOL_MIN_MULTS``.
+The memos of each task are written into the parent's store as they arrive,
+so they outlive the worker.
 """
 
 from __future__ import annotations
@@ -290,34 +292,33 @@ def _rows(
     return held
 
 
-# prime -> (residues by index, B_n by n); the dict's order runs from the
-# least to the most recently used prime.  A prime enters only once it has
-# passed ensure_prime or come from the sieve, so a hit needs no validation.
-_store: dict[int, tuple[dict, dict]] = {}
+# prime -> its memo: residues keyed by index, a tuple, and B_n keyed by n,
+# an int; the dict's order runs from the least to the most recently used
+# prime.  A prime enters only once it has come from the sieve or passed
+# ensure_prime, and only residues and _fill_group write it.
+_store: dict[int, dict] = {}
 _store_size = 0  # units held in _store
 
 
-def _entry(p: int) -> tuple[dict, dict]:
-    # p's entry, moved to the most recently used end (created empty)
-    entry = _store[p] = _store.pop(p, None) or ({}, {})
-    return entry
+def _entry(p: int) -> dict:
+    # p's memo, moved to the most recently used end (created empty)
+    _store[p] = memo = _store.pop(p, {})
+    return memo
 
 
-def _put(p: int, sums: Iterable[tuple] = (), bernoulli: Iterable[tuple] = ()) -> dict:
-    # The one writer of the store: add (index, residue) and (n, B_n) pairs
-    # computed at p, count the units that are new, then drop whole primes,
-    # least recently used first, until the store fits TABLE_BUDGET or p is
-    # the least recently used; return p's memo.  An entry p already has
-    # keeps its place, which its reader moved; a new one is the most recent.
+def _put(p: int, pairs: Iterable[tuple]) -> dict:
+    # The one writer of the store: add the (key, value) pairs computed at p,
+    # count the units that are new, then drop whole primes, least recently
+    # used first, until the store fits TABLE_BUDGET or p is the least
+    # recently used; return p's memo.  A memo p already has keeps its place,
+    # which its reader moved; a new one is the most recent.
     global _store_size
-    memo, bern = _store.setdefault(p, ({}, {}))
-    held = len(memo) + len(bern)
-    memo.update(sums)
-    bern.update(bernoulli)
-    _store_size += len(memo) + len(bern) - held
+    memo = _store.setdefault(p, {})
+    held = len(memo)
+    memo.update(pairs)
+    _store_size += len(memo) - held
     while _store_size > TABLE_BUDGET and next(iter(_store)) != p:
-        residues, values = _store.pop(next(iter(_store)))
-        _store_size -= len(residues) + len(values)
+        _store_size -= len(_store.pop(next(iter(_store))))
     return memo
 
 
@@ -525,25 +526,27 @@ class SuffixTrie:
         return dict(zip(self.indices, map(mod, map(sub, islice(sums, 1, None), sums), repeat(q))))
 
 
-def _fill_group(trie: SuffixTrie, group: Sequence[int]) -> list[dict]:
-    # Memoize at each prime of ``group`` the residues of the trie's indices
-    # missing there, and return the group's memos.  They are swept in one
-    # walk over the group, of ``trie`` itself when it holds no other index.
-    # An index of depth >= q is 0 at q, whose summation range is empty: the
-    # walk alone would give the same zeros, but would first build and walk J
-    # of every such index, whose nodes grow as the square of its depth.  Each
-    # prime is written once, in order (see _put), and a group with nothing
-    # missing writes nothing.
-    memos = [_entry(q)[0] for q in group]
-    if all(all(map(memo.__contains__, trie.indices)) for memo in memos):
-        return memos
+def _fill_group(trie: SuffixTrie, ws: Sequence[int], group: Sequence[int]) -> list[dict]:
+    # Memoize at each prime q of ``group`` what is missing there of the
+    # residues of the trie's indices and of B_(q-w) for each w of ``ws``
+    # with q >= w + 2, and return the group's memos.  The residues are
+    # swept in one walk over the group, of ``trie`` itself when it holds no
+    # other index.  An index of depth >= q is 0 at q, whose summation range
+    # is empty: the walk alone would give the same zeros, but would first
+    # build and walk J of every such index, whose nodes grow as the square
+    # of its depth.  Each prime is written once, in order (see _put), with
+    # its residues and Bernoulli values together, and a prime with nothing
+    # missing is not written.
+    memos = [_entry(q) for q in group]
     missing = [list(filterfalse(memo.__contains__, trie.indices)) for memo in memos]
     live = [k for k in dict.fromkeys(chain.from_iterable(missing)) if len(k) < group[-1]]
     swept = repeat({})
     if live:
         swept = (trie if len(live) == len(trie.indices) else SuffixTrie(live)).sweep(group)
-    for q, ks, values in zip(group, missing, swept):
-        _put(q, ((k, values[k] if len(k) < q else 0) for k in ks))
+    for q, memo, ks, values in zip(group, memos, missing, swept):
+        bs = [(q - w, bernoulli_mod_p(w, q)) for w in ws if q >= w + 2 and q - w not in memo]
+        if ks or bs:
+            _put(q, chain(((k, values[k] if len(k) < q else 0) for k in ks), bs))
     return memos
 
 
@@ -586,7 +589,7 @@ def _cold_work(indices: Sequence[tuple[int, ...]], groups: list[tuple[int, ...]]
         if all(q in _store for q in g):
             lacking: set = set()
             for q in g:
-                lacking |= every.difference(_store[q][0])
+                lacking |= every.difference(_store[q])
             missing = frozenset(lacking)
         if deepest >= g[-1]:
             missing = frozenset(k for k in missing if len(k) < g[-1])
@@ -604,36 +607,37 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _fill(trie: SuffixTrie, ws: list[int], group: tuple[int, ...]) -> list[tuple[list, list]]:
-    # run in a pool worker: for each prime q of ``group``, the residue at q of
-    # each of the trie's indices in order, then (q - w, B_(q-w)) for each w of
-    # ``ws`` with q >= w + 2, computed into the worker's store and returned
-    # for the parent's
-    memos = _fill_group(trie, group)
-    return [
-        ([memo[k] for k in trie.indices], [(q - w, bernoulli_mod_p(w, q)) for w in ws if q >= w + 2])
-        for q, memo in zip(group, memos)
-    ]
+def _keys(trie: SuffixTrie, ws: Sequence[int], q: int) -> Iterator:
+    # the keys a batch reads in q's memo, in order: the trie's indices, then
+    # n = q - w for each w of ``ws`` that defines B_(q-w), q >= w + 2
+    return chain(trie.indices, (q - w for w in ws if q >= w + 2))
+
+
+def _fill(trie: SuffixTrie, ws: list[int], group: tuple[int, ...]) -> list[list[int]]:
+    # run in a pool worker: the memos _fill_group fills, packed for the
+    # parent's store as each prime's values in the order of _keys
+    memos = _fill_group(trie, ws, group)
+    return [list(map(memo.__getitem__, _keys(trie, ws, q))) for q, memo in zip(group, memos)]
 
 
 def residues(
     indices: Iterable[Sequence[int]], primes: list[int], ws: Iterable[int] = (), jobs: int = 1
-) -> Iterator[tuple[int, Mapping[tuple[int, ...], int]]]:
+) -> Iterator[tuple[int, Mapping[tuple[int, ...] | int, int]]]:
     """For each prime p of ``primes``, taken from the sieve, in order: yield
-    (p, p's residue memo, for reading only) once it holds the residue at p
-    of every index of ``indices``.  The memo may already have left the store
-    (see the module docstring), but not what it holds.
+    (p, p's memo, for reading only) once it holds the residue at p of every
+    index of ``indices``, keyed by the index, and B_(p-w) for each w of
+    ``ws`` where it is defined, p >= w + 2, keyed by n = p - w.  The memo
+    may already have left the store (see the module docstring), but not
+    what it holds.  This is the only code that fills the store.
 
-    What is missing is swept a group of consecutive primes in one walk.
-    A window of several groups, with more than one worker allowed (at most
+    What is missing is filled a group of consecutive primes at a time: its
+    residues in one walk, then its Bernoulli values prime by prime.  A
+    window of several groups, with more than one worker allowed (at most
     ``jobs``, and never more than the groups or the usable CPUs), whose
     cold work reaches :data:`POOL_MIN_MULTS` is filled by a pool, one group
-    a task, and each prime's results are written into the store as they
-    arrive; a worker also computes B_(p-w) for each w of ``ws`` where it is
-    defined, p >= w + 2, which it would otherwise leave to the parent.
-    Otherwise the walks run in-process, and a Bernoulli value is computed
-    where it is first read.  Close the generator (``contextlib.closing``)
-    to shut such a pool down early.
+    a task, and each prime's memo is written into the store as it arrives;
+    otherwise the groups are filled in-process.  Close the generator
+    (``contextlib.closing``) to shut such a pool down early.
     """
     trie = SuffixTrie(indices)
     ws = sorted(set(ws))
@@ -644,11 +648,11 @@ def residues(
     if workers > 1 and _cold_work(trie.indices, groups) >= POOL_MIN_MULTS:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for group, filled in zip(groups, pool.map(partial(_fill, trie, ws), groups)):
-                for p, (got, bs) in zip(group, filled):
-                    yield p, _put(p, zip(trie.indices, got), bs)
+                for p, got in zip(group, filled):
+                    yield p, _put(p, zip(_keys(trie, ws, p), got))
     else:
         for group in groups:
-            yield from zip(group, _fill_group(trie, group))
+            yield from zip(group, _fill_group(trie, ws, group))
 
 
 def zeta_mod_p(k: tuple[int, ...], p: int) -> int:
@@ -662,17 +666,15 @@ def zeta_mod_p(k: tuple[int, ...], p: int) -> int:
     suffix of another, each about p / 2 multiplications run through C-level
     iterators, O(p * depth) in all; the reversal m -> p - m gives the upper
     half.  An index with depth >= p has an empty summation range and
-    gives 0.
+    gives 0.  The value is read from, or filled into, the store through
+    :func:`residues`.
     """
     k = tuple(k)
-    if p in _store:
-        hit = _entry(p)[0].get(k)
-        if hit is not None:
-            return hit
     ensure_prime(p)
     if not k or any(kj < 1 for kj in k):
         raise ValueError(f"index parts must be >= 1, got {k}")
-    return _fill_group(SuffixTrie([k]), (p,))[0][k]
+    ((_, memo),) = residues([k], [p])
+    return memo[k]
 
 
 def zeta_mod_p_naive(k: tuple[int, ...], p: int) -> int:
@@ -697,23 +699,19 @@ def zeta_mod_p_naive(k: tuple[int, ...], p: int) -> int:
 
 
 def bernoulli_mod_p(k: int, p: int) -> int:
-    """B_(p-k) mod p, for 2 <= k <= p-2 (which keeps the number p-integral)."""
-    n = p - k
-    if p in _store:
-        hit = _entry(p)[1].get(n)
-        if hit is not None:
-            return hit
+    """B_(p-k) mod p, for 2 <= k <= p-2 (which keeps the number p-integral),
+    computed afresh on every call; :func:`residues` memoizes the values a
+    batch reads."""
     ensure_prime(p)
     if not 2 <= k <= p - 2:
         raise ValueError(f"need 2 <= k <= p-2, got k={k}, p={p}")
     # B_n vanishes for odd n >= 3; for even n (then n <= p-3) the power-sum
     # congruence 1^n + ... + (p-1)^n = p*B_n mod p^2 holds (Ireland-Rosen,
     # ch. 15), so the sum divided by p is B_n.
-    value = 0
-    if n % 2 == 0:
-        s = sum(map(pow, range(1, p), repeat(n), repeat(p * p)))
-        if s % p:
-            raise EngineFault(f"power sum of exponent {n} is not divisible by {p}")
-        value = s // p % p
-    _put(p, bernoulli=[(n, value)])
-    return value
+    n = p - k
+    if n % 2:
+        return 0
+    s = sum(map(pow, range(1, p), repeat(n), repeat(p * p)))
+    if s % p:
+        raise EngineFault(f"power sum of exponent {n} is not divisible by {p}")
+    return s // p % p

@@ -5,7 +5,8 @@ Numeric checkers compile their identity into a :class:`Plan` that does not
 depend on the prime: two sides, each a sum of integer multiples of products
 of harmonic sums, and at most one Bernoulli term on the right.  A word
 polynomial becomes such a sum once, word by word, when the plan is built.
-One evaluator, :func:`_pair`, computes a plan at a prime.
+One evaluator, :func:`_pair`, computes a plan at a prime from that prime's
+memo alone.
 
 One table, :data:`CHECKS`, names every identity with its flags, its
 builder and its weight, and :func:`check` runs one identity by name; the
@@ -26,8 +27,9 @@ its weight (shift included) + 3, and :func:`check` refuses a window with no
 prime at or above it.  Sub-floor primes are still evaluated and reported,
 but only :attr:`CheckReport.above_floor`, the rows at or above the floor,
 can fail a check.  When a numeric comparison fails at or above the floor,
-the prime is re-evaluated with the independent harmonic-sum oracle before
-the failure is reported, so an engine bug cannot masquerade as a genuine
+the prime is re-evaluated with the independent harmonic-sum oracle and a
+freshly computed Bernoulli value before the failure is reported, so an
+engine bug, or a wrong value in the store, cannot masquerade as a genuine
 exceptional prime.
 
 The lemma has an index reading and a word reading.  ``key-lemma`` compares
@@ -210,9 +212,10 @@ def _word_terms(poly: NCPolynomial, sign: int = 1) -> tuple[Term, ...]:
     return tuple((sign * c, (index_of_word(w),) if w else ()) for w, c in poly.terms.items())
 
 
-def _pair(plan: Plan, p: int, values: Mapping[tuple[int, ...], int]) -> tuple[int, int]:
-    """Residues of both sides of ``plan`` at p, given the residue of each of
-    its indices."""
+def _pair(plan: Plan, p: int, values: Mapping[tuple[int, ...] | int, int]) -> tuple[int, int]:
+    """Residues of both sides of ``plan`` at p, read from ``values``, p's
+    memo: the residue of each of its indices and, for a Bernoulli term of
+    weight w, B_(p-w) keyed by p - w."""
 
     def side(terms):
         total = 0
@@ -225,7 +228,7 @@ def _pair(plan: Plan, p: int, values: Mapping[tuple[int, ...], int]) -> tuple[in
     lhs, rhs = side(plan.lhs), side(plan.rhs)
     if plan.bernoulli:
         w, c, c_alt = plan.bernoulli
-        scale = bernoulli_mod_p(w, p) * inv_mod(w, p) % p
+        scale = values[p - w] * inv_mod(w, p) % p
         closed, closed_alt = c * scale % p, c_alt * scale % p
         if closed != closed_alt:
             raise EngineFault(
@@ -237,11 +240,14 @@ def _pair(plan: Plan, p: int, values: Mapping[tuple[int, ...], int]) -> tuple[in
 
 def _confirm_failures(plan: Plan, report: CheckReport) -> None:
     # Failures at or above the floor are re-derived with the independent
-    # oracle; a disagreement with the fast path is an engine bug, not an
-    # exceptional prime, and is raised loudly.
+    # oracle and a Bernoulli value computed afresh, not read from the store;
+    # a disagreement with the fast path is an engine bug, not an exceptional
+    # prime, and is raised loudly.
     for row in report.above_floor:
         if not row.ok:
             oracle = {k: zeta_mod_p_naive(k, row.p) for k in plan.indices()}
+            if plan.bernoulli:
+                oracle[row.p - plan.bernoulli[0]] = bernoulli_mod_p(plan.bernoulli[0], row.p)
             l2, r2 = _pair(plan, row.p, oracle)
             if (l2, r2) != (row.lhs, row.rhs):
                 raise EngineFault(

@@ -6,6 +6,8 @@ import sys
 import textwrap
 import time
 
+import pytest
+
 import fmzv.modp
 import fmzv.verify
 from fmzv.cli import main, render_json
@@ -202,7 +204,7 @@ def test_out_of_memory_is_refused_with_exit_2(capsys, monkeypatch):
 def test_engine_fault_exit_code(capsys, monkeypatch):
     # a fast path that gives every index its depth: ohno (2,1) at n=1 then
     # reads 4 against 6, which the oracle does not reproduce
-    def wrong_memos(trie, group):
+    def wrong_memos(trie, ws, group):
         return [{k: len(k) for k in trie.indices} for _ in group]
 
     monkeypatch.setattr(fmzv.modp, "_fill_group", wrong_memos)
@@ -213,6 +215,36 @@ def test_engine_fault_exit_code(capsys, monkeypatch):
     assert out == ""
     assert err.startswith("fmzv: engine fault: evaluator disagrees with brute-force oracle at p=11")
     assert "Traceback" not in err
+
+
+def test_wrong_memoized_bernoulli_value_is_an_engine_fault(capsys, monkeypatch):
+    # A wrong B_(13-w) seeded into a cold store at 13 is read by the
+    # evaluator, and a failure is re-derived with a Bernoulli value computed
+    # afresh, so the check reports an engine fault, not a failing prime.  Both
+    # plans' sign variants agree (c = c_alt), so the evaluator's own
+    # sign-variant check cannot catch the wrong value first.
+    for name, values, argv in [
+        ("height-one", (1, 0), ["--a", "1", "--b", "0"]),
+        ("sum-formula", (5, 2, 1), ["--k", "5", "--r", "2", "--i", "1"]),
+    ]:
+        _, plan = fmzv.verify.CHECKS[name].build(*values, (11, 40))
+        w, c, c_alt = plan.bernoulli
+        assert c == c_alt
+        wrong = (fmzv.modp.bernoulli_mod_p(w, 13) + 1) % 13
+
+        def seed():
+            monkeypatch.setattr(fmzv.modp, "_store", {13: {13 - w: wrong}})
+            monkeypatch.setattr(fmzv.modp, "_store_size", 1)
+
+        seed()
+        with pytest.raises(fmzv.modp.EngineFault, match="brute-force oracle at p=13"):
+            fmzv.verify.check(name, *values, window=(11, 40))
+        seed()
+        code, out, err = run_cli(capsys, "check", name, *argv, "--primes", "11:40")
+        assert code == 3 and out == "", name
+        assert err.startswith(
+            "fmzv: engine fault: evaluator disagrees with brute-force oracle at p=13"
+        ), name
 
 
 def test_lemma_readings_that_differ_are_an_engine_fault(capsys, monkeypatch):
@@ -428,11 +460,11 @@ def test_engine_fault_fails_its_step_alone(capsys, monkeypatch):
     fill = fmzv.modp._fill_group
     walks = []
 
-    def fault_once(trie, group):
+    def fault_once(trie, ws, group):
         walks.append(group)
         if len(walks) == 1:
             raise fmzv.modp.EngineFault("forced at the first walk")
-        return fill(trie, group)
+        return fill(trie, ws, group)
 
     monkeypatch.setattr(fmzv.modp, "_fill_group", fault_once)
     code, out, err = run_cli(capsys, *argv)

@@ -6,6 +6,9 @@ definition, or be exported through an ``__all__``.  Names are matched by
 spelling.  A function or class counts as read through a name or an
 attribute of that spelling, a method only through an attribute: a local
 variable that shares a method's name does not keep the method alive.
+
+The per-prime store of ``fmzv.modp`` has one writer, ``_put``, called only
+where ``residues`` fills the store, and no other module names the store.
 """
 
 import ast
@@ -85,3 +88,51 @@ def test_a_definition_read_only_by_itself_is_unused(tmp_path):
     assert unused_definitions(tmp_path) == [
         "a._recursive", "a.Box", "a.Box.dead", "a.Box.shadowed", "a._sizes", "a._local",
     ]
+
+
+def _spellings(node: ast.AST) -> set[str]:
+    # the spelling of a name or attribute node, else nothing
+    if isinstance(node, ast.Name):
+        return {node.id}
+    return {node.attr} if isinstance(node, ast.Attribute) else set()
+
+
+def store_writers(src: Path = SRC) -> tuple[set[str], set[str]]:
+    """``module.function`` of every function in ``src`` that calls ``_put``,
+    the store's writer, and the modules that name ``_store``, the store."""
+    callers, naming = set(), set()
+
+    def visit(module: str, scope: str, node: ast.AST) -> None:
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = child.name
+            if isinstance(child, ast.Call) and "_put" in _spellings(child.func):
+                callers.add(f"{module}.{scope}")
+            if "_store" in _spellings(child):
+                naming.add(module)
+            visit(module, inner, child)
+
+    for path in sorted(src.glob("*.py")):
+        visit(path.stem, "", ast.parse(path.read_text(), str(path)))
+    return callers, naming
+
+
+def test_the_store_has_one_writer():
+    # residues is the only way a batch fills the store: _put is called by
+    # the group fill and by residues, for a pool's results, alone, and
+    # nothing outside modp reads or writes the store directly
+    assert store_writers() == ({"modp._fill_group", "modp.residues"}, {"modp"})
+
+
+def test_a_second_writer_is_found(tmp_path):
+    (tmp_path / "modp.py").write_text(
+        "_store = {}\n"
+        "def _put(p, pairs):\n    _store.setdefault(p, {}).update(pairs)\n"
+        "def residues():\n    yield _put(2, [])\n"
+        "def bernoulli():\n    def inner():\n        return _put(3, [])\n    return inner()\n"
+    )
+    (tmp_path / "verify.py").write_text(
+        "import modp\ndef pair(p):\n    return modp._store[p]\n"
+    )
+    assert store_writers(tmp_path) == ({"modp.residues", "modp.inner"}, {"modp", "verify"})

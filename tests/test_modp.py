@@ -194,19 +194,33 @@ def test_bernoulli_range_errors():
 
 
 def test_bernoulli_memo_is_read_before_validating(monkeypatch):
+    from fmzv.verify import _run, instance
+
     monkeypatch.setattr(fmzv.modp, "_store", {})
     monkeypatch.setattr(fmzv.modp, "_store_size", 0)
     first = bernoulli_mod_p(3, 7)
-    # a miss still validates: 9 is not prime, and k = 1 is out of range at 7
+    # bernoulli_mod_p memoizes nothing and validates on every call: 9 is not
+    # prime, and k = 1 is out of range at 7
     for k, p in [(3, 9), (1, 7)]:
         with pytest.raises(ValueError):
             bernoulli_mod_p(k, p)
+    tested = []
+    is_prime = fmzv.modp.is_prime
+    monkeypatch.setattr(fmzv.modp, "is_prime", lambda n: tested.append(n) or is_prime(n))
+    assert bernoulli_mod_p(3, 7) == first == 3 and tested == [7]
+    assert fmzv.modp._store == {}
+    # a run reads the memos residues fills: warm, it neither validates a
+    # prime nor computes a Bernoulli value
+    batch = [instance("height-one", (1, 0), (5, 60)), instance("sum-formula", (5, 2, 1), (5, 60))]
+    cold = _run(batch, (5, 60))
 
-    def refuse(n):
-        raise AssertionError(f"primality of {n} tested again")
+    def refuse(*args):
+        raise AssertionError(f"called again with {args}")
 
-    monkeypatch.setattr(fmzv.modp, "is_prime", refuse)
-    assert bernoulli_mod_p(3, 7) == first == 3
+    monkeypatch.setattr(fmzv.modp, "ensure_prime", refuse)
+    monkeypatch.setattr(fmzv.modp, "bernoulli_mod_p", refuse)
+    monkeypatch.setattr(fmzv.verify, "bernoulli_mod_p", refuse)
+    assert _run(batch, (5, 60)) == cold and all(rep.passed for rep in cold)
 
 
 def test_bernoulli_table_satisfies_recurrence():
@@ -227,9 +241,10 @@ def test_bernoulli_matches_recurrence_oracle():
 def test_row_store_stays_within_budget(monkeypatch):
     import fmzv.modp as modp
 
-    def units(entry):
-        residues, bernoulli = entry
-        return len(residues) + len(bernoulli)
+    def bernoulli_4(p):
+        # B_4 at p, read from the memo residues fills
+        ((_, memo),) = residues((), [p], [p - 4])
+        return memo[4]
 
     monkeypatch.setattr(modp, "_store", {})
     monkeypatch.setattr(modp, "_store_size", 0)
@@ -239,9 +254,9 @@ def test_row_store_stays_within_budget(monkeypatch):
     primes = primes_in(99_990, 100_100)[:5]
     for p in primes:
         zeta_mod_p(Index((3, 1, 2)), p)
-        bernoulli_mod_p(p - 4, p)  # B_4
-        assert modp._store_size == sum(map(units, modp._store.values()))
-        assert modp._store_size <= modp.TABLE_BUDGET + units(modp._store[p]), p
+        assert bernoulli_4(p) == bernoulli_mod_p(p - 4, p)
+        assert modp._store_size == sum(map(len, modp._store.values()))
+        assert modp._store_size <= modp.TABLE_BUDGET + len(modp._store[p]), p
     # two primes' units at most: the first primes are gone
     assert list(modp._store) == primes[3:]
     # a swept-again prime gives the same sums as the loop oracle, and the
@@ -249,10 +264,10 @@ def test_row_store_stays_within_budget(monkeypatch):
     p = primes[0]
     value = zeta_mod_p(Index((2, 3, 1)), p)
     assert value == zeta_by_loop((2, 3, 1), p)
-    assert modp._store[p] == ({(2, 3, 1): value}, {})
+    assert modp._store[p] == {(2, 3, 1): value}
     assert zeta_mod_p(Index((1, 1, 3)), p) == zeta_by_loop((1, 1, 3), p)
-    assert bernoulli_mod_p(p - 4, p) == bernoulli_exact_mod(4, p)
-    assert modp._store_size == sum(map(units, modp._store.values()))
+    assert bernoulli_4(p) == bernoulli_exact_mod(4, p)
+    assert modp._store_size == sum(map(len, modp._store.values()))
 
 
 def test_group_memos_stay_complete_when_the_store_drops_them(monkeypatch):
@@ -343,7 +358,7 @@ def test_cold_sweep_builds_only_the_rows_it_reads(monkeypatch):
     assert values == {(5, 1): zeta_by_loop((5, 1), p)}
     assert set(powers) == {5} and powers.count(5) == p // 2 + 1
     # the rows left with the sweep: the store holds the residue alone
-    assert modp._store == {p: (values, {})}
+    assert modp._store == {p: values}
     assert modp._store_size == 1
 
 
@@ -645,7 +660,7 @@ def test_cold_work_counts_what_the_store_lacks(monkeypatch):
     def brute(store):
         work = 0
         for g in groups:
-            missing = [k for k in indices if len(k) < g[-1] and any(q not in store or k not in store[q][0] for q in g)]
+            missing = [k for k in indices if len(k) < g[-1] and any(q not in store or k not in store[q] for q in g)]
             closure = set()
             for k in missing:
                 for i in range(len(k)):
@@ -654,11 +669,12 @@ def test_cold_work_counts_what_the_store_lacks(monkeypatch):
             work += (g[-1] + 1) // 2 * len(closure)
         return work
 
-    stores = [{}, {q: ({k: 0 for k in indices}, {}) for q in primes}]
+    # a Bernoulli value, keyed by an int, is no residue and no cold work
+    stores = [{}, {q: {**{k: 0 for k in indices}, q - 2: 0} for q in primes}]
     for share in (0.3, 0.9):
-        stores.append({q: ({k: 0 for k in indices if rng.random() < share}, {}) for q in primes})
+        stores.append({q: {k: 0 for k in indices if rng.random() < share} for q in primes})
     # whole groups warm but for one index, and a group with one prime absent
-    stores.append({q: ({k: 0 for k in indices[1:]}, {}) for q in primes if q != groups[2][1]})
+    stores.append({q: {k: 0 for k in indices[1:]} for q in primes if q != groups[2][1]})
     for store in stores:
         monkeypatch.setattr(modp, "_store", store)
         order = list(store)

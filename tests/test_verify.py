@@ -499,10 +499,10 @@ def test_pooled_residues_come_home(monkeypatch, tmp_path):
 
     def held():
         # residues and Bernoulli values by prime
-        return {p: (dict(residues), dict(bern)) for p, (residues, bern) in modp._store.items()}
+        return {p: dict(memo) for p, memo in modp._store.items()}
 
     def units():
-        return sum(len(residues) + len(bern) for residues, bern in modp._store.values())
+        return sum(map(len, modp._store.values()))
 
     cold()
     serial = [run(argv, 1) for argv in argvs]
@@ -532,10 +532,10 @@ def test_pooled_residues_come_home(monkeypatch, tmp_path):
     assert held() == serial_held
     for inst in batch:
         for p in fmzv.verify.primes_in(max(window[0], inst.plan.minimum), window[1]):
-            residues, bern = modp._store[p]
-            assert all(k in residues for k in inst.plan.indices())
+            memo = modp._store[p]
+            assert all(k in memo for k in inst.plan.indices())
             if inst.plan.bernoulli:
-                assert p - inst.plan.bernoulli[0] in bern
+                assert p - inst.plan.bernoulli[0] in memo
     assert modp._store_size == units()
 
     # a repeat finds everything memoized: in-process, nothing swept
@@ -574,6 +574,39 @@ def test_confirm_failures_flags_engine_bugs():
         _confirm_failures(plan, report(buggy, 5))
     # below the floor nothing is re-verified
     _confirm_failures(plan, report(buggy, 13))
+
+
+def test_one_power_sum_per_prime_and_a_pure_pair(monkeypatch):
+    # Every sum-formula instance of k = 5 and every height-one instance of
+    # a + b + 2 = 5 read B_(p-5): a cold batch computes it once per prime,
+    # with the residues, and pairing only reads the memo it is handed.
+    modp = fmzv.modp
+    cold_store(monkeypatch)
+    window = (7, 200)
+    batch = [
+        instance("sum-formula", (5, r, i), window) for r in range(1, 5) for i in range(1, r + 1)
+    ] + [instance("height-one", (a, 3 - a), window) for a in range(4)]
+    assert len(batch) == 14
+    calls = []
+    bernoulli = modp.bernoulli_mod_p
+
+    def spy(w, p):
+        calls.append((w, p))
+        return bernoulli(w, p)
+
+    monkeypatch.setattr(modp, "bernoulli_mod_p", spy)
+    monkeypatch.setattr(fmzv.verify, "bernoulli_mod_p", spy)
+    reports = fmzv.verify._run(batch, window, jobs=1)
+    assert all(rep.passed for rep in reports)
+    assert calls == [(5, p) for p in fmzv.verify.primes_in(*window)]
+    order, size = list(modp._store), modp._store_size
+    for p in (7, 101, 199):
+        memo = modp._store[p]
+        rows = [fmzv.verify._pair(inst.plan, p, memo) for inst in batch]
+        assert all(lhs == rhs for lhs, rhs in rows), p
+        assert list(modp._store) == order and modp._store_size == size, p
+    # the 43 primes' power sums, and none computed while pairing
+    assert len(calls) == 43
 
 
 def test_batch_reports_equal_single_runs(monkeypatch):
