@@ -153,8 +153,8 @@ def _add_numeric_opts(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--jobs", type=int, default=usable_cpus(),
         help="parallel workers, one group of consecutive primes a task (default: "
-        "usable CPUs); a window of one group, or whose walks still missing from the "
-        "store are too light to pay for starting workers, runs in-process",
+        "usable CPUs); a window of one group, or whose walks of the check's trie over "
+        "the groups still missing an index are too light to pay for workers, runs in-process",
     )
     _add_output_opts(parser)
 

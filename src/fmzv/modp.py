@@ -94,9 +94,13 @@ verification batteries share almost all of their arithmetic, and each
 missing Bernoulli value is computed with its prime's residues.  The group
 is also the pool's unit of work, since one walk cannot be split: a window
 of one group is filled in-process, and a window of several by a pool of
-workers, one group a task, when its cold work reaches ``POOL_MIN_MULTS``.
-The memos of each task are written into the parent's store as they arrive,
-so they outlive the worker.
+workers, one group a task, when its cold work reaches ``POOL_MIN_MULTS``:
+the walk entries (q_G + 1) / 2 of each group that lacks an index of the
+batch and whose largest prime q_G exceeds the batch's deepest index, times
+the nodes of the batch's J.  Counting those nodes builds the batch's trie
+in the parent, so J is built once per batch and each task receives it
+built.  The memos of each task are written into the parent's store as
+they arrive, so they outlive the worker.
 """
 
 from __future__ import annotations
@@ -157,8 +161,11 @@ TAIL_BITS = 300
 # windows of 4 to 27 groups from 5:300 to 5:3000 took, with --jobs 2 and
 # the pool forced, 1.1-2.7 times their --jobs 1 wall below 9e4 units and
 # 0.57-0.96 times it above 1.4e5, but once (medians of 5 to 7 alternating
-# fresh processes): the two cross near 1e5.  A cold request of the windows
-# at p <= 500 of the small-p benchmark does at most 5.4e4.
+# fresh processes): the two cross near 1e5.  Those requests ran on a cold
+# store with batches shallower than every group's largest prime, where
+# the nodes of the batch's whole J, counted now, are those of the indices
+# each group lacks, counted then.  A cold request of the windows at
+# p <= 500 of the small-p benchmark does at most 5.4e4.
 POOL_MIN_MULTS = 100_000
 
 class EngineFault(RuntimeError):
@@ -322,27 +329,6 @@ def _put(p: int, pairs: Iterable[tuple]) -> dict:
     return memo
 
 
-def _trie(indices: Iterable[tuple[int, ...]]) -> tuple[dict[tuple[int, int], int], list[int], list[int]]:
-    # J as a trie: the node table, then each index's reversed prefixes,
-    # shortest first, and its suffixes, longest first, as nodes.  Node 0 is
-    # the empty index, and an element s of J is keyed by (s_1, the node of
-    # s[1:]) and numbered as it is first met, so each node's number exceeds
-    # its parent's.  An index's reversed prefixes chain its parts in order,
-    # each part the first of the next one, and its suffixes its parts
-    # reversed.
-    nodes: dict[tuple[int, int], int] = {}
-
-    def add(node: int, part: int) -> int:
-        return nodes.setdefault((part, node), len(nodes) + 1)
-
-    prefixes: list[int] = []
-    suffixes: list[int] = []
-    for k in indices:
-        prefixes += accumulate(k, add, initial=0)
-        suffixes += reversed(list(accumulate(reversed(k), add, initial=0)))
-    return nodes, prefixes, suffixes
-
-
 class SuffixTrie:
     """The half-range walk of a set of indices: the set J of their nonempty
     suffixes and reversed prefixes as a trie, each element a node below the
@@ -378,15 +364,36 @@ class SuffixTrie:
 
     def __init__(self, indices: Iterable[Sequence[int]]):
         self.indices = list(dict.fromkeys(map(tuple, indices)))
-        self._ops: list | None = None  # built on the first sweep
+        self._ops: list | None = None  # built on first use
+
+    def size(self) -> int:
+        """The number of nodes of J, which is built on first use."""
+        if self._ops is None:
+            self._build()
+        return len(self._ops)
 
     def _build(self) -> None:
+        # J as a trie, the one place it is built.  Node 0 is the empty index,
+        # and an element s of J is keyed by (s_1, the node of s[1:]) and
+        # numbered as it is first met, so each node's number exceeds its
+        # parent's.  An index's reversed prefixes, shortest first, chain its
+        # parts in order, each part the first of the next one, and its
+        # suffixes, longest first, its parts reversed.
+        nodes: dict[tuple[int, int], int] = {}
+
+        def add(node: int, part: int) -> int:
+            return nodes.setdefault((part, node), len(nodes) + 1)
+
+        self._prefixes: list[int] = []
+        self._suffixes: list[int] = []
+        for k in self.indices:
+            self._prefixes += accumulate(k, add, initial=0)
+            self._suffixes += reversed(list(accumulate(reversed(k), add, initial=0)))
         # One op (depth, part, node, inner) per node of J, each after its
         # parent, as a depth-first walk of the trie visits them; ``inner``
         # where the node is a proper suffix of another element, whose pass
         # builds its tail and writes its value.  A lane's values are H_L of
         # the nodes in number order, node 0's being 1.
-        nodes, prefixes, suffixes = _trie(self.indices)
         self._nodes = list(nodes)  # (part, parent) of nodes 1, 2, ...
         self._parts = {part for part, _ in self._nodes}
         children: list[list[int]] = [[] for _ in range(len(nodes) + 1)]
@@ -406,7 +413,6 @@ class SuffixTrie:
         self._signs = [1]
         for part, parent in self._nodes:
             self._signs.append(-self._signs[parent] if part % 2 else self._signs[parent])
-        self._prefixes, self._suffixes = prefixes, suffixes
         self._bounds = list(accumulate((len(k) + 1 for k in self.indices), initial=0))
 
     def sweep(self, group: Sequence[int]) -> list[dict[tuple[int, ...], int]]:
@@ -533,10 +539,11 @@ def _fill_group(trie: SuffixTrie, ws: Sequence[int], group: Sequence[int]) -> li
     # swept in one walk over the group, of ``trie`` itself when it holds no
     # other index.  An index of depth >= q is 0 at q, whose summation range
     # is empty: the walk alone would give the same zeros, but would first
-    # build and walk J of every such index, whose nodes grow as the square
-    # of its depth.  Each prime is written once, in order (see _put), with
-    # its residues and Bernoulli values together, and a prime with nothing
-    # missing is not written.
+    # build and walk J of every such index.  One index adds at most 2 *
+    # depth nodes, but a family of deep indices, such as the terms of
+    # harmonic(y^r, y), adds about the square of their depth.  Each prime is
+    # written once, in order (see _put), with its residues and Bernoulli
+    # values together, and a prime with nothing missing is not written.
     memos = [_entry(q) for q in group]
     missing = [list(filterfalse(memo.__contains__, trie.indices)) for memo in memos]
     live = [k for k in dict.fromkeys(chain.from_iterable(missing)) if len(k) < group[-1]]
@@ -568,35 +575,23 @@ def _groups(primes: Sequence[int]) -> list[tuple[int, ...]]:
     return groups
 
 
-def _cold_work(indices: Sequence[tuple[int, ...]], groups: list[tuple[int, ...]]) -> int:
-    # The work of the walks that would fill what is missing from the store:
-    # for each group with an index missing at one of its primes and of depth
-    # below its largest, the entries of the walk, (q_G + 1) / 2, times the
-    # nodes of J of those indices, one pass or dot product each.  The
-    # store is only read, so no prime moves in its order.  A window's groups
-    # mostly miss the same indices, all of them on a cold store, so J is
-    # counted once per distinct set of missing indices.  A set keeps the
-    # hashes of its indices, so the memos are searched without hashing an
-    # index again.  The union is taken in a loop: on CPython 3.11
-    # ``frozenset().union(*generator)`` left the sets it read to the cyclic
-    # collector, which raised the peak memory of a checks-small-p pass.
-    work = 0
-    sizes: dict[frozenset, int] = {}
-    every = frozenset(indices)
+def _cold_work(trie: SuffixTrie, groups: list[tuple[int, ...]]) -> int:
+    # The work of the walks that would fill what the store lacks of the
+    # batch: for each group that lacks one of its indices at one of its
+    # primes and whose largest prime q_G exceeds the deepest index, the
+    # entries of the walk, (q_G + 1) / 2, times the nodes of the batch's J,
+    # one pass or dot product each.  J is built on first use, here in the
+    # parent, so a pool's tasks receive it built.  The store is only read,
+    # so no prime moves in its order; a set keeps the hashes of its
+    # indices, so the memos are searched without hashing an index again.
+    every = frozenset(trie.indices)
     deepest = max(map(len, every), default=0)
-    for g in groups:
-        missing = every
-        if all(q in _store for q in g):
-            lacking: set = set()
-            for q in g:
-                lacking |= every.difference(_store[q])
-            missing = frozenset(lacking)
-        if deepest >= g[-1]:
-            missing = frozenset(k for k in missing if len(k) < g[-1])
-        if missing not in sizes:
-            sizes[missing] = len(_trie(missing)[0])
-        work += (g[-1] + 1) // 2 * sizes[missing]
-    return work
+    entries = sum(
+        (g[-1] + 1) // 2
+        for g in groups
+        if g[-1] > deepest and any(every.difference(_store.get(q, ())) for q in g)
+    )
+    return entries * trie.size() if entries else 0
 
 
 def usable_cpus() -> int:
@@ -636,8 +631,12 @@ def residues(
     ``jobs``, and never more than the groups or the usable CPUs), whose
     cold work reaches :data:`POOL_MIN_MULTS` is filled by a pool, one group
     a task, and each prime's memo is written into the store as it arrives;
-    otherwise the groups are filled in-process.  Close the generator
-    (``contextlib.closing``) to shut such a pool down early.
+    otherwise the groups are filled in-process.  The cold work is the walk
+    entries (q_G + 1) / 2 of each group that lacks an index at one of its
+    primes and whose largest prime q_G exceeds the deepest index, times the
+    nodes of the batch's J; counting them builds J here, so the pool's
+    tasks receive it built.  Close the generator (``contextlib.closing``)
+    to shut such a pool down early.
     """
     trie = SuffixTrie(indices)
     ws = sorted(set(ws))
@@ -645,7 +644,7 @@ def residues(
     # more workers than groups or CPUs only add start-up cost: under the
     # fork start method every requested worker is launched at once
     workers = min(jobs, len(groups), usable_cpus())
-    if workers > 1 and _cold_work(trie.indices, groups) >= POOL_MIN_MULTS:
+    if workers > 1 and _cold_work(trie, groups) >= POOL_MIN_MULTS:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for group, filled in zip(groups, pool.map(partial(_fill, trie, ws), groups)):
                 for p, got in zip(group, filled):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .indices import Index, hoffman_dual, weak_compositions
-from .modp import EngineFault, bernoulli_mod_p, primes_in, zeta_mod_p, zeta_mod_p_naive
+from .modp import EngineFault, bernoulli_mod_p, primes_in, residues, zeta_mod_p, zeta_mod_p_naive
 from .verify import _run, check, instance
 from .words import NCPolynomial, harmonic, shuffle, word_of_index
 
@@ -137,16 +137,14 @@ def run_battery(
     lemmas = [(k, n) for k in all_indices(min(max_weight, 5)) for n in range(1, max_n + 1)]
     run("lemma-checks", lambda: tally("checks", batch(["lemma2", "key-lemma"], lemmas)))
 
-    # 10. fast evaluator against the independent loop oracle
+    # 10. fast evaluator against the independent loop oracle, one batch
+    # over the primes up to 50
     def oracle() -> tuple[bool, str]:
-        fails = 0
-        count = 0
-        for p in primes_in(2, min(50, hi)):
-            for k in all_indices(6, max_depth=3):
-                count += 1
-                if zeta_mod_p(k, p) != zeta_mod_p_naive(k, p):
-                    fails += 1
-        return fails == 0, f"{count} evaluations, {fails} mismatches"
+        indices = list(all_indices(6, max_depth=3))
+        memos = residues(indices, primes_in(2, min(50, hi)))
+        checked = [memo[k] == zeta_mod_p_naive(k, p) for p, memo in memos for k in indices]
+        fails = checked.count(False)
+        return fails == 0, f"{len(checked)} evaluations, {fails} mismatches"
 
     run("zeta-oracle", oracle)
 

@@ -193,7 +193,7 @@ def test_bernoulli_range_errors():
             bernoulli_mod_p(k, p)
 
 
-def test_bernoulli_memo_is_read_before_validating(monkeypatch):
+def test_bernoulli_validates_every_call_and_a_warm_run_computes_nothing(monkeypatch):
     from fmzv.verify import _run, instance
 
     monkeypatch.setattr(fmzv.modp, "_store", {})
@@ -643,30 +643,41 @@ def test_four_primes_near_1e5_are_one_walk():
 
 
 def test_cold_work_counts_what_the_store_lacks(monkeypatch):
-    # _cold_work against a count by brute force: for each group, the
-    # indices of depth below q_G missing at one of its primes, and the
-    # elements of J of those, every suffix and reversed prefix, times the
-    # walk's entries (q_G + 1) / 2; on a cold store, a warm one and stores
-    # warm at some primes for some indices, with indices deeper than the
-    # smallest groups' primes
+    # _cold_work against a count by brute force: for each group that lacks
+    # an index at one of its primes and whose largest prime q_G exceeds the
+    # deepest index, the walk's entries (q_G + 1) / 2 times the elements of
+    # the batch's J, every suffix and reversed prefix of its indices; on a
+    # cold store, a warm one and stores warm at some primes for some
+    # indices, with indices deeper than the smallest groups' primes.  A
+    # second oracle is the count of the J of the indices each group lacks,
+    # of depth below q_G, which agrees on a cold store for the groups no
+    # index reaches and is never higher on a partly warm one.
     import fmzv.modp as modp
 
     rng = random.Random(30)
     indices = list(dict.fromkeys(tuple(rng.randint(1, 4) for _ in range(rng.randint(1, 7))) for _ in range(40)))
     groups = [(2,), (3, 5), (7, 11, 13), *modp._groups(primes_in(17, 700))]
     primes = [q for g in groups for q in g]
-    assert len(groups) >= 4 and groups[0][-1] <= max(map(len, indices))
+    deepest = max(map(len, indices))
+    shallow = [g for g in groups if g[-1] > deepest]
+    assert len(shallow) >= 4 and groups[0][-1] <= deepest < groups[-1][0]
 
-    def brute(store):
+    def closure(ks):
+        return {s for k in ks for i in range(len(k)) for s in (k[i:], k[: i + 1][::-1])}
+
+    def lacking(store, g, ks):
+        return [k for k in ks if any(q not in store or k not in store[q] for q in g)]
+
+    def brute(store, groups):
+        nodes = len(closure(indices))
+        return sum((g[-1] + 1) // 2 * nodes for g in groups if g[-1] > deepest and lacking(store, g, indices))
+
+    def per_missing_set(store, groups):
+        # the count of the parent commit's gate, kept as an oracle
         work = 0
         for g in groups:
-            missing = [k for k in indices if len(k) < g[-1] and any(q not in store or k not in store[q] for q in g)]
-            closure = set()
-            for k in missing:
-                for i in range(len(k)):
-                    closure.add(k[i:])
-                    closure.add(tuple(reversed(k[: i + 1])))
-            work += (g[-1] + 1) // 2 * len(closure)
+            missing = lacking(store, g, [k for k in indices if len(k) < g[-1]])
+            work += (g[-1] + 1) // 2 * len(closure(missing))
         return work
 
     # a Bernoulli value, keyed by an int, is no residue and no cold work
@@ -674,13 +685,26 @@ def test_cold_work_counts_what_the_store_lacks(monkeypatch):
     for share in (0.3, 0.9):
         stores.append({q: {k: 0 for k in indices if rng.random() < share} for q in primes})
     # whole groups warm but for one index, and a group with one prime absent
-    stores.append({q: {k: 0 for k in indices[1:]} for q in primes if q != groups[2][1]})
+    stores.append({q: {k: 0 for k in indices[1:]} for q in primes if q != groups[4][1]})
+    trie = SuffixTrie(indices)
     for store in stores:
         monkeypatch.setattr(modp, "_store", store)
         order = list(store)
-        assert modp._cold_work(indices, groups) == brute(store)
+        assert modp._cold_work(trie, groups) == brute(store, groups)
+        assert modp._cold_work(trie, shallow) == brute(store, shallow) >= per_missing_set(store, shallow)
         assert list(store) == order  # read only
-    assert brute(stores[1]) == 0 < brute(stores[2]) < brute(stores[0])
+    cold, warm, *partly = stores
+    assert brute(cold, shallow) == per_missing_set(cold, shallow)
+    # the groups every index reaches are left out, so they count less
+    assert brute(cold, groups) == brute(cold, shallow) < per_missing_set(cold, groups)
+    assert all(brute(store, shallow) > per_missing_set(store, shallow) for store in partly)
+    assert brute(warm, groups) == 0 < brute(partly[0], groups) <= brute(cold, groups)
+    # nothing lacking, J is not built; lacking, it is built once and kept
+    fresh = SuffixTrie(indices)
+    monkeypatch.setattr(modp, "_store", warm)
+    assert modp._cold_work(fresh, groups) == 0 and fresh._ops is None
+    monkeypatch.setattr(modp, "_store", {})
+    assert modp._cold_work(fresh, groups) > 0 and len(fresh._ops) == len(closure(indices))
 
 
 def test_memoized_indices_are_not_swept(monkeypatch):

@@ -1,4 +1,5 @@
 import multiprocessing
+import os
 from collections import Counter
 
 import pytest
@@ -557,6 +558,42 @@ def test_pooled_residues_come_home(monkeypatch, tmp_path):
     assert len(pools) == 3 and sweeps == [] and cold_work == []
     assert list(modp._store) == fmzv.verify.primes_in(*window)[-1:]
     assert modp._store_size == units()
+
+
+@pytest.mark.skipif(
+    fmzv.modp.usable_cpus() < 2 or multiprocessing.get_start_method() != "fork",
+    reason="needs two usable CPUs and fork-started workers",
+)
+def test_pool_tasks_receive_the_batch_trie_built(monkeypatch, tmp_path):
+    # A cold window of two groups, pooled: the gate builds the batch's J in
+    # the parent, and each task unpickles it built, so J is built once, in
+    # the parent, and in no worker, which inherits the patched build
+    modp = fmzv.modp
+    argv = ["check", "ohno", "--index", "2,1", "--n", "1", "--primes", "5:80", "--format", "json"]
+    assert len(modp._groups(modp.primes_in(5, 80))) == 2
+    builds = tmp_path / "builds"
+    build = modp.SuffixTrie._build
+
+    def recorded(self):
+        with open(builds, "a") as log:
+            log.write(f"{os.getpid()}\n")
+        build(self)
+
+    def run(jobs):
+        cold_store(monkeypatch)
+        out = tmp_path / f"jobs{jobs}.json"
+        assert main(argv + ["--jobs", str(jobs), "--output", str(out)]) == 0
+        return out.read_bytes()
+
+    serial = run(1)
+    pools = []
+    real_pool = modp.ProcessPoolExecutor
+    monkeypatch.setattr(modp, "ProcessPoolExecutor", lambda **kw: pools.append(kw) or real_pool(**kw))
+    monkeypatch.setattr(modp, "POOL_MIN_MULTS", 0)
+    monkeypatch.setattr(modp.SuffixTrie, "_build", recorded)
+    assert run(2) == serial
+    assert pools == [{"max_workers": 2}]
+    assert builds.read_text().split() == [str(os.getpid())]
 
 
 def test_confirm_failures_flags_engine_bugs():
