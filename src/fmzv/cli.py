@@ -18,7 +18,7 @@ import os
 import sys
 
 from .indices import format_index, hoffman_dual, parse_index
-from .modp import EngineFault, primes_in, residues, usable_cpus
+from .modp import EngineFault, primes_in, residues
 from .suite import run_battery
 from .verify import CHECKS, CheckReport, check
 
@@ -151,10 +151,8 @@ def _add_numeric_opts(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--primes", metavar="LO:HI", help="prime window, inclusive")
     parser.add_argument("--floor", type=int, help="override the pass/fail floor")
     parser.add_argument(
-        "--jobs", type=int, default=usable_cpus(),
-        help="parallel workers, one group of consecutive primes a task (default: "
-        "usable CPUs); a window of one group, or whose walks of the check's trie over "
-        "the groups still missing an index are too light to pay for workers, runs in-process",
+        "--jobs", type=int, default=1,
+        help="accepted and ignored (default: 1): every check runs in one process",
     )
     _add_output_opts(parser)
 
@@ -200,10 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_suite.add_argument("--primes", metavar="LO:HI")
     p_suite.add_argument(
         "--jobs", type=int, default=1,
-        help="parallel workers per step (default: 1); each numeric step fills the "
-        "store once for all its checks, and starts workers only when its window holds "
-        "several groups of primes whose sweep work still missing from the store pays "
-        "for them; pooled steps leave their residues for later ones",
+        help="accepted and ignored (default: 1): every check runs in one process",
     )
     p_suite.add_argument("--format", choices=("table", "json"), default="table")
     p_suite.add_argument("--output", metavar="PATH")
@@ -254,7 +249,7 @@ def _cmd_check(args) -> int:
     entry = CHECKS[name]
     options = {}
     if entry.numeric:
-        options = {"window": _window_from(args), "floor": args.floor, "jobs": args.jobs}
+        options = {"window": _window_from(args), "floor": args.floor}
     values = [parse(getattr(args, option[2:])) for option, parse in entry.flags]
     return _finish_report(check(name, *values, **options), args)
 
@@ -266,7 +261,6 @@ def _cmd_suite(args) -> int:
         max_weight=args.max_weight,
         max_n=args.max_n,
         window=window,
-        jobs=args.jobs,
         log=lines.append,
     )
     ok = all(s.passed for s in steps)

@@ -91,26 +91,15 @@ store holds what the batch reads there, the residue of each of its indices
 and B_(p-w) for each w it asks for.  The trie is walked only for the
 indices whose residues are missing, a group of primes at a time, so large
 verification batteries share almost all of their arithmetic, and each
-missing Bernoulli value is computed with its prime's residues.  The group
-is also the pool's unit of work, since one walk cannot be split: a window
-of one group is filled in-process, and a window of several by a pool of
-workers, one group a task, when its cold work reaches ``POOL_MIN_MULTS``:
-the walk entries (q_G + 1) / 2 of each group that lacks an index of the
-batch and whose largest prime q_G exceeds the batch's deepest index, times
-the nodes of the batch's J.  Counting those nodes builds the batch's trie
-in the parent, so J is built once per batch and each task receives it
-built.  The memos of each task are written into the parent's store as
-they arrive, so they outlive the worker.
+missing Bernoulli value is computed with its prime's residues.  Every
+group is filled in the calling process, one after another.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from bisect import bisect_right
 from collections.abc import Container, Iterable, Iterator, Mapping, Sequence
-from concurrent.futures import ProcessPoolExecutor
-from functools import partial
 from itertools import accumulate, chain, compress, filterfalse, islice, repeat
 from operator import mod, mul, sub
 
@@ -135,9 +124,10 @@ GROUP_BITS = 7_000_000
 # n = 2 over 95191 .. 95219 (47.6k entries) peaked under tracemalloc at
 # 2.50, 2.87, 3.65 and 5.21 MB with blocks of 1024, 2048, 4096 and 8192,
 # and row 1 alone takes 2.09 MB.  On the checks-large-p benchmark, whose
-# walks all run in the parent, 1024 against 2048 read a peak RSS of
-# 27.96-28.23 MB against 28.33-29.02 MB over 6 alternating pairs, but made
-# the raw pass walls longer in 5 of them, by a median 0.18 s of 4.7 s.
+# walks all run in the benchmark's process, 1024 against 2048 read a peak
+# RSS of 27.96-28.23 MB against 28.33-29.02 MB over 6 alternating pairs,
+# but made the raw pass walls longer in 5 of them, by a median 0.18 s of
+# 4.7 s.
 BLOCK = 2048
 # The most bits of the entries of a walk's rows and tails that it leaves
 # unreduced while P takes more than one 30-bit digit (see SuffixTrie._walk):
@@ -155,18 +145,7 @@ BLOCK = 2048
 # walk of 11 primes (154 bits), take 2.31 s against 1.95 s (medians of 4
 # fresh processes).
 TAIL_BITS = 300
-# The cold work (see _cold_work), in walk entries times passes and dot
-# products, from which a window of several groups is filled by a pool,
-# whatever ``jobs`` says.  On a 2-vCPU host, 32 requests of 7 checks over
-# windows of 4 to 27 groups from 5:300 to 5:3000 took, with --jobs 2 and
-# the pool forced, 1.1-2.7 times their --jobs 1 wall below 9e4 units and
-# 0.57-0.96 times it above 1.4e5, but once (medians of 5 to 7 alternating
-# fresh processes): the two cross near 1e5.  Those requests ran on a cold
-# store with batches shallower than every group's largest prime, where
-# the nodes of the batch's whole J, counted now, are those of the indices
-# each group lacks, counted then.  A cold request of the windows at
-# p <= 500 of the small-p benchmark does at most 5.4e4.
-POOL_MIN_MULTS = 100_000
+
 
 class EngineFault(RuntimeError):
     """The evaluator contradicted itself or an independent oracle: a bug in
@@ -365,12 +344,6 @@ class SuffixTrie:
     def __init__(self, indices: Iterable[Sequence[int]]):
         self.indices = list(dict.fromkeys(map(tuple, indices)))
         self._ops: list | None = None  # built on first use
-
-    def size(self) -> int:
-        """The number of nodes of J, which is built on first use."""
-        if self._ops is None:
-            self._build()
-        return len(self._ops)
 
     def _build(self) -> None:
         # J as a trie, the one place it is built.  Node 0 is the empty index,
@@ -575,48 +548,8 @@ def _groups(primes: Sequence[int]) -> list[tuple[int, ...]]:
     return groups
 
 
-def _cold_work(trie: SuffixTrie, groups: list[tuple[int, ...]]) -> int:
-    # The work of the walks that would fill what the store lacks of the
-    # batch: for each group that lacks one of its indices at one of its
-    # primes and whose largest prime q_G exceeds the deepest index, the
-    # entries of the walk, (q_G + 1) / 2, times the nodes of the batch's J,
-    # one pass or dot product each.  J is built on first use, here in the
-    # parent, so a pool's tasks receive it built.  The store is only read,
-    # so no prime moves in its order; a set keeps the hashes of its
-    # indices, so the memos are searched without hashing an index again.
-    every = frozenset(trie.indices)
-    deepest = max(map(len, every), default=0)
-    entries = sum(
-        (g[-1] + 1) // 2
-        for g in groups
-        if g[-1] > deepest and any(every.difference(_store.get(q, ())) for q in g)
-    )
-    return entries * trie.size() if entries else 0
-
-
-def usable_cpus() -> int:
-    """The CPUs this process may run on: its CPU affinity where the platform
-    reports one, else the machine's CPU count."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _keys(trie: SuffixTrie, ws: Sequence[int], q: int) -> Iterator:
-    # the keys a batch reads in q's memo, in order: the trie's indices, then
-    # n = q - w for each w of ``ws`` that defines B_(q-w), q >= w + 2
-    return chain(trie.indices, (q - w for w in ws if q >= w + 2))
-
-
-def _fill(trie: SuffixTrie, ws: list[int], group: tuple[int, ...]) -> list[list[int]]:
-    # run in a pool worker: the memos _fill_group fills, packed for the
-    # parent's store as each prime's values in the order of _keys
-    memos = _fill_group(trie, ws, group)
-    return [list(map(memo.__getitem__, _keys(trie, ws, q))) for q, memo in zip(group, memos)]
-
-
 def residues(
-    indices: Iterable[Sequence[int]], primes: list[int], ws: Iterable[int] = (), jobs: int = 1
+    indices: Iterable[Sequence[int]], primes: list[int], ws: Iterable[int] = ()
 ) -> Iterator[tuple[int, Mapping[tuple[int, ...] | int, int]]]:
     """For each prime p of ``primes``, taken from the sieve, in order: yield
     (p, p's memo, for reading only) once it holds the residue at p of every
@@ -625,33 +558,14 @@ def residues(
     may already have left the store (see the module docstring), but not
     what it holds.  This is the only code that fills the store.
 
-    What is missing is filled a group of consecutive primes at a time: its
-    residues in one walk, then its Bernoulli values prime by prime.  A
-    window of several groups, with more than one worker allowed (at most
-    ``jobs``, and never more than the groups or the usable CPUs), whose
-    cold work reaches :data:`POOL_MIN_MULTS` is filled by a pool, one group
-    a task, and each prime's memo is written into the store as it arrives;
-    otherwise the groups are filled in-process.  The cold work is the walk
-    entries (q_G + 1) / 2 of each group that lacks an index at one of its
-    primes and whose largest prime q_G exceeds the deepest index, times the
-    nodes of the batch's J; counting them builds J here, so the pool's
-    tasks receive it built.  Close the generator (``contextlib.closing``)
-    to shut such a pool down early.
+    What is missing is filled in this process a group of consecutive
+    primes at a time, as the primes are asked for: its residues in one
+    walk, then its Bernoulli values prime by prime.
     """
     trie = SuffixTrie(indices)
     ws = sorted(set(ws))
-    groups = _groups(primes)
-    # more workers than groups or CPUs only add start-up cost: under the
-    # fork start method every requested worker is launched at once
-    workers = min(jobs, len(groups), usable_cpus())
-    if workers > 1 and _cold_work(trie, groups) >= POOL_MIN_MULTS:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for group, filled in zip(groups, pool.map(partial(_fill, trie, ws), groups)):
-                for p, got in zip(group, filled):
-                    yield p, _put(p, zip(_keys(trie, ws, p), got))
-    else:
-        for group in groups:
-            yield from zip(group, _fill_group(trie, ws, group))
+    for group in _groups(primes):
+        yield from zip(group, _fill_group(trie, ws, group))
 
 
 def zeta_mod_p(k: tuple[int, ...], p: int) -> int:

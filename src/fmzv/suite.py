@@ -55,6 +55,9 @@ def run_battery(
     jobs: int = 1,
     log: Callable[[str], None] = _quiet,
 ) -> list[SuiteStep]:
+    """Run every step of the battery over ``window`` in order, logging one
+    line per step, and return the steps.  ``jobs`` is accepted and ignored:
+    every check runs in this process."""
     steps = []
 
     def run(name: str, body: Callable[[], tuple[bool, str]]) -> None:
@@ -98,7 +101,7 @@ def run_battery(
     # over the window, leaving out those whose plan needs a larger prime.
     def batch(names, values):
         instances = (instance(name, v, window) for v in values for name in names)
-        return _run([inst for inst in instances if inst.plan.minimum <= primes[-1]], window, jobs)
+        return _run([inst for inst in instances if inst.plan.minimum <= primes[-1]], window)
 
     # 2. exact word identity behind the shifted harmonic product
     symbolic = [(k, n) for k in all_indices(min(max_weight, 6)) for n in range(min(max_n, 3) + 1)]

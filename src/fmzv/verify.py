@@ -16,9 +16,9 @@ the floor decided for it, and one runner, :func:`_run`, takes a batch of
 such instances over one window; the battery passes each step's instances
 as one batch.  One call of :func:`fmzv.modp.residues` fills the bounded
 per-prime store with every residue and Bernoulli value the batch reads,
-in-process or in a pool, from the least minimum prime of its plans up, and
-as each prime arrives every plan whose minimum it reaches is paired there.
-Each instance is reported on its own.
+from the least minimum prime of its plans up, and as each prime arrives
+every plan whose minimum it reaches is paired there.  Each instance is
+reported on its own.
 
 "Equal in the cofinite-equality ring" is operationalized as "equal at every
 prime at or above the floor".  The floor is an option of the run, not of
@@ -43,7 +43,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from collections.abc import Callable, Iterable, Mapping, Sequence
-from contextlib import closing
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import zip_longest
@@ -256,13 +255,12 @@ def _confirm_failures(plan: Plan, report: CheckReport) -> None:
                 )
 
 
-def _run(instances: list[Instance], window: Window, jobs: int = 1) -> list[CheckReport]:
+def _run(instances: list[Instance], window: Window) -> list[CheckReport]:
     """Evaluate every instance's plan at each prime of one window from its
     minimum up and report each instance on its own, against its floor.  One
     fill of the store, from the least minimum up, serves the whole batch:
     each plan is paired at a prime as soon as the store holds it, so
-    evicting an older prime never forces a sweep.  Closing the residues on
-    the way out shuts a pool down if pairing raises."""
+    evicting an older prime never forces a sweep."""
     if not instances:
         return []
     lo, hi = window
@@ -274,11 +272,10 @@ def _run(instances: list[Instance], window: Window, jobs: int = 1) -> list[Check
     indices = (k for plan in plans for k in plan.indices())
     ws = (plan.bernoulli[0] for plan in plans if plan.bernoulli)
     rows_of: list[list[PrimeCheck]] = [[] for _ in plans]
-    with closing(residues(indices, [p for p in primes if p >= start], ws, jobs)) as filled:
-        for p, values in filled:
-            for rows, plan in zip(rows_of, plans):
-                if p >= plan.minimum:
-                    rows.append(PrimeCheck(p, *_pair(plan, p, values)))
+    for p, values in residues(indices, [p for p in primes if p >= start], ws):
+        for rows, plan in zip(rows_of, plans):
+            if p >= plan.minimum:
+                rows.append(PrimeCheck(p, *_pair(plan, p, values)))
     reports = []
     for inst, rows in zip(instances, rows_of):
         report = CheckReport(inst.identity, inst.params, "numeric", inst.floor, rows)
@@ -560,15 +557,15 @@ def instance(name: str, values: Sequence, window: Window, floor: int | None = No
 
 
 def check(
-    name: str, *values, window: Window | None = None, floor: int | None = None, jobs: int = 1
+    name: str, *values, window: Window | None = None, floor: int | None = None
 ) -> CheckReport:
     """Check the identity ``name`` of :data:`CHECKS` for ``values``, the
-    values of its flags in order.  A numeric identity is evaluated at every
-    usable prime of ``window`` with up to ``jobs`` workers, and passes when
-    no prime at or above ``floor`` (default: its weight + 3) disagrees; a
-    window with no prime at or above that floor is refused with ValueError
-    before the identity's plan is built, as is a window that the sieve
-    would refuse.  A symbolic identity ignores window, floor and jobs."""
+    values of its flags in order.  A numeric identity is evaluated in this
+    process at every usable prime of ``window``, and passes when no prime
+    at or above ``floor`` (default: its weight + 3) disagrees; a window
+    with no prime at or above that floor is refused with ValueError before
+    the identity's plan is built, as is a window that the sieve would
+    refuse.  A symbolic identity ignores window and floor."""
     entry = CHECKS[name]
     if not entry.numeric:
         return entry.build(*values)
@@ -580,4 +577,4 @@ def check(
     if not any(map(is_prime, range(max(lo, at), hi + 1))):
         raise ValueError(f"no prime of the window [{lo}, {hi}] reaches the floor {at}")
     # handed the decided floor, instance does not work it out again
-    return _run([instance(name, values, window, at)], window, jobs)[0]
+    return _run([instance(name, values, window, at)], window)[0]

@@ -501,7 +501,7 @@ def test_parser_built_once_env_read_per_call(capsys, monkeypatch):
 
     assert build_parser() is build_parser()
     args = build_parser().parse_args(["check", "ohno", "--index", "2", "--n", "1"])
-    assert args.jobs == fmzv.modp.usable_cpus()
+    assert args.jobs == 1
     for window, expect in [("5:5", "5,1\n"), ("7:7", "7,3\n")]:
         monkeypatch.setenv("FMZV_DEFAULT_PRIMES", window)
         code, out, _ = run_cli(capsys, "zeta", "--index", "2,1")

@@ -1,5 +1,3 @@
-import multiprocessing
-import os
 from collections import Counter
 
 import pytest
@@ -7,7 +5,7 @@ import pytest
 import fmzv.modp
 import fmzv.verify
 import fmzv.suite
-from fmzv.cli import main, render_table
+from fmzv.cli import render_table
 from fmzv.indices import Index
 from fmzv.modp import EngineFault, zeta_mod_p
 from fmzv.verify import (
@@ -291,309 +289,9 @@ def test_determinism():
     assert a == b
 
 
-def test_parallel_matches_serial(monkeypatch):
-    # checks this light run serially unless the pool is forced; 5:80 is two
-    # groups of primes, 16 and 4, so a pool starts
-    monkeypatch.setattr(fmzv.modp, "POOL_MIN_MULTS", 0)
-    serial = check("ohno", Index((2, 1)), 2, window=(5, 80), jobs=1)
-    parallel = check("ohno", Index((2, 1)), 2, window=(5, 80), jobs=2)
-    assert serial.results == parallel.results
-    assert parallel.passed
-    # a polynomial-carrying evaluator must survive the worker round trip too
-    s = check("stuffle", "y", "xy", window=(5, 80), jobs=1)
-    p = check("stuffle", "y", "xy", window=(5, 80), jobs=2)
-    assert s.results == p.results
-
-
 def cold_store(monkeypatch):
     monkeypatch.setattr(fmzv.modp, "_store", {})
     monkeypatch.setattr(fmzv.modp, "_store_size", 0)
-
-
-@pytest.fixture
-def recorded_pools(monkeypatch):
-    """Replaces the process pool by an in-process fake on 4 fake usable CPUs
-    and returns the list of max_workers of the pools started."""
-    started = []
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            started.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items, chunksize=1):
-            return map(fn, items)
-
-    monkeypatch.setattr(fmzv.modp, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(fmzv.modp.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
-    return started
-
-
-def test_pool_never_exceeds_cpus_or_groups(monkeypatch, recorded_pools):
-    started = recorded_pools
-    # every check is heavy enough for a pool here; only the caps apply
-    monkeypatch.setattr(fmzv.modp, "POOL_MIN_MULTS", 0)
-    primes = fmzv.verify.primes_in
-    assert [len(g) for g in fmzv.modp._groups(primes(5, 400))] == [16, 16, 16, 16, 12]
-    assert [len(g) for g in fmzv.modp._groups(primes(5, 200))] == [16, 16, 12]
-    assert [len(g) for g in fmzv.modp._groups(primes(5, 60))] == [15]
-    serial = check("ohno", Index((2, 1)), 1, window=(5, 400), jobs=1).results
-    for jobs, window, expect in [
-        (5000, (5, 400), [4]),   # capped by the CPUs
-        (5000, (5, 200), [3]),   # capped by the groups
-        (5000, (5, 60), []),     # one group: in-process
-        (5000, (11, 11), []),    # one prime
-        (3, (5, 400), [3]),
-        (1, (5, 400), []),
-    ]:
-        started.clear()
-        rep = check("ohno", Index((2, 1)), 1, window=window, jobs=jobs)
-        assert started == expect, (jobs, window)
-        assert rep.results == [r for r in serial if window[0] <= r.p <= window[1]]
-    # the CPUs are those of the process's affinity, else the machine's count
-    for affinity, count, expect in [({0}, 4, []), (None, 3, [3]), (None, None, [])]:
-        if affinity is None:
-            monkeypatch.delattr(fmzv.modp.os, "sched_getaffinity", raising=False)
-        else:
-            monkeypatch.setattr(fmzv.modp.os, "sched_getaffinity", lambda pid: affinity)
-        monkeypatch.setattr(fmzv.modp.os, "cpu_count", lambda: count)
-        started.clear()
-        check("ohno", Index((2, 1)), 1, window=(5, 400), jobs=5000)
-        assert started == expect, (affinity, count)
-
-
-def test_pool_tasks_are_the_windows_groups(monkeypatch, recorded_pools):
-    # one walk cannot be split, so a window of one group is walked
-    # in-process however many jobs and however low the threshold; each group
-    # of a window of several is one pool task
-    tasks = []
-    fill = fmzv.modp._fill
-    monkeypatch.setattr(
-        fmzv.modp, "_fill", lambda trie, ws, group: tasks.append(group) or fill(trie, ws, group)
-    )
-    monkeypatch.setattr(fmzv.modp, "POOL_MIN_MULTS", 0)
-    for window, expect in [((95191, 95219), []), ((5, 400), [4])]:
-        cold_store(monkeypatch)
-        serial = check("ohno", Index((3,)), 2, window=window, jobs=1).results
-        cold_store(monkeypatch)
-        recorded_pools.clear()
-        tasks.clear()
-        assert check("ohno", Index((3,)), 2, window=window, jobs=5000).results == serial
-        assert recorded_pools == expect, window
-        assert tasks == (fmzv.modp._groups(fmzv.verify.primes_in(*window)) if expect else [])
-
-
-def test_pool_only_for_heavy_checks(monkeypatch, recorded_pools):
-    started = recorded_pools
-    light, heavy = (5, 80), (5, 3000)
-    k = Index((2, 1))
-    filled = []
-    fill = fmzv.verify.residues
-
-    def spy(indices, *rest):
-        filled.append(list(indices))
-        return fill(filled[-1], *rest)
-
-    monkeypatch.setattr(fmzv.verify, "residues", spy)
-    check("ohno", k, 1, window=light, jobs=1)
-    (indices,) = filled
-    # ohno (2,1) at n=1 sums over (3,1), (2,2) and the duals' shifts
-    assert sorted(indices) == [(1, 2, 1), (2, 1, 1), (2, 2), (3, 1)]
-    # J, every suffix and reversed prefix of the indices
-    units = len({s for k in indices for i in range(len(k)) for s in (k[i:], k[: i + 1][::-1])})
-
-    def work(window, missing=None):
-        # the cold work of the window's groups that hold a prime of
-        # ``missing`` (default: all of ``window``): each walks (q_G + 1) / 2
-        # entries with one pass or dot product per element of J
-        groups = fmzv.modp._groups(fmzv.verify.primes_in(*window))
-        wanted = set(fmzv.verify.primes_in(*(missing or window)))
-        return sum((g[-1] + 1) // 2 * units for g in groups if wanted & set(g))
-
-    def warm_below(missing):
-        # a store that holds every residue of the check below ``missing``
-        cold_store(monkeypatch)
-        if missing:
-            check("ohno", k, 1, window=(5, missing[0] - 1), jobs=1)
-        started.clear()
-
-    assert work(light) < fmzv.modp.POOL_MIN_MULTS <= work(heavy)
-    for window, expect in [(light, []), (heavy, [4])]:
-        cold_store(monkeypatch)
-        serial = check("ohno", k, 1, window=window, jobs=1).results
-        warm_below(None)
-        assert check("ohno", k, 1, window=window, jobs=5000).results == serial
-        assert started == expect, window
-    # warm: every residue of the heavy check is memoized, so nothing is left
-    # to sweep and it runs in-process
-    started.clear()
-    assert check("ohno", k, 1, window=heavy, jobs=5000).results == serial
-    assert started == []
-    # the threshold itself: cold work equal to it pools, one unit less does
-    # not; partly warm, only the groups with a residue missing count
-    groups = fmzv.modp._groups(fmzv.verify.primes_in(*heavy))
-    last_two = (groups[-2][0], heavy[1])
-    assert 0 < work(heavy, last_two) < work(heavy)
-    for window, missing, pool in [(light, None, [2]), (heavy, None, [4]), (heavy, last_two, [4])]:
-        for limit, expect in [(work(window, missing), pool), (work(window, missing) + 1, [])]:
-            monkeypatch.setattr(fmzv.modp, "POOL_MIN_MULTS", limit)
-            warm_below(missing)
-            check("ohno", k, 1, window=window, jobs=5000)
-            assert started == expect, (window, missing, limit)
-
-
-def test_pool_shuts_down_when_pairing_raises(monkeypatch, recorded_pools):
-    monkeypatch.setattr(fmzv.modp, "POOL_MIN_MULTS", 0)
-    pool_class = fmzv.modp.ProcessPoolExecutor
-    exit_pool, exits = pool_class.__exit__, []
-    monkeypatch.setattr(
-        pool_class, "__exit__", lambda self, *exc: exits.append(exc[0]) or exit_pool(self, *exc)
-    )
-
-    def broken_pair(plan, p, values):
-        raise EngineFault(f"pairing broke at p={p}")
-
-    monkeypatch.setattr(fmzv.verify, "_pair", broken_pair)
-    with pytest.raises(EngineFault, match="p=5"):
-        check("ohno", Index((2, 1)), 1, window=(5, 80), jobs=2)
-    # the pool left its block before the fault reached the caller
-    assert recorded_pools == [2] and exits == [GeneratorExit]
-
-
-@pytest.mark.skipif(
-    fmzv.modp.usable_cpus() < 2 or multiprocessing.get_start_method() != "fork",
-    reason="needs two usable CPUs and fork-started workers",
-)
-def test_pooled_residues_come_home(monkeypatch, tmp_path):
-    modp = fmzv.modp
-    window = (5, 1500)
-    requests = [
-        ("ohno", Index((2, 1, 3)), 2),
-        ("sum-formula", 6, 3, 2),
-    ]
-    argvs = [
-        ["check", "ohno", "--index", "2,1,3", "--n", "2", "--primes", "5:1500"],
-        ["check", "sum-formula", "--k", "6", "--r", "3", "--i", "2", "--primes", "5:1500"],
-    ]
-    batch = [instance(name, values, window) for name, *values in requests]
-    default = fmzv.modp.POOL_MIN_MULTS
-    # the ohno check alone is heavy enough to pool, cold: its window's
-    # groups walk (q_G + 1) / 2 entries each, with one pass or dot product
-    # per element of J, every suffix and reversed prefix of its indices
-    ks = batch[0].plan.indices()
-    units = len({s for k in ks for i in range(len(k)) for s in (k[i:], k[i::-1])})
-    groups = modp._groups(modp.primes_in(*window))
-    assert len(groups) > 1 and sum((g[-1] + 1) // 2 * units for g in groups) >= default
-
-    def cold():
-        cold_store(monkeypatch)
-
-    def run(argv, jobs):
-        out = tmp_path / "out.json"
-        assert main(argv + ["--jobs", str(jobs), "--format", "json", "--output", str(out)]) == 0
-        return out.read_bytes()
-
-    def held():
-        # residues and Bernoulli values by prime
-        return {p: dict(memo) for p, memo in modp._store.items()}
-
-    def units():
-        return sum(map(len, modp._store.values()))
-
-    cold()
-    serial = [run(argv, 1) for argv in argvs]
-    serial_held = held()
-
-    # spies that count, in this process only, pool starts, trie sweeps and
-    # cold modp work: a Bernoulli power sum, like an inverse row, first
-    # validates its prime
-    pools, sweeps, cold_work = [], [], []
-    real_pool, real_sweep, real_ensure = (
-        modp.ProcessPoolExecutor, modp.SuffixTrie.sweep, modp.ensure_prime
-    )
-    monkeypatch.setattr(
-        modp, "ProcessPoolExecutor", lambda **kw: pools.append(kw) or real_pool(**kw)
-    )
-    monkeypatch.setattr(
-        modp.SuffixTrie, "sweep", lambda self, p: sweeps.append(p) or real_sweep(self, p)
-    )
-    monkeypatch.setattr(modp, "ensure_prime", lambda p: cold_work.append(p) or real_ensure(p))
-
-    monkeypatch.setattr(modp, "POOL_MIN_MULTS", 0)
-    cold()
-    assert [run(argv, 2) for argv in argvs] == serial
-    assert len(pools) == 2 and sweeps == [] and cold_work == []
-    # the parent holds every residue and Bernoulli value the checks used,
-    # each unit charged once
-    assert held() == serial_held
-    for inst in batch:
-        for p in fmzv.verify.primes_in(max(window[0], inst.plan.minimum), window[1]):
-            memo = modp._store[p]
-            assert all(k in memo for k in inst.plan.indices())
-            if inst.plan.bernoulli:
-                assert p - inst.plan.bernoulli[0] in memo
-    assert modp._store_size == units()
-
-    # a repeat finds everything memoized: in-process, nothing swept
-    monkeypatch.setattr(modp, "POOL_MIN_MULTS", default)
-    assert [run(argv, 2) for argv in argvs] == serial
-    assert len(pools) == 2 and sweeps == [] and cold_work == []
-
-    # a store that holds one prime at a time: each prime is paired as it
-    # arrives, so nothing is swept again in the parent
-    monkeypatch.setattr(modp, "POOL_MIN_MULTS", 0)
-    monkeypatch.setattr(modp, "TABLE_BUDGET", 1)
-    cold()
-    expected = fmzv.verify._run(batch, window, jobs=1)
-    cold()
-    sweeps.clear()
-    cold_work.clear()
-    assert fmzv.verify._run(batch, window, jobs=2) == expected
-    # one pool for the whole batch, whatever its plans' minimum primes
-    assert len(pools) == 3 and sweeps == [] and cold_work == []
-    assert list(modp._store) == fmzv.verify.primes_in(*window)[-1:]
-    assert modp._store_size == units()
-
-
-@pytest.mark.skipif(
-    fmzv.modp.usable_cpus() < 2 or multiprocessing.get_start_method() != "fork",
-    reason="needs two usable CPUs and fork-started workers",
-)
-def test_pool_tasks_receive_the_batch_trie_built(monkeypatch, tmp_path):
-    # A cold window of two groups, pooled: the gate builds the batch's J in
-    # the parent, and each task unpickles it built, so J is built once, in
-    # the parent, and in no worker, which inherits the patched build
-    modp = fmzv.modp
-    argv = ["check", "ohno", "--index", "2,1", "--n", "1", "--primes", "5:80", "--format", "json"]
-    assert len(modp._groups(modp.primes_in(5, 80))) == 2
-    builds = tmp_path / "builds"
-    build = modp.SuffixTrie._build
-
-    def recorded(self):
-        with open(builds, "a") as log:
-            log.write(f"{os.getpid()}\n")
-        build(self)
-
-    def run(jobs):
-        cold_store(monkeypatch)
-        out = tmp_path / f"jobs{jobs}.json"
-        assert main(argv + ["--jobs", str(jobs), "--output", str(out)]) == 0
-        return out.read_bytes()
-
-    serial = run(1)
-    pools = []
-    real_pool = modp.ProcessPoolExecutor
-    monkeypatch.setattr(modp, "ProcessPoolExecutor", lambda **kw: pools.append(kw) or real_pool(**kw))
-    monkeypatch.setattr(modp, "POOL_MIN_MULTS", 0)
-    monkeypatch.setattr(modp.SuffixTrie, "_build", recorded)
-    assert run(2) == serial
-    assert pools == [{"max_workers": 2}]
-    assert builds.read_text().split() == [str(os.getpid())]
 
 
 def test_confirm_failures_flags_engine_bugs():
@@ -633,7 +331,7 @@ def test_one_power_sum_per_prime_and_a_pure_pair(monkeypatch):
 
     monkeypatch.setattr(modp, "bernoulli_mod_p", spy)
     monkeypatch.setattr(fmzv.verify, "bernoulli_mod_p", spy)
-    reports = fmzv.verify._run(batch, window, jobs=1)
+    reports = fmzv.verify._run(batch, window)
     assert all(rep.passed for rep in reports)
     assert calls == [(5, p) for p in fmzv.verify.primes_in(*window)]
     order, size = list(modp._store), modp._store_size
@@ -648,8 +346,10 @@ def test_one_power_sum_per_prime_and_a_pure_pair(monkeypatch):
 
 def test_batch_reports_equal_single_runs(monkeypatch):
     # one window, plans with different minimum primes, shared indices; each
-    # floor applies to the whole batch, and at 2 two instances fail
-    window = (2, 40)
+    # floor applies to the whole batch, and at 2 two instances fail.  A
+    # store of one unit, over a window of two groups of primes, drops each
+    # prime as the next is written, yet every plan is paired at each prime
+    # from the memo in hand, as the single runs in a roomy store are
     requests = [
         ("ohno", ((2, 1), 1)),
         ("sum-formula", (7, 3, 2)),
@@ -663,26 +363,32 @@ def test_batch_reports_equal_single_runs(monkeypatch):
     monkeypatch.setattr(
         fmzv.verify, "residues", lambda *args: fills.append(args[1]) or fill(*args)
     )
-    primes = fmzv.verify.primes_in(*window)
-    for floor, passed, floors in [
-        (None, [True] * 6, [7, 10, 6, 6, 8, 4]),
-        (2, [True, True, True, True, False, False], [2] * 6),
+    roomy = fmzv.modp.TABLE_BUDGET
+    assert len(fmzv.modp._groups(fmzv.verify.primes_in(2, 80))) == 2
+    for window, budget, floor, passed, floors in [
+        ((2, 40), roomy, None, [True] * 6, [7, 10, 6, 6, 8, 4]),
+        ((2, 40), roomy, 2, [True, True, True, True, False, False], [2] * 6),
+        ((2, 80), 1, None, [True] * 6, [7, 10, 6, 6, 8, 4]),
     ]:
+        primes = fmzv.verify.primes_in(*window)
         batch = [instance(name, values, window, floor) for name, values in requests]
-        monkeypatch.setattr(fmzv.modp, "_store", {})
-        monkeypatch.setattr(fmzv.modp, "_store_size", 0)
+        cold_store(monkeypatch)
+        monkeypatch.setattr(fmzv.modp, "TABLE_BUDGET", budget)
         fills.clear()
         reports = fmzv.verify._run(batch, window)
         # one fill, from the least minimum prime, serves the whole batch
         assert fills == [primes]
+        # the store keeps what its budget allows and counts the units held
+        assert list(fmzv.modp._store) == (primes if budget == roomy else primes[-1:])
+        assert fmzv.modp._store_size == sum(map(len, fmzv.modp._store.values()))
+        monkeypatch.setattr(fmzv.modp, "TABLE_BUDGET", roomy)
         assert [rep.passed for rep in reports] == passed
         assert [rep.floor for rep in reports] == floors
         assert [rep.results[0].p for rep in reports] == [2, 11, 5, 2, 2, 2]
         for inst, rep in zip(batch, reports):
             # each plan's rows start at its own minimum prime
             assert [row.p for row in rep.results] == [p for p in primes if p >= inst.plan.minimum]
-            monkeypatch.setattr(fmzv.modp, "_store", {})
-            monkeypatch.setattr(fmzv.modp, "_store_size", 0)
+            cold_store(monkeypatch)
             alone = fmzv.verify._run([inst], window)
             assert alone == [rep]
     assert fmzv.verify._run([], (2, 1)) == []
