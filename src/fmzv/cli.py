@@ -27,7 +27,7 @@ PRIMES_ENV = "FMZV_DEFAULT_PRIMES"
 
 def _parse_window(text: str) -> tuple[int, int]:
     lo, sep, hi = text.partition(":")
-    if not sep or not lo.isdigit() or not hi.isdigit():
+    if not sep or not text.isascii() or not lo.isdigit() or not hi.isdigit():
         raise ValueError(f"bad prime window {text!r}, expected LO:HI")
     return int(lo), int(hi)
 

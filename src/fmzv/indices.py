@@ -97,7 +97,7 @@ def parse_index(text: str) -> Index:
     pieces = [piece.strip() for piece in text.split(",")]
     parts = []
     for piece in pieces:
-        if not piece.isdigit():
+        if not (piece.isascii() and piece.isdigit()):
             raise ValueError(f"bad index component {piece!r} in {text!r}")
         parts.append(int(piece))
     return Index(parts)

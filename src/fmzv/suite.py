@@ -56,8 +56,9 @@ def run_battery(
     log: Callable[[str], None] = _quiet,
 ) -> list[SuiteStep]:
     """Run every step of the battery over ``window`` in order, logging one
-    line per step, and return the steps.  ``jobs`` is accepted and ignored:
-    every check runs in this process."""
+    line per step, and return the steps.  A negative ``max_weight`` or
+    ``max_n`` is refused.  ``jobs`` is accepted and ignored: every check runs
+    in this process."""
     steps = []
 
     def run(name: str, body: Callable[[], tuple[bool, str]]) -> None:
@@ -72,6 +73,10 @@ def run_battery(
         steps.append(SuiteStep(name, passed, detail, error))
         log(f"[{'PASS' if passed else 'FAIL'}] {name}: {detail}")
 
+    if max_weight < 0:
+        raise ValueError(f"max weight must be >= 0, got {max_weight}")
+    if max_n < 0:
+        raise ValueError(f"max shift must be >= 0, got {max_n}")
     lo, hi = window
     primes = primes_in(lo, hi)
     if not primes:

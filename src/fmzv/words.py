@@ -207,6 +207,15 @@ def _quotient_dag(
     return nodes
 
 
+def _parent_counts(nodes: list[tuple[int, dict]]) -> list[int]:
+    # how many (parent, label) edges of a quotient DAG reach each node
+    count = [0] * len(nodes)
+    for _, kids in nodes:
+        for c in kids.values():
+            count[c] += 1
+    return count
+
+
 def _by_quotients(
     a: NCPolynomial,
     b: NCPolynomial,
@@ -225,35 +234,50 @@ def _by_quotients(
     (distinct left quotient of P, distinct left quotient of Q) is evaluated
     once, bottom-up: both quotient DAGs number children before parents, so
     walking both numberings forwards meets each pair after every pair it
-    needs, and no recursion limits the word length.  The row of results for
-    a quotient of P lives until the last quotient that has it as a child is
-    done; nothing outlives the call.
+    needs, and no recursion limits the word length.  The result for a pair
+    (i, j) is read once by each parent of i at column j, once by each parent
+    of j in row i and, when heads merge, once by each pair of such parents;
+    it is dropped at its last read, and each label's parts are released
+    once merged, so no result outlives its readers.
     """
     p_nodes = _quotient_dag(a, labels)
     q_nodes = _quotient_dag(b, labels)
-    readers = [0] * len(p_nodes)
-    for _, p_kids in p_nodes:
-        for ci in p_kids.values():
-            readers[ci] += 1
-    rows: dict[int, list[dict[str, int]]] = {}
+    p_parents, q_parents = _parent_counts(p_nodes), _parent_counts(q_nodes)
+
+    # rows[i]: row i's results and, per column, the reads still to come; a
+    # result is dropped at its last read, the row once its last parent has
+    # started
+    rows: dict[int, tuple[list, list[int]]] = {}
     for i, (cp, p_kids) in enumerate(p_nodes):
         kid_rows = []
         for s, ci in p_kids.items():
-            kid_rows.append((s, rows[ci]))
-            readers[ci] -= 1
-            if not readers[ci]:
+            kid_rows.append((s, *rows[ci]))
+            p_parents[ci] -= 1
+            if not p_parents[ci]:
                 del rows[ci]
-        row: list[dict[str, int]] = [{}] * len(q_nodes)
+        up = p_parents[i]
+        row: list = [None] * len(q_nodes)
+        left = [up + n + up * n if merge_heads else up + n for n in q_parents]
+        rows[i] = row, left
         for j, (cq, q_kids) in enumerate(q_nodes):
             groups: dict[Hashable, list[dict[str, int]]] = {}
-            for s, lower in kid_rows:
+            for s, lower, lower_left in kid_rows:
                 groups.setdefault(s, []).append(lower[j])
+                lower_left[j] -= 1
+                if not lower_left[j]:
+                    lower[j] = None
             for t, cj in q_kids.items():
                 groups.setdefault(t, []).append(row[cj])
+                left[cj] -= 1
+                if not left[cj]:
+                    row[cj] = None
             if merge_heads:
-                for s, lower in kid_rows:
+                for s, lower, lower_left in kid_rows:
                     for t, cj in q_kids.items():
                         groups.setdefault(s + t, []).append(lower[cj])
+                        lower_left[cj] -= 1
+                        if not lower_left[cj]:
+                            lower[cj] = None
             out = {"": cp * cq} if cp and cq else {}
             for label, parts in groups.items():
                 # coefficients merge here, before the head is spelled out
@@ -266,10 +290,10 @@ def _by_quotients(
                                 merged[w] += c
                             else:
                                 merged[w] = c
+                parts.clear()
                 head = spell(label)
                 out.update({head + w: c for w, c in merged.items() if c})
             row[j] = out
-        rows[i] = row
     return _raw(row[-1])  # the root pair: both roots come last
 
 

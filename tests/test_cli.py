@@ -30,6 +30,14 @@ def test_dual_bad_token(capsys):
     assert "'x'" in err
 
 
+def test_non_ascii_digits_are_bad_tokens(capsys):
+    # "\u00b2" (superscript two) passes str.isdigit() but not int()
+    code, _, err = run_cli(capsys, "zeta", "--index", "\u00b2,1", "--primes", "5:7")
+    assert code == 2 and "bad index component" in err
+    code, _, err = run_cli(capsys, "zeta", "--index", "2,1", "--primes", "\u00b2:7")
+    assert code == 2 and "bad prime window" in err
+
+
 def test_zeta_single_prime(capsys):
     code, out, _ = run_cli(capsys, "zeta", "--index", "2,1", "--primes", "5:5")
     assert code == 0 and out == "5,1\n"

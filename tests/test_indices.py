@@ -116,6 +116,6 @@ def test_parse_and_format():
     assert parse_index("2,3,1,2") == Index((2, 3, 1, 2))
     assert parse_index(" 2 , 3 ,1,2 ") == Index((2, 3, 1, 2))
     assert format_index(Index((1, 2, 1, 3, 1))) == "1,2,1,3,1"
-    for bad in ("", "2,,1", "2,x", "1.5", "-1,2"):
-        with pytest.raises(ValueError):
+    for bad in ("", "2,,1", "2,x", "1.5", "-1,2", "\u00b2,1"):
+        with pytest.raises(ValueError, match="bad index component"):
             parse_index(bad)

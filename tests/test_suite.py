@@ -1,3 +1,5 @@
+import pytest
+
 from fmzv.cli import main
 from fmzv.suite import run_battery
 
@@ -36,3 +38,13 @@ def test_battery_runs_on_small_windows(capsys):
         assert details["sum-formula"] == f"{sums} instances, 0 failures", window
         assert details["height-one"] == f"{runs} instances, 0 failures", window
         assert details["stuffle-duality"] == "258 checks, 0 failures", window
+
+
+def test_negative_bounds_are_refused(capsys):
+    for flag in ("--max-weight", "--max-n"):
+        code = main(["suite", flag, "-1", "--primes", "2:10"])
+        assert code == 2 and "must be >= 0, got -1" in capsys.readouterr().err
+    with pytest.raises(ValueError, match="max weight must be >= 0"):
+        run_battery(-3, 1, (2, 10))
+    with pytest.raises(ValueError, match="max shift must be >= 0"):
+        run_battery(3, -1, (2, 10))

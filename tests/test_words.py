@@ -236,8 +236,9 @@ def test_products_keep_no_state_between_calls():
 
 
 def test_products_peak_memory():
-    # a row of results is freed once no parent quotient still needs it;
-    # keeping every row to the end of the call peaks at about 10 MB
+    # each pair's result is freed at its last read, which peaks at about
+    # 2.8 MB here; keeping a row of results until no parent quotient still
+    # needs it peaks at about 7.2 MB
     a, b, c = P("xyxyxy"), P("xxyyxy"), P("yxyxxy")
     gc.collect()
     tracemalloc.start()
@@ -250,45 +251,66 @@ def test_products_peak_memory():
     assert peak < 9_000_000
 
 
+def test_harmonic_peak_memory():
+    # triple 96 of the algebra laws of `fmzv suite`, whose a(bc) sets the
+    # step's peak: about 12.5 MB when each pair's result is freed at its last
+    # read, 22.2 MB when a row of results lives until its parents are done
+    a, b, c = P("yyxyyy"), P("yyxyxy"), P("yyyxxy")
+    bc = harmonic(b, c)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = harmonic(a, bc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(result.terms) == 48_600 and sum(result.terms.values()) == 2_283_841
+    assert peak < 15_000_000
+
+
 # For each of the first 20 algebra-laws triples of `fmzv suite` (seed
-# 20240607, drawn from the nonempty words of h1_words(6)): the SHA-256 over
-# the SHA-256 of repr(q.items()) for the 8 products q, harmonic then shuffle,
+# 20240607, drawn from the nonempty words of h1_words(6)) and for triple 96,
+# which sets the step's peak, keyed by 0-based number: the SHA-256 over the
+# SHA-256 of repr(q.items()) for the 8 products q, harmonic then shuffle,
 # each as ab, (ab)c, bc, a(bc).
-TRIPLE_PRODUCT_SHA256 = [
-    "599196902e3232bfdff7685a0c139d11664c69c65d4cb8cad5228b48f8a335fa",
-    "35b362ab691dc09be5de5e17074dfa5e313b84330478e722c9a4bed57fd7b4f6",
-    "8bf40dc7ab4032ad43ab3e99a47a7eb4ec43616be6c3d7b8c9bdf466ee83d2e1",
-    "240507026f3b48df6bdd955d7607041b752c77893a1470ee0ddc9d6786bcf29c",
-    "f1f7b2af630cccc800820d20773acdcb87ae69ca84b107ec90bf0fedb3d7b465",
-    "9096425707eb8ae0ebda056297e4c0fa91b6f2eac48734c6ad1c9fcf4b32c4ae",
-    "265a7f08dd0e7a5c227d37d02058053a1c6109dc3a0d5f8cd95ab359aa3cfa2e",
-    "be6a51b7607ddcc73da4adeae7d1a640973354a7428b8074904403cc041d3022",
-    "6bffe85eca7e140551334c44d8ebf24e3d51389dc4824fbff82488c41eec9a9a",
-    "1fc37440ce359cd2a93df2d9201117d6dbb8efccce4c545dfc32a26f55988ead",
-    "266fbf62bfa2d1e24a723194556acf3d0fe3bbe59975759040a73d9b1ab34b0d",
-    "36edd53dc0a35b0bb4a9564d7f74feb7a92591f6a2d75fbd65d60fc3018bbd8e",
-    "5e2a08703f0246bfc8f50bb847c829034a01a2e5ca017a4a6165274145e292d4",
-    "1ccc9fd6cd43a973b8be475040003b7a0ecb980841bf784311187b5666ccdee0",
-    "dcfef068d299511f42fa97c9f085020549834cd092fb649c0d64f3ef0ef7dd8a",
-    "1e3887c33a23ac5b84620a70a60f4ce4b75f3daf501302fecace8b7325e5def3",
-    "141e6ec1afd4570190866cdd69f1744ced5105bf2df474b92d8397dabe6d3c05",
-    "1cbf49022f39ef0a99295c26b86f4b5778f043458d0ffeeaf97201b797184b7c",
-    "e2a6e0ff47b0ced128721118c4487d88adc5e24e9a04d9eca564b09a59f8b69c",
-    "8ce974295b41a2506d9975684b9e3d8d3079aa003f0cd748fe3d689a5b3e7ef6",
-]
+TRIPLE_PRODUCT_SHA256 = {
+    0: "599196902e3232bfdff7685a0c139d11664c69c65d4cb8cad5228b48f8a335fa",
+    1: "35b362ab691dc09be5de5e17074dfa5e313b84330478e722c9a4bed57fd7b4f6",
+    2: "8bf40dc7ab4032ad43ab3e99a47a7eb4ec43616be6c3d7b8c9bdf466ee83d2e1",
+    3: "240507026f3b48df6bdd955d7607041b752c77893a1470ee0ddc9d6786bcf29c",
+    4: "f1f7b2af630cccc800820d20773acdcb87ae69ca84b107ec90bf0fedb3d7b465",
+    5: "9096425707eb8ae0ebda056297e4c0fa91b6f2eac48734c6ad1c9fcf4b32c4ae",
+    6: "265a7f08dd0e7a5c227d37d02058053a1c6109dc3a0d5f8cd95ab359aa3cfa2e",
+    7: "be6a51b7607ddcc73da4adeae7d1a640973354a7428b8074904403cc041d3022",
+    8: "6bffe85eca7e140551334c44d8ebf24e3d51389dc4824fbff82488c41eec9a9a",
+    9: "1fc37440ce359cd2a93df2d9201117d6dbb8efccce4c545dfc32a26f55988ead",
+    10: "266fbf62bfa2d1e24a723194556acf3d0fe3bbe59975759040a73d9b1ab34b0d",
+    11: "36edd53dc0a35b0bb4a9564d7f74feb7a92591f6a2d75fbd65d60fc3018bbd8e",
+    12: "5e2a08703f0246bfc8f50bb847c829034a01a2e5ca017a4a6165274145e292d4",
+    13: "1ccc9fd6cd43a973b8be475040003b7a0ecb980841bf784311187b5666ccdee0",
+    14: "dcfef068d299511f42fa97c9f085020549834cd092fb649c0d64f3ef0ef7dd8a",
+    15: "1e3887c33a23ac5b84620a70a60f4ce4b75f3daf501302fecace8b7325e5def3",
+    16: "141e6ec1afd4570190866cdd69f1744ced5105bf2df474b92d8397dabe6d3c05",
+    17: "1cbf49022f39ef0a99295c26b86f4b5778f043458d0ffeeaf97201b797184b7c",
+    18: "e2a6e0ff47b0ced128721118c4487d88adc5e24e9a04d9eca564b09a59f8b69c",
+    19: "8ce974295b41a2506d9975684b9e3d8d3079aa003f0cd748fe3d689a5b3e7ef6",
+    95: "fa2c4681d63792f7b4677ffe6d3ef030965c879f10f1546ad8ae38eb23a08a6b",
+}
 
 
 def test_triple_products_keep_their_bytes():
     rng = random.Random(20240607)
     pool = [w for w in h1_words(6) if w]
-    for n, want in enumerate(TRIPLE_PRODUCT_SHA256):
+    for n in range(max(TRIPLE_PRODUCT_SHA256) + 1):
         a, b, c = (P(rng.choice(pool)) for _ in range(3))
+        if n not in TRIPLE_PRODUCT_SHA256:
+            continue
         digest = hashlib.sha256()
         for product in (harmonic, shuffle):
             ab, bc = product(a, b), product(b, c)
             for q in (ab, product(ab, c), bc, product(a, bc)):
                 digest.update(hashlib.sha256(repr(q.items()).encode()).digest())
-        assert digest.hexdigest() == want, (n, a, b, c)
+        assert digest.hexdigest() == TRIPLE_PRODUCT_SHA256[n], (n, a, b, c)
 
 
 def test_products_commute_and_associate():
