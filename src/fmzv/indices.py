@@ -29,9 +29,6 @@ class Index(tuple):
                 raise ValueError(f"index parts must be integers >= 1, got {p!r}")
         return t
 
-    def __getnewargs__(self):
-        return (tuple(self),)
-
     @property
     def weight(self) -> int:
         return sum(self)

@@ -17,7 +17,7 @@ the concatenation rule of iterated sums),
                          * H_L(k_i, ..., k_1) * H_L(k_(i+1), ..., k_r)  mod q,
 
 where H_L sums over L and H_L of the empty index is 1.  The trie builds,
-once per batch, the set J of every nonempty suffix and every reversed
+when it is made, the set J of every nonempty suffix and every reversed
 prefix of its indices, and for each index this recipe of (sign, reversed
 prefix, suffix) terms; neither depends on the prime.  J is closed under
 suffixes, so it is a trie (Fredkin, "Trie memory", CACM 3(9), 1960): node
@@ -88,11 +88,14 @@ while a later one is written; its memo is already in hand, complete.
 :func:`residues` is the one way a batch is evaluated over a window, and
 the only code that fills the store: it yields each prime's memo once the
 store holds what the batch reads there, the residue of each of its indices
-and B_(p-w) for each w it asks for.  The trie is walked only for the
-indices whose residues are missing, a group of primes at a time, so large
-verification batteries share almost all of their arithmetic, and each
-missing Bernoulli value is computed with its prime's residues.  Every
-group is filled in the calling process, one after another.
+and B_(p-w) for each w it asks for.  It fills a group of primes at a time,
+in the calling process, and walks only a group's missing set, the indices
+whose residues are missing at any of its primes, so large verification
+batteries share almost all of their arithmetic; each missing Bernoulli
+value is computed with its prime's residues.  One rule decides when J is
+built: for a group's missing set, when it is not empty and differs from
+the set of the last J built, so consecutive groups that lack the same
+indices share one J, and a batch whose values are all there builds none.
 """
 
 from __future__ import annotations
@@ -281,7 +284,7 @@ def _rows(
 # prime -> its memo: residues keyed by index, a tuple, and B_n keyed by n,
 # an int; the dict's order runs from the least to the most recently used
 # prime.  A prime enters only once it has come from the sieve or passed
-# ensure_prime, and only residues and _fill_group write it.
+# ensure_prime, and only residues writes it.
 _store: dict[int, dict] = {}
 _store_size = 0  # units held in _store
 
@@ -342,16 +345,13 @@ class SuffixTrie:
     """
 
     def __init__(self, indices: Iterable[Sequence[int]]):
-        self.indices = list(dict.fromkeys(map(tuple, indices)))
-        self._ops: list | None = None  # built on first use
-
-    def _build(self) -> None:
         # J as a trie, the one place it is built.  Node 0 is the empty index,
         # and an element s of J is keyed by (s_1, the node of s[1:]) and
         # numbered as it is first met, so each node's number exceeds its
         # parent's.  An index's reversed prefixes, shortest first, chain its
         # parts in order, each part the first of the next one, and its
         # suffixes, longest first, its parts reversed.
+        self.indices = list(dict.fromkeys(map(tuple, indices)))
         nodes: dict[tuple[int, int], int] = {}
 
         def add(node: int, part: int) -> int:
@@ -404,8 +404,6 @@ class SuffixTrie:
         recipe's terms is deeper than (q - 1) / 2, and its tails vanish to
         match.
         """
-        if self._ops is None:
-            self._build()
         lanes = group[1:] if group[0] == 2 else group
         out = [self._recipes(values, q) for q, values in zip(lanes, self._walk(lanes))]
         if group[0] == 2:
@@ -505,31 +503,6 @@ class SuffixTrie:
         return dict(zip(self.indices, map(mod, map(sub, islice(sums, 1, None), sums), repeat(q))))
 
 
-def _fill_group(trie: SuffixTrie, ws: Sequence[int], group: Sequence[int]) -> list[dict]:
-    # Memoize at each prime q of ``group`` what is missing there of the
-    # residues of the trie's indices and of B_(q-w) for each w of ``ws``
-    # with q >= w + 2, and return the group's memos.  The residues are
-    # swept in one walk over the group, of ``trie`` itself when it holds no
-    # other index.  An index of depth >= q is 0 at q, whose summation range
-    # is empty: the walk alone would give the same zeros, but would first
-    # build and walk J of every such index.  One index adds at most 2 *
-    # depth nodes, but a family of deep indices, such as the terms of
-    # harmonic(y^r, y), adds about the square of their depth.  Each prime is
-    # written once, in order (see _put), with its residues and Bernoulli
-    # values together, and a prime with nothing missing is not written.
-    memos = [_entry(q) for q in group]
-    missing = [list(filterfalse(memo.__contains__, trie.indices)) for memo in memos]
-    live = [k for k in dict.fromkeys(chain.from_iterable(missing)) if len(k) < group[-1]]
-    swept = repeat({})
-    if live:
-        swept = (trie if len(live) == len(trie.indices) else SuffixTrie(live)).sweep(group)
-    for q, memo, ks, values in zip(group, memos, missing, swept):
-        bs = [(q - w, bernoulli_mod_p(w, q)) for w in ws if q >= w + 2 and q - w not in memo]
-        if ks or bs:
-            _put(q, chain(((k, values[k] if len(k) < q else 0) for k in ks), bs))
-    return memos
-
-
 def _groups(primes: Sequence[int]) -> list[tuple[int, ...]]:
     # ``primes`` cut, in order, into runs swept together: at most
     # GROUP_PRIMES primes, and a row of at most GROUP_BITS bits, q_G entries
@@ -559,13 +532,35 @@ def residues(
     what it holds.  This is the only code that fills the store.
 
     What is missing is filled in this process a group of consecutive
-    primes at a time, as the primes are asked for: its residues in one
-    walk, then its Bernoulli values prime by prime.
+    primes at a time, as the primes are asked for.  The group's missing
+    set is every index missing at one of its primes whose depth is below
+    q_G.  A deeper index is 0 at every prime of the group, whose summation
+    range is empty, and would only add nodes to J: about the square of
+    their depth for a family such as the terms of harmonic(y^r, y).  J is
+    built for a missing set that is not empty and differs from the set of
+    the last J built, so consecutive groups that lack the same indices
+    share one J, and a group that lacks none builds and walks nothing.  One
+    walk of J gives the group's residues, and each prime is written once,
+    in order (see _put), with its residues and Bernoulli values together; a
+    prime with nothing missing is not written.
     """
-    trie = SuffixTrie(indices)
+    indices = list(dict.fromkeys(map(tuple, indices)))
     ws = sorted(set(ws))
+    trie = None
     for group in _groups(primes):
-        yield from zip(group, _fill_group(trie, ws, group))
+        memos = [_entry(q) for q in group]
+        missing = [list(filterfalse(memo.__contains__, indices)) for memo in memos]
+        live = [k for k in indices if len(k) < group[-1] and not all(k in memo for memo in memos)]
+        swept = repeat({})
+        if live:
+            if trie is None or live != trie.indices:
+                trie = SuffixTrie(live)
+            swept = trie.sweep(group)
+        for q, memo, ks, values in zip(group, memos, missing, swept):
+            bs = [(q - w, bernoulli_mod_p(w, q)) for w in ws if q >= w + 2 and q - w not in memo]
+            if ks or bs:
+                _put(q, chain(((k, values[k] if len(k) < q else 0) for k in ks), bs))
+        yield from zip(group, memos)
 
 
 def zeta_mod_p(k: tuple[int, ...], p: int) -> int:

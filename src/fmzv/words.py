@@ -156,8 +156,6 @@ def _raw(data: dict[str, int]) -> NCPolynomial:
 def _combine(pairs: Iterable[tuple[int, NCPolynomial]]) -> NCPolynomial:
     acc: Counter[str] = Counter()
     for coeff, poly in pairs:
-        if not coeff:
-            continue
         for w, c in poly.terms.items():
             acc[w] += coeff * c
     return _raw({w: c for w, c in acc.items() if c})

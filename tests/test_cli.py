@@ -129,6 +129,9 @@ def test_check_csv(capsys):
     lines = out.splitlines()
     assert lines[0] == "p,lhs,rhs,pass"
     assert lines[1] == "5,1,1,true"
+    # a symbolic check renders its one verdict
+    code, out, _ = run_cli(capsys, "check", "eq3", "--index", "2,1", "--n", "2", "--format", "csv")
+    assert (code, out) == (0, "equal\ntrue\n")
 
 
 def test_check_failure_exit_code(capsys):
@@ -196,12 +199,12 @@ def test_long_words_check_without_crashing():
 def test_out_of_memory_is_refused_with_exit_2(capsys, monkeypatch):
     # exit 1 means a check failed above its floor, so running out of memory
     # is reported like other input the CLI cannot take, with no traceback
-    def exhausted(self):
+    def exhausted(self, indices):
         raise MemoryError
 
     monkeypatch.setattr(fmzv.modp, "_store", {})
     monkeypatch.setattr(fmzv.modp, "_store_size", 0)
-    monkeypatch.setattr(fmzv.modp.SuffixTrie, "_build", exhausted)
+    monkeypatch.setattr(fmzv.modp.SuffixTrie, "__init__", exhausted)
     code, out, err = run_cli(
         capsys, "check", "ohno", "--index", "2,1", "--n", "1", "--primes", "11:13", "--jobs", "1"
     )
@@ -210,12 +213,14 @@ def test_out_of_memory_is_refused_with_exit_2(capsys, monkeypatch):
 
 
 def test_engine_fault_exit_code(capsys, monkeypatch):
-    # a fast path that gives every index its depth: ohno (2,1) at n=1 then
-    # reads 4 against 6, which the oracle does not reproduce
-    def wrong_memos(trie, ws, group):
+    # a walk that gives every index its depth: ohno (2,1) at n=1 then reads
+    # 4 against 6, which the oracle does not reproduce
+    def wrong_sweep(trie, group):
         return [{k: len(k) for k in trie.indices} for _ in group]
 
-    monkeypatch.setattr(fmzv.modp, "_fill_group", wrong_memos)
+    monkeypatch.setattr(fmzv.modp, "_store", {})
+    monkeypatch.setattr(fmzv.modp, "_store_size", 0)
+    monkeypatch.setattr(fmzv.modp.SuffixTrie, "sweep", wrong_sweep)
     code, out, err = run_cli(
         capsys, "check", "ohno", "--index", "2,1", "--n", "1", "--primes", "11:13", "--jobs", "1"
     )
@@ -227,17 +232,21 @@ def test_engine_fault_exit_code(capsys, monkeypatch):
 
 def test_wrong_memoized_bernoulli_value_is_an_engine_fault(capsys, monkeypatch):
     # A wrong B_(13-w) seeded into a cold store at 13 is read by the
-    # evaluator, and a failure is re-derived with a Bernoulli value computed
-    # afresh, so the check reports an engine fault, not a failing prime.  Both
-    # plans' sign variants agree (c = c_alt), so the evaluator's own
-    # sign-variant check cannot catch the wrong value first.
-    for name, values, argv in [
-        ("height-one", (1, 0), ["--a", "1", "--b", "0"]),
-        ("sum-formula", (5, 2, 1), ["--k", "5", "--r", "2", "--i", "1"]),
+    # evaluator.  Where the plan's sign variants agree (c = c_alt), its own
+    # sign-variant check cannot catch the value, and a failure is re-derived
+    # with a Bernoulli value computed afresh, so the check reports an engine
+    # fault, not a failing prime.  Sum-formula (6, 3, 2) has c = 0 against
+    # c_alt = 10: B_7 = 0 at 13, and the seeded 1 gives 0 against 6.
+    oracle = "evaluator disagrees with brute-force oracle at p=13"
+    for name, values, argv, agree, message in [
+        ("height-one", (1, 0), ["--a", "1", "--b", "0"], True, oracle),
+        ("sum-formula", (5, 2, 1), ["--k", "5", "--r", "2", "--i", "1"], True, oracle),
+        ("sum-formula", (6, 3, 2), ["--k", "6", "--r", "3", "--i", "2"], False,
+         "the two closed-form sign variants disagree at p=13: 0 vs 6"),
     ]:
         _, plan = fmzv.verify.CHECKS[name].build(*values, (11, 40))
         w, c, c_alt = plan.bernoulli
-        assert c == c_alt
+        assert (c == c_alt) == agree, values
         wrong = (fmzv.modp.bernoulli_mod_p(w, 13) + 1) % 13
 
         def seed():
@@ -245,14 +254,12 @@ def test_wrong_memoized_bernoulli_value_is_an_engine_fault(capsys, monkeypatch):
             monkeypatch.setattr(fmzv.modp, "_store_size", 1)
 
         seed()
-        with pytest.raises(fmzv.modp.EngineFault, match="brute-force oracle at p=13"):
+        with pytest.raises(fmzv.modp.EngineFault, match=message):
             fmzv.verify.check(name, *values, window=(11, 40))
         seed()
         code, out, err = run_cli(capsys, "check", name, *argv, "--primes", "11:40")
-        assert code == 3 and out == "", name
-        assert err.startswith(
-            "fmzv: engine fault: evaluator disagrees with brute-force oracle at p=13"
-        ), name
+        assert code == 3 and out == "", values
+        assert err.startswith(f"fmzv: engine fault: {message}"), values
 
 
 def test_lemma_readings_that_differ_are_an_engine_fault(capsys, monkeypatch):
@@ -415,6 +422,17 @@ def test_inverted_window_refused_as_the_sieve_refuses_it(capsys):
         assert run_cli(capsys, *argv, "--primes", "13:11") == (2, "", expected), argv
 
 
+def test_window_without_a_usable_prime_is_refused(capsys):
+    for argv, message in [
+        (("zeta", "--index", "1", "--primes", "24:28"), "no primes in window [24, 28]"),
+        (("suite", "--primes", "24:28"), "no primes in window [24, 28]"),
+        (("bernoulli", "--k", "9", "--primes", "5:10"), "no primes p >= k+2 in window [5, 10]"),
+        (("check", "sum-formula", "--k", "5", "--r", "2", "--i", "1", "--primes", "2:6",
+          "--floor", "2"), "no usable primes in window [2, 6]"),
+    ]:
+        assert run_cli(capsys, *argv) == (2, "", f"fmzv: error: {message}\n"), argv
+
+
 def test_output_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     code, out, _ = run_cli(
@@ -459,22 +477,24 @@ def test_suite_json(capsys):
 
 
 def test_engine_fault_fails_its_step_alone(capsys, monkeypatch):
-    # a fault forced at the battery's first walk, in its ohno step (steps 1
-    # to 3 walk nothing), fails that step alone: every other step is
-    # reported as in a clean run, and the suite exits 3
+    # a fault forced at the battery's first walk on a cold store, in its
+    # ohno step (steps 1 to 3 walk nothing), fails that step alone: every
+    # other step is reported as in a clean run, and the suite exits 3
     argv = ["suite", "--max-weight", "3", "--max-n", "1", "--primes", "2:30", "--format", "json"]
     code, clean, _ = run_cli(capsys, *argv)
     assert code == 0 and '"error"' not in clean
-    fill = fmzv.modp._fill_group
+    sweep = fmzv.modp.SuffixTrie.sweep
     walks = []
 
-    def fault_once(trie, ws, group):
+    def fault_once(trie, group):
         walks.append(group)
         if len(walks) == 1:
             raise fmzv.modp.EngineFault("forced at the first walk")
-        return fill(trie, ws, group)
+        return sweep(trie, group)
 
-    monkeypatch.setattr(fmzv.modp, "_fill_group", fault_once)
+    monkeypatch.setattr(fmzv.modp, "_store", {})
+    monkeypatch.setattr(fmzv.modp, "_store_size", 0)
+    monkeypatch.setattr(fmzv.modp.SuffixTrie, "sweep", fault_once)
     code, out, err = run_cli(capsys, *argv)
     assert code == 3 and len(walks) > 1
     assert err == "fmzv: engine fault in step ohno: forced at the first walk\n"

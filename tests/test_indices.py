@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 from math import comb
 
 import pytest
@@ -28,6 +30,14 @@ def test_weight_and_depth():
 def test_index_rejects_bad_parts(bad):
     with pytest.raises(ValueError):
         Index(bad)
+
+
+def test_index_survives_pickle_and_copy():
+    # tuple's own __getnewargs__ hands the parts back to Index.__new__
+    k = Index((2, 3, 1))
+    copies = [pickle.loads(pickle.dumps(k, protocol)) for protocol in range(6)]
+    for other in copies + [copy.copy(k), copy.deepcopy(k)]:
+        assert type(other) is Index and other == k
 
 
 def test_hoffman_dual_examples():

@@ -119,10 +119,9 @@ def store_writers(src: Path = SRC) -> tuple[set[str], set[str]]:
 
 
 def test_the_store_has_one_writer():
-    # residues is the only way a batch fills the store: _put is called by
-    # the group fill alone, which residues calls for each group, and
-    # nothing outside modp reads or writes the store directly
-    assert store_writers() == ({"modp._fill_group"}, {"modp"})
+    # residues is the only way a batch fills the store: it alone calls
+    # _put, and nothing outside modp reads or writes the store directly
+    assert store_writers() == ({"modp.residues"}, {"modp"})
 
 
 def test_a_second_writer_is_found(tmp_path):

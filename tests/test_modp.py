@@ -45,6 +45,15 @@ def test_is_prime():
     assert is_prime(2**31 - 1)
     assert not is_prime(2**31)
     assert not is_prime(561)  # Carmichael
+    # strong pseudoprimes to the bases 2 and 3, 2 .. 5 and 2 .. 7, with no
+    # factor among the bases, which Miller-Rabin alone rejects
+    for n in (1373653, 25326001, 3215031751):
+        assert not is_prime(n), n
+    assert [n for n in range(200_001) if is_prime(n)] == primes_in(2, 200_000)
+    # the least prime above the bound
+    assert is_prime(2147483659)
+    with pytest.raises(ValueError, match="modulus 2147483659 exceeds the supported bound"):
+        zeta_mod_p((1,), 2147483659)
 
 
 def test_primes_in():
@@ -385,10 +394,9 @@ def test_deep_indices_build_in_memory_linear_in_j():
     harm = harmonic(NCPolynomial.from_word("y" * 300), NCPolynomial.from_word("y"))
     indices = sorted(map(index_of_word, harm.terms))
     assert len(indices) == 301 and {len(k) for k in indices} == {300, 301}
-    trie = SuffixTrie(indices)
     tracemalloc.start()
     try:
-        trie._build()
+        trie = SuffixTrie(indices)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -621,6 +629,32 @@ def test_residues_fill_groups_in_process(monkeypatch):
     groups = modp._groups(primes)
     assert [len(g) for g in groups] == [16] * 4 + [14] and sum(groups, ()) == tuple(primes)
     assert walks == [(g, indices) for g in groups]
+    for p in primes:
+        assert got[p] == {k: zeta_by_loop(k, p) for k in indices}, p
+
+
+def test_each_missing_set_builds_its_own_j_once(monkeypatch):
+    # The first group's primes already hold one index and the third's all
+    # of them, so the groups lack three sets in turn: group 1 walks J of
+    # the two it lacks, groups 2, 4 and 5 share one J of all three, and
+    # group 3 builds and walks nothing.
+    import fmzv.modp as modp
+
+    monkeypatch.setattr(modp, "_store", {})
+    monkeypatch.setattr(modp, "_store_size", 0)
+    primes = primes_in(2, 400)
+    groups = modp._groups(primes)
+    indices = [(1,), (2, 1), (3, 1, 2)]
+    list(residues([(2, 1)], list(groups[0])))
+    list(residues(indices, list(groups[2])))
+    built, walks = [], []
+    init, sweep = SuffixTrie.__init__, SuffixTrie.sweep
+    monkeypatch.setattr(SuffixTrie, "__init__", lambda self, ks: init(self, ks) or built.append(self.indices))
+    monkeypatch.setattr(SuffixTrie, "sweep", lambda self, g: walks.append((g, self.indices)) or sweep(self, g))
+    got = {p: dict(values) for p, values in residues(indices, primes)}
+    lacked = [(1,), (3, 1, 2)]
+    assert built == [lacked, indices]
+    assert walks == [(groups[0], lacked)] + [(g, indices) for g in (groups[1], *groups[3:])]
     for p in primes:
         assert got[p] == {k: zeta_by_loop(k, p) for k in indices}, p
 
