@@ -444,20 +444,24 @@ def lemma_plan(identity: str, k: Sequence[int], n: int, window: Window) -> tuple
 # symbolic identities: each checker takes its flags' values
 
 
-def check_eq3(k: Sequence[int], n: int) -> CheckReport:
-    """Exact polynomial equality of the two sides of the ones-expansion
-    identity."""
-    k = Index(k)
-    lhs, rhs = ones_expansion_sides(k, n)
+def _symbolic(identity: str, params: dict, lhs: object, rhs: object) -> CheckReport:
+    # the report of an exact equality check, carrying both sides if they differ
     equal = lhs == rhs
     return CheckReport(
-        identity="eq3",
-        params={"index": list(k), "n": n},
+        identity=identity,
+        params=params,
         mode="symbolic",
         equal=equal,
         lhs=None if equal else str(lhs),
         rhs=None if equal else str(rhs),
     )
+
+
+def check_eq3(k: Sequence[int], n: int) -> CheckReport:
+    """Exact polynomial equality of the two sides of the ones-expansion
+    identity."""
+    k = Index(k)
+    return _symbolic("eq3", {"index": list(k), "n": n}, *ones_expansion_sides(k, n))
 
 
 def check_ikz(w: str, order: int) -> CheckReport:
@@ -471,15 +475,7 @@ def check_ikz(w: str, order: int) -> CheckReport:
     geo = geometric_yu(order)
     lhs = series_harmonic(geo, const_series(NCPolynomial.from_word(w), order))
     rhs = series_shuffle(geo, substitution_series(w, order))
-    equal = lhs == rhs
-    return CheckReport(
-        identity="ikz",
-        params={"w": w, "order": order},
-        mode="symbolic",
-        equal=equal,
-        lhs=None if equal else str(lhs),
-        rhs=None if equal else str(rhs),
-    )
+    return _symbolic("ikz", {"w": w, "order": order}, lhs, rhs)
 
 
 class Check(NamedTuple):

@@ -14,7 +14,7 @@ tuples (k_1, ..., k_r).
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from collections.abc import Callable, Hashable, Iterable, Mapping
 
 _LETTERS = frozenset("xy")
@@ -205,13 +205,13 @@ def _quotient_dag(
     return nodes
 
 
-def _parent_counts(nodes: list[tuple[int, dict]]) -> list[int]:
-    # how many (parent, label) edges of a quotient DAG reach each node
-    count = [0] * len(nodes)
-    for _, kids in nodes:
-        for c in kids.values():
-            count[c] += 1
-    return count
+def _parents(nodes: list[tuple[int, dict]]) -> list[list[tuple[int, Hashable]]]:
+    # the reverse edges of a quotient DAG: (parent, label) for each node
+    ups: list[list[tuple[int, Hashable]]] = [[] for _ in nodes]
+    for parent, (_, kids) in enumerate(nodes):
+        for label, c in kids.items():
+            ups[c].append((parent, label))
+    return ups
 
 
 def _by_quotients(
@@ -232,51 +232,28 @@ def _by_quotients(
     (distinct left quotient of P, distinct left quotient of Q) is evaluated
     once, bottom-up: both quotient DAGs number children before parents, so
     walking both numberings forwards meets each pair after every pair it
-    needs, and no recursion limits the word length.  The result for a pair
-    (i, j) is read once by each parent of i at column j, once by each parent
-    of j in row i and, when heads merge, once by each pair of such parents;
-    it is dropped at its last read, and each label's parts are released
-    once merged, so no result outlives its readers.
+    needs, and no recursion limits the word length.  Results are pushed,
+    not pulled: once pair (i, j) is evaluated, its result goes to the inbox
+    of each pair that reads it, under that reader's label -- (parent of i,
+    j) under the parent's label s, (i, parent of j) under t and, when heads
+    merge, (parent of i, parent of j) under s+t.  A pair empties its inbox
+    when its turn comes, so a result is held only by the inboxes of the
+    pairs still to read it and is freed once the last of them has run.
     """
     p_nodes = _quotient_dag(a, labels)
     q_nodes = _quotient_dag(b, labels)
-    p_parents, q_parents = _parent_counts(p_nodes), _parent_counts(q_nodes)
+    p_ups, q_ups = _parents(p_nodes), _parents(q_nodes)
 
-    # rows[i]: row i's results and, per column, the reads still to come; a
-    # result is dropped at its last read, the row once its last parent has
-    # started
-    rows: dict[int, tuple[list, list[int]]] = {}
-    for i, (cp, p_kids) in enumerate(p_nodes):
-        kid_rows = []
-        for s, ci in p_kids.items():
-            kid_rows.append((s, *rows[ci]))
-            p_parents[ci] -= 1
-            if not p_parents[ci]:
-                del rows[ci]
-        up = p_parents[i]
-        row: list = [None] * len(q_nodes)
-        left = [up + n + up * n if merge_heads else up + n for n in q_parents]
-        rows[i] = row, left
-        for j, (cq, q_kids) in enumerate(q_nodes):
-            groups: dict[Hashable, list[dict[str, int]]] = {}
-            for s, lower, lower_left in kid_rows:
-                groups.setdefault(s, []).append(lower[j])
-                lower_left[j] -= 1
-                if not lower_left[j]:
-                    lower[j] = None
-            for t, cj in q_kids.items():
-                groups.setdefault(t, []).append(row[cj])
-                left[cj] -= 1
-                if not left[cj]:
-                    row[cj] = None
-            if merge_heads:
-                for s, lower, lower_left in kid_rows:
-                    for t, cj in q_kids.items():
-                        groups.setdefault(s + t, []).append(lower[cj])
-                        lower_left[cj] -= 1
-                        if not lower_left[cj]:
-                            lower[cj] = None
+    # inboxes[i][j]: {label: parts} for pair (i, j); a row's inboxes are
+    # made when its first child row starts and dropped at its own turn
+    inboxes: defaultdict[int, list[dict]] = defaultdict(lambda: [{} for _ in q_nodes])
+    for i, (cp, _) in enumerate(p_nodes):
+        row = inboxes[i]  # a row no child row pushed to starts empty here
+        del inboxes[i]
+        up_rows = [(s, inboxes[pi]) for pi, s in p_ups[i]]
+        for j, (cq, _) in enumerate(q_nodes):
             out = {"": cp * cq} if cp and cq else {}
+            groups, row[j] = row[j], None
             for label, parts in groups.items():
                 # coefficients merge here, before the head is spelled out
                 merged = parts[0]
@@ -291,8 +268,14 @@ def _by_quotients(
                 parts.clear()
                 head = spell(label)
                 out.update({head + w: c for w, c in merged.items() if c})
-            row[j] = out
-    return _raw(row[-1])  # the root pair: both roots come last
+            for qj, t in q_ups[j]:
+                row[qj].setdefault(t, []).append(out)
+            for s, up_row in up_rows:
+                up_row[j].setdefault(s, []).append(out)
+                if merge_heads:
+                    for qj, t in q_ups[j]:
+                        up_row[qj].setdefault(s + t, []).append(out)
+    return _raw(out)  # the root pair: both roots come last
 
 
 def _blocks(w: str) -> tuple[int, ...]:

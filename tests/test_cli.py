@@ -11,6 +11,8 @@ import pytest
 import fmzv.modp
 import fmzv.verify
 from fmzv.cli import main, render_json
+from fmzv.series import const_series, geometric_yu, series_harmonic, series_shuffle
+from fmzv.words import NCPolynomial
 
 
 def run_cli(capsys, *argv):
@@ -168,6 +170,26 @@ def test_check_symbolic(capsys):
     )
     assert code == 0
     assert json.loads(out)["results"] == {"equal": True}
+
+
+def test_check_symbolic_difference(capsys, monkeypatch):
+    # a symbolic check whose sides differ exits 1 and shows both sides
+    P = NCPolynomial.from_word
+    substitution = fmzv.verify.substitution_series
+    monkeypatch.setattr(fmzv.verify, "ones_expansion_sides", lambda k, n: (P("xy"), P("yy")))
+    monkeypatch.setattr(fmzv.verify, "substitution_series", lambda w, order: substitution("y" + w, order))
+    geo = geometric_yu(2)
+    ikz_lhs = series_harmonic(geo, const_series(P("xy"), 2))
+    ikz_rhs = series_shuffle(geo, substitution("yxy", 2))
+    for argv, lhs, rhs in [
+        (("eq3", "--index", "2,1", "--n", "2"), "1*xy", "1*yy"),
+        (("ikz", "--w", "xy", "--order", "2"), str(ikz_lhs), str(ikz_rhs)),
+    ]:
+        code, out, _ = run_cli(capsys, "check", *argv, "--format", "table")
+        assert code == 1
+        assert out.splitlines()[1:4] == ["result: DIFFER", f"  lhs: {lhs}", f"  rhs: {rhs}"]
+        assert run_cli(capsys, "check", *argv, "--format", "csv")[:2] == (1, "equal\nfalse\n")
+    assert str(ikz_lhs).startswith("u^0: 1*xy | u^1: ")
 
 
 def test_long_words_check_without_crashing():

@@ -38,6 +38,8 @@ def test_bumped_insertion_examples():
     assert bumped_insertion_words((2,), 1, 5) == NCPolynomial.zero()
     with pytest.raises(ValueError):
         bumped_insertion_words((1,), 0, -1)
+    with pytest.raises(ValueError, match="extra y count must be >= 0"):
+        bumped_insertion_words((1,), -1, 0)
 
 
 def test_substitution_coefficients_match_bumped_insertions():
@@ -64,6 +66,8 @@ def test_ones_expansion_sides_examples():
     lhs, rhs = ones_expansion_sides(Index((2,)), 1)
     assert rhs == harmonic(P("y"), P("xy"))
     assert lhs == rhs
+    with pytest.raises(ValueError, match="shift must be >= 0"):
+        ones_expansion_sides((1,), -1)
 
 
 def test_ones_expansion_sides_small_sweep():

@@ -100,6 +100,8 @@ def test_binary_vectors():
         list(binary_vectors(3, 4))
     with pytest.raises(ValueError):
         list(binary_vectors(2, -1))
+    with pytest.raises(ValueError, match="length must be >= 1"):
+        list(binary_vectors(0, 0))
 
 
 def test_inclusion_exclusion_binomial():

@@ -720,7 +720,6 @@ def test_trie_keeps_one_tail_per_depth(monkeypatch):
     # (2,2,2), (3,3,1) and (3,3,3)
     indices = [(1, 1, 1, 1), (1, 2, 2, 2), (1, 3, 3, 3), (1, 1, 2, 3), (2, 2, 2, 2)]
     trie = SuffixTrie(indices)
-    trie.sweep((p,))  # the walk built
     # one block over the whole lower half, so that every tail spans it, and
     # its rows, row 1 included, built before memory is traced
     monkeypatch.setattr(modp, "BLOCK", p)
@@ -766,7 +765,6 @@ def test_walk_holds_tails_for_one_block(monkeypatch):
     monkeypatch.setattr(modp, "BLOCK", 256)
     indices = [(5,), (1, 1, 3), (1, 2, 2), (1, 3, 1), (2, 1, 2), (2, 2, 1), (3, 1, 1)]
     trie = SuffixTrie(indices)
-    trie.sweep(group)  # the walk built
     one_tail = _one_tail(group)
     tracemalloc.start()
     try:
@@ -873,7 +871,6 @@ def test_tails_are_reduced_past_a_bit_bound(monkeypatch, size, first):
         # are slow over 47.6k entries
         indices = [tuple(rng.choice(parts[:5]) for _ in range(10))]
     trie = SuffixTrie(indices)
-    trie.sweep(group)  # the walk built
     # a spy on modp.mul sees every entry of a tail that a pass or dot product
     # multiplies, and none of the row products of _rows
     seen, building = [], []

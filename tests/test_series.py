@@ -33,11 +33,15 @@ def test_geometric_series():
     for k, c in enumerate(geometric_yu(5).coeffs):
         (w,) = c.terms
         assert w.count("y") == k and len(w) == k
+    with pytest.raises(ValueError, match="order must be >= 0"):
+        geometric_yu(-1)
 
 
 def test_substitution_single_letters():
     assert substitution_series("x", 2).coeffs == (P("x"), P("xy", -1), P("xyy"))
     assert substitution_series("y", 2).coeffs == (P("y"), P("xy"), P("xyy", -1))
+    with pytest.raises(ValueError, match="order must be >= 0"):
+        substitution_series("y", -1)
 
 
 def test_substitution_constant_term_is_word():
@@ -60,6 +64,8 @@ def test_series_harmonic_convolution():
     s = series_harmonic(geometric_yu(1), const_series(P("xy"), 1))
     assert s.coeffs[1] == harmonic(P("y"), P("xy"))
     assert s.coeffs[0] == P("xy")
+    with pytest.raises(ValueError, match="order must be >= 0"):
+        const_series(P("xy"), -1)
 
 
 def test_series_shuffle_with_unit():

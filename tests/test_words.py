@@ -236,9 +236,10 @@ def test_products_keep_no_state_between_calls():
 
 
 def test_products_peak_memory():
-    # each pair's result is freed at its last read, which peaks at about
-    # 2.8 MB here; keeping a row of results until no parent quotient still
-    # needs it peaks at about 7.2 MB
+    # each pair's result is freed once the last pair to read it has emptied
+    # its inbox, which peaks at about 2.9 MB here; keeping a row of results
+    # until no parent quotient still needs it peaks at about 7.2 MB, keeping
+    # every result at about 10.2 MB
     a, b, c = P("xyxyxy"), P("xxyyxy"), P("yxyxxy")
     gc.collect()
     tracemalloc.start()
@@ -253,8 +254,10 @@ def test_products_peak_memory():
 
 def test_harmonic_peak_memory():
     # triple 96 of the algebra laws of `fmzv suite`, whose a(bc) sets the
-    # step's peak: about 12.5 MB when each pair's result is freed at its last
-    # read, 22.2 MB when a row of results lives until its parents are done
+    # step's peak: about 12.15 MB when each pair's result is freed once the
+    # last pair to read it has emptied its inbox, 22.2 MB when a row of
+    # results lives until its parents are done, 28.1 MB when every result
+    # lives until the call returns
     a, b, c = P("yyxyyy"), P("yyxyxy"), P("yyyxxy")
     bc = harmonic(b, c)
     gc.collect()
