@@ -45,10 +45,15 @@ def one_series(order: int) -> USeries:
 
 
 def _convolve(a: USeries, b: USeries, product) -> USeries:
+    # a zero coefficient adds nothing to a term, so its products are skipped
     n = min(a.order, b.order)
     return USeries(
         tuple(
-            _combine((1, product(a.coeffs[i], b.coeffs[d - i])) for i in range(d + 1))
+            _combine(
+                (1, product(a.coeffs[i], b.coeffs[d - i]))
+                for i in range(d + 1)
+                if a.coeffs[i] and b.coeffs[d - i]
+            )
             for d in range(n + 1)
         )
     )

@@ -2,14 +2,22 @@
 configurable weight/shift bounds and a prime window.
 
 Each step returns a structured result; the battery is deterministic for a
-given configuration.  Random pairs for the algebra laws use a fixed seed.
+given configuration.  Random triples for the algebra laws use a fixed seed.
+
+The three word-algebra steps, eq3-symbolic, ikz-truncated and algebra-laws,
+share no state between their instances, so each splits its instances over
+every CPU this process may run on (:func:`_fan_out`): one share in this
+process, the others in worker processes.  The numeric steps share the
+per-prime store and run in this process.
 """
 
 from __future__ import annotations
 
+import os
 import random
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
+from functools import partial
 from math import comb
 
 from .indices import Index, hoffman_dual, weak_compositions
@@ -48,6 +56,54 @@ def _quiet(_msg: str) -> None:
     pass
 
 
+def _fan_out(fn: Callable[[list], object], items: Sequence, width: int) -> list:
+    """``fn`` of each strided share ``items[i::width]``, in share order.
+    Share 0 runs in this process and shares 1.. in a pool of ``width - 1``
+    worker processes, so at most ``width`` processes are busy.  The width is
+    cut to the number of items, and a width of 1 starts no pool.  ``fn``
+    and the items must pickle, as module-level functions do."""
+    width = max(1, min(width, len(items)))
+    shares = [items[i::width] for i in range(width)]
+    if width == 1:
+        return [fn(shares[0])]
+    # imported here, so that a run on one CPU never loads it
+    from concurrent.futures import ProcessPoolExecutor
+
+    # Where the platform forks, the pool forks every worker at the first
+    # submit, before it starts its own thread, and the battery itself starts
+    # no thread, so a caller without threads forks none into a worker.
+    with ProcessPoolExecutor(width - 1) as pool:
+        futures = [pool.submit(fn, share) for share in shares[1:]]
+        first = fn(shares[0])
+        return [first] + [future.result() for future in futures]
+
+
+def _failures(name: str, instances: list[tuple]) -> int:
+    """How many of the symbolic checks ``name`` fail, one per tuple of
+    values in ``instances``."""
+    return sum(not check(name, *values).passed for values in instances)
+
+
+def _law_failures(triples: list[tuple[str, str, str]]) -> int:
+    """How many algebra-law comparisons fail over the word triples (a, b, c):
+    commutativity of both products, their associativity, and the number of
+    shuffles of a and b."""
+    fails = 0
+    for wa, wb, wc in triples:
+        a, b, c = map(NCPolynomial.from_word, (wa, wb, wc))
+        # each pair product once; the swapped operands still test commutativity
+        ha, sh = harmonic(a, b), shuffle(a, b)
+        if ha != harmonic(b, a) or sh != shuffle(b, a):
+            fails += 1
+        if harmonic(ha, c) != harmonic(a, harmonic(b, c)):
+            fails += 1
+        if shuffle(sh, c) != shuffle(a, shuffle(b, c)):
+            fails += 1
+        if sh.term_count() != comb(len(wa) + len(wb), len(wa)):
+            fails += 1
+    return fails
+
+
 def run_battery(
     max_weight: int = 7,
     max_n: int = 3,
@@ -57,9 +113,14 @@ def run_battery(
 ) -> list[SuiteStep]:
     """Run every step of the battery over ``window`` in order, logging one
     line per step, and return the steps.  A negative ``max_weight`` or
-    ``max_n`` is refused.  ``jobs`` is accepted and ignored: every check runs
-    in this process."""
+    ``max_n`` is refused.  eq3-symbolic, ikz-truncated and algebra-laws
+    split their instances over as many processes as this process has usable
+    CPUs (``os.sched_getaffinity``, else ``os.cpu_count``), this process
+    included; on one CPU, or for a single instance, no pool starts.  Every
+    other step runs in this process.  ``jobs`` is accepted and ignored."""
     steps = []
+    affinity = getattr(os, "sched_getaffinity", None)
+    width = len(affinity(0)) if affinity else os.cpu_count() or 1
 
     def run(name: str, body: Callable[[], tuple[bool, str]]) -> None:
         # Record the step's (passed, detail), which body() gives.  An engine
@@ -96,7 +157,7 @@ def run_battery(
 
     run("dual-involution", duals)
 
-    # Steps 2-9 each count the reports that fail ``ok``.
+    # Steps 4-9 each count the reports that fail ``ok``.
     def tally(noun: str, reports, ok=lambda rep: rep.passed) -> tuple[bool, str]:
         reports = list(reports)
         fails = sum(1 for rep in reports if not ok(rep))
@@ -108,13 +169,18 @@ def run_battery(
         instances = (instance(name, v, window) for v in values for name in names)
         return _run([inst for inst in instances if inst.plan.minimum <= primes[-1]], window)
 
+    # Steps 2, 3 and 12 each count the failures of their shares.
+    def fanned(noun: str, fn: Callable[[list], int], items: list) -> tuple[bool, str]:
+        fails = sum(_fan_out(fn, items, width))
+        return fails == 0, f"{len(items)} {noun}, {fails} failures"
+
     # 2. exact word identity behind the shifted harmonic product
     symbolic = [(k, n) for k in all_indices(min(max_weight, 6)) for n in range(min(max_n, 3) + 1)]
-    run("eq3-symbolic", lambda: tally("instances", (check("eq3", k, n) for k, n in symbolic)))
+    run("eq3-symbolic", lambda: fanned("instances", partial(_failures, "eq3"), symbolic))
 
     # 3. truncated series identity through u^4
-    series = list(h1_words(5))
-    run("ikz-truncated", lambda: tally("words through u^4", (check("ikz", w, 4) for w in series)))
+    series = [(w, 4) for w in h1_words(5)]
+    run("ikz-truncated", lambda: fanned("words through u^4", partial(_failures, "ikz"), series))
 
     # 4. shifted-sum relation over the window
     ohno = [(k, n) for k in all_indices(max_weight) for n in range(max_n + 1)]
@@ -167,29 +233,13 @@ def run_battery(
 
     run("spot-congruences", spot)
 
-    # 12. algebra laws on seeded random words
+    # 12. algebra laws on seeded random words, drawn here in one sequence
     def laws() -> tuple[bool, str]:
         rng = random.Random(20240607)
         pool = [w for w in h1_words(min(max_weight, 6)) if w]
-        triples = 100 if pool else 0  # max_weight < 1 leaves no word to draw
-        fails = 0
-        for _ in range(triples):
-            a = NCPolynomial.from_word(rng.choice(pool))
-            b = NCPolynomial.from_word(rng.choice(pool))
-            c = NCPolynomial.from_word(rng.choice(pool))
-            # each pair product once; the swapped operands still test commutativity
-            ha, sh = harmonic(a, b), shuffle(a, b)
-            if ha != harmonic(b, a) or sh != shuffle(b, a):
-                fails += 1
-            if harmonic(ha, c) != harmonic(a, harmonic(b, c)):
-                fails += 1
-            if shuffle(sh, c) != shuffle(a, shuffle(b, c)):
-                fails += 1
-            wa = next(iter(a.terms))
-            wb = next(iter(b.terms))
-            if sh.term_count() != comb(len(wa) + len(wb), len(wa)):
-                fails += 1
-        return fails == 0, f"{triples} random triples, {fails} failures"
+        count = 100 if pool else 0  # max_weight < 1 leaves no word to draw
+        triples = [(rng.choice(pool), rng.choice(pool), rng.choice(pool)) for _ in range(count)]
+        return fanned("random triples", _law_failures, triples)
 
     run("algebra-laws", laws)
 

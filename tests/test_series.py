@@ -1,5 +1,6 @@
 import pytest
 
+import fmzv.series
 from fmzv.series import (
     USeries,
     const_series,
@@ -11,6 +12,7 @@ from fmzv.series import (
     substitution_series,
 )
 from fmzv.suite import h1_words
+from fmzv.verify import check
 from fmzv.words import NCPolynomial, harmonic
 
 
@@ -77,6 +79,22 @@ def test_series_shuffle_with_unit():
 def test_series_shuffle_geometric_substitution():
     s = series_shuffle(geometric_yu(2), substitution_series("y", 2))
     assert s.coeffs[1] == NCPolynomial({"yy": 2, "xy": 1})
+
+
+def test_convolution_skips_zero_coefficients(monkeypatch):
+    # the word's constant series is zero beyond u^0, so ikz through u^4
+    # multiplies each of the 5 geometric coefficients by the word once,
+    # where the full convolution made 1 + 2 + ... + 5 = 15 products
+    calls = []
+
+    def counted(a, b):
+        calls.append((a, b))
+        return harmonic(a, b)
+
+    monkeypatch.setattr(fmzv.series, "harmonic", counted)
+    assert check("ikz", "xyy", 4).passed
+    assert len(calls) == 5
+    assert all(a and b for a, b in calls)
 
 
 def test_mixed_orders_truncate_to_min():
