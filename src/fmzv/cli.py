@@ -198,7 +198,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_suite.add_argument("--primes", metavar="LO:HI")
     p_suite.add_argument(
         "--jobs", type=int, default=1,
-        help="accepted and ignored (default: 1): the word-algebra steps use every usable CPU",
+        help="accepted and ignored (default: 1): the word-algebra steps run in one pool "
+        "of one worker per usable CPU",
     )
     p_suite.add_argument("--format", choices=("table", "json"), default="table")
     p_suite.add_argument("--output", metavar="PATH")

@@ -5,17 +5,18 @@ Each step returns a structured result; the battery is deterministic for a
 given configuration.  Random triples for the algebra laws use a fixed seed.
 
 The three word-algebra steps, eq3-symbolic, ikz-truncated and algebra-laws,
-share no state between their instances, so each splits its instances over
-every CPU this process may run on (:func:`_fan_out`): one share in this
-process, the others in worker processes.  The numeric steps share the
-per-prime store and run in this process.
+share no state between their instances.  A battery submits all their work
+to one pool of worker processes, one per CPU this process may run on, before
+any other step runs; the other steps share the per-prime store and run in
+this process meanwhile, and the word-algebra steps are collected after
+them.  On one CPU no pool starts.
 """
 
 from __future__ import annotations
 
 import os
 import random
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from functools import partial
 from math import comb
@@ -56,26 +57,11 @@ def _quiet(_msg: str) -> None:
     pass
 
 
-def _fan_out(fn: Callable[[list], object], items: Sequence, width: int) -> list:
-    """``fn`` of each strided share ``items[i::width]``, in share order.
-    Share 0 runs in this process and shares 1.. in a pool of ``width - 1``
-    worker processes, so at most ``width`` processes are busy.  The width is
-    cut to the number of items, and a width of 1 starts no pool.  ``fn``
-    and the items must pickle, as module-level functions do."""
-    width = max(1, min(width, len(items)))
-    shares = [items[i::width] for i in range(width)]
-    if width == 1:
-        return [fn(shares[0])]
-    # imported here, so that a run on one CPU never loads it
-    from concurrent.futures import ProcessPoolExecutor
-
-    # Where the platform forks, the pool forks every worker at the first
-    # submit, before it starts its own thread, and the battery itself starts
-    # no thread, so a caller without threads forks none into a worker.
-    with ProcessPoolExecutor(width - 1) as pool:
-        futures = [pool.submit(fn, share) for share in shares[1:]]
-        first = fn(shares[0])
-        return [first] + [future.result() for future in futures]
+def _chunks(items: list, count: int) -> list[list]:
+    """``items`` cut into at most ``count`` contiguous runs, none empty,
+    the last one no longer than the others."""
+    size = max(1, -(-len(items) // count))
+    return [items[i : i + size] for i in range(0, len(items), size)]
 
 
 def _failures(name: str, instances: list[tuple]) -> int:
@@ -84,23 +70,31 @@ def _failures(name: str, instances: list[tuple]) -> int:
     return sum(not check(name, *values).passed for values in instances)
 
 
-def _law_failures(triples: list[tuple[str, str, str]]) -> int:
-    """How many algebra-law comparisons fail over the word triples (a, b, c):
+def _law_triples(max_weight: int) -> list[tuple[str, str, str]]:
+    """The algebra-laws step's 100 seeded random triples of nonempty words
+    of ``h1_words(min(max_weight, 6))``, or none where that has no word."""
+    rng = random.Random(20240607)
+    pool = [w for w in h1_words(min(max_weight, 6)) if w]
+    count = 100 if pool else 0
+    return [(rng.choice(pool), rng.choice(pool), rng.choice(pool)) for _ in range(count)]
+
+
+def _law_failures(wa: str, wb: str, wc: str) -> int:
+    """How many algebra-law comparisons fail for the words (a, b, c):
     commutativity of both products, their associativity, and the number of
     shuffles of a and b."""
     fails = 0
-    for wa, wb, wc in triples:
-        a, b, c = map(NCPolynomial.from_word, (wa, wb, wc))
-        # each pair product once; the swapped operands still test commutativity
-        ha, sh = harmonic(a, b), shuffle(a, b)
-        if ha != harmonic(b, a) or sh != shuffle(b, a):
-            fails += 1
-        if harmonic(ha, c) != harmonic(a, harmonic(b, c)):
-            fails += 1
-        if shuffle(sh, c) != shuffle(a, shuffle(b, c)):
-            fails += 1
-        if sh.term_count() != comb(len(wa) + len(wb), len(wa)):
-            fails += 1
+    a, b, c = map(NCPolynomial.from_word, (wa, wb, wc))
+    # each pair product once; the swapped operands still test commutativity
+    ha, sh = harmonic(a, b), shuffle(a, b)
+    if ha != harmonic(b, a) or sh != shuffle(b, a):
+        fails += 1
+    if harmonic(ha, c) != harmonic(a, harmonic(b, c)):
+        fails += 1
+    if shuffle(sh, c) != shuffle(a, shuffle(b, c)):
+        fails += 1
+    if sh.term_count() != comb(len(wa) + len(wb), len(wa)):
+        fails += 1
     return fails
 
 
@@ -111,29 +105,20 @@ def run_battery(
     jobs: int = 1,
     log: Callable[[str], None] = _quiet,
 ) -> list[SuiteStep]:
-    """Run every step of the battery over ``window`` in order, logging one
-    line per step, and return the steps.  A negative ``max_weight`` or
-    ``max_n`` is refused.  eq3-symbolic, ikz-truncated and algebra-laws
-    split their instances over as many processes as this process has usable
-    CPUs (``os.sched_getaffinity``, else ``os.cpu_count``), this process
-    included; on one CPU, or for a single instance, no pool starts.  Every
-    other step runs in this process.  ``jobs`` is accepted and ignored."""
-    steps = []
-    affinity = getattr(os, "sched_getaffinity", None)
-    width = len(affinity(0)) if affinity else os.cpu_count() or 1
+    """Run every step of the battery over ``window`` and return the steps in
+    battery order, logging each step's line in that order once the step and
+    every step before it are done.  A negative ``max_weight`` or ``max_n``
+    is refused.
 
-    def run(name: str, body: Callable[[], tuple[bool, str]]) -> None:
-        # Record the step's (passed, detail), which body() gives.  An engine
-        # fault fails this step alone, with the fault as its error, and the
-        # battery goes on.
-        try:
-            passed, detail = body()
-            error = None
-        except EngineFault as exc:
-            passed, detail, error = False, "engine fault", str(exc)
-        steps.append(SuiteStep(name, passed, detail, error))
-        log(f"[{'PASS' if passed else 'FAIL'}] {name}: {detail}")
-
+    One pool of as many worker processes as this process has usable CPUs
+    (``os.sched_getaffinity``, else ``os.cpu_count``) gets all the work of
+    eq3-symbolic, ikz-truncated and algebra-laws before any other step
+    runs: contiguous chunks of the eq3 and ikz instances, one chunk per CPU
+    each, then one task per algebra-laws triple.  Meanwhile the other steps
+    run in this process, in order; the three pooled steps are collected
+    after them.  On one CPU no pool starts, and each task runs in this
+    process when it is collected.  No worker outlives the call, whether it
+    returns or raises.  ``jobs`` is accepted and ignored."""
     if max_weight < 0:
         raise ValueError(f"max weight must be >= 0, got {max_weight}")
     if max_n < 0:
@@ -142,6 +127,8 @@ def run_battery(
     primes = primes_in(lo, hi)
     if not primes:
         raise ValueError(f"no primes in window [{lo}, {hi}]")
+    affinity = getattr(os, "sched_getaffinity", None)
+    width = len(affinity(0)) if affinity else os.cpu_count() or 1
 
     # 1. dual involution, depth identity, and the worked example
     def duals() -> tuple[bool, str]:
@@ -155,7 +142,17 @@ def run_battery(
         example_ok = hoffman_dual(Index((2, 3, 1, 2))) == (1, 2, 1, 3, 1)
         return bad == 0 and example_ok, f"{count} indices of weight <= 10, {bad} failures"
 
-    run("dual-involution", duals)
+    # Steps 2, 3 and 12 each sum the failures their tasks give, read in order.
+    def collect(noun: str, count: int, tasks: list[Callable[[], int]]) -> tuple[bool, str]:
+        fails = sum(task() for task in tasks)
+        return fails == 0, f"{count} {noun}, {fails} failures"
+
+    # 2. exact word identity behind the shifted harmonic product
+    symbolic = [(k, n) for k in all_indices(min(max_weight, 6)) for n in range(min(max_n, 3) + 1)]
+    # 3. truncated series identity through u^4
+    series = [(w, 4) for w in h1_words(5)]
+    # 12. algebra laws on seeded random words, drawn here in one sequence
+    triples = _law_triples(max_weight)
 
     # Steps 4-9 each count the reports that fail ``ok``.
     def tally(noun: str, reports, ok=lambda rep: rep.passed) -> tuple[bool, str]:
@@ -169,47 +166,24 @@ def run_battery(
         instances = (instance(name, v, window) for v in values for name in names)
         return _run([inst for inst in instances if inst.plan.minimum <= primes[-1]], window)
 
-    # Steps 2, 3 and 12 each count the failures of their shares.
-    def fanned(noun: str, fn: Callable[[list], int], items: list) -> tuple[bool, str]:
-        fails = sum(_fan_out(fn, items, width))
-        return fails == 0, f"{len(items)} {noun}, {fails} failures"
-
-    # 2. exact word identity behind the shifted harmonic product
-    symbolic = [(k, n) for k in all_indices(min(max_weight, 6)) for n in range(min(max_n, 3) + 1)]
-    run("eq3-symbolic", lambda: fanned("instances", partial(_failures, "eq3"), symbolic))
-
-    # 3. truncated series identity through u^4
-    series = [(w, 4) for w in h1_words(5)]
-    run("ikz-truncated", lambda: fanned("words through u^4", partial(_failures, "ikz"), series))
-
     # 4. shifted-sum relation over the window
     ohno = [(k, n) for k in all_indices(max_weight) for n in range(max_n + 1)]
-    run("ohno", lambda: tally("instances", batch(["ohno"], ohno)))
 
     # 5. sum formula, including forced vanishing for even weights
     def vanishes_if_even(rep) -> bool:
         return rep.passed and (rep.params["k"] % 2 or all(row.rhs == 0 for row in rep.above_floor))
 
     sums = [(k, r, i) for k in range(3, 10) for r in range(1, k) for i in range(1, r + 1)]
-    run("sum-formula", lambda: tally("instances", batch(["sum-formula"], sums), vanishes_if_even))
-
     # 6. height-one closed form
     runs = [(a, b) for a in range(0, 6) for b in range(0, 6 - a)]
-    run("height-one", lambda: tally("instances", batch(["height-one"], runs)))
-
     # 7. product-to-value homomorphism and shuffle duality
     words = [w for w in h1_words(5) if w]
     pairs = [(w, wp) for w in words for wp in words if len(w) + len(wp) <= 6]
-    run("stuffle-duality", lambda: tally("checks", batch(["stuffle", "duality"], pairs)))
-
     # 8. homogeneous vanishing
     constants = [(a, r) for a in range(1, 4) for r in range(1, 5)]
-    run("homogeneous", lambda: tally("instances", batch(["homogeneous"], constants)))
-
     # 9. the lemma value at every prime; key-lemma first compares the index
     # and word readings exactly, layer by layer
     lemmas = [(k, n) for k in all_indices(min(max_weight, 5)) for n in range(1, max_n + 1)]
-    run("lemma-checks", lambda: tally("checks", batch(["lemma2", "key-lemma"], lemmas)))
 
     # 10. fast evaluator against the independent loop oracle, one batch
     # over the primes up to 50
@@ -220,8 +194,6 @@ def run_battery(
         fails = checked.count(False)
         return fails == 0, f"{len(checked)} evaluations, {fails} mismatches"
 
-    run("zeta-oracle", oracle)
-
     # 11. frozen spot congruences
     def spot() -> tuple[bool, str]:
         ok = (
@@ -231,16 +203,60 @@ def run_battery(
         )
         return ok, "residues at p=5"
 
-    run("spot-congruences", spot)
+    pool = None
+    if width > 1:
+        # imported here, so that a run on one CPU never loads it
+        from concurrent.futures import ProcessPoolExecutor
 
-    # 12. algebra laws on seeded random words, drawn here in one sequence
-    def laws() -> tuple[bool, str]:
-        rng = random.Random(20240607)
-        pool = [w for w in h1_words(min(max_weight, 6)) if w]
-        count = 100 if pool else 0  # max_weight < 1 leaves no word to draw
-        triples = [(rng.choice(pool), rng.choice(pool), rng.choice(pool)) for _ in range(count)]
-        return fanned("random triples", _law_failures, triples)
+        # Where the platform forks, the pool forks every worker at the first
+        # submit, before it starts its own thread and before the numeric
+        # steps grow this process's heap.
+        pool = ProcessPoolExecutor(width)
 
-    run("algebra-laws", laws)
+    def submit(fn: Callable[..., int], *args) -> Callable[[], int]:
+        # what reading the task's result calls: the pool's future, or, with
+        # no pool, the task itself
+        return pool.submit(fn, *args).result if pool else partial(fn, *args)
 
-    return steps
+    try:
+        eq3 = [submit(_failures, "eq3", chunk) for chunk in _chunks(symbolic, width)]
+        ikz = [submit(_failures, "ikz", chunk) for chunk in _chunks(series, width)]
+        laws = [submit(_law_failures, *triple) for triple in triples]
+        battery = [
+            ("dual-involution", duals),
+            ("eq3-symbolic", lambda: collect("instances", len(symbolic), eq3)),
+            ("ikz-truncated", lambda: collect("words through u^4", len(series), ikz)),
+            ("ohno", lambda: tally("instances", batch(["ohno"], ohno))),
+            ("sum-formula",
+             lambda: tally("instances", batch(["sum-formula"], sums), vanishes_if_even)),
+            ("height-one", lambda: tally("instances", batch(["height-one"], runs))),
+            ("stuffle-duality", lambda: tally("checks", batch(["stuffle", "duality"], pairs))),
+            ("homogeneous", lambda: tally("instances", batch(["homogeneous"], constants))),
+            ("lemma-checks", lambda: tally("checks", batch(["lemma2", "key-lemma"], lemmas))),
+            ("zeta-oracle", oracle),
+            ("spot-congruences", spot),
+            ("algebra-laws", lambda: collect("random triples", len(triples), laws)),
+        ]
+        pooled = {"eq3-symbolic", "ikz-truncated", "algebra-laws"}
+        steps: list[SuiteStep] = []
+        done: dict[str, SuiteStep] = {}
+        # the steps of this process run first, in order, and the pooled steps
+        # are collected after them
+        for name, body in sorted(battery, key=lambda step: step[0] in pooled):
+            # An engine fault fails this step alone, with the fault as its
+            # error, and the battery goes on.
+            try:
+                passed, detail = body()
+                error = None
+            except EngineFault as exc:
+                passed, detail, error = False, "engine fault", str(exc)
+            done[name] = SuiteStep(name, passed, detail, error)
+            # log every step now done whose predecessors are all done
+            while len(steps) < len(battery) and battery[len(steps)][0] in done:
+                step = done[battery[len(steps)][0]]
+                steps.append(step)
+                log(f"[{'PASS' if step.passed else 'FAIL'}] {step.name}: {step.detail}")
+        return steps
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
