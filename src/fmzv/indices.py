@@ -65,12 +65,20 @@ def weak_compositions(n: int, r: int) -> Iterator[tuple[int, ...]]:
         raise ValueError(f"total must be >= 0, got {n}")
     if r < 1:
         raise ValueError(f"number of slots must be >= 1, got {r}")
-    if r == 1:
-        yield (n,)
-        return
-    for first in range(n, -1, -1):
-        for rest in weak_compositions(n - first, r - 1):
-            yield (first,) + rest
+    parts = [n] + [0] * (r - 1)
+    i = 0 if n and r > 1 else -1  # the last nonzero part before the final slot
+    while True:
+        yield tuple(parts)
+        if i < 0:
+            return
+        # the next tuple: one less at i, and the rest of the sum after it
+        # moved into slot i + 1
+        parts[i] -= 1
+        rest, parts[-1] = parts[-1] + 1, 0
+        parts[i + 1] = rest
+        i = min(i + 1, r - 2)
+        while i >= 0 and not parts[i]:
+            i -= 1
 
 
 def binary_vectors(r: int, i: int) -> Iterator[tuple[int, ...]]:

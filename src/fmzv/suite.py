@@ -7,9 +7,10 @@ given configuration.  Random triples for the algebra laws use a fixed seed.
 The three word-algebra steps, eq3-symbolic, ikz-truncated and algebra-laws,
 share no state between their instances.  A battery submits all their work
 to one pool of worker processes, one per CPU this process may run on, before
-any other step runs; the other steps share the per-prime store and run in
-this process meanwhile, and the word-algebra steps are collected after
-them.  On one CPU no pool starts.
+any step runs.  The steps then run in battery order, each logged as it
+ends: the word-algebra steps read their workers' results at their own
+turn, and the other steps, which share the per-prime store, run in this
+process while the workers go on.  On one CPU no pool starts.
 """
 
 from __future__ import annotations
@@ -105,20 +106,20 @@ def run_battery(
     jobs: int = 1,
     log: Callable[[str], None] = _quiet,
 ) -> list[SuiteStep]:
-    """Run every step of the battery over ``window`` and return the steps in
-    battery order, logging each step's line in that order once the step and
-    every step before it are done.  A negative ``max_weight`` or ``max_n``
-    is refused.
+    """Run every step of the battery over ``window`` in battery order,
+    logging each step's line as the step ends, and return the steps in that
+    order.  A negative ``max_weight`` or ``max_n`` is refused.
 
     One pool of as many worker processes as this process has usable CPUs
     (``os.sched_getaffinity``, else ``os.cpu_count``) gets all the work of
-    eq3-symbolic, ikz-truncated and algebra-laws before any other step
-    runs: contiguous chunks of the eq3 and ikz instances, one chunk per CPU
-    each, then one task per algebra-laws triple.  Meanwhile the other steps
-    run in this process, in order; the three pooled steps are collected
-    after them.  On one CPU no pool starts, and each task runs in this
-    process when it is collected.  No worker outlives the call, whether it
-    returns or raises.  ``jobs`` is accepted and ignored."""
+    eq3-symbolic, ikz-truncated and algebra-laws before any step runs:
+    contiguous chunks of the eq3 and ikz instances, one chunk per CPU each,
+    then one task per algebra-laws triple.  Each of these three steps reads
+    its tasks' results at its own turn; while the workers go on to the law
+    triples, the numeric steps run in this process, and algebra-laws, the
+    last step, is collected last.  On one CPU no pool starts, and each task
+    runs in this process when its step reads it.  No worker outlives the
+    call, whether it returns or raises.  ``jobs`` is accepted and ignored."""
     if max_weight < 0:
         raise ValueError(f"max weight must be >= 0, got {max_weight}")
     if max_n < 0:
@@ -237,12 +238,8 @@ def run_battery(
             ("spot-congruences", spot),
             ("algebra-laws", lambda: collect("random triples", len(triples), laws)),
         ]
-        pooled = {"eq3-symbolic", "ikz-truncated", "algebra-laws"}
         steps: list[SuiteStep] = []
-        done: dict[str, SuiteStep] = {}
-        # the steps of this process run first, in order, and the pooled steps
-        # are collected after them
-        for name, body in sorted(battery, key=lambda step: step[0] in pooled):
+        for name, body in battery:
             # An engine fault fails this step alone, with the fault as its
             # error, and the battery goes on.
             try:
@@ -250,12 +247,8 @@ def run_battery(
                 error = None
             except EngineFault as exc:
                 passed, detail, error = False, "engine fault", str(exc)
-            done[name] = SuiteStep(name, passed, detail, error)
-            # log every step now done whose predecessors are all done
-            while len(steps) < len(battery) and battery[len(steps)][0] in done:
-                step = done[battery[len(steps)][0]]
-                steps.append(step)
-                log(f"[{'PASS' if step.passed else 'FAIL'}] {step.name}: {step.detail}")
+            steps.append(SuiteStep(name, passed, detail, error))
+            log(f"[{'PASS' if passed else 'FAIL'}] {name}: {detail}")
         return steps
     finally:
         if pool is not None:

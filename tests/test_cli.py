@@ -218,6 +218,16 @@ def test_long_words_check_without_crashing():
     assert "Traceback" not in proc.stderr and "RecursionError" not in proc.stderr
 
 
+def test_index_deeper_than_the_recursion_limit_checks(capsys):
+    # exit 1 would read as a failed check; 1200 parts outnumber the
+    # interpreter's default recursion limit
+    ones = ",".join(["1"] * 1200)
+    code, out, err = run_cli(capsys, "check", "ohno", "--index", ones, "--n", "0",
+                             "--primes", "1201:1213")
+    assert code == 0, err
+    assert out.endswith("summary: PASS  checked=2 failed_above_floor=0\n")
+
+
 def test_out_of_memory_is_refused_with_exit_2(capsys, monkeypatch):
     # exit 1 means a check failed above its floor, so running out of memory
     # is reported like other input the CLI cannot take, with no traceback

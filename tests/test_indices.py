@@ -80,6 +80,30 @@ def test_weak_compositions_order_and_counts():
             assert got == sorted(got, reverse=True)
 
 
+def _weak_compositions_recursive(n, r):
+    # the first part from n down to 0, each followed by every tuple of the
+    # remaining r - 1 slots in the same order
+    if r == 1:
+        yield (n,)
+        return
+    for first in range(n, -1, -1):
+        for rest in _weak_compositions_recursive(n - first, r - 1):
+            yield (first,) + rest
+
+
+def test_weak_compositions_keep_the_recursive_order():
+    for n in range(7):
+        for r in range(1, 7):
+            assert list(weak_compositions(n, r)) == list(_weak_compositions_recursive(n, r))
+
+
+def test_weak_compositions_of_many_slots_do_not_recurse():
+    got = list(weak_compositions(1, 5000))
+    assert len(got) == 5000
+    assert got[0] == (1,) + (0,) * 4999 and got[-1] == (0,) * 4999 + (1,)
+    assert list(weak_compositions(0, 5000)) == [(0,) * 5000]
+
+
 def test_weak_compositions_validation():
     with pytest.raises(ValueError):
         list(weak_compositions(-1, 2))

@@ -223,21 +223,36 @@ def test_numeric_fault_propagates_and_leaves_no_worker(pool_starts, monkeypatch)
     assert multiprocessing.active_children() == []
 
 
-def test_on_one_cpu_the_word_tasks_run_after_the_numeric_steps(monkeypatch):
-    # with no pool each task runs when its step is collected, and the
-    # pooled steps are collected after every step of this process
+def _traced(events: list, label: str, fn):
+    # ``fn``, appending ``label`` to ``events`` before each call
+    def call(*args):
+        events.append(label)
+        return fn(*args)
+    return call
+
+
+def test_on_one_cpu_the_word_tasks_run_in_battery_order(monkeypatch):
+    # with no pool each task runs when its step reads it, and the steps run
+    # in battery order: eq3 and ikz before the numeric steps, the law
+    # triples after them
     events = []
-
-    def traced(label, fn):
-        def call(*args):
-            events.append(label)
-            return fn(*args)
-        return call
-
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    monkeypatch.setattr(fmzv.suite, "_run", traced("numeric", fmzv.suite._run))
-    monkeypatch.setattr(fmzv.suite, "_failures", traced("word", fmzv.suite._failures))
-    monkeypatch.setattr(fmzv.suite, "_law_failures", traced("word", fmzv.suite._law_failures))
+    monkeypatch.setattr(fmzv.suite, "_run", _traced(events, "numeric", fmzv.suite._run))
+    monkeypatch.setattr(fmzv.suite, "_failures", _traced(events, "word", fmzv.suite._failures))
+    law_failures = _traced(events, "word", fmzv.suite._law_failures)
+    monkeypatch.setattr(fmzv.suite, "_law_failures", law_failures)
     steps = run_battery(5, 2, (2, 60))
     assert [(s.name, s.passed, s.detail) for s in steps] == SMALL_BATTERY
-    assert events == ["numeric"] * 6 + ["word"] * 102
+    assert events == ["word"] * 2 + ["numeric"] * 6 + ["word"] * 100
+
+
+def test_at_width_two_each_step_logs_as_it_ends(pool_starts, monkeypatch):
+    # each numeric step's line arrives after its own batch runs and before
+    # the next step's batch starts
+    events = []
+    monkeypatch.setattr(fmzv.suite, "_run", _traced(events, "batch", fmzv.suite._run))
+    run_battery(5, 2, (2, 60), log=events.append)
+    assert pool_starts == [2]
+    lines = [f"[PASS] {name}: {detail}" for name, _, detail in SMALL_BATTERY]
+    numeric = [e for line in lines[3:9] for e in ("batch", line)]
+    assert events == lines[:3] + numeric + lines[9:]
