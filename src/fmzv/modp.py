@@ -42,10 +42,9 @@ never read.  A pass gives the lane of q_i its entry (q_i + 1)/2, and each
 dot product is one running sum, broken there for each prime of the group.
 A Python integer of d 30-bit digits costs far less to handle than d
 integers of one digit, so a group of G primes costs less than G walks,
-and far less at small primes, where several fit one digit.
-Groups hold at most ``GROUP_PRIMES`` primes and rows of at most
-``GROUP_BITS`` bits, which bounds the digit width of a walk's integers; 4
-consecutive primes below about 10^5 make one group.
+and far less at small primes, where several fit one digit.  Any window
+is walked in runs of up to ``GROUP_PRIMES`` consecutive primes, cut by
+count alone.
 
 Each pass, and each inverse-power row it reads, is built from C-level
 iterators (``map``, ``itertools.accumulate``) rather than an interpreted
@@ -111,17 +110,15 @@ MAX_MODULUS = 2**31
 # units (residues, Bernoulli values) the per-prime store may hold beyond
 # the current prime's: each is a dict entry of tens of bytes
 TABLE_BUDGET = 2**20
-# A group of primes swept in one walk: at most GROUP_PRIMES of them, and
-# at most GROUP_BITS bits in q_G entries of the summed bit lengths of its
-# primes.  Those lengths bound the bits of P, so GROUP_BITS bounds the
-# digit width of the walk's integers; BLOCK bounds its memory, but for row
-# 1.  4 consecutive primes of 17 bits make one group up to
-# q_G = 7e6 / 68, about 1.03e5: on a 2-vCPU host, a
-# walk of the 7 indices of ohno (3), n = 2 over the last 1, 2, 3 and all 4
-# of the primes 95191 .. 95219 took 101, 191, 191 and 228 ms (best of 9),
-# so the groups of 3 and 1 that a bound of 5e6 cut cost about 292 ms.
+# The primes of a group swept in one walk; a window is cut into runs of
+# this many by count alone.  BLOCK bounds a walk's memory, but for row 1,
+# whose entries widen with the group.  On a 2-vCPU host, walks alone (best
+# of 3) in groups of 4, 8, 16 and 32 took 1.48, 0.98, 0.68 and 0.81 s for
+# ohno (2, 1), n = 2 on the 32 primes 99991 .. 100391, and in groups of 4,
+# 8 and 16 took 4.49, 3.38 and 2.17 s for ohno 1^6, n = 6 on the 16 primes
+# 10007 .. 10141; on 64 primes from 1009 and from 101, groups of 4 .. 64
+# took 11-20 ms and 3-6 ms, 16 the fastest or within 1 ms of it.
 GROUP_PRIMES = 16
-GROUP_BITS = 7_000_000
 # The most entries of a walk's block, whose rows and tails live while it is
 # walked (see SuffixTrie._walk).  On a 2-vCPU host the walk of ohno (3),
 # n = 2 over 95191 .. 95219 (47.6k entries) peaked under tracemalloc at
@@ -504,21 +501,9 @@ class SuffixTrie:
 
 
 def _groups(primes: Sequence[int]) -> list[tuple[int, ...]]:
-    # ``primes`` cut, in order, into runs swept together: at most
-    # GROUP_PRIMES primes, and a row of at most GROUP_BITS bits, q_G entries
-    # of the summed bit lengths of the group's primes, which bound that of P.
-    groups: list[tuple[int, ...]] = []
-    group: list[int] = []
-    bits = 0
-    for p in primes:
-        bits += p.bit_length()
-        if group and (len(group) == GROUP_PRIMES or bits * p > GROUP_BITS):
-            groups.append(tuple(group))
-            group, bits = [], p.bit_length()
-        group.append(p)
-    if group:
-        groups.append(tuple(group))
-    return groups
+    # ``primes`` cut, in order, into the runs of GROUP_PRIMES swept
+    # together, the last one shorter
+    return [tuple(primes[i : i + GROUP_PRIMES]) for i in range(0, len(primes), GROUP_PRIMES)]
 
 
 def residues(
@@ -550,7 +535,8 @@ def residues(
     for group in _groups(primes):
         memos = [_entry(q) for q in group]
         missing = [list(filterfalse(memo.__contains__, indices)) for memo in memos]
-        live = [k for k in indices if len(k) < group[-1] and not all(k in memo for memo in memos)]
+        gaps = set().union(*missing)
+        live = [k for k in indices if k in gaps and len(k) < group[-1]]
         swept = repeat({})
         if live:
             if trie is None or live != trie.indices:

@@ -611,6 +611,20 @@ def test_key_lemma_walks_its_suffixes_only():
                 assert values[k] == zeta_by_loop(k, q), (lanes, q, k)
 
 
+@pytest.mark.parametrize("lo, hi", [(2, 100), (99991, 100411), (1000003, 1000800)])
+def test_groups_are_runs_of_group_primes(lo, hi):
+    # any window is cut by count alone: consecutive runs of GROUP_PRIMES,
+    # the last one shorter, with no prime lost or repeated
+    import fmzv.modp as modp
+
+    primes = primes_in(lo, hi)
+    groups = modp._groups(primes)
+    *full, last = groups
+    assert [len(g) for g in full] == [modp.GROUP_PRIMES] * len(full)
+    assert 0 < len(last) < modp.GROUP_PRIMES
+    assert sum(groups, ()) == tuple(primes)
+
+
 def test_residues_fill_groups_in_process(monkeypatch):
     # a window swept group by group equals the one-prime sweeps, and each
     # group is walked once, for the indices missing at any of its primes
@@ -659,14 +673,15 @@ def test_each_missing_set_builds_its_own_j_once(monkeypatch):
         assert got[p] == {k: zeta_by_loop(k, p) for k in indices}, p
 
 
-def test_four_primes_near_1e5_are_one_walk():
-    # a window of 4 consecutive primes below about 10^5 is one group, walked
+@pytest.mark.parametrize("count", [4, 8])
+def test_consecutive_primes_near_1e5_are_one_walk(count):
+    # a window of 4 or 8 consecutive primes below 10^5 is one group, walked
     # modulo their product, and each lane of that walk is the one-prime walk
     # of its prime
     from fmzv.verify import CHECKS
 
-    group = tuple(primes_in(95191, 95219))
-    assert len(group) == 4 and fmzv.modp._groups(list(group)) == [group]
+    group = tuple(primes_in(95191, 96000)[:count])
+    assert fmzv.modp._groups(list(group)) == [group]
     _, plan = CHECKS["ohno"].build(Index((3,)), 2, (group[0], group[-1]))
     indices = plan.indices()
     swept = SuffixTrie(indices).sweep(group)
