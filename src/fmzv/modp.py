@@ -26,21 +26,19 @@ keyed by its first part s_1 and the node of s[1:], its parent, so a node
 costs the same at any depth.  A node's tail is the prefix sum over m in L
 of the row m^(-s_1) times its parent's tail.  The walk visits the nodes
 depth first, each after its parent, and extends the tails its ancestors
-left, so each node that is a proper suffix of another costs one pass over
-(q+1)/2 entries, whose last entry is its value, and only a node that is
-none, and so ends no pass, costs one dot product; one tail per depth is
-alive at once, however many indices share the walk.  The recipes then
-combine the values of J into each index's residue.  At q = 2, where m = 1
-is its own mirror, H_2(k) is 1 at depth 1 and 0 deeper.
+left, one pass per node over (q+1)/2 entries, whose last entry is its
+value; one tail per depth is alive at once, however many indices share
+the walk.  The recipes then combine the values of J into each index's
+residue.  At q = 2, where m = 1 is its own mirror, H_2(k) is 1 at depth 1
+and 0 deeper.
 
 One walk serves a group of consecutive primes q_1 < ... < q_G at once: it
 runs over the lower half of q_G modulo the product P of the group's odd
 primes, and since Z/P is the product of the Z/q_i (the Chinese remainder
 theorem), the lane of q_i is read off the entries m <= (q_i - 1)/2, where
 every row and tail is exact modulo q_i; what a lane holds above that is
-never read.  A pass gives the lane of q_i its entry (q_i + 1)/2, and each
-dot product is one running sum, broken there for each prime of the group.
-A Python integer of d 30-bit digits costs far less to handle than d
+never read.  Each pass gives the lane of q_i its entry (q_i + 1)/2.  A
+Python integer of d 30-bit digits costs far less to handle than d
 integers of one digit, so a group of G primes costs less than G walks,
 and far less at small primes, where several fit one digit.  Any window
 is walked in runs of up to ``GROUP_PRIMES`` consecutive primes, cut by
@@ -54,26 +52,28 @@ modulus drops each prime of the group once m passes its half; row e is the
 product of two rows already built, and a power of row 1 only when there
 are none.  A lane needs its residue mod q_i alone, which a reduction mod P
 at any point keeps, and each lane's value is reduced once, mod q_i; a
-reduction mod P is a long division, dearer than the product it shrinks,
-so a walk reduces a row or tail only past one bit bound.  Each of its
-arrays has a width, the bits its entries stay below: row e has e bits(P)
+reduction mod P is a long division, dearer than the product it shrinks, so
+a walk reduces a row or tail only past one bit bound.  Each of its arrays
+has a width, the bits its entries stay below: row e has e bits(P)
 unreduced and bits(P) reduced, and a pass adds the width of its row and
-the bits of the walk's length to the width of the tail it reads.  Row e
-is left unreduced where a pass over it from a tail reduced mod P stays
-within the limit, and a pass reduces its tail mod P where the tail would
-pass it.  The limit is ``TAIL_BITS``, or what a pass over a reduced row
-from a reduced tail needs where that is more, so no two depths in a row
-are reduced.  While P fits one 30-bit digit the limit is the latter alone:
-every row is reduced, and so is the tail of every second depth, which keeps
-the dot products over those tails on ``sum``'s machine-word path; so a
-lone prime, a group of one with no case of its own, has the true powers
-mod p in its rows.  The walk runs over m in equal blocks of at most ``BLOCK`` entries.  Only row 1
-spans the range, since its recurrence reads earlier entries anywhere below
-m; every other row and every tail lives for one block, each pass and dot
-product carrying its running sum into the next.  So a walk holds row 1 and
-about one block per row and per depth, however large q_G.  Bernoulli
-numbers B_n mod p come from the power sum 1^n + ... + (p-1)^n mod p^2 in
-O(p).
+the bits of the walk's length to the width of the tail it reads.  Row e is
+left unreduced where a pass over it from a tail reduced mod P stays within
+the limit, and a pass whose tail another pass reads reduces it mod P where
+it would pass the limit; a leaf's tail, read by none, is never reduced.
+The limit is ``TAIL_BITS``, or what a pass over a reduced row from a
+reduced tail needs where that is more, so no two depths in a row are
+reduced.  While P fits one 30-bit digit the limit is the latter alone:
+there a reduction divides by one digit, so every row is reduced, and so is
+the tail of every second depth that a pass reads, which keeps the tails a
+few digits wide where ``TAIL_BITS`` would let them grow to ten; so a lone
+prime, a group of one with no case of its own, has the true powers mod p
+in its rows.  The walk runs over m in equal blocks of at most ``BLOCK``
+entries.  Only row 1 spans the range, since its recurrence reads earlier
+entries anywhere below m; every other row and every tail lives for one
+block, each pass carrying its running sum into the next.  So a walk holds
+row 1 and about one block per row and per depth, however large q_G.
+Bernoulli numbers B_n mod p come from the power sum 1^n + ... + (p-1)^n
+mod p^2 in O(p).
 
 Everything memoized at a prime lives in one store, one memo per prime: its
 swept residues keyed by index, a tuple, and its Bernoulli values B_n keyed
@@ -143,7 +143,12 @@ BLOCK = 2048
 # and is reduced every second depth, not every depth: every depth made
 # ``fmzv check ohno --index 1,1,1,1,1,1 --n 6 --primes 10007:10100``, a
 # walk of 11 primes (154 bits), take 2.31 s against 1.95 s (medians of 4
-# fresh processes).
+# fresh processes).  While P fits one digit a reduction is a division by
+# that digit, and the limit is what a pass over a reduced row from a reduced
+# tail needs: with TAIL_BITS as their limit, the one-prime walks of lemma2
+# (2, 2, 2, 2), n = 5 and ohno 1^6, n = 6 at 10007 took 1.14 and 1.03 times
+# as long, and ohno (3), n = 2 at 99991 0.92 times (medians of 16
+# alternating rounds).
 TAIL_BITS = 300
 
 
@@ -329,14 +334,11 @@ class SuffixTrie:
     the prefix sums of the row m^(-s_j) times the tail of (s_(j+1), ..., s_n),
     the empty suffix's tail being the empty product 1, and H_L(s) is the
     tail's entry (q + 1) / 2.  The walk visits the trie depth first, so the
-    tails of a node's ancestors are alive when it is reached.  A node that is
-    a proper suffix of an element, and so has a child, is read off the pass
-    that builds its tail, and only a node that is none, and ends no pass,
-    takes a dot product: the row m^(-s_1) with its parent's tail over m in
-    L.  A tail is a prefix sum, so the walk can take L in blocks: a pass
-    resumes from its tail's last entry in the block before, and a dot
-    product from its running sum, and only one block of each tail is alive
-    at once.
+    tails of a node's ancestors are alive when it is reached, and each node
+    is read off the one pass that builds its tail.  A tail is a prefix sum,
+    so the walk can take L in blocks: a pass resumes from its tail's last
+    entry in the block before, and only one block of each tail is alive at
+    once.
     At q = 2, where m = 1 is its own mirror, H_2(k) is 1 at depth 1 and 0
     deeper.
     """
@@ -359,11 +361,9 @@ class SuffixTrie:
         for k in self.indices:
             self._prefixes += accumulate(k, add, initial=0)
             self._suffixes += reversed(list(accumulate(reversed(k), add, initial=0)))
-        # One op (depth, part, node, inner) per node of J, each after its
-        # parent, as a depth-first walk of the trie visits them; ``inner``
-        # where the node is a proper suffix of another element, whose pass
-        # builds its tail and writes its value.  A lane's values are H_L of
-        # the nodes in number order, node 0's being 1.
+        # One op (depth, part, node) per node of J, each after its parent, as
+        # a depth-first walk of the trie visits them.  A lane's values are
+        # H_L of the nodes in number order, node 0's being 1.
         self._nodes = list(nodes)  # (part, parent) of nodes 1, 2, ...
         self._parts = {part for part, _ in self._nodes}
         children: list[list[int]] = [[] for _ in range(len(nodes) + 1)]
@@ -373,7 +373,7 @@ class SuffixTrie:
         stack = [(1, node) for node in reversed(children[0])]
         while stack:
             depth, node = stack.pop()
-            self._ops.append((depth, self._nodes[node - 1][0], node, bool(children[node])))
+            self._ops.append((depth, self._nodes[node - 1][0], node))
             stack += ((depth + 1, child) for child in reversed(children[node]))
         # A reversed prefix's sign is (-1) to its weight: its parent's sign,
         # flipped by an odd part.  The recipes are flattened: term t
@@ -392,11 +392,10 @@ class SuffixTrie:
 
         By the Chinese remainder theorem Z/P is the product of the Z/q, so
         the walk evaluates each odd prime q in its own lane, which reads only
-        the entries m <= (q - 1) / 2: each pass gives the lane its entry
-        (q + 1) / 2, and each dot product is one running sum, broken at each
-        prime of the group.  The walk takes the entries in equal blocks of
-        at most :data:`BLOCK`; row 1 is built once over all of them, and
-        every other row and tail for one block.  The passes need no special case
+        the entries m <= (q - 1) / 2: each node's pass gives the lane its
+        entry (q + 1) / 2.  The walk takes the entries in equal blocks of at
+        most :data:`BLOCK`; row 1 is built once over all of them, and every
+        other row and tail for one block.  The passes need no special case
         for an index of depth >= q: one of the two factors of each of its
         recipe's terms is deeper than (q - 1) / 2, and its tails vanish to
         match.
@@ -415,48 +414,47 @@ class SuffixTrie:
         inv = inverse_table(*lanes)
         # The entries m of the lower half of q_G, cut into equal blocks of
         # at most BLOCK; a block's rows and tails live while it is walked.
-        # Every row starts with row[0] = 0, so the m = 0 term of every pass
-        # vanishes; one tail per depth, the empty suffix's first.  The
-        # innermost pass sums its row alone.  Each row and tail has a width,
-        # the bits its entries stay below.  Row e has e * bits(P) where
-        # e * bits(P) + grow stays within the limit, grow = bits(P) +
-        # bits(N), N the entries of the walk, and is left unreduced there
-        # (see _rows); elsewhere it is reduced mod P, to bits(P).  A pass
-        # adds the width of its row, and bits(N) for its at most N summands,
-        # to the width of the tail it reads (0 for the empty tail, whose
-        # entries are 1), and reduces its tail mod P, back to bits(P), where
-        # the sum passes the limit.  The limit is at least bits(P) + grow,
-        # so no pass past a reduced tail reduces.  While P fits one 30-bit
-        # digit it is that alone, so every row is reduced and the tails of
-        # even depth are, and the dot products over them stay on ``sum``'s
-        # machine-word path; a wider P takes TAIL_BITS where that is larger.
-        # Whether each node's pass reduces is worked out once per walk, from
-        # the width of its parent's tail.  Each lane's value is reduced once,
-        # mod q.  The tail of a block [lo, hi) holds the entries lo .. hi of
-        # the whole tail: it starts at its carry, the entry lo its pass left
-        # in the block before, and each dot product carries its running sum
-        # the same way.
-        # A tail of s holds H_L(s) in lane q at entry (q + 1) / 2, read in
-        # the block whose entries lo < (q + 1) / 2 <= hi hold it, and a dot
-        # product runs over the entries below it.
+        # Every node takes one pass, which builds its tail: every row starts
+        # with row[0] = 0, so the m = 0 term of every pass vanishes; one tail
+        # per depth, the empty suffix's first.  The innermost pass sums its
+        # row alone.  Each row and tail has a width, the bits its entries
+        # stay below.  Row e has e * bits(P) where e * bits(P) + grow stays
+        # within the limit, grow = bits(P) + bits(N), N the entries of the
+        # walk, and is left unreduced there (see _rows); elsewhere it is
+        # reduced mod P, to bits(P).  A pass adds the width of its row, and
+        # bits(N) for its at most N summands, to the width of the tail it
+        # reads (0 for the empty tail, whose entries are 1), and reduces its
+        # tail mod P, back to bits(P), where the sum passes the limit and a
+        # child's pass reads the tail; a leaf's tail is only read at the
+        # lanes' stops, each value reduced once, mod q.  The limit is at
+        # least bits(P) + grow, so no pass past a reduced tail reduces.
+        # While P fits one 30-bit digit it is that alone, so every row is
+        # reduced and so is every tail of even depth that a child reads; a
+        # wider P takes TAIL_BITS where that is larger.  Whether each node's pass reduces is worked
+        # out once per walk, from the width of its parent's tail.  The tail
+        # of a block [lo, hi) holds the entries lo .. hi of the whole tail:
+        # it starts at its carry, the entry lo its pass left in the block
+        # before.  A tail of s holds H_L(s) in lane q at entry (q + 1) / 2,
+        # read in the block whose entries lo < (q + 1) / 2 <= hi hold it.
         bits, summands = modulus.bit_length(), len(inv).bit_length()
         grow = bits + summands
         limit = bits + grow if bits <= 30 else max(TAIL_BITS, bits + grow)
         width = {e: e * bits if e * bits + grow <= limit else bits for e in self._parts}
         wide = {e for e in width if width[e] > bits}
         # by node: the width of the tail its pass builds, and whether the
-        # pass reduces it
+        # pass reduces it; a leaf's tail is read by no child, so it is never
+        # reduced
+        parents = {read for _, read in self._nodes}
         bounds = [0] * (len(self._ops) + 1)
         reduces = [False] * len(bounds)
         for slot, (part, read) in enumerate(self._nodes, 1):
             bound = bounds[read] + width[part] + summands
-            reduces[slot] = bound > limit
+            reduces[slot] = bound > limit and slot in parents
             bounds[slot] = bits if reduces[slot] else bound
         stops = [(q + 1) // 2 for q in lanes]
         count = -(-len(inv) // BLOCK)
         ps = repeat(modulus)
-        # by node: its value in each lane, and the carry of the pass or dot
-        # product that gives it
+        # by node: its value in each lane, and the carry of its pass
         values: list = [[] for _ in range(len(self._ops) + 1)]
         values[0] = [1] * len(lanes)
         carries = [0] * len(values)
@@ -467,26 +465,18 @@ class SuffixTrie:
             first, last = bisect_right(stops, lo), bisect_right(stops, hi)
             moduli = lanes[first:last]
             reads = [stop - lo for stop in stops[first:last]]
-            widths = list(map(sub, [*reads, hi - lo], [0, *reads]))
             # the tails of the ancestors of the node being visited, by depth
             tails: list = [repeat(1)]
-            for depth, part, slot, inner in self._ops:
+            for depth, part, slot in self._ops:
                 del tails[depth:]
-                if inner:
-                    if depth == 1:
-                        sums = accumulate(rows[part], initial=carries[slot])
-                    else:
-                        sums = accumulate(map(mul, rows[part], tails[-1]), initial=carries[slot])
-                    tail = list(map(mod, sums, ps)) if reduces[slot] else list(sums)
-                    tails.append(tail)
-                    carries[slot] = tail[-1]
-                    values[slot] += map(mod, map(tail.__getitem__, reads), moduli)
+                if depth == 1:
+                    sums = accumulate(rows[part], initial=carries[slot])
                 else:
-                    terms = map(mul, rows[part], tails[-1])
-                    sums = map(sum, map(islice, repeat(terms), widths))
-                    totals = list(accumulate(sums, initial=carries[slot]))
-                    carries[slot] = totals[-1]
-                    values[slot] += map(mod, islice(totals, 1, None), moduli)
+                    sums = accumulate(map(mul, rows[part], tails[-1]), initial=carries[slot])
+                tail = list(map(mod, sums, ps)) if reduces[slot] else list(sums)
+                tails.append(tail)
+                carries[slot] = tail[-1]
+                values[slot] += map(mod, map(tail.__getitem__, reads), moduli)
             lo = hi
             # this block's rows and tails go before the next block's are built
             del rows, tails
@@ -554,11 +544,10 @@ def zeta_mod_p(k: tuple[int, ...], p: int) -> int:
     sum over p > m_1 > ... > m_r > 0 of prod m_j^(-k_j), reduced mod p.
 
     A one-index sweep of a :class:`SuffixTrie` over the lower half of the
-    range, m <= (p - 1) / 2: one prefix-sum pass for each distinct proper
-    suffix of k and of its reversal, which also gives that suffix's value,
-    and one dot product for each of their suffixes that is no proper
-    suffix of another, each about p / 2 multiplications run through C-level
-    iterators, O(p * depth) in all; the reversal m -> p - m gives the upper
+    range, m <= (p - 1) / 2: one prefix-sum pass for each distinct suffix
+    of k and of its reversal, whose entry (p + 1) / 2 is that suffix's
+    value, each about p / 2 multiplications run through C-level iterators,
+    O(p * depth) in all; the reversal m -> p - m gives the upper
     half.  An index with depth >= p has an empty summation range and
     gives 0.  The value is read from, or filled into, the store through
     :func:`residues`.

@@ -373,7 +373,7 @@ def test_cold_sweep_builds_only_the_rows_it_reads(monkeypatch):
 
 def test_deep_indices_match_loop_oracle():
     # tails of odd depth are left unreduced, so deep walks chain several of
-    # them through passes and dot products
+    # them through passes
     p = 10007
     rng = random.Random(13)
     parts = [1, 2, 33, p - 1, 2 * (p - 1) + 3]
@@ -534,9 +534,10 @@ def _assert_walk_plan(trie, closure):
     # suffix one part shorter, and the signs and recipes read the nodes of
     # the right elements.  Replaying the ops as the walk does, with a stack of
     # the nodes whose tails are alive, by depth: every node is visited once,
-    # after its parent, whose tail is on top of the stack; its op is a pass,
-    # which pushes its tail, exactly where it is a proper suffix of another
-    # element, and a dot product otherwise, so every value is written once.
+    # after its parent, whose tail is on top of the stack, and its one op is
+    # a pass, which pushes its tail, so every value is written once.  The
+    # tails some pass reads are the empty index's and those of the proper
+    # suffixes of other elements, the only ones a pass may reduce.
     elements = _elements(trie)
     assert len(elements) == len(closure) + 1 and set(elements[1:]) == closure
     assert trie._signs == [(-1) ** sum(s) for s in elements]
@@ -544,27 +545,24 @@ def _assert_walk_plan(trie, closure):
     assert [elements[j] for j in trie._prefixes] == [k[:i][::-1] for k in ks for i in range(len(k) + 1)]
     assert [elements[j] for j in trie._suffixes] == [k[i:] for k in ks for i in range(len(k) + 1)]
     proper = {s[1:] for s in closure if len(s) > 1}
-    stack, passed, dotted = [0], [], []
-    for depth, part, node, inner in trie._ops:
+    stack, passed, read = [0], [], set()
+    for depth, part, node in trie._ops:
         s = elements[node]
         del stack[depth:]
         assert len(stack) == depth == len(s) and part == s[0], s
         assert elements[stack[-1]] == s[1:], s
-        assert inner == (s in proper), s
-        if inner:
-            stack.append(node)
-        (passed if inner else dotted).append(node)
-    assert sorted(passed + dotted) == list(range(1, len(elements)))
-    assert len(passed) == len(proper) and {elements[j] for j in passed} == proper
-    assert len(dotted) == len(closure) - len(proper)
+        read.add(stack[-1])
+        stack.append(node)
+        passed.append(node)
+    assert sorted(passed) == list(range(1, len(elements)))
+    assert {elements[j] for j in read} == proper | {()}
 
 
-def test_walk_passes_each_proper_suffix_once_and_dots_only_elements_ending_no_pass():
+def test_walk_passes_each_element_of_j_once():
     # J is every nonempty suffix and every reversed prefix of the indices;
-    # the walk reads each proper suffix's value off its own pass, so it
-    # takes one dot product per element of J that ends no pass.  Every lane
-    # of groups of 1, 2 and 16 primes matches the loop oracle; near 10^4
-    # the two lanes of a pair check a sample of the indices.
+    # the walk reads each element's value off its own pass, one per node.
+    # Every lane of groups of 1, 2 and 16 primes matches the loop oracle;
+    # near 10^4 the two lanes of a pair check a sample of the indices.
     rng = random.Random(17)
     large = tuple(primes_in(10007, 10100)[:2])
     for p, count, max_depth, groups in [
@@ -586,7 +584,7 @@ def test_walk_passes_each_proper_suffix_once_and_dots_only_elements_ending_no_pa
 def test_key_lemma_walks_its_suffixes_only():
     # key-lemma (2), n = 2 reads an index set closed under reversal, so its
     # reversed prefixes are suffixes already and J is its 12 suffixes, whose
-    # values the walk reads off its passes and its dot products, in every
+    # values the walk reads off its passes, one per suffix, in every
     # lane of groups of 1, 2, 4 and 16 primes
     from fmzv.verify import CHECKS
 
@@ -599,7 +597,7 @@ def test_key_lemma_walks_its_suffixes_only():
     suffixes = {k[i:] for k in indices for i in range(len(k))}
     assert len(suffixes) == 12 and len(trie._ops) == 12
     elements = _elements(trie)
-    assert {elements[node] for _, _, node, _ in trie._ops} == suffixes
+    assert {elements[node] for _, _, node in trie._ops} == suffixes
     _assert_walk_plan(trie, suffixes)
     for q, values in zip(group, swept):
         for k in indices:
@@ -742,8 +740,9 @@ def test_trie_keeps_one_tail_per_depth(monkeypatch):
     rows = modp._rows(trie._parts, inv, p)
     monkeypatch.setattr(modp, "inverse_table", lambda *group: inv)
     monkeypatch.setattr(modp, "_rows", lambda parts, block, *args: rows)
-    # one pass per inner node, one op per element of J, each after its parent
-    passes = sum(inner for *_, inner in trie._ops)
+    # one pass per element of J, each after its parent; the 16 proper
+    # suffixes have a child, whose pass reads their tails
+    parents = {parent for _, parent in trie._nodes} - {0}
     closure = _closure(indices)
     assert len(trie._ops) == len(closure)
     _assert_walk_plan(trie, closure)
@@ -754,8 +753,8 @@ def test_trie_keeps_one_tail_per_depth(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(closure) == 24 and passes == 16
-    assert peak < (4 + 2) * one_tail, (peak / one_tail, passes)
+    assert len(closure) == 24 and len(parents) == 16
+    assert peak < (4 + 2) * one_tail, peak / one_tail
 
 
 def _one_tail(group):
@@ -795,8 +794,7 @@ def test_walk_holds_tails_for_one_block(monkeypatch):
 def test_walk_carries_across_blocks(monkeypatch, block):
     # Blocks of 5 or 7 entries cut the lower half of q_G into several.  Each
     # pass continues its prefix sum from its tail's last entry in the block
-    # before, each dot product its running sum, and a lane is read in the
-    # block that holds its stop (q + 1) / 2.
+    # before, and a lane is read in the block that holds its stop (q + 1) / 2.
     import fmzv.modp as modp
 
     monkeypatch.setattr(modp, "BLOCK", block)
@@ -828,17 +826,17 @@ def test_walk_carries_across_blocks(monkeypatch, block):
             for k in indices:
                 assert values[k] == zeta_by_loop(k, q), (block, group, q, k)
     assert walks >= 5 and on_end and in_first, (walks, on_end, in_first)
-    # elements that end no pass take a dot product
-    assert any(not inner for *_, inner in trie._ops)
+    # leaves, whose tails no pass reads, at depth 2 and deeper carry too
+    parents = {parent for _, parent in trie._nodes}
+    assert any(depth > 1 and node not in parents for depth, _, node in trie._ops)
 
 
 def _tail_reads(trie):
-    # the tail that each pass past the innermost, and each dot product,
-    # multiplies by its row, its parent's, as the parts of the parent's
-    # element read innermost part first, in the order of one block of the
-    # walk
+    # the tail that each pass past the innermost multiplies by its row, its
+    # parent's, as the parts of the parent's element read innermost part
+    # first, in the order of one block of the walk
     elements = _elements(trie)
-    return [elements[node][:0:-1] for depth, _, node, inner in trie._ops if depth > 1 or not inner]
+    return [elements[node][:0:-1] for depth, _, node in trie._ops if depth > 1]
 
 
 def _widths(group):
@@ -862,12 +860,12 @@ def test_tails_are_reduced_past_a_bit_bound(monkeypatch, size, first):
     # A pass adds the width of its row, e * bits(P) for a row e left
     # unreduced and bits(P) for a reduced one, and bits(N) for its N
     # summands to the width of the tail it reads, and reduces its own tail
-    # mod P only where that bound would pass the limit: TAIL_BITS, or
-    # bits(P) + grow where that is larger, so that a pass past a reduced tail
-    # never reduces; a walk whose P fits one 30-bit digit takes bits(P) +
-    # grow alone, leaves no row unreduced and reduces exactly the tails of
-    # even depth.  Either way each lane reads the same values, reduced mod
-    # its prime.  Groups of 1 and 4 primes from 10007, of 4 from 95191 and of
+    # mod P only where another pass reads it and that bound would pass the
+    # limit: TAIL_BITS, or bits(P) + grow where that is larger, so that a
+    # pass past a reduced tail never reduces; a walk whose P fits one 30-bit
+    # digit takes bits(P) + grow alone, leaves no row unreduced and reduces
+    # exactly the tails of even depth that a pass reads.  Either way each
+    # lane reads the same values, reduced mod its prime.  Groups of 1 and 4 primes from 10007, of 4 from 95191 and of
     # 11 and 16 from 1009 span 1, 2, 3, 4 and 6 digits, over 4 blocks, at
     # depths up to 10; rows 2 and 3 stay unreduced products on 4 primes, and
     # 16 primes take the larger limit.
@@ -886,8 +884,8 @@ def test_tails_are_reduced_past_a_bit_bound(monkeypatch, size, first):
         # are slow over 47.6k entries
         indices = [tuple(rng.choice(parts[:5]) for _ in range(10))]
     trie = SuffixTrie(indices)
-    # a spy on modp.mul sees every entry of a tail that a pass or dot product
-    # multiplies, and none of the row products of _rows
+    # a spy on modp.mul sees every entry of a tail that a pass multiplies,
+    # and none of the row products of _rows
     seen, building = [], []
     rows = modp._rows
 
@@ -929,9 +927,9 @@ def test_tails_are_reduced_past_a_bit_bound(monkeypatch, size, first):
     assert bits > 30 or all(r == (len(t) % 2 == 0) for t, r in zip(reads, reduced))
     for tail, top, bound, reduces in zip(reads, tops, bounds, reduced):
         # no entry wider than its bound, or than the limit, and a tail below
-        # P exactly where its pass reduced it; the empty tail's entries are 1
-        assert top <= max(bound, 1) <= limit, (group, tail, top, bound)
-        assert not tail or (top <= bits) == reduces, (group, tail, top, reduces)
+        # P exactly where its pass reduced it
+        assert top <= bound <= limit, (group, tail, top, bound)
+        assert (top <= bits) == reduces, (group, tail, top, reduces)
     # the every-second-depth schedule over reduced rows, forced at any width
     monkeypatch.setattr(modp, "TAIL_BITS", 2 * bits + sizes)
     assert trie._walk(group) == lanes
