@@ -236,6 +236,8 @@ def _cmd_zeta(args) -> int:
 
 
 def _cmd_bernoulli(args) -> int:
+    if args.k < 2:
+        raise ValueError(f"need k >= 2, got k={args.k}")
     lo, hi = _window_from(args)
     ps = [p for p in primes_in(lo, hi) if p >= args.k + 2]
     if not ps:

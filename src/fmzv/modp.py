@@ -47,13 +47,16 @@ count alone.
 Each pass, and each inverse-power row it reads, is built from C-level
 iterators (``map``, ``itertools.accumulate``) rather than an interpreted
 loop over m.  The innermost pass sums its row alone.  Rows cover the lower
-half of q_G only.  Row 1 comes from the recurrence of the inverses, whose
-modulus drops each prime of the group once m passes its half; row e is the
-product of two rows already built, and a power of row 1 only when there
-are none.  A lane needs its residue mod q_i alone, which a reduction mod P
-at any point keeps, and each lane's value is reduced once, mod q_i; a
-reduction mod P is a long division, dearer than the product it shrinks, so
-a walk reduces a row or tail only past one bit bound.  Each of its arrays
+half of q_G only.  Row 1 is filled in ranges [lo, hi), hi <= 2 lo: each
+even m halves inv[m / 2] modulo the product of the group's odd primes, a
+shift with no long division, and each odd m comes from the recurrence of
+the inverses, whose modulus drops each prime of the group once m passes
+its half; row e is the product of two rows already built, and a power of
+row 1 only when there are none.  A lane needs its residue mod q_i alone,
+which a reduction mod P at any point keeps, and each lane's value is
+reduced once, mod q_i; a reduction mod P is a long division, dearer than
+the product it shrinks, so a walk reduces a row or tail only past one bit
+bound.  Each of its arrays
 has a width, the bits its entries stay below: row e has e bits(P)
 unreduced and bits(P) reduced, and a pass adds the width of its row and
 the bits of the walk's length to the width of the tail it reads.  Row e is
@@ -68,12 +71,12 @@ the tail of every second depth that a pass reads, which keeps the tails a
 few digits wide where ``TAIL_BITS`` would let them grow to ten; so a lone
 prime, a group of one with no case of its own, has the true powers mod p
 in its rows.  The walk runs over m in equal blocks of at most ``BLOCK``
-entries.  Only row 1 spans the range, since its recurrence reads earlier
-entries anywhere below m; every other row and every tail lives for one
-block, each pass carrying its running sum into the next.  So a walk holds
-row 1 and about one block per row and per depth, however large q_G.
-Bernoulli numbers B_n mod p come from the power sum 1^n + ... + (p-1)^n
-mod p^2 in O(p).
+entries.  Only row 1 spans the range, since halving and the recurrence
+read earlier entries anywhere below m; every other row and every tail
+lives for one block, each pass carrying its running sum into the next.
+So a walk holds row 1 and about one block per row and per depth, however
+large q_G.  Bernoulli numbers B_n mod p come from the power sum
+1^n + ... + (p-1)^n mod p^2 in O(p).
 
 Everything memoized at a prime lives in one store, one memo per prime: its
 swept residues keyed by index, a tuple, and its Bernoulli values B_n keyed
@@ -120,14 +123,15 @@ TABLE_BUDGET = 2**20
 # took 11-20 ms and 3-6 ms, 16 the fastest or within 1 ms of it.
 GROUP_PRIMES = 16
 # The most entries of a walk's block, whose rows and tails live while it is
-# walked (see SuffixTrie._walk).  On a 2-vCPU host the walk of ohno (3),
-# n = 2 over 95191 .. 95219 (47.6k entries) peaked under tracemalloc at
-# 2.50, 2.87, 3.65 and 5.21 MB with blocks of 1024, 2048, 4096 and 8192,
-# and row 1 alone takes 2.09 MB.  On the checks-large-p benchmark, whose
-# walks all run in the benchmark's process, 1024 against 2048 read a peak
-# RSS of 27.96-28.23 MB against 28.33-29.02 MB over 6 alternating pairs,
-# but made the raw pass walls longer in 5 of them, by a median 0.18 s of
-# 4.7 s.
+# walked (see SuffixTrie._walk), and of a range of row 1, whose halves live
+# while it is filled (see inverse_table).  On a 2-vCPU host the walk of
+# ohno (3), n = 2 over 95191 .. 95219 (47.6k entries) peaked under
+# tracemalloc at 2.50, 2.87, 3.65 and 5.21 MB with blocks of 1024, 2048,
+# 4096 and 8192, and row 1 alone takes 2.09 MB.  On the checks-large-p
+# benchmark, whose walks all run in the benchmark's process, 1024 against
+# 2048 read a peak RSS of 27.96-28.23 MB against 28.33-29.02 MB over 6
+# alternating pairs, but made the raw pass walls longer in 5 of them, by a
+# median 0.18 s of 4.7 s.
 BLOCK = 2048
 # The most bits of the entries of a walk's rows and tails that it leaves
 # unreduced while P takes more than one 30-bit digit (see SuffixTrie._walk):
@@ -231,29 +235,53 @@ def inverse_table(*group: int) -> list[int]:
     """Row 1 of a group of ascending primes q_1 < ... < q_G over the lower
     half of the largest: inv[m] = m^(-1) modulo every prime q of the group
     with m <= (q - 1) / 2, for 1 <= m <= (q_G - 1) / 2, and inv[0] = 0.
+    Every entry stays below the product of the group's primes.
 
-    One recurrence fills one prime and a group alike:
-    inv[m] = (M - M//m) * inv[M % m] % M, with M the product of the primes
-    whose lower half holds m, so M drops each prime once m passes the half
-    of it.  Every prime of M exceeds m > M % m, so M % m is a unit filled
-    first, and an inverse modulo a multiple of M is one modulo M.  The
-    primes are not checked here: they come from the sieve or have passed
-    ensure_prime.
+    The entries are filled in ranges [lo, hi), each at most as long as all
+    the entries before it and at most ``BLOCK`` long, and cut where m
+    passes the half of a prime, so that one M below serves the range.  Two
+    rules fill a range, each reading only entries below m, which are final:
 
-    The recurrence stays an interpreted loop because the alternatives
-    measured cost more: on a 2-vCPU host, over the 4 primes 95191 .. 95219,
-    the C-level ``map(pow, ms, repeat(-1), repeat(P))`` took 54-84 ms
-    against 20-36 ms for the loop, and the loop with ``divmod`` unpacked
-    took 1.09 to 1.14 times as long in interleaved rounds."""
-    inv = [0] * ((group[-1] + 1) // 2)
-    lo = 2
-    if len(inv) > 1:
+    - every even m by halving, inv[m] = x / 2 mod P' with x = inv[m / 2]
+      and P' the product of the group's odd primes, that is (x + P') >> 1
+      for odd x and x >> 1 for even x, with no long division;
+    - every odd m by the recurrence inv[m] = (M - M//m) * inv[M % m] % M,
+      with M the product of the primes whose lower half holds m, so M drops
+      each prime once m passes the half of it.  Every prime of M exceeds
+      m > M % m, so M % m is a unit filled first, and an inverse modulo a
+      multiple of M is one modulo M.
+
+    A prime q whose lower half holds m holds m / 2 too, and is odd, so both
+    rules keep the contract, and halving an entry below P keeps it below P.
+    Halving is one comprehension per range, which on a 2-vCPU host took
+    about half as long as a chain of C-level ``map`` calls doing the same;
+    the odd entries stay an interpreted loop.  Against the recurrence
+    alone, row 1 took 0.51 to 0.68 times as long on groups of 4 to 16
+    primes from 10007 to 1000003, and 0.82 to 0.85 on single primes from
+    10007 to 1000003 (medians of 15 alternating rounds, 5 at 1000003); a
+    table of a few hundred entries or less pays the ranges' fixed costs
+    instead, 10 to 20 microseconds a call, 1.3 to 1.8 times as long.  Row 1
+    still spans the whole range, as halving reads inv[m / 2] and the
+    recurrence inv[M % m].  The primes are not checked here: they come
+    from the sieve or have passed ensure_prime."""
+    n = (group[-1] + 1) // 2
+    inv = [0] * n
+    if n > 1:
         inv[1] = 1
-    for i, q in enumerate(group):
-        M = math.prod(group[i:])
-        for m in range(lo, (q + 1) // 2):
+    odd = math.prod(q for q in group if q % 2)
+    # an m < ends[i] lies in the lower half of every prime of group[i:],
+    # whose product is Ms[i]
+    ends = [(q + 1) // 2 for q in group]
+    Ms = [math.prod(group[i:]) for i in range(len(group))]
+    lo = 2
+    while lo < n:
+        i = bisect_right(ends, lo)
+        hi, M = min(2 * lo, lo + BLOCK, ends[i]), Ms[i]
+        half = (lo + 1) // 2  # 2 half is the range's first even m
+        inv[2 * half : hi : 2] = [(x + odd if x & 1 else x) >> 1 for x in inv[half : (hi + 1) // 2]]
+        for m in range(lo | 1, hi, 2):
             inv[m] = (M - M // m) * inv[M % m] % M
-        lo = max(lo, (q + 1) // 2)
+        lo = hi
     return inv
 
 

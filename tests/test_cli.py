@@ -397,11 +397,18 @@ def test_json_renders_exactly_as_json_dumps(capsys):
         assert code == 0 and out == json.dumps(json.loads(out), indent=2) + "\n", argv
 
 
-def test_check_usage_error(capsys):
+def test_check_usage_error(capsys, monkeypatch):
     code, _, err = run_cli(
         capsys, "check", "duality", "--w", "y", "--wp", "yx", "--primes", "5:20"
     )
     assert code == 2 and "yx" in err
+    # B_(p-k) needs k >= 2: a smaller k is refused before the window is sieved
+    sieved = []
+    monkeypatch.setattr(fmzv.cli, "primes_in", lambda *args: sieved.append(args) or [])
+    for k in ("0", "1", "-3"):
+        message = f"fmzv: error: need k >= 2, got k={k}\n"
+        assert run_cli(capsys, "bernoulli", "--k", k, "--primes", "2:50") == (2, "", message), k
+    assert sieved == []
 
 
 def test_floor_above_window_rejected(capsys, monkeypatch):

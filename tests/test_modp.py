@@ -1,7 +1,7 @@
 import math
 import random
 import tracemalloc
-from itertools import accumulate, islice, repeat
+from itertools import accumulate, islice, product, repeat
 from math import comb
 from operator import mod
 
@@ -80,7 +80,7 @@ def test_primes_in_matches_trial_division():
         assert primes_in(lo, hi) == expect, (lo, hi)
 
 
-def test_inv_and_pow():
+def test_inv_and_pow(monkeypatch):
     assert inv_mod(3, 7) == 5
     assert inv_mod(1, 97) == 1
     with pytest.raises(ZeroDivisionError):
@@ -89,15 +89,28 @@ def test_inv_and_pow():
         inv_mod(14, 7)
     # row 1 covers the lower half, m <= (p - 1) / 2, of one prime or of the
     # largest prime of a group, exact in each lane whose lower half holds m
+    # and below the product of the group's primes; (2, 3, 5, 7) has an even
+    # product, which halving must not use, and 16 primes from 101 and from
+    # 99991 span many ranges and prime halves; a BLOCK of 5 caps the ranges
+    # at odd lengths, so that ranges start at odd m too
     table = inverse_table(13)
     assert len(table) == 7 and table[0] == 0
     assert all(m * table[m] % 13 == 1 for m in range(1, 7))
     assert inverse_table(2) == [0] and inverse_table(3) == [0, 1]
-    for group in [(2, 3, 5, 7), (3, 5, 7, 11, 13), tuple(primes_in(10007, 10100)[:4])]:
+    groups = [
+        (2, 3, 5, 7),
+        (3, 5, 7, 11, 13),
+        tuple(primes_in(10007, 10100)[:4]),
+        tuple(primes_in(101, 300)[:16]),
+        tuple(primes_in(99991, 100400)[:16]),
+    ]
+    for block, group in product((fmzv.modp.BLOCK, 5), groups):
+        monkeypatch.setattr(fmzv.modp, "BLOCK", block)
         table = inverse_table(*group)
         assert len(table) == (group[-1] + 1) // 2 and table[0] == 0, group
+        assert max(table) < math.prod(group), group
         for q in group:
-            assert all(m * table[m] % q == 1 for m in range(1, (q + 1) // 2)), (group, q)
+            assert all(m * table[m] % q == 1 for m in range(1, (q + 1) // 2)), (block, group, q)
 
 
 def test_zeta_spot_values():
@@ -885,16 +898,18 @@ def test_tails_are_reduced_past_a_bit_bound(monkeypatch, size, first):
         indices = [tuple(rng.choice(parts[:5]) for _ in range(10))]
     trie = SuffixTrie(indices)
     # a spy on modp.mul sees every entry of a tail that a pass multiplies,
-    # and none of the row products of _rows
+    # and none of the row products of _rows or of row 1's building
     seen, building = [], []
-    rows = modp._rows
 
-    def block_rows(*args):
-        building.append(True)
-        try:
-            return rows(*args)
-        finally:
-            building.pop()
+    def builder(build):
+        def spied(*args):
+            building.append(True)
+            try:
+                return build(*args)
+            finally:
+                building.pop()
+
+        return spied
 
     def mul(row, entry):
         if not building:
@@ -902,7 +917,8 @@ def test_tails_are_reduced_past_a_bit_bound(monkeypatch, size, first):
         return row * entry
 
     with monkeypatch.context() as m:
-        m.setattr(modp, "_rows", block_rows)
+        m.setattr(modp, "_rows", builder(modp._rows))
+        m.setattr(modp, "inverse_table", builder(modp.inverse_table))
         m.setattr(modp, "mul", mul)
         lanes = trie._walk(group)
     reads = _tail_reads(trie)
